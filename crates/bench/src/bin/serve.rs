@@ -117,7 +117,16 @@ fn main() {
     // Throughput: identical workload, identical system, cache off vs on.
     let queries = workload(joined, pool, repeats);
     let mut baseline = build(universe, joined, ServiceConfig::default().uncached());
+    // Logical gate: serving is one-shot probes, so executing the uncached
+    // workload on the converged system must not build a cluster index.
+    let index_builds = || bcc_obs::registry().counter("core.index.builds").get();
+    let builds_before = index_builds();
     let (uncached_ms, uncached_responses) = run(&mut baseline, &queries);
+    assert_eq!(
+        index_builds(),
+        builds_before,
+        "an executed query built a ClusterIndex"
+    );
     let mut cached = build(universe, joined, ServiceConfig::default());
     let (cached_ms, cached_responses) = run(&mut cached, &queries);
 

@@ -71,7 +71,6 @@ pub use index::{
 };
 pub use node::{ClusterNode, ProtocolConfig, RoutePolicy};
 pub use query::{
-    process_query, process_query_indexed, process_query_resilient,
-    process_query_resilient_budgeted, process_query_resilient_indexed, process_query_with_policy,
-    Degradation, QueryOutcome, QueryRequest, RetryPolicy,
+    process_query, process_query_resilient, process_query_resilient_budgeted,
+    process_query_with_policy, Degradation, QueryOutcome, QueryRequest, RetryPolicy,
 };

@@ -22,6 +22,7 @@ use bcc_metric::{DistanceMatrix, NodeId};
 use crate::classes::BandwidthClasses;
 use crate::error::ClusterError;
 use crate::find_cluster::{self, Budgeted, WorkMeter};
+use crate::index::{max_cluster_size_indexed, ClusterIndex};
 
 /// Configuration shared by every node of a clustering overlay.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,12 +143,18 @@ impl ClusterNode {
         // Top n_cut by predicted distance to `to`; ties break by id so the
         // protocol is deterministic.
         let mut keyed: Vec<(f64, NodeId)> = cand.into_iter().map(|u| (dist(to, u), u)).collect();
-        keyed.sort_by(|a, b| {
+        let by_dist_then_id = |a: &(f64, NodeId), b: &(f64, NodeId)| {
             a.0.partial_cmp(&b.0)
                 .expect("distances are comparable")
                 .then(a.1.cmp(&b.1))
-        });
-        keyed.truncate(n_cut);
+        };
+        // Ids are distinct, so the order is strict: selecting the n_cut
+        // smallest and sorting only those yields the full sort's prefix.
+        if n_cut < keyed.len() {
+            keyed.select_nth_unstable_by(n_cut, by_dist_then_id);
+            keyed.truncate(n_cut);
+        }
+        keyed.sort_unstable_by(by_dist_then_id);
         Ok(keyed.into_iter().map(|(_, u)| u).collect())
     }
 
@@ -182,19 +189,48 @@ impl ClusterNode {
         space
     }
 
+    /// The part of the clustering space `alive` admits, with its local
+    /// distance matrix (positions follow the sorted space) — the one
+    /// metric every node-local search runs over. `None` when fewer than
+    /// `min_len` hosts survive the filter; no matrix is built then.
+    fn local_space(
+        &self,
+        min_len: usize,
+        mut dist: impl FnMut(NodeId, NodeId) -> f64,
+        mut alive: impl FnMut(NodeId) -> bool,
+    ) -> Option<(Vec<NodeId>, DistanceMatrix)> {
+        let space: Vec<NodeId> = self
+            .clustering_space()
+            .into_iter()
+            .filter(|&u| alive(u))
+            .collect();
+        if space.len() < min_len {
+            return None;
+        }
+        let local = DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]));
+        Some((space, local))
+    }
+
     /// Algorithm 3, line 8: recomputes `aggrCRT[x][l]` for every class by
     /// running the centralized search over the local clustering space.
+    ///
+    /// This is the all-class exact-maximum access pattern, so it is where
+    /// a [`ClusterIndex`] pays for itself: one `O(m² log m)` build over the
+    /// space, then one pruned [`max_cluster_size_indexed`] scan per class.
+    /// Every value equals the [`find_cluster::max_cluster_size`] sweep's.
     pub fn recompute_own_max(
         &mut self,
         classes: &BandwidthClasses,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
+        dist: impl FnMut(NodeId, NodeId) -> f64,
     ) {
-        let space = self.clustering_space();
-        let local = DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]));
+        let (_, local) = self
+            .local_space(1, dist, |_| true)
+            .expect("the space holds the node itself");
+        let index = ClusterIndex::from_metric(&local);
         self.own_max = classes
             .distances()
             .iter()
-            .map(|&l| find_cluster::max_cluster_size(&local, l))
+            .map(|&l| max_cluster_size_indexed(&local, &index, l))
             .collect();
     }
 
@@ -297,42 +333,9 @@ impl ClusterNode {
         k: usize,
         class_idx: usize,
         classes: &BandwidthClasses,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
+        dist: impl FnMut(NodeId, NodeId) -> f64,
     ) -> Option<Vec<NodeId>> {
-        if k == 0 || k > self.own_max[class_idx] {
-            return None;
-        }
-        let space = self.clustering_space();
-        let local = DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]));
-        let l = classes.distance_of(class_idx);
-        find_cluster::find_cluster(&local, k, l)
-            .map(|idxs| idxs.into_iter().map(|i| space[i]).collect())
-    }
-
-    /// [`ClusterNode::answer_locally`] through a [`crate::ClusterIndex`]
-    /// built over the local clustering space: the same CRT gate, the same
-    /// space, and a bit-identical answer — the indexed kernel prunes rows
-    /// and pairs through ball-size bounds but runs the identical membership
-    /// test on the survivors. Local spaces are small (close nodes only), so
-    /// the index is built per call; the win is the pruned scan on gossip-
-    /// inflated spaces, and the shared code path with the system-wide
-    /// indexed probes.
-    pub fn answer_locally_indexed(
-        &self,
-        k: usize,
-        class_idx: usize,
-        classes: &BandwidthClasses,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
-    ) -> Option<Vec<NodeId>> {
-        if k == 0 || k > self.own_max[class_idx] {
-            return None;
-        }
-        let space = self.clustering_space();
-        let local = DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]));
-        let index = crate::ClusterIndex::from_metric(&local);
-        let l = classes.distance_of(class_idx);
-        crate::find_cluster_indexed(&local, &index, k, l)
-            .map(|idxs| idxs.into_iter().map(|i| space[i]).collect())
+        self.answer_locally_filtered(k, class_idx, classes, dist, |_| true)
     }
 
     /// [`ClusterNode::answer_locally`] restricted to hosts the caller
@@ -344,62 +347,38 @@ impl ClusterNode {
     /// from stale state could include dead members. Filtering the space
     /// keeps the answer valid: the diameter constraint is hereditary, so
     /// any subset of a feasible cluster is feasible.
+    ///
+    /// This is a one-shot satisfiable probe behind a CRT gate that already
+    /// promised the answer, so it runs the row-major pair sweep, which
+    /// exits at the first satisfying pair; a [`ClusterIndex`] built for the
+    /// one call costs more than the whole sweep.
     pub fn answer_locally_filtered(
         &self,
         k: usize,
         class_idx: usize,
         classes: &BandwidthClasses,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
-        mut alive: impl FnMut(NodeId) -> bool,
+        dist: impl FnMut(NodeId, NodeId) -> f64,
+        alive: impl FnMut(NodeId) -> bool,
     ) -> Option<Vec<NodeId>> {
         if k == 0 || k > self.own_max[class_idx] {
             return None;
         }
-        let space: Vec<NodeId> = self
-            .clustering_space()
-            .into_iter()
-            .filter(|&u| alive(u))
-            .collect();
-        if space.len() < k {
-            return None;
-        }
-        let local = DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]));
+        let (space, local) = self.local_space(k, dist, alive)?;
         let l = classes.distance_of(class_idx);
-        find_cluster::find_cluster(&local, k, l)
-            .map(|idxs| idxs.into_iter().map(|i| space[i]).collect())
+        find_cluster::find_cluster(&local, k, l).map(|idxs| hosts_of(&space, idxs))
     }
 
-    /// [`ClusterNode::answer_locally_filtered`] through a per-call
-    /// [`crate::ClusterIndex`] over the live part of the clustering space:
-    /// the same CRT gate, the same liveness filter, and a bit-identical
-    /// answer — [`crate::find_cluster_indexed`] returns exactly what the
-    /// pair sweep would on the same sub-metric. This is the local kernel
-    /// the indexed resilient walk
-    /// ([`crate::process_query_resilient_indexed`]) runs at every node.
+    /// Delegates to [`ClusterNode::answer_locally_filtered`]; kept under
+    /// this name for the end-to-end benchmark's traced replay.
     pub fn answer_locally_filtered_indexed(
         &self,
         k: usize,
         class_idx: usize,
         classes: &BandwidthClasses,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
-        mut alive: impl FnMut(NodeId) -> bool,
+        dist: impl FnMut(NodeId, NodeId) -> f64,
+        alive: impl FnMut(NodeId) -> bool,
     ) -> Option<Vec<NodeId>> {
-        if k == 0 || k > self.own_max[class_idx] {
-            return None;
-        }
-        let space: Vec<NodeId> = self
-            .clustering_space()
-            .into_iter()
-            .filter(|&u| alive(u))
-            .collect();
-        if space.len() < k {
-            return None;
-        }
-        let local = DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]));
-        let index = crate::ClusterIndex::from_metric(&local);
-        let l = classes.distance_of(class_idx);
-        crate::find_cluster_indexed(&local, &index, k, l)
-            .map(|idxs| idxs.into_iter().map(|i| space[i]).collect())
+        self.answer_locally_filtered(k, class_idx, classes, dist, alive)
     }
 
     /// [`ClusterNode::answer_locally_filtered`] under a [`WorkMeter`]: the
@@ -414,89 +393,42 @@ impl ClusterNode {
         k: usize,
         class_idx: usize,
         classes: &BandwidthClasses,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
-        mut alive: impl FnMut(NodeId) -> bool,
+        dist: impl FnMut(NodeId, NodeId) -> f64,
+        alive: impl FnMut(NodeId) -> bool,
         meter: &mut WorkMeter,
     ) -> Budgeted<Option<Vec<NodeId>>> {
         if k == 0 || k > self.own_max[class_idx] {
             return Budgeted::Done(None);
         }
-        let space: Vec<NodeId> = self
-            .clustering_space()
-            .into_iter()
-            .filter(|&u| alive(u))
-            .collect();
-        if space.len() < k {
+        let Some((space, local)) = self.local_space(k, dist, alive) else {
             return Budgeted::Done(None);
-        }
-        let local = DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]));
+        };
         let l = classes.distance_of(class_idx);
-        match find_cluster::find_cluster_budgeted(&local, k, l, meter) {
-            Budgeted::Done(r) => {
-                Budgeted::Done(r.map(|idxs| idxs.into_iter().map(|i| space[i]).collect()))
-            }
-            Budgeted::Exhausted {
-                pairs_done,
-                best_partial,
-            } => Budgeted::Exhausted {
-                pairs_done,
-                best_partial: best_partial.map(|idxs| idxs.into_iter().map(|i| space[i]).collect()),
-            },
-        }
+        budgeted_hosts_of(
+            &space,
+            find_cluster::find_cluster_budgeted(&local, k, l, meter),
+        )
     }
 
     /// The largest cluster buildable from the *live* part of the local
     /// clustering space, if any of size ≥ 2 exists — the source of partial
     /// results when the full `k` cannot be assembled.
-    pub fn best_partial(
-        &self,
-        class_idx: usize,
-        classes: &BandwidthClasses,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
-        mut alive: impl FnMut(NodeId) -> bool,
-    ) -> Option<Vec<NodeId>> {
-        let space: Vec<NodeId> = self
-            .clustering_space()
-            .into_iter()
-            .filter(|&u| alive(u))
-            .collect();
-        if space.len() < 2 {
-            return None;
-        }
-        let local = DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]));
-        let l = classes.distance_of(class_idx);
-        let m = find_cluster::max_cluster_size(&local, l);
-        if m < 2 {
-            return None;
-        }
-        find_cluster::find_cluster(&local, m, l)
-            .map(|idxs| idxs.into_iter().map(|i| space[i]).collect())
-    }
-
-    /// [`ClusterNode::best_partial`] under a [`WorkMeter`]: both the sizing
-    /// pass and the member search charge the meter. On exhaustion during
-    /// sizing no members are known yet (`best_partial: None`); on
-    /// exhaustion during the search the largest subset seen is reported.
     ///
-    /// With an unexhausted meter the result is bit-identical to the
-    /// unbudgeted variant.
+    /// Both the sizing pass and the member search charge the meter. On
+    /// exhaustion during sizing no members are known yet
+    /// (`best_partial: None`); on exhaustion during the search the largest
+    /// subset seen is reported.
     pub fn best_partial_budgeted(
         &self,
         class_idx: usize,
         classes: &BandwidthClasses,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
-        mut alive: impl FnMut(NodeId) -> bool,
+        dist: impl FnMut(NodeId, NodeId) -> f64,
+        alive: impl FnMut(NodeId) -> bool,
         meter: &mut WorkMeter,
     ) -> Budgeted<Option<Vec<NodeId>>> {
-        let space: Vec<NodeId> = self
-            .clustering_space()
-            .into_iter()
-            .filter(|&u| alive(u))
-            .collect();
-        if space.len() < 2 {
+        let Some((space, local)) = self.local_space(2, dist, alive) else {
             return Budgeted::Done(None);
-        }
-        let local = DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]));
+        };
         let l = classes.distance_of(class_idx);
         let m = match find_cluster::max_cluster_size_budgeted(&local, l, meter) {
             Budgeted::Done(m) => m,
@@ -510,18 +442,10 @@ impl ClusterNode {
         if m < 2 {
             return Budgeted::Done(None);
         }
-        match find_cluster::find_cluster_budgeted(&local, m, l, meter) {
-            Budgeted::Done(r) => {
-                Budgeted::Done(r.map(|idxs| idxs.into_iter().map(|i| space[i]).collect()))
-            }
-            Budgeted::Exhausted {
-                pairs_done,
-                best_partial,
-            } => Budgeted::Exhausted {
-                pairs_done,
-                best_partial: best_partial.map(|idxs| idxs.into_iter().map(|i| space[i]).collect()),
-            },
-        }
+        budgeted_hosts_of(
+            &space,
+            find_cluster::find_cluster_budgeted(&local, m, l, meter),
+        )
     }
 
     /// Algorithm 4, routing half: a neighbor (≠ `exclude`) whose direction
@@ -572,6 +496,28 @@ impl ClusterNode {
             RoutePolicy::BestFit => eligible.max_by_key(|&v| (self.crt_entry(v, class_idx), v)),
             RoutePolicy::TightestFit => eligible.min_by_key(|&v| (self.crt_entry(v, class_idx), v)),
         }
+    }
+}
+
+/// Maps a kernel answer (positions in the local matrix) back to host ids.
+fn hosts_of(space: &[NodeId], idxs: Vec<usize>) -> Vec<NodeId> {
+    idxs.into_iter().map(|i| space[i]).collect()
+}
+
+/// [`hosts_of`] through either arm of a budgeted kernel answer.
+fn budgeted_hosts_of(
+    space: &[NodeId],
+    answer: Budgeted<Option<Vec<usize>>>,
+) -> Budgeted<Option<Vec<NodeId>>> {
+    match answer {
+        Budgeted::Done(r) => Budgeted::Done(r.map(|idxs| hosts_of(space, idxs))),
+        Budgeted::Exhausted {
+            pairs_done,
+            best_partial,
+        } => Budgeted::Exhausted {
+            pairs_done,
+            best_partial: best_partial.map(|idxs| hosts_of(space, idxs)),
+        },
     }
 }
 
@@ -644,6 +590,28 @@ mod tests {
         ));
         let mut m2 = m.clone();
         assert!(m2.receive_node_info(n(7), vec![]).is_err());
+    }
+
+    #[test]
+    fn node_info_matches_full_sort_reference() {
+        // Distances with ties (|i − 6| mirrors around 6) so the id
+        // tie-break decides which of two equidistant hosts is kept.
+        let mut m = ClusterNode::new(n(1), vec![n(0), n(6)], 2);
+        let reported: Vec<NodeId> = [12, 3, 9, 5, 7, 4, 8, 2, 10, 11].map(n).to_vec();
+        m.receive_node_info(n(0), reported.clone()).unwrap();
+        let mut reference: Vec<NodeId> = reported;
+        reference.push(n(1));
+        reference.sort_by(|&a, &b| {
+            line_dist(n(6), a)
+                .partial_cmp(&line_dist(n(6), b))
+                .unwrap()
+                .then(a.cmp(&b))
+        });
+        let len = reference.len();
+        for n_cut in [1, len - 1, len, len + 1] {
+            let info = m.node_info_for(n(6), n_cut, line_dist).unwrap();
+            assert_eq!(info, reference[..n_cut.min(len)], "n_cut = {n_cut}");
+        }
     }
 
     #[test]
@@ -788,17 +756,47 @@ mod tests {
     }
 
     #[test]
+    fn filtered_indexed_delegate_matches_its_twin() {
+        let mut x = ClusterNode::new(n(0), vec![n(1)], 2);
+        x.receive_node_info(n(1), vec![n(1), n(2), n(3), n(7), n(8)])
+            .unwrap();
+        x.recompute_own_max(&classes(), line_dist);
+        let alive_sets: [&dyn Fn(NodeId) -> bool; 3] =
+            [&|_| true, &|u| u != n(1), &|u| u.index() > 2];
+        for alive in alive_sets {
+            for class_idx in 0..2 {
+                for k in 0..=7 {
+                    assert_eq!(
+                        x.answer_locally_filtered_indexed(
+                            k,
+                            class_idx,
+                            &classes(),
+                            line_dist,
+                            alive
+                        ),
+                        x.answer_locally_filtered(k, class_idx, &classes(), line_dist, alive),
+                        "k={k} class={class_idx}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn best_partial_returns_largest_live_cluster() {
         let mut x = ClusterNode::new(n(0), vec![n(1)], 2);
         x.receive_node_info(n(1), vec![n(1), n(2), n(3)]).unwrap();
         x.recompute_own_max(&classes(), line_dist);
+        let mut meter = WorkMeter::unlimited();
         let partial = x
-            .best_partial(1, &classes(), line_dist, |u| u != n(1))
+            .best_partial_budgeted(1, &classes(), line_dist, |u| u != n(1), &mut meter)
+            .into_value()
             .unwrap();
         assert_eq!(partial.len(), 2, "live space {{0, 2, 3}} admits a pair");
         // Everything dead but the node itself: no partial of size >= 2.
         assert!(x
-            .best_partial(1, &classes(), line_dist, |u| u == n(0))
+            .best_partial_budgeted(1, &classes(), line_dist, |u| u == n(0), &mut meter)
+            .into_value()
             .is_none());
     }
 

@@ -266,74 +266,6 @@ pub fn process_query_with_policy(
     }
 }
 
-/// [`process_query`] answering each local probe through a per-node
-/// [`crate::ClusterIndex`] over the clustering space
-/// ([`ClusterNode::answer_locally_indexed`]) instead of the pair sweep.
-///
-/// The walk — validation, CRT gates, forwarding, hop accounting — is the
-/// same code shape as [`process_query_with_policy`] with
-/// [`RoutePolicy::FirstFit`], and the indexed local answer is bit-identical
-/// to the swept one, so the outcome (cluster members, hops, path) matches
-/// [`process_query`] exactly; only the local scan cost changes.
-///
-/// # Errors
-///
-/// Same as [`process_query`].
-pub fn process_query_indexed(
-    nodes: &[ClusterNode],
-    start: NodeId,
-    k: usize,
-    bandwidth: f64,
-    classes: &BandwidthClasses,
-    mut dist: impl FnMut(NodeId, NodeId) -> f64,
-) -> Result<QueryOutcome, ClusterError> {
-    let class_idx = QueryRequest::new(start, k, bandwidth).validate(classes, nodes.len())?;
-
-    let mut current = start;
-    let mut previous: Option<NodeId> = None;
-    let mut path = vec![start];
-    let mut hops = 0;
-
-    loop {
-        let node = &nodes[current.index()];
-        debug_assert_eq!(node.id(), current, "nodes must be indexed by id");
-        if let Some(cluster) = node.answer_locally_indexed(k, class_idx, classes, &mut dist) {
-            return Ok(QueryOutcome {
-                cluster: Some(cluster),
-                hops,
-                path,
-                degradation: Degradation::default(),
-            });
-        }
-        match node.route_with_policy(k, class_idx, previous, RoutePolicy::FirstFit) {
-            Some(next) => {
-                previous = Some(current);
-                current = next;
-                hops += 1;
-                path.push(current);
-                // Safety net: on a tree overlay the no-backtrack walk is a
-                // simple path, so it can never exceed the node count.
-                if hops > nodes.len() {
-                    return Ok(QueryOutcome {
-                        cluster: None,
-                        hops,
-                        path,
-                        degradation: Degradation::default(),
-                    });
-                }
-            }
-            None => {
-                return Ok(QueryOutcome {
-                    cluster: None,
-                    hops,
-                    path,
-                    degradation: Degradation::default(),
-                })
-            }
-        }
-    }
-}
-
 /// [`process_query`] hardened against crashed hosts: Algorithm 4 with
 /// retry, hop-budget timeouts and rerouting around dead anchor-tree
 /// neighbors.
@@ -379,130 +311,6 @@ pub fn process_query_resilient(
         // An unlimited meter never exhausts; the charge saturates below it.
         Budgeted::Exhausted { best_partial, .. } => Ok(best_partial),
     }
-}
-
-/// Folds a node-level partial into the degradation record, keeping the
-/// largest live cluster seen anywhere along the walk.
-fn keep_partial_of(deg: &mut Degradation, p: Option<Vec<NodeId>>) {
-    if let Some(p) = p {
-        if deg.partial.as_ref().is_none_or(|best| p.len() > best.len()) {
-            deg.partial = Some(p);
-        }
-    }
-}
-
-/// [`process_query_resilient`] answering each node-local probe through a
-/// per-node [`crate::ClusterIndex`] over the live clustering space
-/// ([`ClusterNode::answer_locally_filtered_indexed`]) instead of the pair
-/// sweep.
-///
-/// The walk — validation, retries, hop budgets, blacklisting, partial
-/// accounting — is the exact code shape of [`process_query_resilient`]
-/// with an unlimited meter, and the indexed local answer is bit-identical
-/// to the swept one, so the outcome matches [`process_query_resilient`]
-/// exactly for every input; only the local scan cost changes. This is the
-/// default execution path of the `bcc-service` batch lanes.
-///
-/// # Errors
-///
-/// Same as [`process_query_resilient`].
-#[allow(clippy::too_many_arguments)]
-pub fn process_query_resilient_indexed(
-    nodes: &[ClusterNode],
-    start: NodeId,
-    k: usize,
-    bandwidth: f64,
-    classes: &BandwidthClasses,
-    mut dist: impl FnMut(NodeId, NodeId) -> f64,
-    policy: RoutePolicy,
-    retry: &RetryPolicy,
-    mut alive: impl FnMut(NodeId) -> bool,
-) -> Result<QueryOutcome, ClusterError> {
-    let class_idx = QueryRequest::new(start, k, bandwidth).validate(classes, nodes.len())?;
-    if !alive(start) {
-        return Err(ClusterError::NodeUnavailable {
-            node: start.index(),
-        });
-    }
-
-    let mut deg = Degradation::default();
-    let mut blacklist: Vec<NodeId> = Vec::new();
-    let mut total_hops = 0;
-    let mut full_path = Vec::new();
-
-    for attempt in 0..=retry.max_retries {
-        if attempt > 0 {
-            deg.retries += 1;
-        }
-        let hop_budget = retry.budget_for_attempt(attempt);
-        let mut current = start;
-        let mut previous: Option<NodeId> = None;
-        let mut hops_this_attempt = 0;
-        let mut progress = false; // learned a new dead host this attempt
-        full_path.push(start);
-
-        'walk: loop {
-            let node = &nodes[current.index()];
-            debug_assert_eq!(node.id(), current, "nodes must be indexed by id");
-            if let Some(cluster) =
-                node.answer_locally_filtered_indexed(k, class_idx, classes, &mut dist, &mut alive)
-            {
-                deg.partial = None;
-                return Ok(QueryOutcome {
-                    cluster: Some(cluster),
-                    hops: total_hops,
-                    path: full_path,
-                    degradation: deg,
-                });
-            }
-            // The CRT gate promised k here but the live space cannot
-            // deliver it: remember the best live cluster as a fallback.
-            if k <= node.own_max()[class_idx] {
-                deg.stale_state = true;
-                keep_partial_of(
-                    &mut deg,
-                    node.best_partial(class_idx, classes, &mut dist, &mut alive),
-                );
-            }
-            // Pick a live next hop, blacklisting dead ones as discovered
-            // (the reroute-around-dead-neighbors step).
-            loop {
-                match node.route_excluding(k, class_idx, previous, &blacklist, policy) {
-                    Some(next) if !alive(next) => {
-                        blacklist.push(next);
-                        deg.dead_encountered += 1;
-                        deg.stale_state = true;
-                        progress = true;
-                    }
-                    Some(next) => {
-                        previous = Some(current);
-                        current = next;
-                        total_hops += 1;
-                        hops_this_attempt += 1;
-                        full_path.push(current);
-                        if hops_this_attempt >= hop_budget || total_hops > 2 * nodes.len() {
-                            break 'walk; // timeout: abandon this attempt
-                        }
-                        continue 'walk;
-                    }
-                    None => break 'walk, // dead end: nothing eligible
-                }
-            }
-        }
-
-        // A clean dead end with no new liveness knowledge would replay the
-        // exact same walk: further retries are pointless.
-        if !progress && hops_this_attempt < hop_budget {
-            break;
-        }
-    }
-
-    Ok(QueryOutcome {
-        cluster: None,
-        hops: total_hops,
-        path: full_path,
-        degradation: deg,
-    })
 }
 
 /// [`process_query_resilient`] under a [`WorkMeter`]: every local cluster
@@ -738,28 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn indexed_query_identical_to_swept() {
-        let nodes = path_overlay();
-        for start in 0..4 {
-            for k in 2..=4 {
-                let swept = process_query(&nodes, n(start), k, 50.0, &classes(), line_dist);
-                let indexed =
-                    process_query_indexed(&nodes, n(start), k, 50.0, &classes(), line_dist);
-                assert_eq!(swept, indexed, "start={start} k={k}");
-            }
-        }
-        // Validation errors surface identically too.
-        assert!(matches!(
-            process_query_indexed(&nodes, n(0), 1, 50.0, &classes(), line_dist),
-            Err(ClusterError::InvalidSizeConstraint { .. })
-        ));
-        assert!(matches!(
-            process_query_indexed(&nodes, n(9), 2, 50.0, &classes(), line_dist),
-            Err(ClusterError::UnknownNeighbor { .. })
-        ));
-    }
-
-    #[test]
     fn unsatisfiable_query_returns_empty() {
         let nodes = path_overlay();
         let out = process_query(&nodes, n(0), 4, 50.0, &classes(), line_dist).unwrap();
@@ -914,77 +700,6 @@ mod tests {
             assert_eq!(res.hops, plain.hops);
             assert!(res.clean());
         }
-    }
-
-    #[test]
-    fn resilient_indexed_identical_to_swept() {
-        // Fault-free and faulty overlays alike: the indexed resilient walk
-        // must reproduce the pair-sweep walk bit for bit, including the
-        // degradation record.
-        let nodes = path_overlay();
-        let alive_sets: [&dyn Fn(NodeId) -> bool; 3] =
-            [&|_| true, &|u| u != n(2), &|u| u != n(1) && u != n(2)];
-        for (which, alive) in alive_sets.iter().enumerate() {
-            for start in 0..4 {
-                if !alive(n(start)) {
-                    continue;
-                }
-                for k in 2..=4 {
-                    let swept = process_query_resilient(
-                        &nodes,
-                        n(start),
-                        k,
-                        50.0,
-                        &classes(),
-                        line_dist,
-                        RoutePolicy::FirstFit,
-                        &RetryPolicy::default(),
-                        alive,
-                    );
-                    let indexed = process_query_resilient_indexed(
-                        &nodes,
-                        n(start),
-                        k,
-                        50.0,
-                        &classes(),
-                        line_dist,
-                        RoutePolicy::FirstFit,
-                        &RetryPolicy::default(),
-                        alive,
-                    );
-                    assert_eq!(swept, indexed, "alive set {which}, start={start} k={k}");
-                }
-            }
-        }
-        // Error paths surface identically too.
-        assert!(matches!(
-            process_query_resilient_indexed(
-                &nodes,
-                n(0),
-                2,
-                50.0,
-                &classes(),
-                line_dist,
-                RoutePolicy::FirstFit,
-                &RetryPolicy::default(),
-                |u| u != n(0),
-            ),
-            Err(ClusterError::NodeUnavailable { node: 0 })
-        ));
-        assert!(matches!(
-            process_query_resilient_indexed(
-                &nodes,
-                n(0),
-                1,
-                50.0,
-                &classes(),
-                line_dist,
-                RoutePolicy::FirstFit,
-                &RetryPolicy::default(),
-                |_| true,
-            ),
-            Err(ClusterError::InvalidSizeConstraint { .. })
-        ));
     }
 
     #[test]

@@ -64,6 +64,4 @@ pub use harness::{
     degrade_chaos, seeded_service, serve_chaos, DegradeArtifact, DegradeChaosConfig,
     DegradeChaosReport, DegradeNemesis, ServeChaosConfig, ServeChaosReport, RECLOSE_BOUND,
 };
-pub use service::{
-    ClusterQuery, ClusterService, ExecMode, ServiceConfig, ServiceResponse, ServiceStats,
-};
+pub use service::{ClusterQuery, ClusterService, ServiceConfig, ServiceResponse, ServiceStats};

@@ -55,25 +55,6 @@ impl ClusterQuery {
     }
 }
 
-/// How unbudgeted batch lanes execute their local cluster searches.
-///
-/// Both modes produce bit-identical [`ServiceResponse`]s — the service
-/// proptests pin that — so this is purely a cost knob. Budgeted queries
-/// always use the pair sweep (the work meter charges per pair examined,
-/// which the indexed scan order would change).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Answer each node's local probe through a per-call cluster index
-    /// (see [`bcc_core::process_query_resilient_indexed`]): sub-cubic
-    /// local scans, the default.
-    #[default]
-    Indexed,
-    /// The original `O(n³)` pair sweep
-    /// (see [`bcc_core::process_query_resilient`]) — kept behind this
-    /// flag as the oracle the indexed path is pinned against.
-    PairSweep,
-}
-
 /// Tuning knobs of a [`ClusterService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -99,10 +80,6 @@ pub struct ServiceConfig {
     pub work_budget: Option<u64>,
     /// Per-lane circuit-breaker tuning (shared by every lane).
     pub breaker: BreakerConfig,
-    /// Execution mode for unbudgeted queries (and the `verify_cached`
-    /// audit recompute). [`ExecMode::Indexed`] by default; flip to
-    /// [`ExecMode::PairSweep`] to run the original pair sweep.
-    pub exec: ExecMode,
 }
 
 impl Default for ServiceConfig {
@@ -115,7 +92,6 @@ impl Default for ServiceConfig {
             verify_cached: false,
             work_budget: None,
             breaker: BreakerConfig::default(),
-            exec: ExecMode::default(),
         }
     }
 }
@@ -454,7 +430,6 @@ impl ClusterService {
         let system = &self.system;
         let retry = &self.config.retry;
         let default_budget = self.config.work_budget;
-        let exec = self.config.exec;
         let lane_results: Vec<LaneResults> = bcc_par::par_map(lanes.len(), |l| {
             lanes[l]
                 .jobs
@@ -465,19 +440,9 @@ impl ClusterService {
                     debug_assert_eq!(rep.submit_node, key.start);
                     let _query = bcc_obs::span!("service.query");
                     let result = match effective_budget(rep.budget, default_budget) {
-                        None => match exec {
-                            ExecMode::Indexed => system
-                                .query_resilient_indexed(
-                                    rep.submit_node,
-                                    rep.k,
-                                    rep.bandwidth,
-                                    retry,
-                                )
-                                .map(Budgeted::Done),
-                            ExecMode::PairSweep => system
-                                .query_resilient(rep.submit_node, rep.k, rep.bandwidth, retry)
-                                .map(Budgeted::Done),
-                        },
+                        None => system
+                            .query_resilient(rep.submit_node, rep.k, rep.bandwidth, retry)
+                            .map(Budgeted::Done),
                         Some(budget) => system.query_budgeted(
                             rep.submit_node,
                             rep.k,
@@ -556,20 +521,12 @@ impl ClusterService {
                 // labeled stale serve is expected to differ from a fresh
                 // recompute.
                 if cached && tier == Tier::Exact && self.config.verify_cached {
-                    let fresh = match self.config.exec {
-                        ExecMode::Indexed => self.system.query_resilient_indexed(
-                            query.submit_node,
-                            query.k,
-                            query.bandwidth,
-                            &self.config.retry,
-                        ),
-                        ExecMode::PairSweep => self.system.query_resilient(
-                            query.submit_node,
-                            query.k,
-                            query.bandwidth,
-                            &self.config.retry,
-                        ),
-                    };
+                    let fresh = self.system.query_resilient(
+                        query.submit_node,
+                        query.k,
+                        query.bandwidth,
+                        &self.config.retry,
+                    );
                     if fresh != outcome {
                         self.stats.stale_hits += 1;
                         outcome = fresh;

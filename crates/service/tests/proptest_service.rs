@@ -5,7 +5,7 @@
 
 use bcc_metric::NodeId;
 use bcc_service::{
-    seeded_service, BreakerState, ClusterQuery, ClusterService, ExecMode, ServiceConfig, Tier,
+    seeded_service, BreakerState, ClusterQuery, ClusterService, ServiceConfig, Tier,
 };
 use proptest::prelude::*;
 
@@ -263,14 +263,13 @@ proptest! {
         bcc_par::set_threads(0);
     }
 
-    /// The default indexed executor and the pair-sweep oracle return
-    /// bit-identical responses — including under mid-workload churn —
-    /// for any thread count. This is ROADMAP item 2c's safety net: the
-    /// service may route unbudgeted lanes through
-    /// [`bcc_core::process_query_resilient_indexed`] precisely because
-    /// nothing downstream can tell.
+    /// Every served answer — executed, coalesced or a cache hit — equals a
+    /// fresh [`bcc_simnet::DynamicSystem::query_resilient`] on the
+    /// service's own system at response time, including across a
+    /// mid-workload crash, for any thread count. Each slice runs twice so
+    /// the second pass is served from the cache.
     #[test]
-    fn indexed_exec_matches_pair_sweep(
+    fn served_matches_fresh_recompute(
         seed in 0u64..1_000,
         first in arb_workload(10, 12),
         second in arb_workload(10, 12),
@@ -278,27 +277,30 @@ proptest! {
     ) {
         for threads in THREADS {
             bcc_par::set_threads(threads);
-            let mut indexed = service_with(seed, 10, 6, ServiceConfig::default());
-            let mut swept = service_with(
-                seed,
-                10,
-                6,
-                ServiceConfig {
-                    exec: ExecMode::PairSweep,
-                    ..ServiceConfig::default()
-                },
-            );
-            let i1 = run_workload(&mut indexed, &first);
-            let s1 = run_workload(&mut swept, &first);
-            assert_same_responses(&i1, &s1);
-
-            let a = indexed.crash(NodeId::new(crash_host));
-            let b = swept.crash(NodeId::new(crash_host));
-            prop_assert_eq!(a.is_ok(), b.is_ok());
-
-            let i2 = run_workload(&mut indexed, &second);
-            let s2 = run_workload(&mut swept, &second);
-            assert_same_responses(&i2, &s2);
+            let mut service = service_with(seed, 10, 6, ServiceConfig::default());
+            let retry = service.config().retry;
+            for (slice, crash_after) in [(&first, true), (&second, false)] {
+                let mut answered_first = false;
+                let mut hit_second = false;
+                for pass in 0..2 {
+                    for resp in run_workload(&mut service, slice).into_iter().flatten() {
+                        let q = resp.query;
+                        let fresh = service
+                            .system()
+                            .query_resilient(q.submit_node, q.k, q.bandwidth, &retry);
+                        prop_assert_eq!(&resp.outcome, &fresh, "pass {} {:?}", pass, q);
+                        if resp.outcome.is_ok() {
+                            answered_first |= pass == 0;
+                            hit_second |= pass == 1 && resp.cached;
+                        }
+                    }
+                }
+                prop_assert_eq!(answered_first, hit_second, "a repeated answer is a cache hit");
+                if crash_after {
+                    // Ok or a typed refusal; either way the epoch story holds.
+                    let _ = service.crash(NodeId::new(crash_host));
+                }
+            }
         }
         bcc_par::set_threads(0);
     }

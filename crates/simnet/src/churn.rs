@@ -581,33 +581,6 @@ impl DynamicSystem {
         }
     }
 
-    /// [`DynamicSystem::query`] with every node's local probe answered
-    /// through a per-node cluster index
-    /// (see [`bcc_core::process_query_indexed`]): bit-identical outcomes,
-    /// sub-cubic local scans.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DynamicSystem::query`].
-    pub fn query_indexed(
-        &self,
-        start: NodeId,
-        k: usize,
-        bandwidth: f64,
-    ) -> Result<QueryOutcome, ClusterError> {
-        if self.crashed.contains(&start) {
-            return Err(ClusterError::NodeUnavailable {
-                node: start.index(),
-            });
-        }
-        match &self.network {
-            Some(net) => net.query_indexed(start, k, bandwidth),
-            None => Err(ClusterError::UnknownNeighbor {
-                neighbor: start.index(),
-            }),
-        }
-    }
-
     /// Failure-aware query with retry/backoff and degradation reporting
     /// (see [`bcc_core::process_query_resilient`]).
     ///
@@ -634,10 +607,8 @@ impl DynamicSystem {
         }
     }
 
-    /// [`DynamicSystem::query_resilient`] with every node's local probe
-    /// answered through a per-call cluster index (see
-    /// [`bcc_core::process_query_resilient_indexed`]): bit-identical
-    /// outcomes, sub-cubic local scans.
+    /// Delegates to [`DynamicSystem::query_resilient`]; kept under this
+    /// name for the end-to-end benchmark's traced replay.
     ///
     /// # Errors
     ///
@@ -649,17 +620,7 @@ impl DynamicSystem {
         bandwidth: f64,
         retry: &RetryPolicy,
     ) -> Result<QueryOutcome, ClusterError> {
-        if self.crashed.contains(&start) {
-            return Err(ClusterError::NodeUnavailable {
-                node: start.index(),
-            });
-        }
-        match &self.network {
-            Some(net) => net.query_resilient_indexed(start, k, bandwidth, retry),
-            None => Err(ClusterError::UnknownNeighbor {
-                neighbor: start.index(),
-            }),
-        }
+        self.query_resilient(start, k, bandwidth, retry)
     }
 
     /// Region-scoped query: `k` active hosts with predicted pairwise
@@ -1372,7 +1333,7 @@ mod tests {
     }
 
     #[test]
-    fn resilient_indexed_matches_pair_sweep_under_churn() {
+    fn resilient_indexed_delegate_matches_its_twin_under_churn() {
         let mut s = dynamic();
         for i in 0..6 {
             s.join(n(i)).unwrap();
