@@ -46,11 +46,11 @@ fn bench_sword(c: &mut Criterion) {
     let l = RationalTransform::default().distance_constraint(40.0);
     let mut group = c.benchmark_group("sword_budgeted");
     group.bench_function("satisfiable_k6", |b| {
-        b.iter(|| black_box(sword::find_cluster_budgeted(&d, 6, l, 100_000, 1)))
+        b.iter(|| black_box(sword::exhaustive_search(&d, 6, l, 100_000, 1)))
     });
     let k_unsat = bcc_core::max_cluster_size(&d, l) + 1;
     group.bench_function("unsatisfiable", |b| {
-        b.iter(|| black_box(sword::find_cluster_budgeted(&d, k_unsat, l, 100_000, 1)))
+        b.iter(|| black_box(sword::exhaustive_search(&d, k_unsat, l, 100_000, 1)))
     });
     group.finish();
 }

@@ -339,7 +339,7 @@ fn ablate_sword_budget(bw: &bcc_metric::BandwidthMatrix, queries: usize) {
     // metric near the clique threshold, absence proofs explode and the
     // budget times out -- while Algorithm 1's cost stays polynomial (and on
     // tree metrics its answer is guaranteed).
-    use bcc_core::sword::find_cluster_budgeted;
+    use bcc_core::sword::exhaustive_search;
     let t = RationalTransform::default();
     let tree_like = t.distance_matrix(bw);
     let n = tree_like.len();
@@ -359,7 +359,7 @@ fn ablate_sword_budget(bw: &bcc_metric::BandwidthMatrix, queries: usize) {
         for &budget in &budgets {
             let (mut done, mut exp_total) = (0usize, 0u64);
             for q in 0..queries {
-                let out = find_cluster_budgeted(metric, k, l, budget, q as u64);
+                let out = exhaustive_search(metric, k, l, budget, q as u64);
                 if !out.exhausted {
                     done += 1;
                 }

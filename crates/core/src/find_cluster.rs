@@ -46,7 +46,7 @@ impl Query {
 ///
 /// The choice does not affect correctness (any satisfying `S*_pq` may be
 /// returned) but changes which cluster is found first and how soon an easy
-/// query exits — measured by the `ablations` bench.
+/// query exits — measured by the criterion bench `benches/find_cluster.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PairOrder {
     /// Natural row-major order, the paper's presentation.
@@ -123,9 +123,7 @@ pub fn find_cluster_ordered<M: FiniteMetric>(
         return Some(vec![0]);
     }
     let mut scratch = Vec::with_capacity(k);
-    // Pairs examined, accumulated locally and flushed once — the serial
-    // scan count is deterministic, unlike the parallel variants' racy
-    // speculative probes, so only this path reports it.
+    // Pairs examined, accumulated locally and flushed once.
     let mut scanned = 0u64;
     let result = 'search: {
         match order {
@@ -360,13 +358,7 @@ pub fn max_cluster_size_budgeted<M: FiniteMetric>(
         for q in (p + 1)..n {
             let dpq = metric.distance(p, q);
             if dpq <= l {
-                let mut count = 0;
-                for x in 0..n {
-                    if metric.distance(x, p) <= dpq && metric.distance(x, q) <= dpq {
-                        count += 1;
-                    }
-                }
-                best = best.max(count);
+                best = best.max(pair_count(metric, p, q, dpq));
             }
             block += 1;
             if block == BUDGET_BLOCK {
@@ -387,8 +379,8 @@ pub fn max_cluster_size_budgeted<M: FiniteMetric>(
 /// Collects the row-major pair list `(p, q, d(p, q))` with `p < q`,
 /// pre-filtered to `d(p, q) ≤ l` so pairs that can never bound a satisfying
 /// cluster are dropped before any allocation-heavy downstream step. The one
-/// sorted-pair builder behind [`find_cluster_ordered`],
-/// [`min_diameter_cluster`], [`max_cluster_size`] and their `_par` variants.
+/// pair-list builder behind [`find_cluster_ordered`],
+/// [`min_diameter_cluster`] and [`max_cluster_size`].
 fn pairs_within<M: FiniteMetric>(metric: &M, l: f64) -> Vec<(usize, usize, f64)> {
     let n = metric.len();
     let mut pairs = Vec::new();
@@ -405,8 +397,7 @@ fn pairs_within<M: FiniteMetric>(metric: &M, l: f64) -> Vec<(usize, usize, f64)>
 }
 
 /// Sorts a pair list by ascending distance. The sort is stable, so equal
-/// distances keep their row-major order — which is what makes the parallel
-/// ascending scans return the same winner as the serial ones.
+/// distances keep their row-major order.
 fn sort_by_distance(pairs: &mut [(usize, usize, f64)]) {
     pairs.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("distances are comparable"));
 }
@@ -436,119 +427,18 @@ pub(crate) fn check_pair<M: FiniteMetric>(
     false
 }
 
-/// [`check_pair`] over borrowed matrix rows: the inner `S*_pq` membership
-/// test becomes a straight sweep of two contiguous slices instead of two
-/// bounds-asserted `distance()` lookups per candidate. Same values, same
-/// order, so it fills `scratch` exactly like the generic path on any
-/// symmetric metric.
-pub(crate) fn check_pair_rows(
-    d: &DistanceMatrix,
-    p: usize,
-    q: usize,
-    dpq: f64,
-    k: usize,
-    scratch: &mut Vec<usize>,
-) -> bool {
-    let n = d.len();
-    let row_p = &d.row(p)[..n];
-    let row_q = &d.row(q)[..n];
-    scratch.clear();
-    for x in 0..n {
-        if row_p[x] <= dpq && row_q[x] <= dpq {
-            scratch.push(x);
-            if scratch.len() == k {
-                return true;
-            }
+/// `|S*_pq|` — the exact pair-bounded count Algorithm 1 maximises, as a
+/// plain sweep: [`check_pair`] without the member list or the early exit.
+/// The one counter behind [`max_cluster_size`], its `_budgeted` twin and
+/// the indexed row scan.
+pub(crate) fn pair_count<M: FiniteMetric>(metric: &M, p: usize, q: usize, dpq: f64) -> usize {
+    let mut count = 0;
+    for x in 0..metric.len() {
+        if metric.distance(x, p) <= dpq && metric.distance(x, q) <= dpq {
+            count += 1;
         }
     }
-    false
-}
-
-/// Total pair count at or below which every `_par` kernel runs its serial
-/// twin outright.
-///
-/// Forking the pool costs roughly half a millisecond of dispatch and joins
-/// regardless of how little work each worker receives; a full serial sweep
-/// of 2048 pairs costs a few microseconds. Below this floor parallelism is
-/// pure overhead — the `find_cluster_sat` perfbase rows used to report
-/// ~500× *slowdowns* at small `n` for exactly this reason. The `_par`
-/// results are bit-identical either way; the cutoff only moves the
-/// crossover, and perfbase asserts the sat-probe speedup stays sane.
-pub const PAR_SERIAL_CUTOFF: usize = 2048;
-
-/// Pairs scanned serially *before* the pool forks in the hybrid `_par`
-/// search kernels.
-///
-/// Satisfiable probes usually exit within the first few hundred pairs in
-/// scan order; paying pool dispatch for those is the second half of the
-/// sat-probe pessimization (the first is `PAR_SERIAL_CUTOFF`). The
-/// prefix is scanned in exact serial order, so an early hit returns the
-/// bit-identical serial winner without waking a single worker; only scans
-/// that survive the prefix — the genuinely hard ones — fan out over the
-/// remaining pairs.
-pub(crate) const PAR_SERIAL_PREFIX: usize = 4096;
-
-/// Parallel Algorithm 1 on the `bcc-par` pool. See [`find_cluster`]; returns
-/// exactly the cluster the serial scan returns — the pool races pair checks
-/// but always keeps the lowest pair in scan order (deterministic early
-/// exit), so results are bit-identical for any thread count on any
-/// symmetric metric.
-pub fn find_cluster_par<M: FiniteMetric>(metric: &M, k: usize, l: f64) -> Option<Vec<usize>> {
-    find_cluster_ordered_par(metric, k, l, PairOrder::RowMajor)
-}
-
-/// Parallel [`find_cluster_ordered`]: materializes the metric into a dense
-/// matrix once, pre-filters and (for
-/// [`PairOrder::AscendingDiameter`]) sorts the pair list, then scans a
-/// serial prefix (`PAR_SERIAL_PREFIX`) before fanning the remainder out
-/// on the pool with per-worker scratch buffers and atomic early exit on the
-/// first (lowest-index) satisfying pair. Spaces of at most
-/// `PAR_SERIAL_CUTOFF` total pairs delegate to the serial kernel
-/// entirely; either way the result is bit-identical to the serial scan.
-pub fn find_cluster_ordered_par<M: FiniteMetric>(
-    metric: &M,
-    k: usize,
-    l: f64,
-    order: PairOrder,
-) -> Option<Vec<usize>> {
-    let n = metric.len();
-    if n * n.saturating_sub(1) / 2 <= PAR_SERIAL_CUTOFF {
-        return find_cluster_ordered(metric, k, l, order);
-    }
-    let _span = bcc_obs::span!("core.find_cluster");
-    bcc_obs::inc!("core.find_cluster.calls");
-    if k > n || k == 0 {
-        return None;
-    }
-    if k == 1 {
-        return Some(vec![0]);
-    }
-    let d = metric.to_matrix();
-    let mut pairs = pairs_within(&d, l);
-    if order == PairOrder::AscendingDiameter {
-        sort_by_distance(&mut pairs);
-    }
-    // Serial prefix: sat probes that exit early pay zero pool dispatch and
-    // return the serial winner directly.
-    let prefix = pairs.len().min(PAR_SERIAL_PREFIX);
-    let mut scratch = Vec::with_capacity(k);
-    for &(p, q, dpq) in &pairs[..prefix] {
-        if check_pair_rows(&d, p, q, dpq, k, &mut scratch) {
-            return Some(scratch);
-        }
-    }
-    let rest = &pairs[prefix..];
-    if rest.is_empty() {
-        return None;
-    }
-    bcc_par::par_find_first_with(
-        rest.len(),
-        || Vec::with_capacity(k),
-        |scratch, i| {
-            let (p, q, dpq) = rest[i];
-            check_pair_rows(&d, p, q, dpq, k, scratch).then(|| scratch.clone())
-        },
-    )
+    count
 }
 
 /// The optimization variant of Algorithm 1: the `k`-subset of *minimum*
@@ -591,49 +481,6 @@ pub fn min_diameter_cluster<M: FiniteMetric>(metric: &M, k: usize) -> Option<(Ve
     None
 }
 
-/// Parallel [`min_diameter_cluster`] on the `bcc-par` pool: pairs sorted by
-/// ascending diameter, scanned with deterministic early exit, so the
-/// returned cluster and diameter match the serial scan bit for bit. Small
-/// spaces and early hits stay serial, like
-/// [`find_cluster_ordered_par`].
-pub fn min_diameter_cluster_par<M: FiniteMetric>(
-    metric: &M,
-    k: usize,
-) -> Option<(Vec<usize>, f64)> {
-    let n = metric.len();
-    if n * n.saturating_sub(1) / 2 <= PAR_SERIAL_CUTOFF {
-        return min_diameter_cluster(metric, k);
-    }
-    if k > n || k == 0 {
-        return None;
-    }
-    if k == 1 {
-        return Some((vec![0], 0.0));
-    }
-    let d = metric.to_matrix();
-    let mut pairs = pairs_within(&d, f64::INFINITY);
-    sort_by_distance(&mut pairs);
-    let prefix = pairs.len().min(PAR_SERIAL_PREFIX);
-    let mut scratch = Vec::with_capacity(k);
-    for &(p, q, dpq) in &pairs[..prefix] {
-        if check_pair_rows(&d, p, q, dpq, k, &mut scratch) {
-            return Some((scratch, dpq));
-        }
-    }
-    let rest = &pairs[prefix..];
-    if rest.is_empty() {
-        return None;
-    }
-    bcc_par::par_find_first_with(
-        rest.len(),
-        || Vec::with_capacity(k),
-        |scratch, i| {
-            let (p, q, dpq) = rest[i];
-            check_pair_rows(&d, p, q, dpq, k, scratch).then(|| (scratch.clone(), dpq))
-        },
-    )
-}
-
 /// The largest cluster size achievable under diameter `l`:
 /// `max k` such that [`find_cluster`] returns a set.
 ///
@@ -650,51 +497,9 @@ pub fn max_cluster_size<M: FiniteMetric>(metric: &M, l: f64) -> usize {
     }
     let mut best = 1;
     for (p, q, dpq) in pairs_within(metric, l) {
-        let mut count = 0;
-        for x in 0..n {
-            if metric.distance(x, p) <= dpq && metric.distance(x, q) <= dpq {
-                count += 1;
-            }
-        }
-        best = best.max(count);
+        best = best.max(pair_count(metric, p, q, dpq));
     }
     best
-}
-
-/// Parallel [`max_cluster_size`]: `max |S*_pq|` over the pre-filtered pair
-/// list, chunked across the `bcc-par` pool. `max` reduces exactly, so the
-/// result equals the serial scan's for any thread count. Spaces of at most
-/// `PAR_SERIAL_CUTOFF` total pairs run the serial scan outright.
-pub fn max_cluster_size_par<M: FiniteMetric>(metric: &M, l: f64) -> usize {
-    let n = metric.len();
-    if n * n.saturating_sub(1) / 2 <= PAR_SERIAL_CUTOFF {
-        return max_cluster_size(metric, l);
-    }
-    let _span = bcc_obs::span!("core.max_cluster_size");
-    bcc_obs::inc!("core.max_cluster_size.calls");
-    let d = metric.to_matrix();
-    let pairs = pairs_within(&d, l);
-    if pairs.is_empty() {
-        return 1;
-    }
-    let chunk = (pairs.len() / (bcc_par::current_threads() * 8)).clamp(1, 4096);
-    bcc_par::par_chunks(pairs.len(), chunk, |range| {
-        let mut best = 1usize;
-        for &(p, q, dpq) in &pairs[range] {
-            let row_p = &d.row(p)[..n];
-            let row_q = &d.row(q)[..n];
-            let mut count = 0;
-            for x in 0..n {
-                if row_p[x] <= dpq && row_q[x] <= dpq {
-                    count += 1;
-                }
-            }
-            best = best.max(count);
-        }
-        best
-    })
-    .into_iter()
-    .fold(1, usize::max)
 }
 
 /// The largest cluster size found by *binary search* over `k`, invoking
@@ -1084,110 +889,6 @@ mod tests {
             assert!(find_cluster(&d, k, diam).is_some());
             assert!(find_cluster(&d, k, diam * 0.999).is_none());
         }
-    }
-
-    #[test]
-    fn parallel_variants_bit_identical_to_serial() {
-        let d = line(&[0.0, 2.0, 3.0, 7.0, 8.0, 8.5, 15.0, 15.2, 20.0]);
-        for threads in [1, 2, 8] {
-            bcc_par::set_threads(threads);
-            for k in 2..=9 {
-                for l in [0.5, 1.0, 2.0, 4.0, 6.0, 10.0, 20.0] {
-                    assert_eq!(
-                        find_cluster(&d, k, l),
-                        find_cluster_par(&d, k, l),
-                        "k={k} l={l} threads={threads}"
-                    );
-                    assert_eq!(
-                        find_cluster_ordered(&d, k, l, PairOrder::AscendingDiameter),
-                        find_cluster_ordered_par(&d, k, l, PairOrder::AscendingDiameter),
-                        "asc k={k} l={l} threads={threads}"
-                    );
-                }
-                assert_eq!(
-                    min_diameter_cluster(&d, k),
-                    min_diameter_cluster_par(&d, k),
-                    "k={k} threads={threads}"
-                );
-            }
-            for l in [0.1, 0.5, 1.0, 4.0, 6.5, 15.0, 100.0] {
-                assert_eq!(
-                    max_cluster_size(&d, l),
-                    max_cluster_size_par(&d, l),
-                    "l={l} threads={threads}"
-                );
-            }
-        }
-        bcc_par::set_threads(0);
-    }
-
-    #[test]
-    fn parallel_path_beyond_prefix_matches_serial() {
-        // n = 128 gives 8128 pairs: above PAR_SERIAL_CUTOFF (so the pool
-        // path runs, not the serial delegation) and above
-        // PAR_SERIAL_PREFIX (so the fan-out actually executes). The only
-        // satisfying cluster sits at the highest indices, whose pairs fall
-        // past the serial prefix in row-major order.
-        let n = 128usize;
-        assert!(n * (n - 1) / 2 > PAR_SERIAL_CUTOFF.max(PAR_SERIAL_PREFIX));
-        let pos: Vec<f64> = (0..n)
-            .map(|i| {
-                if i < n - 4 {
-                    i as f64 * 100.0
-                } else {
-                    (n - 4) as f64 * 100.0 + (i - (n - 4)) as f64
-                }
-            })
-            .collect();
-        let d = line(&pos);
-        for threads in [1, 2, 8] {
-            bcc_par::set_threads(threads);
-            for (k, l) in [(4, 3.0), (3, 2.0), (5, 3.0), (2, 0.5)] {
-                assert_eq!(
-                    find_cluster(&d, k, l),
-                    find_cluster_par(&d, k, l),
-                    "k={k} l={l} threads={threads}"
-                );
-                assert_eq!(
-                    find_cluster_ordered(&d, k, l, PairOrder::AscendingDiameter),
-                    find_cluster_ordered_par(&d, k, l, PairOrder::AscendingDiameter),
-                    "asc k={k} l={l} threads={threads}"
-                );
-            }
-            assert_eq!(
-                min_diameter_cluster(&d, 4),
-                min_diameter_cluster_par(&d, 4),
-                "threads={threads}"
-            );
-            for l in [0.5, 3.0, 150.0] {
-                assert_eq!(
-                    max_cluster_size(&d, l),
-                    max_cluster_size_par(&d, l),
-                    "l={l} threads={threads}"
-                );
-            }
-        }
-        bcc_par::set_threads(0);
-    }
-
-    #[test]
-    fn parallel_edge_cases_match_serial() {
-        let empty = DistanceMatrix::new(0);
-        assert_eq!(find_cluster_par(&empty, 2, 1.0), None);
-        assert_eq!(max_cluster_size_par(&empty, 1.0), 0);
-        assert_eq!(min_diameter_cluster_par(&empty, 1), None);
-
-        let single = DistanceMatrix::new(1);
-        assert_eq!(find_cluster_par(&single, 1, 1.0), Some(vec![0]));
-        assert_eq!(max_cluster_size_par(&single, 1.0), 1);
-
-        let d = star(&[1.0, 1.0]);
-        assert_eq!(find_cluster_par(&d, 3, 100.0), None);
-        assert_eq!(find_cluster_par(&d, 0, 1.0), None);
-        assert_eq!(min_diameter_cluster_par(&d, 1), Some((vec![0], 0.0)));
-        // No pair within l: both report the singleton floor.
-        assert_eq!(max_cluster_size_par(&d, 0.5), 1);
-        assert_eq!(max_cluster_size(&d, 0.5), 1);
     }
 
     #[test]

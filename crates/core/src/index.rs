@@ -33,9 +33,7 @@
 
 use bcc_metric::FiniteMetric;
 
-use crate::find_cluster::{
-    check_pair, check_pair_rows, Budgeted, WorkMeter, BUDGET_BLOCK, PAR_SERIAL_CUTOFF,
-};
+use crate::find_cluster::{check_pair, pair_count};
 
 /// Slot sentinel for ids not present in the index.
 const ABSENT: u32 = u32::MAX;
@@ -526,18 +524,6 @@ fn strip_and_merge(old: &Row, touched: &[bool], delta: &[(f64, u32)]) -> Row {
     Row { d, id }
 }
 
-/// `|S*_pq|` — the exact pair-bounded count Algorithm 1 computes, as a
-/// plain sweep. Runs only for pairs that survive the ball-size bounds.
-fn pair_count<M: FiniteMetric>(metric: &M, p: usize, q: usize, dpq: f64) -> usize {
-    let mut count = 0;
-    for x in 0..metric.len() {
-        if metric.distance(x, p) <= dpq && metric.distance(x, q) <= dpq {
-            count += 1;
-        }
-    }
-    count
-}
-
 /// Indexed Algorithm 1: bit-identical to [`crate::find_cluster`] over the
 /// same metric, with whole rows and individual pairs pruned through the
 /// index's ball-size bounds before any membership sweep runs.
@@ -597,137 +583,6 @@ pub fn find_cluster_indexed<M: FiniteMetric>(
     found
 }
 
-/// Parallel [`find_cluster_indexed`] on the `bcc-par` pool: rows are
-/// scanned concurrently with deterministic lowest-row early exit, so the
-/// result is bit-identical to the serial indexed (and brute-force) scan
-/// for any thread count. Small spaces delegate to the serial kernel
-/// outright (see [`PAR_SERIAL_CUTOFF`]).
-///
-/// # Panics
-///
-/// Panics when `index.len() != metric.len()`.
-pub fn find_cluster_indexed_par<M: FiniteMetric>(
-    metric: &M,
-    index: &ClusterIndex,
-    k: usize,
-    l: f64,
-) -> Option<Vec<usize>> {
-    let n = metric.len();
-    if n * n.saturating_sub(1) / 2 <= PAR_SERIAL_CUTOFF {
-        return find_cluster_indexed(metric, index, k, l);
-    }
-    let _span = bcc_obs::span!("core.find_cluster_indexed");
-    bcc_obs::inc!("core.index.probes");
-    assert_eq!(metric.len(), index.len(), "index does not cover the metric");
-    if k > n || k == 0 {
-        return None;
-    }
-    if k == 1 {
-        return Some(vec![0]);
-    }
-    let d = metric.to_matrix();
-    bcc_par::par_find_first_with(
-        n,
-        || Vec::with_capacity(k),
-        |scratch, p| {
-            if index.count_within(p, l) < k {
-                return None;
-            }
-            let row_p = &d.row(p)[..n];
-            for (q, &dpq) in row_p.iter().enumerate().skip(p + 1) {
-                if dpq <= l
-                    && index.count_within(p, dpq) >= k
-                    && index.count_within(q, dpq) >= k
-                    && check_pair_rows(&d, p, q, dpq, k, scratch)
-                {
-                    return Some(scratch.clone());
-                }
-            }
-            None
-        },
-    )
-}
-
-/// [`find_cluster_indexed`] under a [`WorkMeter`].
-///
-/// Work is charged in *index scan units* — one per row-gate probe, one per
-/// surviving in-range pair examined — at [`BUDGET_BLOCK`] boundaries, so
-/// the cut point is a deterministic function of the metric, the index and
-/// the budget, exactly like the pair-sweep `_budgeted` kernels. Because
-/// the unit differs from the sweep's pairs-examined, an exhausted indexed
-/// scan may cut (and report a partial) at a different place than
-/// [`crate::find_cluster_budgeted`] would; with an unexhausted meter the
-/// result is bit-identical to [`find_cluster_indexed`] and therefore to
-/// [`crate::find_cluster`].
-///
-/// # Panics
-///
-/// Panics when `index.len() != metric.len()`.
-pub fn find_cluster_indexed_budgeted<M: FiniteMetric>(
-    metric: &M,
-    index: &ClusterIndex,
-    k: usize,
-    l: f64,
-    meter: &mut WorkMeter,
-) -> Budgeted<Option<Vec<usize>>> {
-    let _span = bcc_obs::span!("core.find_cluster_indexed");
-    bcc_obs::inc!("core.index.probes");
-    assert_eq!(metric.len(), index.len(), "index does not cover the metric");
-    let n = metric.len();
-    if k > n || k == 0 {
-        return Budgeted::Done(None);
-    }
-    if k == 1 {
-        return Budgeted::Done(Some(vec![0]));
-    }
-    if meter.exhausted() {
-        return Budgeted::Exhausted {
-            pairs_done: meter.used(),
-            best_partial: None,
-        };
-    }
-    let mut scratch = Vec::with_capacity(k);
-    let mut best: Vec<usize> = Vec::new();
-    let mut block = 0usize;
-    macro_rules! step {
-        () => {
-            block += 1;
-            if block == BUDGET_BLOCK {
-                block = 0;
-                if !meter.charge(BUDGET_BLOCK as u64) {
-                    return Budgeted::Exhausted {
-                        pairs_done: meter.used(),
-                        best_partial: (!best.is_empty()).then_some(best),
-                    };
-                }
-            }
-        };
-    }
-    for p in 0..n {
-        step!();
-        if index.count_within(p, l) < k {
-            continue;
-        }
-        for q in (p + 1)..n {
-            let dpq = metric.distance(p, q);
-            if dpq <= l {
-                step!();
-                if index.count_within(p, dpq) >= k && index.count_within(q, dpq) >= k {
-                    if check_pair(metric, p, q, dpq, k, &mut scratch) {
-                        meter.charge(block as u64);
-                        return Budgeted::Done(Some(scratch));
-                    }
-                    if scratch.len() > best.len() && scratch.len() >= 2 {
-                        best = scratch.clone();
-                    }
-                }
-            }
-        }
-    }
-    meter.charge(block as u64);
-    Budgeted::Done(None)
-}
-
 /// Indexed [`crate::max_cluster_size`]: the same exact maximum, with rows
 /// visited in descending `|B(p, l)|` order so the running best tightens
 /// early, rows cut off once their ball bound can no longer beat it, and
@@ -762,141 +617,6 @@ pub fn max_cluster_size_indexed<M: FiniteMetric>(
         best = scan_row_max(metric, index, p, reach, best);
     }
     best
-}
-
-/// Parallel [`max_cluster_size_indexed`]: the strongest row is scanned
-/// serially to seed a high lower bound, then the remaining candidate rows
-/// are chunked across the `bcc-par` pool. `max` reduces exactly and every
-/// prune is sound against the chunk-local bound, so the result equals the
-/// serial scan's for any thread count. Small spaces delegate to the
-/// serial kernel (see [`PAR_SERIAL_CUTOFF`]).
-///
-/// # Panics
-///
-/// Panics when `index.len() != metric.len()`.
-pub fn max_cluster_size_indexed_par<M: FiniteMetric>(
-    metric: &M,
-    index: &ClusterIndex,
-    l: f64,
-) -> usize {
-    let n = metric.len();
-    if n * n.saturating_sub(1) / 2 <= PAR_SERIAL_CUTOFF {
-        return max_cluster_size_indexed(metric, index, l);
-    }
-    let _span = bcc_obs::span!("core.max_cluster_size_indexed");
-    bcc_obs::inc!("core.index.probes");
-    assert_eq!(metric.len(), index.len(), "index does not cover the metric");
-    if n == 0 {
-        return 0;
-    }
-    let d = metric.to_matrix();
-    let order = rows_by_reach(index, n, l);
-    let mut seed = 1usize;
-    if let Some(&(reach, p)) = order.first() {
-        if reach > seed {
-            seed = scan_row_max(&d, index, p, reach, seed);
-        }
-    }
-    let candidates: Vec<(usize, usize)> = order
-        .into_iter()
-        .skip(1)
-        .take_while(|&(reach, _)| reach > seed)
-        .collect();
-    if candidates.is_empty() {
-        return seed;
-    }
-    let chunk = (candidates.len() / (bcc_par::current_threads() * 8)).clamp(1, 4096);
-    bcc_par::par_chunks(candidates.len(), chunk, |range| {
-        let mut best = seed;
-        for &(reach, p) in &candidates[range] {
-            if reach > best {
-                best = scan_row_max(&d, index, p, reach, best);
-            }
-        }
-        best
-    })
-    .into_iter()
-    .fold(seed, usize::max)
-}
-
-/// [`max_cluster_size_indexed`] under a [`WorkMeter`]: charges one index
-/// scan unit per row gate and one per candidate prefix position examined,
-/// at [`BUDGET_BLOCK`] boundaries; when the meter runs dry it returns the
-/// best exact size established so far (≥ 1 on non-empty spaces). With an
-/// unexhausted meter the result equals [`max_cluster_size_indexed`].
-///
-/// # Panics
-///
-/// Panics when `index.len() != metric.len()`.
-pub fn max_cluster_size_indexed_budgeted<M: FiniteMetric>(
-    metric: &M,
-    index: &ClusterIndex,
-    l: f64,
-    meter: &mut WorkMeter,
-) -> Budgeted<usize> {
-    let _span = bcc_obs::span!("core.max_cluster_size_indexed");
-    bcc_obs::inc!("core.index.probes");
-    assert_eq!(metric.len(), index.len(), "index does not cover the metric");
-    let n = metric.len();
-    if n == 0 {
-        return Budgeted::Done(0);
-    }
-    if meter.exhausted() {
-        return Budgeted::Exhausted {
-            pairs_done: meter.used(),
-            best_partial: 1,
-        };
-    }
-    let order = rows_by_reach(index, n, l);
-    let mut best = 1usize;
-    let mut block = 0usize;
-    macro_rules! step {
-        () => {
-            block += 1;
-            if block == BUDGET_BLOCK {
-                block = 0;
-                if !meter.charge(BUDGET_BLOCK as u64) {
-                    return Budgeted::Exhausted {
-                        pairs_done: meter.used(),
-                        best_partial: best,
-                    };
-                }
-            }
-        };
-    }
-    for &(reach, p) in &order {
-        step!();
-        if reach <= best {
-            break;
-        }
-        let (ds, qids) = index.row(p);
-        let mut ub_p = reach;
-        for pos in (0..reach).rev() {
-            step!();
-            if pos + 1 < reach && ds[pos] < ds[pos + 1] {
-                ub_p = pos + 1;
-            }
-            if ub_p <= best {
-                break;
-            }
-            let q = index
-                .slot(qids[pos])
-                .expect("row entries are index members");
-            if q == p {
-                continue;
-            }
-            let dpq = ds[pos];
-            if index.count_within(q, dpq) <= best {
-                continue;
-            }
-            let count = pair_count(metric, p, q, dpq);
-            if count > best {
-                best = count;
-            }
-        }
-    }
-    meter.charge(block as u64);
-    Budgeted::Done(best)
 }
 
 /// Rows paired with their `l`-ball size, sorted descending by reach (ties
@@ -999,11 +719,6 @@ mod tests {
                         find_cluster(d, k, l),
                         "k={k} l={l}"
                     );
-                    assert_eq!(
-                        find_cluster_indexed_par(d, &idx, k, l),
-                        find_cluster(d, k, l),
-                        "par k={k} l={l}"
-                    );
                 }
             }
         }
@@ -1023,11 +738,6 @@ mod tests {
                     max_cluster_size_indexed(d, &idx, l),
                     max_cluster_size(d, l),
                     "l={l}"
-                );
-                assert_eq!(
-                    max_cluster_size_indexed_par(d, &idx, l),
-                    max_cluster_size(d, l),
-                    "par l={l}"
                 );
             }
         }
@@ -1050,56 +760,6 @@ mod tests {
         assert_eq!(find_cluster_indexed(&d, &idx, 3, 100.0), None);
         assert_eq!(find_cluster_indexed(&d, &idx, 0, 1.0), None);
         assert_eq!(max_cluster_size_indexed(&d, &idx, 0.5), 1);
-    }
-
-    #[test]
-    fn budgeted_indexed_matches_unbudgeted_when_not_exhausted() {
-        let d = line(&[0.0, 1.0, 2.0, 3.0, 10.0, 11.0, 20.0]);
-        let idx = ClusterIndex::from_metric(&d);
-        for k in 1..=d.len() {
-            for l in [0.5, 2.0, 3.0, 5.0, 100.0] {
-                let mut meter = WorkMeter::unlimited();
-                assert_eq!(
-                    find_cluster_indexed_budgeted(&d, &idx, k, l, &mut meter),
-                    Budgeted::Done(find_cluster_indexed(&d, &idx, k, l)),
-                    "k={k} l={l}"
-                );
-            }
-        }
-        for l in [0.5, 2.0, 3.0, 5.0, 100.0] {
-            let mut meter = WorkMeter::unlimited();
-            assert_eq!(
-                max_cluster_size_indexed_budgeted(&d, &idx, l, &mut meter),
-                Budgeted::Done(max_cluster_size_indexed(&d, &idx, l))
-            );
-        }
-    }
-
-    #[test]
-    fn budgeted_indexed_cut_is_deterministic_and_block_aligned() {
-        let pos: Vec<f64> = (0..40).map(|i| i as f64 * 10.0).collect();
-        let d = line(&pos);
-        let idx = ClusterIndex::from_metric(&d);
-        let mut a = WorkMeter::new(BUDGET_BLOCK as u64);
-        let mut b = WorkMeter::new(BUDGET_BLOCK as u64);
-        let ra = find_cluster_indexed_budgeted(&d, &idx, 3, 5.0, &mut a);
-        let rb = find_cluster_indexed_budgeted(&d, &idx, 3, 5.0, &mut b);
-        assert_eq!(ra, rb);
-        assert_eq!(a.used(), b.used());
-        if let Budgeted::Exhausted { pairs_done, .. } = ra {
-            assert_eq!(
-                pairs_done % BUDGET_BLOCK as u64,
-                0,
-                "cuts land on block boundaries"
-            );
-        } else {
-            panic!("expected exhaustion, got {ra:?}");
-        }
-        // An already-spent meter refuses immediately.
-        let mut spent = WorkMeter::new(0);
-        spent.charge(1);
-        assert!(find_cluster_indexed_budgeted(&d, &idx, 3, 5.0, &mut spent).is_exhausted());
-        assert!(max_cluster_size_indexed_budgeted(&d, &idx, 5.0, &mut spent).is_exhausted());
     }
 
     #[test]

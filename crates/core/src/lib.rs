@@ -8,11 +8,12 @@
 //! approximates) it is polynomial. This crate provides:
 //!
 //! - [`find_cluster`] / [`max_cluster_size`] — Algorithm 1, the `O(n³)`
-//!   centralized search, plus the binary-search variant from Algorithm 3.
-//!   Each hot kernel has a `_par` twin ([`find_cluster_par`],
-//!   [`max_cluster_size_par`], [`min_diameter_cluster_par`]) on the
-//!   `bcc-par` pool that returns bit-identical results with deterministic
-//!   early exit;
+//!   centralized search, plus the binary-search variant from Algorithm 3;
+//!   [`find_cluster_indexed`] / [`max_cluster_size_indexed`] answer the same
+//!   probes from a [`ClusterIndex`], and [`find_cluster_budgeted`] /
+//!   [`max_cluster_size_budgeted`] run the sweep under a [`WorkMeter`].
+//!   Every node-local kernel is serial: parallelism lives per lane
+//!   (`bcc-service`), per shard (`bcc-shard`) and per run (`bcc-eval`);
 //! - [`ClusterNode`] — per-host protocol state implementing Algorithm 2
 //!   (close-node aggregation) and Algorithm 3 (cluster routing tables);
 //! - [`process_query`] — Algorithm 4, decentralized query routing;
@@ -59,15 +60,12 @@ pub use error::{ClusterError, QueryError};
 pub use euclidean::{find_cluster_euclidean, max_cluster_size_euclidean};
 pub use find_cluster::{
     diameter, exists_cluster_brute_force, find_cluster, find_cluster_among, find_cluster_budgeted,
-    find_cluster_ordered, find_cluster_ordered_par, find_cluster_par, max_cluster_size,
-    max_cluster_size_binary_search, max_cluster_size_budgeted, max_cluster_size_par,
-    min_diameter_cluster, min_diameter_cluster_par, Budgeted, PairOrder, Query, WorkMeter,
-    BUDGET_BLOCK, PAR_SERIAL_CUTOFF,
+    find_cluster_ordered, max_cluster_size, max_cluster_size_binary_search,
+    max_cluster_size_budgeted, min_diameter_cluster, Budgeted, PairOrder, Query, WorkMeter,
+    BUDGET_BLOCK,
 };
 pub use index::{
-    find_cluster_indexed, find_cluster_indexed_budgeted, find_cluster_indexed_par,
-    max_cluster_size_indexed, max_cluster_size_indexed_budgeted, max_cluster_size_indexed_par,
-    ClusterIndex, IndexError, IndexStats,
+    find_cluster_indexed, max_cluster_size_indexed, ClusterIndex, IndexError, IndexStats,
 };
 pub use node::{ClusterNode, ProtocolConfig, RoutePolicy};
 pub use query::{

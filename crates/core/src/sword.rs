@@ -35,7 +35,7 @@ pub struct BudgetedOutcome {
 /// Candidates are shuffled by `seed` (SWORD's search order depends on
 /// arrival order; shuffling models that nondeterminism reproducibly), then
 /// greedily ordered by degree to find cliques faster.
-pub fn find_cluster_budgeted<M: FiniteMetric>(
+pub fn exhaustive_search<M: FiniteMetric>(
     metric: &M,
     k: usize,
     l: f64,
@@ -151,7 +151,7 @@ mod tests {
         let d = line(&[0.0, 1.0, 2.0, 3.0, 10.0, 11.0]);
         for k in 2..=6 {
             for l in [0.5, 1.0, 2.0, 3.0, 12.0] {
-                let out = find_cluster_budgeted(&d, k, l, u64::MAX, 1);
+                let out = exhaustive_search(&d, k, l, u64::MAX, 1);
                 let expected = crate::find_cluster::exists_cluster_brute_force(&d, k, l);
                 assert_eq!(out.cluster.is_some(), expected, "k={k} l={l}");
                 assert!(!out.exhausted);
@@ -167,11 +167,11 @@ mod tests {
     fn tiny_budget_gives_up_honestly() {
         // A cluster exists, but one expansion cannot find k = 3.
         let d = line(&[0.0, 0.1, 0.2, 9.0]);
-        let out = find_cluster_budgeted(&d, 3, 0.5, 1, 7);
+        let out = exhaustive_search(&d, 3, 0.5, 1, 7);
         assert_eq!(out.cluster, None);
         assert!(out.exhausted, "must admit the search was cut short");
         // With a roomy budget it succeeds.
-        let out = find_cluster_budgeted(&d, 3, 0.5, 1000, 7);
+        let out = exhaustive_search(&d, 3, 0.5, 1000, 7);
         assert_eq!(out.cluster, Some(vec![0, 1, 2]));
     }
 
@@ -180,7 +180,7 @@ mod tests {
         // No cluster exists and the space is tiny: search completes within
         // budget, so None is a proof.
         let d = line(&[0.0, 10.0, 20.0]);
-        let out = find_cluster_budgeted(&d, 2, 1.0, 1000, 3);
+        let out = exhaustive_search(&d, 2, 1.0, 1000, 3);
         assert_eq!(out.cluster, None);
         assert!(!out.exhausted);
     }
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn expansions_counted() {
         let d = line(&[0.0, 0.1, 0.2, 0.3]);
-        let out = find_cluster_budgeted(&d, 4, 1.0, u64::MAX, 5);
+        let out = exhaustive_search(&d, 4, 1.0, u64::MAX, 5);
         assert!(out.cluster.is_some());
         assert!(
             out.expansions >= 4,
@@ -200,19 +200,16 @@ mod tests {
     #[test]
     fn degenerate_inputs() {
         let d = line(&[0.0, 1.0]);
-        assert_eq!(find_cluster_budgeted(&d, 0, 1.0, 10, 0).cluster, None);
-        assert_eq!(find_cluster_budgeted(&d, 3, 1.0, 10, 0).cluster, None);
-        assert_eq!(
-            find_cluster_budgeted(&d, 1, 1.0, 10, 0).cluster,
-            Some(vec![0])
-        );
+        assert_eq!(exhaustive_search(&d, 0, 1.0, 10, 0).cluster, None);
+        assert_eq!(exhaustive_search(&d, 3, 1.0, 10, 0).cluster, None);
+        assert_eq!(exhaustive_search(&d, 1, 1.0, 10, 0).cluster, Some(vec![0]));
     }
 
     #[test]
     fn seed_changes_search_order_not_correctness() {
         let d = line(&[0.0, 0.5, 1.0, 5.0, 5.5, 6.0]);
         for seed in 0..10 {
-            let out = find_cluster_budgeted(&d, 3, 1.0, u64::MAX, seed);
+            let out = exhaustive_search(&d, 3, 1.0, u64::MAX, seed);
             let c = out.cluster.expect("always exists");
             assert!(crate::find_cluster::diameter(&d, &c) <= 1.0 + 1e-12);
         }

@@ -1,10 +1,10 @@
 //! Property tests for the clustering algorithms.
 
 use bcc_core::{
-    diameter, exists_cluster_brute_force, find_cluster, find_cluster_euclidean,
+    diameter, exists_cluster_brute_force, find_cluster, find_cluster_among, find_cluster_euclidean,
     find_cluster_ordered, max_cluster_size, max_cluster_size_binary_search, PairOrder,
 };
-use bcc_metric::{DistanceMatrix, EuclideanPoints, FiniteMetric};
+use bcc_metric::{DistanceMatrix, EuclideanPoints, FiniteMetric, SubsetMetric};
 use proptest::prelude::*;
 
 /// Random tree metric from a random parent array + edge weights.
@@ -112,6 +112,25 @@ proptest! {
         let row = find_cluster_ordered(&d, k, l, PairOrder::RowMajor).is_some();
         let asc = find_cluster_ordered(&d, k, l, PairOrder::AscendingDiameter).is_some();
         prop_assert_eq!(row, asc);
+    }
+
+    #[test]
+    fn find_cluster_among_is_find_cluster_on_the_id_subspace(
+        d in arb_any_metric(12),
+        picks in proptest::collection::vec(any::<bool>(), 12),
+        l in 1.0f64..150.0,
+    ) {
+        // Ascending, usually non-contiguous ids; the oracle is the sweep
+        // over a renumbering *view* of the same ids, mapped back.
+        let nodes: Vec<usize> = (0..d.len()).filter(|&i| picks[i]).collect();
+        let ids: Vec<u32> = nodes.iter().map(|&i| i as u32).collect();
+        let view = SubsetMetric::new(&d, nodes);
+        for k in [0, 1, 2, 3, ids.len(), ids.len() + 1] {
+            let expect = find_cluster(&view, k, l)
+                .map(|x| x.into_iter().map(|i| ids[i]).collect::<Vec<_>>());
+            let got = find_cluster_among(&ids, k, l, |a, b| d.get(a as usize, b as usize));
+            prop_assert_eq!(got, expect, "ids={:?} k={}", ids, k);
+        }
     }
 
     #[test]

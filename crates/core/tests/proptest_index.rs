@@ -1,12 +1,11 @@
-//! Property tests pinning the indexed kernels to the brute-force sweeps:
-//! bit-identity on random tree metrics *and* arbitrary symmetric matrices,
-//! across thread counts, and digest equality between incremental index
+//! Property tests pinning the indexed and the metered kernels to the
+//! brute-force sweeps: bit-identity on random tree metrics *and* arbitrary
+//! symmetric matrices, and digest equality between incremental index
 //! maintenance and from-scratch rebuilds.
 
 use bcc_core::{
-    find_cluster, find_cluster_indexed, find_cluster_indexed_budgeted, find_cluster_indexed_par,
-    max_cluster_size, max_cluster_size_indexed, max_cluster_size_indexed_budgeted,
-    max_cluster_size_indexed_par, Budgeted, ClusterIndex, WorkMeter,
+    find_cluster, find_cluster_budgeted, find_cluster_indexed, max_cluster_size,
+    max_cluster_size_budgeted, max_cluster_size_indexed, Budgeted, ClusterIndex, WorkMeter,
 };
 use bcc_metric::DistanceMatrix;
 use proptest::prelude::*;
@@ -66,35 +65,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn indexed_bit_identical_on_tree_metrics_across_threads(
+    fn indexed_bit_identical_on_tree_metrics(
         d in arb_tree_metric(10),
         k in 2usize..6,
     ) {
         let index = ClusterIndex::from_metric(&d);
         let values = d.pair_values();
         for &l in values.iter().take(5) {
-            let expect = find_cluster(&d, k, l);
             prop_assert_eq!(
-                find_cluster_indexed(&d, &index, k, l), expect.clone(),
-                "serial k={} l={}", k, l
+                find_cluster_indexed(&d, &index, k, l), find_cluster(&d, k, l),
+                "k={} l={}", k, l
             );
-            let expect_max = max_cluster_size(&d, l);
             prop_assert_eq!(
-                max_cluster_size_indexed(&d, &index, l), expect_max,
-                "serial max l={}", l
+                max_cluster_size_indexed(&d, &index, l), max_cluster_size(&d, l),
+                "max l={}", l
             );
-            for threads in [1usize, 2, 8] {
-                bcc_par::set_threads(threads);
-                prop_assert_eq!(
-                    find_cluster_indexed_par(&d, &index, k, l), expect.clone(),
-                    "par k={} l={} threads={}", k, l, threads
-                );
-                prop_assert_eq!(
-                    max_cluster_size_indexed_par(&d, &index, l), expect_max,
-                    "par max l={} threads={}", l, threads
-                );
-            }
-            bcc_par::set_threads(0);
         }
     }
 
@@ -112,27 +97,34 @@ proptest! {
     }
 
     #[test]
-    fn budgeted_indexed_with_headroom_equals_unbudgeted(
+    fn budgeted_with_headroom_equals_unbudgeted(
         d in arb_any_metric(10),
         k in 2usize..5,
         l in 1.0f64..150.0,
     ) {
-        let index = ClusterIndex::from_metric(&d);
+        // The served pair: the metered sweep is the degradation ladder's
+        // kernel, the plain sweep its reference.
         let mut meter = WorkMeter::unlimited();
         prop_assert_eq!(
-            find_cluster_indexed_budgeted(&d, &index, k, l, &mut meter),
-            Budgeted::Done(find_cluster_indexed(&d, &index, k, l))
+            find_cluster_budgeted(&d, k, l, &mut meter),
+            Budgeted::Done(find_cluster(&d, k, l))
         );
         let mut meter = WorkMeter::unlimited();
         prop_assert_eq!(
-            max_cluster_size_indexed_budgeted(&d, &index, l, &mut meter),
-            Budgeted::Done(max_cluster_size_indexed(&d, &index, l))
+            max_cluster_size_budgeted(&d, l, &mut meter),
+            Budgeted::Done(max_cluster_size(&d, l))
         );
         // Replay determinism under a tight budget: same cut, same partial.
         let mut a = WorkMeter::new(24);
         let mut b = WorkMeter::new(24);
-        let ra = find_cluster_indexed_budgeted(&d, &index, k, l, &mut a);
-        let rb = find_cluster_indexed_budgeted(&d, &index, k, l, &mut b);
+        let ra = find_cluster_budgeted(&d, k, l, &mut a);
+        let rb = find_cluster_budgeted(&d, k, l, &mut b);
+        prop_assert_eq!(ra, rb);
+        prop_assert_eq!(a.used(), b.used());
+        let mut a = WorkMeter::new(24);
+        let mut b = WorkMeter::new(24);
+        let ra = max_cluster_size_budgeted(&d, l, &mut a);
+        let rb = max_cluster_size_budgeted(&d, l, &mut b);
         prop_assert_eq!(ra, rb);
         prop_assert_eq!(a.used(), b.used());
     }

@@ -555,6 +555,27 @@ impl DynamicSystem {
         self.last_convergence_rounds
     }
 
+    /// The first check of every query path: a crashed `start` serves
+    /// nothing until it recovers.
+    fn reject_crashed(&self, start: NodeId) -> Result<(), ClusterError> {
+        if self.crashed.contains(&start) {
+            return Err(ClusterError::NodeUnavailable {
+                node: start.index(),
+            });
+        }
+        Ok(())
+    }
+
+    /// The overlay a routed query submitted at `start` runs on:
+    /// `NodeUnavailable` for a crashed `start`, `UnknownNeighbor` while no
+    /// host has joined.
+    fn overlay_at(&self, start: NodeId) -> Result<&SimNetwork, ClusterError> {
+        self.reject_crashed(start)?;
+        self.network.as_ref().ok_or(ClusterError::UnknownNeighbor {
+            neighbor: start.index(),
+        })
+    }
+
     /// Decentralized query against the current membership.
     ///
     /// # Errors
@@ -568,17 +589,7 @@ impl DynamicSystem {
         k: usize,
         bandwidth: f64,
     ) -> Result<QueryOutcome, ClusterError> {
-        if self.crashed.contains(&start) {
-            return Err(ClusterError::NodeUnavailable {
-                node: start.index(),
-            });
-        }
-        match &self.network {
-            Some(net) => net.query(start, k, bandwidth),
-            None => Err(ClusterError::UnknownNeighbor {
-                neighbor: start.index(),
-            }),
-        }
+        self.overlay_at(start)?.query(start, k, bandwidth)
     }
 
     /// Failure-aware query with retry/backoff and degradation reporting
@@ -594,17 +605,8 @@ impl DynamicSystem {
         bandwidth: f64,
         retry: &RetryPolicy,
     ) -> Result<QueryOutcome, ClusterError> {
-        if self.crashed.contains(&start) {
-            return Err(ClusterError::NodeUnavailable {
-                node: start.index(),
-            });
-        }
-        match &self.network {
-            Some(net) => net.query_resilient(start, k, bandwidth, retry),
-            None => Err(ClusterError::UnknownNeighbor {
-                neighbor: start.index(),
-            }),
-        }
+        self.overlay_at(start)?
+            .query_resilient(start, k, bandwidth, retry)
     }
 
     /// Delegates to [`DynamicSystem::query_resilient`]; kept under this
@@ -649,11 +651,7 @@ impl DynamicSystem {
         k: usize,
         bandwidth: f64,
     ) -> Result<Option<Vec<NodeId>>, ClusterError> {
-        if self.crashed.contains(&start) {
-            return Err(ClusterError::NodeUnavailable {
-                node: start.index(),
-            });
-        }
+        self.reject_crashed(start)?;
         let classes = &self.config.protocol.classes;
         let class_idx = bcc_core::QueryRequest::new(start, k, bandwidth)
             .validate(classes, self.bandwidth.len())?;
@@ -691,20 +689,9 @@ impl DynamicSystem {
         retry: &RetryPolicy,
         budget: u64,
     ) -> Result<Budgeted<QueryOutcome>, ClusterError> {
-        if self.crashed.contains(&start) {
-            return Err(ClusterError::NodeUnavailable {
-                node: start.index(),
-            });
-        }
-        match &self.network {
-            Some(net) => {
-                let mut meter = WorkMeter::with_cost(budget, self.work_cost);
-                net.query_resilient_budgeted(start, k, bandwidth, retry, &mut meter)
-            }
-            None => Err(ClusterError::UnknownNeighbor {
-                neighbor: start.index(),
-            }),
-        }
+        let net = self.overlay_at(start)?;
+        let mut meter = WorkMeter::with_cost(budget, self.work_cost);
+        net.query_resilient_budgeted(start, k, bandwidth, retry, &mut meter)
     }
 
     /// The current overlay, if any host is active.
