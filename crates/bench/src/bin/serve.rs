@@ -128,7 +128,16 @@ fn main() {
         "an executed query built a ClusterIndex"
     );
     let mut cached = build(universe, joined, ServiceConfig::default());
+    // Logical gate: no churn during the run, so every batch stamps its
+    // answers with the one overlay state's digest, hashed once (the
+    // counter stays at zero under `BCC_OBS=0`).
+    let digest_computes = || bcc_obs::registry().counter("simnet.digest.computes").get();
+    let computes_before = digest_computes();
     let (cached_ms, cached_responses) = run(&mut cached, &queries);
+    assert!(
+        digest_computes() - computes_before <= 1,
+        "a batch re-hashed an unchanged overlay"
+    );
 
     let identical = uncached_responses.len() == cached_responses.len()
         && uncached_responses

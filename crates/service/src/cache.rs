@@ -11,6 +11,10 @@
 //! layer additionally audits this with a recompute-and-compare oracle (see
 //! [`crate::ServiceStats::stale_hits`]).
 //!
+//! Presenting the current stamp is O(1): the system memoises the digest
+//! and forgets it on every write path to the overlay, so validation never
+//! re-hashes an unchanged overlay.
+//!
 //! Eviction is **LRU** (least recently used) and strictly bounded by
 //! capacity: a hit moves the entry to the back of the recency order, so
 //! hot keys survive capacity pressure while cold ones age out. Recency is

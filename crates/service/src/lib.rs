@@ -21,7 +21,9 @@
 //!   `(submit node, k, b-class)` and stamped with the membership epoch
 //!   ([`bcc_simnet::DynamicSystem::epoch`]) and live overlay digest
 //!   ([`bcc_simnet::DynamicSystem::live_digest`]) they were computed
-//!   under. Any churn or fault disturbance changes the stamp and the
+//!   under. The system memoises that digest per overlay state, so a
+//!   batch pays for the stamp once per churn op, not once per batch. Any
+//!   churn or fault disturbance changes the stamp and the
 //!   entry is invalidated on its next lookup — a stale answer is never
 //!   served, and the [`serve_chaos`] harness audits exactly that claim by
 //!   recomputing every cached answer under churn-heavy chaos schedules.

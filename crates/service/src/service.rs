@@ -208,7 +208,8 @@ impl ServiceStats {
 /// advances; arbitrary overlay surgery through
 /// [`with_system_mut`](ClusterService::with_system_mut) is still safe for
 /// the cache because entries are validated against the live gossip digest,
-/// not just the epoch.
+/// not just the epoch, and the system forgets its memoised digest the
+/// moment it hands the overlay out mutably.
 #[derive(Debug)]
 pub struct ClusterService {
     system: DynamicSystem,
@@ -381,9 +382,9 @@ impl ClusterService {
     fn process_batch(&mut self, batch: Vec<(u64, ClusterQuery, usize)>) -> Vec<ServiceResponse> {
         let _span = bcc_obs::span!("service.batch.execute");
         let epoch = self.system.epoch();
-        // No overlay yet (nobody joined) has no digest; any sentinel works
-        // because execution can only fail then, and failures are never
-        // cached.
+        // Hashed once per overlay state and O(1) after. No overlay yet
+        // (nobody joined) has no digest; any sentinel works because
+        // execution can only fail then, and failures are never cached.
         let digest = self.system.live_digest().unwrap_or(u64::MAX);
         // The cluster index rides the same epoch discipline: a cache entry
         // stamped at this epoch is exactly as fresh as the index.
@@ -588,7 +589,10 @@ impl ClusterService {
     /// Runs `f` with mutable access to the wrapped system — the hook chaos
     /// harnesses use to open fault windows or disturb gossip state. Safe
     /// for the cache: any state change shows up in the live digest, which
-    /// every lookup is validated against.
+    /// every lookup is validated against. The only way from here to the
+    /// overlay is [`DynamicSystem::network_mut`], which forgets the
+    /// memoised digest at hand-out, so the next batch hashes what `f`
+    /// left behind.
     pub fn with_system_mut<R>(&mut self, f: impl FnOnce(&mut DynamicSystem) -> R) -> R {
         f(&mut self.system)
     }

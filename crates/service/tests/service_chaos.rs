@@ -87,21 +87,26 @@ fn fault_disturbance_without_membership_change_still_invalidates() {
     serve_one(&mut service, query);
     assert!(serve_one(&mut service, query).cached);
 
-    // Disturb gossip state with no membership change: run extra gossip
-    // rounds only if they change the digest; if the overlay is already at
-    // its fixpoint, poke a node's state through the chaos nemesis instead.
+    // Disturb gossip state with no membership change: the overlay is at
+    // its fixpoint, so poke a node's state through the chaos nemesis. The
+    // two batches above left the digest memoised; the nemesis reaches the
+    // overlay through `network_mut`, which is what forgets it.
     let before = service.system().live_digest();
+    let epoch = service.system().epoch();
+    let invalidated = service.cache_stats().invalidated;
     service.with_system_mut(|sys| {
         bcc_simnet::chaos::nemesis_hook("crt-stale").expect("known nemesis")(sys, 0);
     });
     let after_digest = service.system().live_digest();
     assert_ne!(before, after_digest, "nemesis must disturb the digest");
+    assert_eq!(service.system().epoch(), epoch, "gossip-only disturbance");
 
     let after = serve_one(&mut service, query);
     assert!(
         !after.cached,
         "a digest change alone (same epoch) must invalidate the entry"
     );
+    assert_eq!(service.cache_stats().invalidated, invalidated + 1);
     assert_eq!(service.stats().stale_hits, 0);
 }
 

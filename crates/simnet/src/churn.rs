@@ -24,6 +24,7 @@
 //! ordinary join path).
 
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 use bcc_core::{
     Budgeted, ClusterError, ClusterIndex, IndexError, QueryOutcome, RetryPolicy, WorkMeter,
@@ -244,6 +245,11 @@ pub struct DynamicSystem {
     /// Overlay-maintenance counters — the gossip-side `full_builds == 0`
     /// discipline (asserted by the chaos `overlay` oracle).
     overlay_stats: OverlayStats,
+    /// [`DynamicSystem::live_digest`] of the current overlay state, filled
+    /// by the first read and cleared by every `&mut` path that can reach
+    /// `network`. Kept the last field: where it sits moves `peak_rss_mb`
+    /// (ROADMAP item 1, RSS hazard).
+    digest_memo: OnceLock<Option<u64>>,
 }
 
 impl DynamicSystem {
@@ -281,6 +287,7 @@ impl DynamicSystem {
             work_cost: 1,
             index,
             overlay_stats: OverlayStats::default(),
+            digest_memo: OnceLock::new(),
         })
     }
 
@@ -397,6 +404,7 @@ impl DynamicSystem {
             work_cost: work_cost.max(1),
             index,
             overlay_stats: OverlayStats::default(),
+            digest_memo: OnceLock::new(),
         })
     }
 
@@ -702,7 +710,12 @@ impl DynamicSystem {
     /// Mutable access to the current overlay — the hook chaos harnesses use
     /// to attach fault injectors, enable tracing, or run extra gossip
     /// rounds against the live membership.
+    ///
+    /// Handing out the borrow forgets the memoised
+    /// [`DynamicSystem::live_digest`]: whatever the caller writes through
+    /// it, the next read hashes the overlay afresh.
     pub fn network_mut(&mut self) -> Option<&mut SimNetwork> {
+        self.digest_memo.take();
         self.network.as_mut()
     }
 
@@ -737,8 +750,22 @@ impl DynamicSystem {
     /// Changes whenever membership, aggregation state or CRTs change,
     /// including mid-fault windows injected through
     /// [`DynamicSystem::network_mut`].
+    ///
+    /// Cost: one [`SimNetwork::digest`] (a hash of every node's gossip
+    /// state) per overlay state, O(1) for every further read of that
+    /// state. The value is memoised on first read, so a system nobody asks
+    /// pays nothing, and forgotten by the three `&mut` paths that can
+    /// reach the overlay: the cold convergence of
+    /// [`DynamicSystem::bootstrap`], the incremental repair behind every
+    /// join, leave, crash and recovery, and
+    /// [`DynamicSystem::network_mut`]. Each forgets it on entry, before
+    /// writing anything, so a repair that stops half way
+    /// ([`ChurnError::Convergence`]) cannot leave the digest of the state
+    /// it started from behind.
     pub fn live_digest(&self) -> Option<u64> {
-        self.network.as_ref().map(SimNetwork::digest)
+        *self
+            .digest_memo
+            .get_or_init(|| self.network.as_ref().map(SimNetwork::digest))
     }
 
     /// The incrementally-maintained cluster index over the active
@@ -847,6 +874,7 @@ impl DynamicSystem {
     /// `full_reconvergences` counter bumped here is the tripwire proving
     /// it stays that way.
     fn rebuild(&mut self) -> Result<(), ChurnError> {
+        self.digest_memo.take();
         if self.active.is_empty() {
             self.network = None;
             self.last_convergence_rounds = None;
@@ -886,6 +914,7 @@ impl DynamicSystem {
         touched: &[NodeId],
         departed: Option<NodeId>,
     ) -> Result<(), ChurnError> {
+        self.digest_memo.take();
         if self.active.is_empty() {
             self.network = None;
             self.last_convergence_rounds = None;
@@ -1535,6 +1564,124 @@ mod tests {
         // Both systems also hold the digest invariant independently.
         assert_eq!(small.live_digest(), small.cold_restart_digest().unwrap());
         assert_eq!(large.live_digest(), large.cold_restart_digest().unwrap());
+    }
+
+    /// The memo's whole contract: whatever happened before, a read equals
+    /// a fresh hash of the overlay as it stands.
+    fn fresh_digest(s: &DynamicSystem) -> Option<u64> {
+        s.network().map(SimNetwork::digest)
+    }
+
+    #[test]
+    fn network_mut_disturbances_move_a_warm_digest_memo() {
+        let mut s = dynamic();
+        for i in 0..5 {
+            s.join(n(i)).unwrap();
+        }
+        let fixpoint = s.live_digest();
+        assert_eq!(fixpoint, fresh_digest(&s));
+
+        // A bogus CRT row written straight into a node's store
+        // (`nodes_mut`).
+        crate::chaos::nemesis_hook("crt-stale").unwrap()(&mut s, 0);
+        let corrupted = s.live_digest();
+        assert_ne!(corrupted, fixpoint, "the corruption must show");
+        assert_eq!(corrupted, fresh_digest(&s));
+
+        // A total-loss window, then extra rounds that gossip the bogus row
+        // away again.
+        let max_rounds = s.config().max_rounds;
+        let net = s.network_mut().unwrap();
+        let t0 = net.rounds_run() as f64;
+        net.inject_faults(&crate::FaultPlan::new(7).uniform_loss(t0, 1.0, None));
+        net.run_round();
+        net.run_round();
+        net.clear_fault_injector();
+        net.run_to_convergence(max_rounds).unwrap();
+        assert_eq!(s.live_digest(), fresh_digest(&s));
+        assert_eq!(s.live_digest(), fixpoint, "extra rounds heal the row");
+    }
+
+    #[test]
+    fn cold_rebuild_forgets_a_warm_digest_memo() {
+        // `bootstrap` only ever rebuilds a system nobody has read yet, so
+        // drive the cold path by hand over a disturbed, read overlay.
+        let mut s = dynamic();
+        for i in 0..4 {
+            s.join(n(i)).unwrap();
+        }
+        let fixpoint = s.live_digest();
+        crate::chaos::nemesis_hook("crt-stale").unwrap()(&mut s, 0);
+        assert_ne!(s.live_digest(), fixpoint);
+        s.rebuild().unwrap();
+        assert_eq!(s.live_digest(), fresh_digest(&s));
+        assert_eq!(s.live_digest(), fixpoint);
+    }
+
+    #[test]
+    fn round_starved_repair_leaves_the_half_repaired_digest() {
+        let mut s = dynamic();
+        for i in 0..6 {
+            s.join(n(i)).unwrap();
+        }
+        let before = s.live_digest();
+        s.config.max_rounds = 1;
+        assert_eq!(
+            s.leave(n(0)),
+            Err(ChurnError::Convergence { max_rounds: 1 }),
+            "one round cannot repair the departure of the overlay root"
+        );
+        assert_eq!(s.live_digest(), fresh_digest(&s));
+        assert_ne!(s.live_digest(), before, "the repair had started");
+    }
+
+    #[test]
+    fn clones_memoise_their_own_overlay() {
+        let mut original = dynamic();
+        for i in 0..4 {
+            original.join(n(i)).unwrap();
+        }
+        let shared = original.live_digest();
+
+        // A clone taken with a warm memo, then churned.
+        let mut clone = original.clone();
+        clone.leave(n(3)).unwrap();
+        assert_eq!(clone.live_digest(), fresh_digest(&clone));
+        assert_ne!(clone.live_digest(), shared);
+        assert_eq!(original.live_digest(), shared);
+        assert_eq!(original.live_digest(), fresh_digest(&original));
+
+        // And the other way round.
+        let clone = original.clone();
+        original.join(n(4)).unwrap();
+        assert_eq!(original.live_digest(), fresh_digest(&original));
+        assert_ne!(original.live_digest(), shared);
+        assert_eq!(clone.live_digest(), shared);
+        assert_eq!(clone.live_digest(), fresh_digest(&clone));
+    }
+
+    #[test]
+    fn restored_system_memoises_the_imported_overlay() {
+        let mut s = dynamic();
+        for i in 0..5 {
+            s.join(n(i)).unwrap();
+        }
+        s.crash(n(2)).unwrap();
+        let restored = crate::SystemSnapshot::capture(&s)
+            .restore(&universe(), s.config())
+            .unwrap();
+        let first = restored.live_digest();
+        assert_eq!(first, fresh_digest(&restored));
+        assert_eq!(restored.live_digest(), first);
+        assert_eq!(first, s.live_digest());
+    }
+
+    #[test]
+    fn dynamic_system_is_shareable_across_lanes() {
+        // `ClusterService::process_batch` hands `&DynamicSystem` to every
+        // `bcc_par` lane, so the memo must not cost the type its `Sync`.
+        fn assert_sync<T: Send + Sync>() {}
+        assert_sync::<DynamicSystem>();
     }
 
     #[test]

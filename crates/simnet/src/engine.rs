@@ -373,6 +373,13 @@ impl SimNetwork {
     /// converged).
     pub fn run_round(&mut self) -> bool {
         let digest_before = self.digest();
+        self.run_round_from(digest_before).0
+    }
+
+    /// [`SimNetwork::run_round`] for a caller that already holds the
+    /// digest of the current state; also returns the post-round digest, so
+    /// back-to-back rounds hash each state once.
+    fn run_round_from(&mut self, digest_before: u64) -> (bool, u64) {
         let n_cut = self.config.n_cut;
         let n = self.nodes.len();
 
@@ -457,7 +464,9 @@ impl SimNetwork {
         }
 
         self.rounds_run += 1;
-        self.digest() != digest_before || !self.pending.is_empty()
+        let digest_after = self.digest();
+        let changed = digest_after != digest_before || !self.pending.is_empty();
+        (changed, digest_after)
     }
 
     /// Runs rounds until a fixpoint, up to `max_rounds`.
@@ -469,8 +478,11 @@ impl SimNetwork {
     pub fn run_to_convergence(&mut self, max_rounds: usize) -> Option<usize> {
         let _span = bcc_obs::span!("simnet.run_to_convergence");
         let start = self.rounds_run;
+        let mut digest = self.digest();
         for _ in 0..max_rounds {
-            if !self.run_round() {
+            let (changed, digest_after) = self.run_round_from(digest);
+            digest = digest_after;
+            if !changed {
                 let rounds = self.rounds_run - start;
                 bcc_obs::observe!("simnet.convergence_rounds", rounds as u64);
                 return Some(rounds);
@@ -855,6 +867,7 @@ impl SimNetwork {
     /// Hash of all protocol state (spaces + CRTs), used for convergence
     /// detection and determinism tests.
     pub fn digest(&self) -> u64 {
+        bcc_obs::inc!("simnet.digest.computes");
         let mut h = DefaultHasher::new();
         for node in &self.nodes {
             node.clustering_space().hash(&mut h);

@@ -1,11 +1,13 @@
 //! Property test: under arbitrary churn schedules the incrementally
 //! repaired gossip overlay stays digest-identical to a cold restart of
 //! the live membership after every op, without ever rebuilding the
-//! overlay from blank on the churn hot path.
+//! overlay from blank on the churn hot path — and the memoised
+//! `live_digest()` equals a fresh hash of the overlay before and after
+//! every op, rejected ones included.
 
 use bcc_core::BandwidthClasses;
 use bcc_metric::{BandwidthMatrix, NodeId, RationalTransform};
-use bcc_simnet::{DynamicSystem, SystemConfig};
+use bcc_simnet::{DynamicSystem, SimNetwork, SystemConfig};
 use proptest::prelude::*;
 
 const UNIVERSE: usize = 8;
@@ -44,6 +46,9 @@ proptest! {
         let mut sys = system_from_caps(&caps);
         let mut applied = 0u64;
         for op in ops {
+            // Reading before the op warms the memo, so an op that failed
+            // to forget it would serve the previous state's digest below.
+            prop_assert_eq!(sys.live_digest(), sys.network().map(SimNetwork::digest));
             let result = match op {
                 Op::Join(h) => sys.join(NodeId::new(h)),
                 Op::Leave(h) => sys.leave(NodeId::new(h)),
@@ -57,6 +62,11 @@ proptest! {
             if result.is_ok() {
                 applied += 1;
             }
+            prop_assert_eq!(
+                sys.live_digest(),
+                sys.network().map(SimNetwork::digest),
+                "memoised digest is not the overlay's after {:?} -> {:?}", op, result
+            );
             let cold = sys.cold_restart_digest().expect("cold reference converges");
             prop_assert_eq!(
                 sys.live_digest(),

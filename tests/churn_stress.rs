@@ -81,6 +81,13 @@ fn random_churn_schedule_keeps_invariants() {
             .check_invariants()
             .unwrap_or_else(|e| panic!("step {step}: {e}"));
         assert_eq!(system.framework().host_count(), system.len());
+        // The memoised digest is the overlay's own, after churn steps
+        // (which forget it) and query steps (which must not move it).
+        assert_eq!(
+            system.live_digest(),
+            system.network().map(|n| n.digest()),
+            "step {step}: memoised digest diverged from the overlay"
+        );
     }
 }
 
