@@ -429,8 +429,7 @@ pub(crate) fn check_pair<M: FiniteMetric>(
 
 /// `|S*_pq|` — the exact pair-bounded count Algorithm 1 maximises, as a
 /// plain sweep: [`check_pair`] without the member list or the early exit.
-/// The one counter behind [`max_cluster_size`], its `_budgeted` twin and
-/// the indexed row scan.
+/// The one counter behind [`max_cluster_size`] and its `_budgeted` twin.
 pub(crate) fn pair_count<M: FiniteMetric>(metric: &M, p: usize, q: usize, dpq: f64) -> usize {
     let mut count = 0;
     for x in 0..metric.len() {

@@ -31,9 +31,11 @@
 //! to a from-scratch rebuild of the same membership — the invariant the
 //! chaos harness asserts after every churn schedule.
 
+use std::sync::OnceLock;
+
 use bcc_metric::FiniteMetric;
 
-use crate::find_cluster::{check_pair, pair_count};
+use crate::find_cluster::check_pair;
 
 /// Slot sentinel for ids not present in the index.
 const ABSENT: u32 = u32::MAX;
@@ -143,10 +145,9 @@ pub struct ClusterIndex {
     /// `id -> slot`, [`ABSENT`] when not a member.
     slot_of: Vec<u32>,
     rows: Vec<Row>,
-    row_digest: Vec<u64>,
-    /// XOR fold of the per-row digests (each covers its owner id, so the
-    /// fold is membership-sensitive despite being order-insensitive).
-    digest: u64,
+    /// Memo of [`ClusterIndex::digest`]: filled by the first read of the
+    /// current rows, cleared wherever the rows change.
+    digest: OnceLock<u64>,
     stats: IndexStats,
 }
 
@@ -160,8 +161,7 @@ impl ClusterIndex {
             ids: Vec::new(),
             slot_of: vec![ABSENT; universe],
             rows: Vec::new(),
-            row_digest: Vec::new(),
-            digest: 0,
+            digest: OnceLock::new(),
             stats: IndexStats::default(),
         }
     }
@@ -196,7 +196,6 @@ impl ClusterIndex {
             .iter()
             .map(|&owner| build_row(owner, &index.ids, &mut dist))
             .collect();
-        index.rebuild_digests();
         index
     }
 
@@ -285,17 +284,14 @@ impl ClusterIndex {
             }
             checked.push(Row { d, id });
         }
-        let mut index = ClusterIndex {
+        Ok(ClusterIndex {
             universe,
             ids,
             slot_of,
             rows: checked,
-            row_digest: Vec::new(),
-            digest: 0,
+            digest: OnceLock::new(),
             stats: IndexStats::default(),
-        };
-        index.rebuild_digests();
-        Ok(index)
+        })
     }
 
     /// The id bound the index was created with: all member ids are below it.
@@ -351,8 +347,21 @@ impl ClusterIndex {
     /// Content digest: equal for equal (membership, distances) regardless
     /// of whether the index was built from scratch or maintained
     /// incrementally — the churn-correctness oracle.
+    ///
+    /// The XOR fold of one FNV-1a hash per row (each covers its owner id,
+    /// so the fold is membership-sensitive despite being
+    /// order-insensitive). It is a memo: the first read of a given row
+    /// state hashes every row, `O(m²)`, further reads are `O(1)`, and
+    /// [`ClusterIndex::apply_churn`] forgets it. An index nobody asks —
+    /// every node-local one, and a live one between snapshots — never
+    /// hashes anything.
     pub fn digest(&self) -> u64 {
-        self.digest
+        *self.digest.get_or_init(|| {
+            self.ids
+                .iter()
+                .zip(&self.rows)
+                .fold(0, |acc, (&owner, row)| acc ^ row.digest(owner))
+        })
     }
 
     /// Instance maintenance counters.
@@ -403,6 +412,7 @@ impl ClusterIndex {
         let _span = bcc_obs::span!("core.index.update");
         bcc_obs::inc!("core.index.incremental_updates");
         self.stats.incremental_updates += 1;
+        self.digest.take();
         // `touched[id]`: entries to strip out of every surviving row
         // (removed members and stale rows of re-embedded members alike).
         // Only the removed ids are marked before the survivor filter, so
@@ -465,20 +475,9 @@ impl ClusterIndex {
         }
         drop(old_ids);
         self.rows = rows;
-        self.rebuild_digests();
         self.stats.rows_rebuilt += rebuilt;
         bcc_obs::add!("core.index.rows_rebuilt", rebuilt);
         Ok(())
-    }
-
-    fn rebuild_digests(&mut self) {
-        self.row_digest = self
-            .ids
-            .iter()
-            .zip(&self.rows)
-            .map(|(&owner, row)| row.digest(owner))
-            .collect();
-        self.digest = self.row_digest.iter().fold(0, |acc, &h| acc ^ h);
     }
 }
 
@@ -583,10 +582,12 @@ pub fn find_cluster_indexed<M: FiniteMetric>(
     found
 }
 
-/// Indexed [`crate::max_cluster_size`]: the same exact maximum, with rows
-/// visited in descending `|B(p, l)|` order so the running best tightens
-/// early, rows cut off once their ball bound can no longer beat it, and
-/// pairs pruned through both endpoint bounds before the exact count runs.
+/// Indexed [`crate::max_cluster_size`]: the same exact maximum, the
+/// single-class call of the all-class kernel behind
+/// [`crate::ClusterNode::recompute_own_max`]. Rows whose `l`-ball cannot
+/// beat the running best are skipped, each row's `l`-prefix is walked
+/// descending by distance until its own ball bound gives out, pairs are
+/// pruned through both endpoint bounds, and survivors are counted exactly.
 ///
 /// Equals the pair-sweep result on any symmetric metric: every pruned pair
 /// provably satisfies `|S*_pq| ≤ best` at prune time, and surviving pairs
@@ -600,68 +601,110 @@ pub fn max_cluster_size_indexed<M: FiniteMetric>(
     index: &ClusterIndex,
     l: f64,
 ) -> usize {
+    max_cluster_sizes_indexed(metric, index, &[l])[0]
+}
+
+/// [`crate::max_cluster_size`] for every constraint in `ls` at once (any
+/// order, duplicates allowed, no NaN), over one index.
+///
+/// Classes are visited in ascending `l`, and each pair is opened at most
+/// once across all of them:
+///
+/// - **Floor.** A cluster feasible under a smaller `l` is feasible under a
+///   larger one, so the previous class's maximum is the next class's
+///   starting `best`.
+/// - **Band.** With `l_prev` the previous class, every pair with
+///   `d(p,q) ≤ l_prev` was either counted then or pruned against a bound
+///   no larger than the floor, so a class scans in each sorted row only
+///   the band `l_prev < d(p,q) ≤ l`, and only its `q > p` half: the pair
+///   belongs to the lower slot's row.
+/// - **Ball walk.** `S*_pq = B(p, d) ∩ B(q, d)` with `d = d(p,q)`, so the
+///   count walks the sorted-row prefix of the endpoint with the smaller
+///   ball and tests the other endpoint's distance:
+///   `min(|B(p,d)|, |B(q,d)|)` probes instead of `2m`.
+///
+/// # Panics
+///
+/// Panics when `index.len() != metric.len()`.
+pub(crate) fn max_cluster_sizes_indexed<M: FiniteMetric>(
+    metric: &M,
+    index: &ClusterIndex,
+    ls: &[f64],
+) -> Vec<usize> {
     let _span = bcc_obs::span!("core.max_cluster_size_indexed");
     bcc_obs::inc!("core.index.probes");
     assert_eq!(metric.len(), index.len(), "index does not cover the metric");
     let n = metric.len();
     if n == 0 {
-        return 0;
+        return vec![0; ls.len()];
     }
-    let order = rows_by_reach(index, n, l);
+    let mut order: Vec<usize> = (0..ls.len()).collect();
+    order.sort_unstable_by(|&a, &b| ls[a].total_cmp(&ls[b]));
+    let mut sizes = vec![0; ls.len()];
     let mut best = 1usize;
-    for &(reach, p) in &order {
-        if reach <= best {
-            // Descending order: every remaining row is bounded too.
-            break;
+    let mut l_prev = f64::NEG_INFINITY;
+    for c in order {
+        let l = ls[c];
+        if l > l_prev {
+            for p in 0..n {
+                best = scan_row_band(metric, index, p, l_prev, l, best);
+            }
+            l_prev = l;
         }
-        best = scan_row_max(metric, index, p, reach, best);
+        sizes[c] = best;
     }
-    best
+    sizes
 }
 
-/// Rows paired with their `l`-ball size, sorted descending by reach (ties
-/// broken by ascending slot — deterministic).
-fn rows_by_reach(index: &ClusterIndex, n: usize, l: f64) -> Vec<(usize, usize)> {
-    let mut order: Vec<(usize, usize)> = (0..n).map(|p| (index.count_within(p, l), p)).collect();
-    order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    order
-}
-
-/// Scans row `p`'s `l`-prefix descending by distance, tightening `best`
-/// with exact pair counts; `reach` is `|B(p, l)|`. Both endpoint ball
-/// bounds are applied before counting, and the walk stops as soon as the
-/// row's own bound can no longer beat `best`.
-fn scan_row_max<M: FiniteMetric>(
+/// Scans the band `lo < d(p,q) ≤ hi` of row `p` descending by distance,
+/// tightening `best` with exact counts of the pairs `q > p`. Both endpoint
+/// ball bounds are applied before counting, and the walk stops as soon as
+/// the row's own bound can no longer beat `best`.
+fn scan_row_band<M: FiniteMetric>(
     metric: &M,
     index: &ClusterIndex,
     p: usize,
-    reach: usize,
+    lo: f64,
+    hi: f64,
     mut best: usize,
 ) -> usize {
-    let (ds, qids) = index.row(p);
+    let reach = index.count_within(p, hi);
+    if reach <= best {
+        return best;
+    }
+    let (ds, ids) = index.row(p);
     // `ub_p` = |B(p, ds[pos])|: within a tie run it is the run's end.
     let mut ub_p = reach;
-    for pos in (0..reach).rev() {
+    for pos in (index.count_within(p, lo)..reach).rev() {
         if pos + 1 < reach && ds[pos] < ds[pos + 1] {
             ub_p = pos + 1;
         }
         if ub_p <= best {
             break;
         }
-        let q = index
-            .slot(qids[pos])
-            .expect("row entries are index members");
-        if q == p {
+        let q = index.slot(ids[pos]).expect("row entries are index members");
+        if q <= p {
             continue;
         }
         let dpq = ds[pos];
-        if index.count_within(q, dpq) <= best {
+        let ub_q = index.count_within(q, dpq);
+        if ub_q <= best {
             continue;
         }
-        let count = pair_count(metric, p, q, dpq);
-        if count > best {
-            best = count;
-        }
+        // Walk the smaller ball, probe the other endpoint.
+        let (ball, other) = if ub_p <= ub_q {
+            (&ids[..ub_p], q)
+        } else {
+            (&index.row(q).1[..ub_q], p)
+        };
+        let count = ball
+            .iter()
+            .filter(|&&x| {
+                let x = index.slot(x).expect("row entries are index members");
+                metric.distance(other, x) <= dpq
+            })
+            .count();
+        best = best.max(count);
     }
     best
 }
@@ -671,6 +714,7 @@ mod tests {
     use super::*;
     use crate::find_cluster::{find_cluster, max_cluster_size};
     use bcc_metric::DistanceMatrix;
+    use proptest::prelude::*;
 
     fn line(pos: &[f64]) -> DistanceMatrix {
         DistanceMatrix::from_fn(pos.len(), |i, j| (pos[i] - pos[j]).abs())
@@ -960,6 +1004,59 @@ mod tests {
         assert_eq!(idx.ids(), &[0, 1, 2, 3], "re-embedded members survive");
         let fresh = ClusterIndex::build(pos.len(), &[0, 1, 2, 3], shifted);
         assert_eq!(idx.digest(), fresh.digest());
+    }
+
+    /// Constraints the all-class kernel is asked for: below every distance,
+    /// on the ties, between them, above them all.
+    const LS: [f64; 11] = [
+        -1.0,
+        0.0,
+        0.5,
+        1.0,
+        2.0,
+        3.0,
+        4.0,
+        5.0,
+        7.0,
+        100.0,
+        f64::INFINITY,
+    ];
+
+    /// `0..=40` hosts, a star radius per host, an integer `0..4` per pair,
+    /// whether the star is used at all, and up to eight constraint picks
+    /// in any order, repeats included.
+    fn arb_tied_space() -> impl Strategy<Value = (usize, Vec<u8>, Vec<u8>, bool, Vec<usize>)> {
+        (0usize..=40).prop_flat_map(|m| {
+            (
+                Just(m),
+                proptest::collection::vec(0u8..3, m),
+                proptest::collection::vec(0u8..4, m * m.saturating_sub(1) / 2),
+                any::<bool>(),
+                proptest::collection::vec(0..LS.len(), 0..=8),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Symmetric, integer-valued, nowhere near a tree metric (a star
+        /// with per-pair integer noise, or the noise alone), so ties are
+        /// the norm and no pruning bound is tight by luck.
+        #[test]
+        fn all_class_maxima_equal_the_per_class_pair_sweep(
+            (m, radii, noise, star, picks) in arb_tied_space(),
+        ) {
+            let mut noise = noise.into_iter();
+            let d = DistanceMatrix::from_fn(m, |i, j| {
+                let base = if star { radii[i] + radii[j] } else { 0 };
+                f64::from(base + noise.next().unwrap())
+            });
+            let ls: Vec<f64> = picks.iter().map(|&i| LS[i]).collect();
+            let idx = ClusterIndex::from_metric(&d);
+            let oracle: Vec<usize> = ls.iter().map(|&l| max_cluster_size(&d, l)).collect();
+            prop_assert_eq!(max_cluster_sizes_indexed(&d, &idx, &ls), oracle, "ls {:?}", ls);
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use bcc_metric::{DistanceMatrix, NodeId};
 use crate::classes::BandwidthClasses;
 use crate::error::ClusterError;
 use crate::find_cluster::{self, Budgeted, WorkMeter};
-use crate::index::{max_cluster_size_indexed, ClusterIndex};
+use crate::index::{max_cluster_sizes_indexed, ClusterIndex};
 
 /// Configuration shared by every node of a clustering overlay.
 #[derive(Debug, Clone, PartialEq)]
@@ -216,22 +216,22 @@ impl ClusterNode {
     ///
     /// This is the all-class exact-maximum access pattern, so it is where
     /// a [`ClusterIndex`] pays for itself: one `O(m² log m)` build over the
-    /// space, then one pruned [`max_cluster_size_indexed`] scan per class.
-    /// Every value equals the [`find_cluster::max_cluster_size`] sweep's.
+    /// space, then one pass of the all-class kernel, which visits the
+    /// classes in ascending `l` and opens each pair of the space at most
+    /// once across all of them. Every value equals the
+    /// [`find_cluster::max_cluster_size`] sweep's.
     pub fn recompute_own_max(
         &mut self,
         classes: &BandwidthClasses,
         dist: impl FnMut(NodeId, NodeId) -> f64,
     ) {
+        let _span = bcc_obs::span!("core.recompute_own_max");
         let (_, local) = self
             .local_space(1, dist, |_| true)
             .expect("the space holds the node itself");
+        bcc_obs::observe!("core.own_max.space_len", local.len() as u64);
         let index = ClusterIndex::from_metric(&local);
-        self.own_max = classes
-            .distances()
-            .iter()
-            .map(|&l| max_cluster_size_indexed(&local, &index, l))
-            .collect();
+        self.own_max = max_cluster_sizes_indexed(&local, &index, classes.distances());
     }
 
     /// `aggrCRT[x][l]` — the maximum cluster size this node can build

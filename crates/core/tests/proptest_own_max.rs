@@ -1,5 +1,5 @@
 //! Property test pinning [`ClusterNode::recompute_own_max`] — one index
-//! build per space, one pruned scan per class — to its oracle: the
+//! build per space, one all-class pass over it — to its oracle: the
 //! un-pruned [`max_cluster_size`] sweep run once per class over the same
 //! local metric.
 

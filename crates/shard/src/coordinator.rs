@@ -33,6 +33,7 @@
 //! threads ∈ {1,2,8} against the unsharded instance.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use bcc_core::{find_cluster_among, ClusterError, ClusterIndex, QueryRequest};
 use bcc_embed::{EmbedError, PredictionFramework};
@@ -140,8 +141,10 @@ enum Gather {
 /// incrementally.
 #[derive(Debug)]
 pub struct Coordinator {
-    bandwidth: BandwidthMatrix,
-    real: DistanceMatrix,
+    /// The one universe of the deployment: every shard's system holds
+    /// these same two allocations.
+    bandwidth: Arc<BandwidthMatrix>,
+    real: Arc<DistanceMatrix>,
     config: SystemConfig,
     /// The *global* prediction framework: fed the same op sequence as an
     /// unsharded [`DynamicSystem`], so labels, epochs and orphan sets are
@@ -178,11 +181,16 @@ impl Coordinator {
                 universe: bandwidth.len(),
             });
         }
-        let real = config.transform.distance_matrix(&bandwidth);
+        let real = Arc::new(config.transform.distance_matrix(&bandwidth));
+        let bandwidth = Arc::new(bandwidth);
         let framework = PredictionFramework::new(config.framework);
         let shards = (0..plan.shard_count())
             .map(|id| {
-                let system = DynamicSystem::try_new(bandwidth.clone(), config.clone())?;
+                let system = DynamicSystem::try_with_universe(
+                    Arc::clone(&bandwidth),
+                    Arc::clone(&real),
+                    config.clone(),
+                )?;
                 let service = ClusterService::new(system, service_config.clone())?;
                 Ok(ShardInstance {
                     id,
@@ -250,9 +258,12 @@ impl Coordinator {
         let owner = self.plan.owner(host);
         self.shards[owner].service.join(host)?;
         let fw = &self.framework;
-        self.shards[owner]
-            .region
-            .apply_churn(&[], &[host.index() as u32], |a, b| fw_label_dist(fw, a, b))?;
+        let region = &mut self.shards[owner].region;
+        region.apply_churn(&[], &[host.index() as u32], |a, b| fw_label_dist(fw, a, b))?;
+        // `ShardInstance::stamp` reads the region digest on every uncached
+        // query: hash the new rows here, inside the churn op, so that no
+        // query pays for it.
+        let _ = region.digest();
         Ok(())
     }
 
@@ -311,6 +322,8 @@ impl Coordinator {
             }
             sh.region
                 .apply_churn(removed, &per_shard[s], |a, b| fw_label_dist(fw, a, b))?;
+            // As in `join`: the op, not the next query, hashes the rows.
+            let _ = sh.region.digest();
         }
         Ok(())
     }
@@ -720,5 +733,42 @@ impl Coordinator {
         reg.gauge("coord.cache_hits").set(self.stats.cache_hits);
         reg.gauge("coord.degraded").set(self.stats.degraded);
         reg.gauge("coord.pruned").set(self.stats.pruned);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bcc_core::BandwidthClasses;
+    use bcc_metric::RationalTransform;
+
+    /// One universe per deployment: the coordinator's two matrices are the
+    /// only ones, and each shard system holds a handle to them instead of a
+    /// copy. A handle count of `1 + S` on both is exactly that — nothing
+    /// but the `S` shard systems could hold the other `S`.
+    #[test]
+    fn shards_share_the_coordinators_universe() {
+        let caps = [100.0f64, 100.0, 80.0, 80.0, 30.0, 30.0, 10.0, 10.0];
+        let classes = BandwidthClasses::new(vec![25.0, 75.0], RationalTransform::default());
+        let hosts: Vec<NodeId> = (0..caps.len()).map(NodeId::new).collect();
+        for shard_count in [1usize, 2, 4] {
+            let coord = Coordinator::bootstrap(
+                BandwidthMatrix::from_fn(caps.len(), |i, j| caps[i].min(caps[j])),
+                SystemConfig::new(classes.clone()),
+                ShardPlan::contiguous(caps.len(), shard_count),
+                ServiceConfig::default(),
+                &hosts,
+            )
+            .unwrap();
+            assert_eq!(Arc::strong_count(&coord.bandwidth), 1 + shard_count);
+            assert_eq!(Arc::strong_count(&coord.real), 1 + shard_count);
+
+            // A cloned shard system takes two more handles, not two copies.
+            let copy = coord.shards[0].service.system().clone();
+            assert_eq!(Arc::strong_count(&coord.bandwidth), 2 + shard_count);
+            assert_eq!(Arc::strong_count(&coord.real), 2 + shard_count);
+            drop(copy);
+            assert_eq!(Arc::strong_count(&coord.real), 1 + shard_count);
+        }
     }
 }

@@ -24,7 +24,7 @@
 //! ordinary join path).
 
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use bcc_core::{
     Budgeted, ClusterError, ClusterIndex, IndexError, QueryOutcome, RetryPolicy, WorkMeter,
@@ -225,8 +225,12 @@ impl FiniteMetric for ActiveLabelMetric<'_> {
 /// front (the measurement "universe"); hosts then join and leave freely.
 #[derive(Debug, Clone)]
 pub struct DynamicSystem {
-    bandwidth: BandwidthMatrix,
-    real_distance: DistanceMatrix,
+    /// The measurement universe and its distance image. Shared, never
+    /// written: a clone, and every shard of a sharded deployment
+    /// ([`DynamicSystem::try_with_universe`]), points at the same two
+    /// allocations.
+    bandwidth: Arc<BandwidthMatrix>,
+    real_distance: Arc<DistanceMatrix>,
     config: SystemConfig,
     framework: PredictionFramework,
     network: Option<SimNetwork>,
@@ -247,8 +251,12 @@ pub struct DynamicSystem {
     overlay_stats: OverlayStats,
     /// [`DynamicSystem::live_digest`] of the current overlay state, filled
     /// by the first read and cleared by every `&mut` path that can reach
-    /// `network`. Kept the last field: where it sits moves `peak_rss_mb`
-    /// (ROADMAP item 1, RSS hazard).
+    /// `network`. Its placement used to move `sharded_region`'s
+    /// `peak_rss_mb` by 10 MiB (fifteen universe-sized matrices around
+    /// glibc's mmap threshold); with the universe shared, a 16-byte probe
+    /// field in the middle of this struct reads 33.0–33.2 MiB at seeds
+    /// 1–10 against 46.4–46.7 without it, where the parent read 82.5–82.7
+    /// (72.5 in its other allocator mode). Placement no longer matters.
     digest_memo: OnceLock<Option<u64>>,
 }
 
@@ -271,8 +279,32 @@ impl DynamicSystem {
     /// [`ConfigError`] when a field is invalid (see
     /// [`SystemConfig::validate`]).
     pub fn try_new(bandwidth: BandwidthMatrix, config: SystemConfig) -> Result<Self, ConfigError> {
-        config.validate()?;
         let real_distance = config.transform.distance_matrix(&bandwidth);
+        Self::try_with_universe(Arc::new(bandwidth), Arc::new(real_distance), config)
+    }
+
+    /// [`DynamicSystem::try_new`] over a universe the caller already
+    /// holds: `real_distance` must be `config.transform`'s image of
+    /// `bandwidth`. Several systems over one deployment (the shards of a
+    /// coordinator) share the two matrices instead of each copying the
+    /// bandwidths and recomputing the distances.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::UniverseMismatch`] when the two matrices differ in
+    /// size, plus the errors of [`DynamicSystem::try_new`].
+    pub fn try_with_universe(
+        bandwidth: Arc<BandwidthMatrix>,
+        real_distance: Arc<DistanceMatrix>,
+        config: SystemConfig,
+    ) -> Result<Self, ConfigError> {
+        config.validate()?;
+        if real_distance.len() != bandwidth.len() {
+            return Err(ConfigError::UniverseMismatch {
+                bandwidth: bandwidth.len(),
+                distance: real_distance.len(),
+            });
+        }
         let framework = PredictionFramework::new(config.framework);
         let index = ClusterIndex::empty(bandwidth.len());
         Ok(DynamicSystem {
@@ -380,7 +412,7 @@ impl DynamicSystem {
         if !active.is_disjoint(&crashed) {
             return Err("a host is both active and crashed".into());
         }
-        let real_distance = config.transform.distance_matrix(&bandwidth);
+        let real_distance = Arc::new(config.transform.distance_matrix(&bandwidth));
         let network = if active.is_empty() {
             if !gossip.is_empty() {
                 return Err("gossip state present for an empty membership".into());
@@ -393,7 +425,7 @@ impl DynamicSystem {
             Some(net)
         };
         Ok(DynamicSystem {
-            bandwidth,
+            bandwidth: Arc::new(bandwidth),
             real_distance,
             config,
             framework,
@@ -939,9 +971,12 @@ impl DynamicSystem {
         let anchor = fw.anchor();
         let net = self.network.as_mut().expect("overlay exists");
 
-        let entries = net.update_predicted_rows(touched, &active, |a, b| {
-            fw_label_dist(fw, a.index() as u32, b.index() as u32)
-        });
+        let entries = {
+            let _span = bcc_obs::span!("simnet.repair.rows");
+            net.update_predicted_rows(touched, &active, |a, b| {
+                fw_label_dist(fw, a.index() as u32, b.index() as u32)
+            })
+        };
 
         let mut delta = OverlayDelta {
             reset: touched.to_vec(),
@@ -973,7 +1008,10 @@ impl DynamicSystem {
         }
 
         let messages_before = net.traffic().messages;
-        let seeds = net.apply_churn_delta(&delta, &active);
+        let seeds = {
+            let _span = bcc_obs::span!("simnet.repair.delta");
+            net.apply_churn_delta(&delta, &active)
+        };
         let rounds = net
             .reconverge_focused(&seeds, self.config.max_rounds)
             .ok_or(ChurnError::Convergence {
@@ -1042,6 +1080,38 @@ mod tests {
     fn dynamic() -> DynamicSystem {
         let cls = BandwidthClasses::new(vec![40.0, 80.0], RationalTransform::default());
         DynamicSystem::new(universe(), SystemConfig::new(cls))
+    }
+
+    #[test]
+    fn clones_and_shared_constructions_hold_one_universe() {
+        let s = dynamic();
+        let copy = s.clone();
+        assert!(Arc::ptr_eq(&s.bandwidth, &copy.bandwidth));
+        assert!(Arc::ptr_eq(&s.real_distance, &copy.real_distance));
+
+        let sibling = DynamicSystem::try_with_universe(
+            Arc::clone(&s.bandwidth),
+            Arc::clone(&s.real_distance),
+            s.config.clone(),
+        )
+        .unwrap();
+        assert!(Arc::ptr_eq(&s.bandwidth, &sibling.bandwidth));
+        assert!(Arc::ptr_eq(&s.real_distance, &sibling.real_distance));
+
+        // A distance matrix over a different host count is not this
+        // universe's image.
+        assert_eq!(
+            DynamicSystem::try_with_universe(
+                Arc::clone(&s.bandwidth),
+                Arc::new(DistanceMatrix::new(5)),
+                s.config.clone(),
+            )
+            .unwrap_err(),
+            ConfigError::UniverseMismatch {
+                bandwidth: 6,
+                distance: 5
+            }
+        );
     }
 
     #[test]

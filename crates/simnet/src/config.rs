@@ -48,6 +48,14 @@ pub enum ConfigError {
         /// The round cap that was exhausted.
         max_rounds: usize,
     },
+    /// A shared universe's bandwidth and real-distance matrices must cover
+    /// the same hosts.
+    UniverseMismatch {
+        /// Hosts in the bandwidth matrix.
+        bandwidth: usize,
+        /// Hosts in the distance matrix.
+        distance: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -80,6 +88,15 @@ impl fmt::Display for ConfigError {
                 write!(
                     f,
                     "gossip did not reach a fixpoint within {max_rounds} rounds"
+                )
+            }
+            ConfigError::UniverseMismatch {
+                bandwidth,
+                distance,
+            } => {
+                write!(
+                    f,
+                    "universe has {bandwidth} hosts by bandwidth but {distance} by distance"
                 )
             }
         }
@@ -119,6 +136,12 @@ mod tests {
         assert!(ConfigError::ConvergenceTimeout { max_rounds: 512 }
             .to_string()
             .contains("512"));
+        assert!(ConfigError::UniverseMismatch {
+            bandwidth: 6,
+            distance: 5
+        }
+        .to_string()
+        .contains("6 hosts by bandwidth but 5"));
     }
 
     #[test]

@@ -691,63 +691,89 @@ impl SimNetwork {
         seeds.into_iter().map(NodeId::new).collect()
     }
 
-    /// Runs focused gossip rounds over the disturbed region until no
-    /// seeded or newly-disturbed host changes state, up to `max_rounds`.
-    /// Returns the number of rounds executed, or `None` at the cap.
+    /// Runs focused gossip rounds over the disturbed region until no host
+    /// has anything left to say, up to `max_rounds`. Returns the number of
+    /// rounds executed, or `None` at the cap.
     ///
-    /// Each round mirrors [`SimNetwork::run_round`]'s two phases but only
-    /// *dirty* hosts send; a receiver joins the next round's dirty set
-    /// exactly when a delivered record, its local maxima, or a stored CRT
-    /// entry actually changed. Fault-free by construction —
+    /// Each round mirrors [`SimNetwork::run_round`]'s phases, but a host
+    /// only speaks about what changed for it, and only to a neighbor that
+    /// does not already hold what it would say. Two dirty sets, both
+    /// seeded with `seeds`, carry that:
+    ///
+    /// - `info_dirty`: hosts whose `aggrNode` inputs changed (a stored
+    ///   close-node record, the neighbor list, a distance row). They
+    ///   rebuild their `NodeInfo` reports and have their clustering space
+    ///   re-hashed; a receiver whose stored record changed joins the next
+    ///   round's `info_dirty`.
+    /// - `crt_dirty`: hosts whose CRT inputs changed (a stored `aggrCRT`
+    ///   row, the neighbor list). They, and every host whose local maxima
+    ///   moved this round, rebuild their `CrtRow`s; a receiver whose stored
+    ///   row changed joins the next round's `crt_dirty`.
+    ///
+    /// A send is skipped when the payload equals the receiver's stored
+    /// record, which *is* the last message that edge delivered (an absent
+    /// CRT row reads as zeros, as in [`SimNetwork::export_gossip`]). A host
+    /// therefore falls silent only when nothing it would send differs from
+    /// what its neighbors hold, which is the fixpoint condition itself:
+    /// the unique fixpoint a cold restart of the same membership computes
+    /// is reached bit for bit, with messages proportional to the records
+    /// that actually moved. Fault-free by construction —
     /// [`SimNetwork::apply_churn_delta`] cleared the injector — so every
-    /// message delivers immediately and the fixpoint reached is the unique
-    /// one a cold restart of the same membership computes.
+    /// message sent delivers immediately.
     pub fn reconverge_focused(&mut self, seeds: &[NodeId], max_rounds: usize) -> Option<usize> {
         let _span = bcc_obs::span!("simnet.reconverge_focused");
         let start = self.rounds_run;
-        let mut dirty: BTreeSet<usize> = seeds.iter().map(|s| s.index()).collect();
-        while !dirty.is_empty() {
+        let mut info_dirty: BTreeSet<usize> = seeds.iter().map(|s| s.index()).collect();
+        let mut crt_dirty = info_dirty.clone();
+        while !(info_dirty.is_empty() && crt_dirty.is_empty()) {
             if self.rounds_run - start >= max_rounds {
                 return None;
             }
-            dirty = self.run_focused_round(&dirty);
+            (info_dirty, crt_dirty) = self.run_focused_round(&info_dirty, &crt_dirty);
         }
         let rounds = self.rounds_run - start;
         bcc_obs::observe!("simnet.focused_rounds", rounds as u64);
         Some(rounds)
     }
 
-    /// One focused round: dirty hosts send, receivers that changed come
-    /// back as the next dirty set.
-    fn run_focused_round(&mut self, dirty: &BTreeSet<usize>) -> BTreeSet<usize> {
+    /// One focused round: returns the next round's `(info_dirty,
+    /// crt_dirty)`.
+    fn run_focused_round(
+        &mut self,
+        info_dirty: &BTreeSet<usize>,
+        crt_dirty: &BTreeSet<usize>,
+    ) -> (BTreeSet<usize>, BTreeSet<usize>) {
         let n_cut = self.config.n_cut;
-        let mut next: BTreeSet<usize> = BTreeSet::new();
+        let mut suppressed = 0u64;
 
-        // Phase 1: NodeInfo from every dirty sender, produced from the
-        // pre-round state (synchronous rounds, like `run_round`).
+        // Phase 1: NodeInfo from every info-dirty sender, produced from
+        // the pre-round state (synchronous rounds, like `run_round`).
         let mut deliveries: Vec<(usize, NodeId, Message)> = Vec::new();
-        for &m in dirty {
+        for &m in info_dirty {
             let sender = &self.nodes[m];
             for &x in sender.neighbors() {
                 let info = sender
                     .node_info_for(x, n_cut, |a, b| self.predicted.get(a.index(), b.index()))
                     .expect("overlay neighbors are mutual");
-                deliveries.push((x.index(), sender.id(), Message::NodeInfo { nodes: info }));
+                if self.nodes[x.index()].aggr_node_for(sender.id()) == Some(info.as_slice()) {
+                    suppressed += 1;
+                } else {
+                    deliveries.push((x.index(), sender.id(), Message::NodeInfo { nodes: info }));
+                }
             }
         }
+        bcc_obs::add!("simnet.focused.node_info_sent", deliveries.len() as u64);
+        let mut next_info: BTreeSet<usize> = BTreeSet::new();
         for (to, from, msg) in deliveries {
-            let before = self.nodes[to].aggr_node_for(from).map(<[NodeId]>::to_vec);
             self.send(to, from, msg);
-            if self.nodes[to].aggr_node_for(from).map(<[NodeId]>::to_vec) != before {
-                next.insert(to);
-            }
+            next_info.insert(to);
         }
 
         // Phase 2: recompute local maxima where the clustering space
-        // changed — dirty senders and every receiver phase 1 just updated.
-        let mut check: BTreeSet<usize> = dirty.clone();
-        check.extend(next.iter().copied());
-        for &i in &check {
+        // changed — info-dirty senders and every receiver phase 1 just
+        // updated. A host whose maxima moved speaks in phase 3.
+        let mut crt_senders = crt_dirty.clone();
+        for &i in info_dirty.union(&next_info) {
             let space = self.nodes[i].clustering_space();
             let mut h = DefaultHasher::new();
             space.hash(&mut h);
@@ -760,19 +786,22 @@ impl SimNetwork {
                     predicted.get(a.index(), b.index())
                 });
                 if self.nodes[i].own_max() != before.as_slice() {
-                    next.insert(i);
+                    crt_senders.insert(i);
                 }
             }
         }
 
-        // Phase 3: CrtRow from every host whose CRT inputs may have moved
-        // this round (the check set covers both last round's receivers and
-        // this round's own-max changes).
+        // Phase 3: CrtRow from every host whose CRT inputs moved.
         let mut deliveries: Vec<(usize, NodeId, Message)> = Vec::new();
-        for &m in &check {
+        for &m in &crt_senders {
             let sender = &self.nodes[m];
             for &x in sender.neighbors() {
                 let row = sender.crt_for(x).expect("overlay neighbors are mutual");
+                let receiver = &self.nodes[x.index()];
+                if (0..row.len()).all(|c| receiver.crt_entry(sender.id(), c) == row[c]) {
+                    suppressed += 1;
+                    continue;
+                }
                 let sizes = row
                     .iter()
                     .map(|&s| u32::try_from(s).expect("cluster size fits u32"))
@@ -780,20 +809,16 @@ impl SimNetwork {
                 deliveries.push((x.index(), sender.id(), Message::CrtRow { sizes }));
             }
         }
-        let classes = self.config.classes.len();
+        bcc_obs::add!("simnet.focused.crt_sent", deliveries.len() as u64);
+        bcc_obs::add!("simnet.focused.suppressed", suppressed);
+        let mut next_crt: BTreeSet<usize> = BTreeSet::new();
         for (to, from, msg) in deliveries {
-            let before: Vec<usize> = (0..classes)
-                .map(|c| self.nodes[to].crt_entry(from, c))
-                .collect();
             self.send(to, from, msg);
-            let changed = (0..classes).any(|c| self.nodes[to].crt_entry(from, c) != before[c]);
-            if changed {
-                next.insert(to);
-            }
+            next_crt.insert(to);
         }
 
         self.rounds_run += 1;
-        next
+        (next_info, next_crt)
     }
 
     /// Exports every node's aggregated gossip state as plain data, in node
@@ -1121,6 +1146,20 @@ mod tests {
         assert_eq!(net.digest(), reference.digest(), "same fixpoint as cold");
         // Focused repair talks less than the full re-convergence did.
         assert!(net.traffic().messages - before_messages < reference.traffic().messages);
+    }
+
+    #[test]
+    fn focused_round_on_a_converged_overlay_sends_nothing() {
+        let mut net = build(8, 3, vec![25.0, 50.0]);
+        net.run_to_convergence(100).unwrap();
+        let digest = net.digest();
+        let messages = net.traffic().messages;
+        // Every host is told to speak, and every host finds that each
+        // neighbor already holds exactly what it would say.
+        let everyone: Vec<NodeId> = (0..8).map(n).collect();
+        assert_eq!(net.reconverge_focused(&everyone, 100), Some(1));
+        assert_eq!(net.traffic().messages, messages, "every send suppressed");
+        assert_eq!(net.digest(), digest);
     }
 
     #[test]

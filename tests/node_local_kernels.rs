@@ -1,8 +1,9 @@
 //! The node-local kernels through the whole dynamic stack: after every
 //! membership op the incrementally repaired gossip state (whose
 //! `aggrCRT[x]` rows come from the indexed all-class maxima) must equal a
-//! cold restart's fixpoint, and every routed answer (one swept probe per
-//! node visit) must be a real cluster of live hosts.
+//! cold restart's fixpoint, the index digest read on demand must equal a
+//! cold rebuild's, and every routed answer (one swept probe per node
+//! visit) must be a real cluster of live hosts.
 
 use bandwidth_clusters::prelude::*;
 use bandwidth_clusters::simnet::fw_label_dist;
@@ -15,15 +16,63 @@ enum Op {
     Recover(usize),
 }
 
-#[test]
-fn gossip_fixpoint_and_served_answers_hold_under_churn() {
+fn apply(
+    system: &mut DynamicSystem,
+    op: &Op,
+) -> Result<(), bandwidth_clusters::simnet::ChurnError> {
+    match *op {
+        Op::Join(h) => system.join(NodeId::new(h)),
+        Op::Leave(h) => system.leave(NodeId::new(h)),
+        Op::Crash(h) => system.crash(NodeId::new(h)),
+        Op::Recover(h) => system.recover(NodeId::new(h)),
+    }
+}
+
+fn small_system(classes: &BandwidthClasses) -> DynamicSystem {
     let mut cfg = SynthConfig::small(2011);
     cfg.nodes = 64;
-    let bw = generate(&cfg);
-    let classes = BandwidthClasses::linspace(10.0, 80.0, 4, RationalTransform::default());
     let joined: Vec<NodeId> = (0..48).map(NodeId::new).collect();
-    let mut system =
-        DynamicSystem::bootstrap(bw, SystemConfig::new(classes.clone()), &joined).unwrap();
+    DynamicSystem::bootstrap(generate(&cfg), SystemConfig::new(classes.clone()), &joined).unwrap()
+}
+
+/// A clone carries the digest memo with it; churning either side must
+/// clear that side's memo and leave the other side's alone.
+#[test]
+fn index_digest_of_a_clone_and_its_original_follow_their_own_rows() {
+    let classes = BandwidthClasses::linspace(10.0, 80.0, 4, RationalTransform::default());
+    let mut original = small_system(&classes);
+    let before = original.cluster_index().digest();
+    let mut copy = original.clone();
+    assert_eq!(copy.cluster_index().digest(), before);
+
+    apply(&mut copy, &Op::Leave(5)).unwrap();
+    assert_eq!(
+        copy.cluster_index().digest(),
+        copy.rebuild_index_cold().digest()
+    );
+    assert_ne!(copy.cluster_index().digest(), before);
+    assert_eq!(original.cluster_index().digest(), before);
+    assert_eq!(before, original.rebuild_index_cold().digest());
+
+    apply(&mut original, &Op::Join(60)).unwrap();
+    assert_eq!(
+        original.cluster_index().digest(),
+        original.rebuild_index_cold().digest()
+    );
+    assert_eq!(
+        copy.cluster_index().digest(),
+        copy.rebuild_index_cold().digest()
+    );
+    assert_ne!(
+        original.cluster_index().digest(),
+        copy.cluster_index().digest()
+    );
+}
+
+#[test]
+fn gossip_fixpoint_and_served_answers_hold_under_churn() {
+    let classes = BandwidthClasses::linspace(10.0, 80.0, 4, RationalTransform::default());
+    let mut system = small_system(&classes);
     let retry = RetryPolicy::default();
 
     use Op::*;
@@ -43,18 +92,41 @@ fn gossip_fixpoint_and_served_answers_hold_under_churn() {
     ];
     let mut found = 0usize;
     for (step, op) in schedule.iter().enumerate() {
-        match *op {
-            Join(h) => system.join(NodeId::new(h)),
-            Leave(h) => system.leave(NodeId::new(h)),
-            Crash(h) => system.crash(NodeId::new(h)),
-            Recover(h) => system.recover(NodeId::new(h)),
-        }
-        .unwrap_or_else(|e| panic!("step {step}: {e}"));
+        // Read before the op, so the digest memo is full when the op runs:
+        // a memo that outlived the rows would show below.
+        assert_eq!(
+            system.cluster_index().digest(),
+            system.rebuild_index_cold().digest(),
+            "step {step}: index digest before the op"
+        );
+        apply(&mut system, op).unwrap_or_else(|e| panic!("step {step}: {e}"));
 
         assert_eq!(
             system.live_digest(),
             system.cold_restart_digest().unwrap(),
             "step {step}: repaired overlay left the cold-restart fixpoint"
+        );
+        assert_eq!(
+            system.cluster_index().digest(),
+            system.rebuild_index_cold().digest(),
+            "step {step}: index digest after the op"
+        );
+        // Message counts are baselines, not contracts. The structure is:
+        // a round carries at most one report and one CRT row per directed
+        // overlay edge.
+        let directed_edges: usize = system
+            .network()
+            .unwrap()
+            .nodes()
+            .iter()
+            .map(|node| node.neighbors().len())
+            .sum();
+        let stats = system.overlay_stats();
+        assert!(
+            stats.last_messages <= 2 * directed_edges as u64 * stats.last_rounds,
+            "step {step}: {} messages over {directed_edges} directed edges in {} rounds",
+            stats.last_messages,
+            stats.last_rounds
         );
 
         let live: Vec<NodeId> = system.active().collect();
