@@ -121,11 +121,25 @@ fn main() {
     // workload on the converged system must not build a cluster index.
     let index_builds = || bcc_obs::registry().counter("core.index.builds").get();
     let builds_before = index_builds();
+    // Logical gate: a node visit reads the rows its sweep opens, so the
+    // workload evaluates at most half the pairs of the spaces it opened
+    // (`pairs` is what materialising each space would have cost).
+    let rows = |what: &str| {
+        bcc_obs::registry()
+            .counter(&format!("core.rows.{what}"))
+            .get()
+    };
+    let (evals_before, pairs_before) = (rows("evals"), rows("pairs"));
     let (uncached_ms, uncached_responses) = run(&mut baseline, &queries);
     assert_eq!(
         index_builds(),
         builds_before,
         "an executed query built a ClusterIndex"
+    );
+    let (evals, pairs) = (rows("evals") - evals_before, rows("pairs") - pairs_before);
+    assert!(
+        2 * evals <= pairs && (pairs > 0 || !bcc_obs::enabled()),
+        "node visits evaluated {evals} of the {pairs} pairs of the spaces they opened"
     );
     let mut cached = build(universe, joined, ServiceConfig::default());
     // Logical gate: no churn during the run, so every batch stamps its

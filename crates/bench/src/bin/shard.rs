@@ -27,8 +27,10 @@
 //!   subtrees at every shard count) serves an identical churn + query
 //!   stream at S ∈ {1, 2, 4}. Costs are *logical* (label-distance
 //!   evaluations), so the study is exactly reproducible: coordinator
-//!   overhead on shard-local queries (the prune certificates paid on top
-//!   of the unsharded kernel work) must stay ≤ 10 %, and churn must stay
+//!   overhead on a shard-local query is the prune certificates it pays on
+//!   top of the unsharded kernel work, at most `S − 1` evaluations (one
+//!   per other shard); the merge kernel evaluates what it reads, at most
+//!   half the pairs of its candidate sets; and churn must stay
 //!   region-local (a churn op touches the owning shard's region and only
 //!   rarely any other).
 //!
@@ -111,6 +113,9 @@ struct Scaling {
     shards: usize,
     /// Per-query (consulted, work_units) of the uncached measurement pass.
     costs: Vec<(usize, u64)>,
+    /// `Σ m(m − 1)/2` over the measurement pass's candidate sets: what a
+    /// kernel that materialised each sub-metric would evaluate.
+    candidate_pairs: u64,
     /// Digest over the ordered answer stream — must match across shard
     /// counts.
     answers_digest: u64,
@@ -165,6 +170,7 @@ fn scaling_run(universe: usize, shards: usize, churn_steps: usize, queries: usiz
     let mut out = Scaling {
         shards,
         costs: Vec::with_capacity(queries),
+        candidate_pairs: 0,
         answers_digest: FNV_OFFSET,
         cache_hits: 0,
         pruned: 0,
@@ -212,6 +218,8 @@ fn scaling_run(universe: usize, shards: usize, churn_steps: usize, queries: usiz
             .cluster_near_uncached(start, k, b)
             .expect("live start");
         out.costs.push((resp.consulted, resp.work_units));
+        let m = resp.candidates as u64;
+        out.candidate_pairs += m * m.saturating_sub(1) / 2;
         let line = format!(
             "{}|{}|{}|{:?}\n",
             start.index(),
@@ -238,7 +246,9 @@ fn scaling_run(universe: usize, shards: usize, churn_steps: usize, queries: usiz
 /// Coordinator overhead on shard-local queries: for queries the sharded
 /// run answered from a single shard (`consulted == 1`), compare its total
 /// work against the unsharded (S = 1) work on the very same queries. The
-/// difference is pure coordination: the boundary prune certificates.
+/// difference is pure coordination: the boundary prune certificates, one
+/// evaluation per other shard. The percentage is reported, not gated: its
+/// base is the kernel's cost, which moves whenever the kernel does.
 fn local_overhead_percent(sharded: &Scaling, unsharded: &Scaling) -> (u64, u64, u64, f64) {
     let mut local = 0u64;
     let mut local_work = 0u64;
@@ -341,6 +351,22 @@ fn run() -> Result<ExitCode, String> {
     for r in &runs {
         let (local, local_work, base_work, overhead) = local_overhead_percent(r, &runs[0]);
         let total_work: u64 = r.costs.iter().map(|&(_, w)| w).sum();
+        let certificates = (r.shards as u64 - 1) * local;
+        let paid = local_work.saturating_sub(base_work);
+        if paid > certificates {
+            return Err(format!(
+                "S={}: {local} shard-local queries paid {paid} evaluations over the unsharded \
+                 kernel (bound: S − 1 prune certificates a query = {certificates})",
+                r.shards,
+            ));
+        }
+        if r.shards == 1 && 2 * total_work > r.candidate_pairs {
+            return Err(format!(
+                "the merge kernel evaluated {total_work} of the {} pairs of its candidate \
+                 sets (bound: half)",
+                r.candidate_pairs
+            ));
+        }
         let locality = r.region_touches as f64 / r.churn_ops.max(1) as f64;
         println!(
             "S={}: work {total_work} evals over {} queries ({local} shard-local, \
@@ -423,11 +449,6 @@ fn run() -> Result<ExitCode, String> {
             "chaos sweep never exercised the full coordination surface: \
              degraded {}, cache_hits {}, pruned {}",
             s.degraded, s.cache_hits, s.pruned
-        ));
-    }
-    if worst_overhead > 10.0 {
-        return Err(format!(
-            "coordinator overhead on shard-local queries is {worst_overhead:.2}% (bound: 10%)"
         ));
     }
     println!(

@@ -8,10 +8,11 @@
 //! exactly `d(p, q)`. The search is therefore `O(n³)` instead of the
 //! NP-complete general-graph `k`-Clique.
 
-use bcc_metric::{DistanceMatrix, FiniteMetric};
+use bcc_metric::FiniteMetric;
 use serde::{Deserialize, Serialize};
 
 use crate::error::ClusterError;
+use crate::rows::LazyRows;
 
 /// A clustering query in the distance domain: find `k` nodes with pairwise
 /// distance at most `l`.
@@ -82,9 +83,9 @@ pub fn find_cluster<M: FiniteMetric>(metric: &M, k: usize, l: f64) -> Option<Vec
     find_cluster_ordered(metric, k, l, PairOrder::RowMajor)
 }
 
-/// Algorithm 1 over an explicit candidate set of universe ids: builds the
-/// sub-metric spanned by `ids` (in the given order) and runs
-/// [`find_cluster`] on it, mapping the answer back to ids.
+/// Algorithm 1 over an explicit candidate set of universe ids: runs the
+/// row-major sweep of [`find_cluster`] on the sub-metric spanned by `ids`
+/// (in the given order) and maps the answer back to ids.
 ///
 /// This is the *shared merge kernel* of region-scoped serving: both the
 /// unsharded baseline and the sharded coordinator reduce a query to a
@@ -92,6 +93,14 @@ pub fn find_cluster<M: FiniteMetric>(metric: &M, k: usize, l: f64) -> Option<Vec
 /// in the same order (callers pass ids ascending), this kernel makes their
 /// answers bit-identical by construction — the scan order, tie-breaks and
 /// float comparisons are all decided here, once.
+///
+/// The sub-metric is never materialised: the sweep reads it through a
+/// lazily filled row store, so `dist` is called only for the rows the
+/// sweep opens — at most once per unordered pair, always as
+/// `dist(ids[i], ids[j])` with `i < j`, never on the diagonal, and not at
+/// all when `k == 0`, `k == 1` or `k > ids.len()`. A caller that counts
+/// its `dist` calls (the coordinator's `work_units`) counts evaluations
+/// made, not pairs of the candidate set.
 pub fn find_cluster_among(
     ids: &[u32],
     k: usize,
@@ -102,8 +111,10 @@ pub fn find_cluster_among(
         ids.windows(2).all(|w| w[0] < w[1]),
         "candidate ids must be strictly ascending for canonical answers"
     );
-    let local = DistanceMatrix::from_fn(ids.len(), |i, j| dist(ids[i], ids[j]));
-    find_cluster(&local, k, l).map(|idxs| idxs.into_iter().map(|i| ids[i]).collect())
+    let mut rows = LazyRows::new(ids.len(), |i, j| dist(ids[i], ids[j]));
+    sweep_rows(&mut rows, k, l, &mut WorkMeter::unlimited())
+        .into_value()
+        .map(|idxs| idxs.into_iter().map(|i| ids[i]).collect())
 }
 
 /// Algorithm 1 with an explicit pair scan order. See [`find_cluster`].
@@ -270,18 +281,36 @@ impl<T> Budgeted<T> {
 /// completion.
 ///
 /// With an unexhausted meter the result is bit-identical to
-/// [`find_cluster`] — the scan order, the pair filter and the membership
-/// test are the same code path; only the block-boundary budget check is
-/// added.
+/// [`find_cluster`] — the same scan order, pair filter and membership
+/// test; only the block-boundary budget check is added. The sweep reads
+/// `metric` through a lazily filled row store: `distance(i, j)` is asked
+/// once per unordered pair of the rows the scan opens, as `i < j`, and the
+/// diagonal is taken as `0`. The meter charges pairs scanned, never rows
+/// filled.
 pub fn find_cluster_budgeted<M: FiniteMetric>(
     metric: &M,
     k: usize,
     l: f64,
     meter: &mut WorkMeter,
 ) -> Budgeted<Option<Vec<usize>>> {
+    let mut rows = LazyRows::new(metric.len(), |i, j| metric.distance(i, j));
+    sweep_rows(&mut rows, k, l, meter)
+}
+
+/// The one metered sweep: Algorithm 1 row-major over a [`LazyRows`] store,
+/// behind [`find_cluster_budgeted`], [`find_cluster_among`] and every
+/// node-local search. Row `p` is filled on entering it and row `q` before
+/// the membership test of an in-range pair, so a pair beyond `l` costs one
+/// read of row `p` and nothing else.
+pub(crate) fn sweep_rows<F: FnMut(usize, usize) -> f64>(
+    rows: &mut LazyRows<F>,
+    k: usize,
+    l: f64,
+    meter: &mut WorkMeter,
+) -> Budgeted<Option<Vec<usize>>> {
     let _span = bcc_obs::span!("core.find_cluster");
     bcc_obs::inc!("core.find_cluster.calls");
-    let n = metric.len();
+    let n = rows.len();
     if k > n || k == 0 {
         return Budgeted::Done(None);
     }
@@ -299,11 +328,17 @@ pub fn find_cluster_budgeted<M: FiniteMetric>(
     let mut scanned = 0u64;
     let mut block = 0usize;
     for p in 0..n {
+        rows.ensure(p);
         for q in (p + 1)..n {
             scanned += 1;
-            let dpq = metric.distance(p, q);
+            let dpq = rows.row(p)[q];
+            // In a tree metric diam(S*_pq) = d(p, q), so the diameter
+            // constraint reduces to d(p, q) <= l and pairs beyond l (or
+            // NaN) are skipped outright.
             if dpq <= l {
-                if check_pair(metric, p, q, dpq, k, &mut scratch) {
+                // Both rows before either borrow: filling may move them.
+                rows.ensure(q);
+                if members_into(rows.row(p), rows.row(q), dpq, k, &mut scratch) {
                     meter.charge(block as u64 + 1);
                     bcc_obs::add!("core.find_cluster.pairs_scanned", scanned);
                     return Budgeted::Done(Some(scratch));
@@ -334,15 +369,28 @@ pub fn find_cluster_budgeted<M: FiniteMetric>(
 /// checking the budget every [`BUDGET_BLOCK`] pairs; when it runs dry it
 /// returns the best size established so far (≥ 1 on non-empty spaces).
 ///
-/// With an unexhausted meter the result equals [`max_cluster_size`].
+/// With an unexhausted meter the result equals [`max_cluster_size`]. Reads
+/// `metric` the way [`find_cluster_budgeted`] does.
 pub fn max_cluster_size_budgeted<M: FiniteMetric>(
     metric: &M,
     l: f64,
     meter: &mut WorkMeter,
 ) -> Budgeted<usize> {
+    let mut rows = LazyRows::new(metric.len(), |i, j| metric.distance(i, j));
+    max_size_rows(&mut rows, l, meter)
+}
+
+/// The one metered maximum: `max |S*_pq|` over the pairs within `l`,
+/// row-major over a [`LazyRows`] store, filled the way [`sweep_rows`]
+/// fills it.
+pub(crate) fn max_size_rows<F: FnMut(usize, usize) -> f64>(
+    rows: &mut LazyRows<F>,
+    l: f64,
+    meter: &mut WorkMeter,
+) -> Budgeted<usize> {
     let _span = bcc_obs::span!("core.max_cluster_size");
     bcc_obs::inc!("core.max_cluster_size.calls");
-    let n = metric.len();
+    let n = rows.len();
     if n == 0 {
         return Budgeted::Done(0);
     }
@@ -355,10 +403,12 @@ pub fn max_cluster_size_budgeted<M: FiniteMetric>(
     let mut best = 1usize;
     let mut block = 0usize;
     for p in 0..n {
+        rows.ensure(p);
         for q in (p + 1)..n {
-            let dpq = metric.distance(p, q);
+            let dpq = rows.row(p)[q];
             if dpq <= l {
-                best = best.max(pair_count(metric, p, q, dpq));
+                rows.ensure(q);
+                best = best.max(members_count(rows.row(p), rows.row(q), dpq));
             }
             block += 1;
             if block == BUDGET_BLOCK {
@@ -374,6 +424,36 @@ pub fn max_cluster_size_budgeted<M: FiniteMetric>(
     }
     meter.charge(block as u64);
     Budgeted::Done(best)
+}
+
+/// [`check_pair`] over two filled rows: builds `S*_pq` into `scratch`
+/// (cleared first) and returns `true` once it reaches `k` members.
+fn members_into(
+    row_p: &[f64],
+    row_q: &[f64],
+    dpq: f64,
+    k: usize,
+    scratch: &mut Vec<usize>,
+) -> bool {
+    scratch.clear();
+    for (x, (&dxp, &dxq)) in row_p.iter().zip(row_q).enumerate() {
+        if dxp <= dpq && dxq <= dpq {
+            scratch.push(x);
+            if scratch.len() == k {
+                return true;
+            }
+        }
+    }
+    false
+}
+
+/// [`pair_count`] over two filled rows.
+fn members_count(row_p: &[f64], row_q: &[f64], dpq: f64) -> usize {
+    row_p
+        .iter()
+        .zip(row_q)
+        .filter(|&(&dxp, &dxq)| dxp <= dpq && dxq <= dpq)
+        .count()
 }
 
 /// Collects the row-major pair list `(p, q, d(p, q))` with `p < q`,
@@ -584,6 +664,128 @@ pub fn exists_cluster_brute_force<M: FiniteMetric>(metric: &M, k: usize, l: f64)
 mod tests {
     use super::*;
     use bcc_metric::DistanceMatrix;
+    use proptest::prelude::*;
+
+    /// The metered sweep as it ran over a materialised matrix before the
+    /// row store: the reference [`sweep_rows`] must replay charge for
+    /// charge.
+    fn dense_find_cluster_budgeted(
+        metric: &DistanceMatrix,
+        k: usize,
+        l: f64,
+        meter: &mut WorkMeter,
+    ) -> Budgeted<Option<Vec<usize>>> {
+        let n = metric.len();
+        if k > n || k == 0 {
+            return Budgeted::Done(None);
+        }
+        if k == 1 {
+            return Budgeted::Done(Some(vec![0]));
+        }
+        if meter.exhausted() {
+            return Budgeted::Exhausted {
+                pairs_done: meter.used(),
+                best_partial: None,
+            };
+        }
+        let mut scratch = Vec::with_capacity(k);
+        let mut best: Vec<usize> = Vec::new();
+        let mut block = 0usize;
+        for p in 0..n {
+            for q in (p + 1)..n {
+                let dpq = metric.distance(p, q);
+                if dpq <= l {
+                    if check_pair(metric, p, q, dpq, k, &mut scratch) {
+                        meter.charge(block as u64 + 1);
+                        return Budgeted::Done(Some(scratch));
+                    }
+                    if scratch.len() > best.len() && scratch.len() >= 2 {
+                        best = scratch.clone();
+                    }
+                }
+                block += 1;
+                if block == BUDGET_BLOCK {
+                    block = 0;
+                    if !meter.charge(BUDGET_BLOCK as u64) {
+                        return Budgeted::Exhausted {
+                            pairs_done: meter.used(),
+                            best_partial: (!best.is_empty()).then_some(best),
+                        };
+                    }
+                }
+            }
+        }
+        meter.charge(block as u64);
+        Budgeted::Done(None)
+    }
+
+    /// The metered maximum over a materialised matrix, the reference of
+    /// [`max_size_rows`].
+    fn dense_max_cluster_size_budgeted(
+        metric: &DistanceMatrix,
+        l: f64,
+        meter: &mut WorkMeter,
+    ) -> Budgeted<usize> {
+        let n = metric.len();
+        if n == 0 {
+            return Budgeted::Done(0);
+        }
+        if meter.exhausted() {
+            return Budgeted::Exhausted {
+                pairs_done: meter.used(),
+                best_partial: 1,
+            };
+        }
+        let mut best = 1usize;
+        let mut block = 0usize;
+        for p in 0..n {
+            for q in (p + 1)..n {
+                let dpq = metric.distance(p, q);
+                if dpq <= l {
+                    best = best.max(pair_count(metric, p, q, dpq));
+                }
+                block += 1;
+                if block == BUDGET_BLOCK {
+                    block = 0;
+                    if !meter.charge(BUDGET_BLOCK as u64) {
+                        return Budgeted::Exhausted {
+                            pairs_done: meter.used(),
+                            best_partial: best,
+                        };
+                    }
+                }
+            }
+        }
+        meter.charge(block as u64);
+        Budgeted::Done(best)
+    }
+
+    /// Constraint values that land on, between and beyond the integer
+    /// entries of [`arb_tied_space`].
+    const LS: [f64; 8] = [0.0, 1.0, 2.0, 3.0, 4.0, 7.0, 100.0, f64::INFINITY];
+
+    /// `0..=40` hosts with integer distances, nowhere near a tree metric (a
+    /// star with per-pair integer noise, or the noise alone), so ties are
+    /// the norm; about one pair in ten is `∞` and one in ten NaN.
+    fn arb_tied_space() -> impl Strategy<Value = DistanceMatrix> {
+        (0usize..=40)
+            .prop_flat_map(|m| {
+                (
+                    proptest::collection::vec(0u8..3, m),
+                    proptest::collection::vec(0u8..10, m * m.saturating_sub(1) / 2),
+                    any::<bool>(),
+                )
+            })
+            .prop_map(|(radii, noise, star)| {
+                let mut noise = noise.into_iter();
+                DistanceMatrix::from_fn(radii.len(), |i, j| match noise.next().unwrap() {
+                    8 => f64::INFINITY,
+                    9 => f64::NAN,
+                    e if star => f64::from(radii[i] + radii[j] + e),
+                    e => f64::from(e),
+                })
+            })
+    }
 
     fn star(radii: &[f64]) -> DistanceMatrix {
         DistanceMatrix::from_fn(radii.len(), |i, j| radii[i] + radii[j])
@@ -763,6 +965,49 @@ mod tests {
             let rb = find_cluster_budgeted(&d, 3, 5.0, &mut b);
             assert_eq!(ra, rb);
             assert_eq!(a.used(), b.used());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The meter charges pairs scanned, never rows filled: for any
+        /// budget and cost the row sweep cuts where the dense loop cut,
+        /// with the same charge and the same partial answer.
+        #[test]
+        fn row_sweep_replays_the_dense_loop_charge_for_charge(
+            d in arb_tied_space(),
+            k_pick in 0usize..6,
+            l_pick in 0..LS.len(),
+            budget in 0u64..1200,
+            cost in 1u64..40,
+            spent in any::<bool>(),
+        ) {
+            let m = d.len();
+            let k = [0, 1, 2, 3, m, m + 1][k_pick];
+            let l = LS[l_pick];
+            // Every fourth case or so starts from a meter already run dry.
+            let meter = || {
+                let mut meter = WorkMeter::with_cost(budget, cost);
+                if spent && budget % 4 == 0 {
+                    meter.charge(budget + 1);
+                }
+                meter
+            };
+            let (mut dense, mut rows) = (meter(), meter());
+            prop_assert_eq!(
+                find_cluster_budgeted(&d, k, l, &mut rows),
+                dense_find_cluster_budgeted(&d, k, l, &mut dense),
+                "find m={} k={} l={} budget={} cost={}", m, k, l, budget, cost
+            );
+            prop_assert_eq!(rows.used(), dense.used());
+            let (mut dense, mut rows) = (meter(), meter());
+            prop_assert_eq!(
+                max_cluster_size_budgeted(&d, l, &mut rows),
+                dense_max_cluster_size_budgeted(&d, l, &mut dense),
+                "max m={} l={} budget={} cost={}", m, l, budget, cost
+            );
+            prop_assert_eq!(rows.used(), dense.used());
         }
     }
 

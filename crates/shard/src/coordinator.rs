@@ -27,6 +27,14 @@
 //!    order, sort ascending, and feed one serial kernel call — no
 //!    reduction order or thread count can reorder anything.
 //!
+//! The kernel reads the candidates' sub-metric through lazily filled rows:
+//! it evaluates a label distance only for the rows its sweep opens, each
+//! unordered pair at most once, and none at all when `k` exceeds the
+//! candidate count. Which rows it opens is a function of the candidate
+//! list, `k` and `l` alone, so the evaluation count is as canonical as the
+//! answer, and [`CoordResponse::work_units`] at one shard equals the
+//! unsharded kernel's count exactly (`tests/sharded_identity.rs`).
+//!
 //! Scatter runs on the `bcc-par` pool, but every per-shard enumeration is
 //! read-only and the merge is serial, so responses are identical for any
 //! thread count — the shard proptests pin all of S ∈ {1,2,4} ×
@@ -101,10 +109,12 @@ pub struct CoordResponse {
     /// Merged candidate-set size.
     pub candidates: usize,
     /// Deterministic cost: label-distance evaluations this response
-    /// charged (prune tests + boundary scans + merge kernel). The
-    /// unsharded baseline's cost for the same query is its kernel
-    /// evaluations alone, which makes coordinator overhead directly
-    /// measurable — see `BENCH_shard.json`.
+    /// made (prune tests + boundary scans + merge kernel). The kernel's
+    /// share is what its sweep evaluated — the rows it opened, not the
+    /// pairs of the candidate set. The unsharded baseline's cost for the
+    /// same query is its kernel evaluations alone, so coordinator overhead
+    /// is directly measurable: on a shard-local query it is the `S − 1`
+    /// prune certificates — see `BENCH_shard.json`.
     pub work_units: u64,
 }
 
@@ -401,6 +411,13 @@ impl Coordinator {
         let radius = 2.0 * l;
         let start_id = start.index() as u32;
         let owner = self.plan.owner(start);
+        // The owner's region index mirrors `active`; should a failed join
+        // have left them apart, the start is refused like an inactive one.
+        let Some(owner_slot) = self.shards[owner].region.slot(start_id) else {
+            return Err(ClusterError::UnknownNeighbor {
+                neighbor: start.index(),
+            });
+        };
         self.stats.queries += 1;
         self.shards[owner].stats.queries += 1;
 
@@ -445,10 +462,7 @@ impl Coordinator {
                 if !sh.reachable {
                     return (Gather::Missing, 0);
                 }
-                let slot = region
-                    .slot(start_id)
-                    .expect("owner region holds the start host");
-                let (_, ids) = region.ball(slot, radius);
+                let (_, ids) = region.ball(owner_slot, radius);
                 let mut v = ids.to_vec();
                 v.sort_unstable();
                 // Ball enumeration is a binary search over precomputed
@@ -770,5 +784,34 @@ mod tests {
             drop(copy);
             assert_eq!(Arc::strong_count(&coord.real), 1 + shard_count);
         }
+    }
+
+    /// A start host the membership set lists but the owner's region index
+    /// does not hold (what a join that failed half-way leaves behind) is a
+    /// typed refusal, not a panic inside the scatter, and is not counted
+    /// as an answered query.
+    #[test]
+    fn start_missing_from_the_owner_region_is_a_typed_error() {
+        let caps = [100.0f64, 100.0, 80.0, 80.0, 30.0, 30.0, 10.0, 10.0];
+        let classes = BandwidthClasses::new(vec![25.0, 75.0], RationalTransform::default());
+        let hosts: Vec<NodeId> = (0..6).map(NodeId::new).collect();
+        let mut coord = Coordinator::bootstrap(
+            BandwidthMatrix::from_fn(caps.len(), |i, j| caps[i].min(caps[j])),
+            SystemConfig::new(classes),
+            ShardPlan::contiguous(caps.len(), 2),
+            ServiceConfig::default(),
+            &hosts,
+        )
+        .unwrap();
+        let ghost = NodeId::new(7);
+        coord.active.insert(ghost);
+        for use_cache in [true, false] {
+            assert!(matches!(
+                coord.cluster_near_inner(ghost, 2, 25.0, use_cache),
+                Err(ClusterError::UnknownNeighbor { neighbor: 7 })
+            ));
+        }
+        assert_eq!(coord.stats().queries, 0);
+        assert!(coord.cluster_near(NodeId::new(0), 2, 25.0).is_ok());
     }
 }

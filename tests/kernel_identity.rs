@@ -4,9 +4,13 @@
 //! perfect tree metric and on a noisy one the pruning bounds get no help
 //! from. So is the all-class form of the indexed scan behind
 //! `ClusterNode::recompute_own_max`, whatever the class list looks like.
+//! And so are the searches that read their space through lazily filled
+//! rows instead of a matrix: a node visit (`answer_locally_filtered`, plain
+//! and metered, with and without dead hosts) and the merge kernel
+//! `find_cluster_among` over a `2l` ball.
 
 use bandwidth_clusters::core::{
-    find_cluster_budgeted, find_cluster_indexed, max_cluster_size_budgeted,
+    find_cluster_among, find_cluster_budgeted, find_cluster_indexed, max_cluster_size_budgeted,
     max_cluster_size_indexed, Budgeted, ClusterIndex, WorkMeter,
 };
 use bandwidth_clusters::prelude::*;
@@ -23,6 +27,78 @@ fn check_own_max(d: &DistanceMatrix, classes: &BandwidthClasses) {
     for (c, &l) in classes.distances().iter().enumerate() {
         assert_eq!(node.own_max()[c], max_cluster_size(d, l), "class {c} l={l}");
     }
+}
+
+/// A node fed the whole space answers every `(k, class)` with the cluster
+/// the sweep finds in the dense matrix of the hosts `alive` admits, through
+/// the plain entry point and the metered one alike.
+fn check_node_visits(d: &DistanceMatrix, classes: &BandwidthClasses) {
+    let mut node = ClusterNode::new(NodeId::new(0), vec![NodeId::new(1)], classes.len());
+    node.receive_node_info(NodeId::new(1), (1..d.len()).map(NodeId::new).collect())
+        .unwrap();
+    let dist = |a: NodeId, b: NodeId| d.get(a.index(), b.index());
+    node.recompute_own_max(classes, dist);
+    let filters: [&dyn Fn(NodeId) -> bool; 2] = [&|_| true, &|u| u.index() % 3 != 2];
+    let (mut found, mut missed) = (0usize, 0usize);
+    for alive in filters {
+        let live: Vec<NodeId> = (0..d.len())
+            .map(NodeId::new)
+            .filter(|&u| alive(u))
+            .collect();
+        let dense = DistanceMatrix::from_fn(live.len(), |i, j| dist(live[i], live[j]));
+        for (c, &l) in classes.distances().iter().enumerate() {
+            let max = node.own_max()[c];
+            for k in [0, 1, 2, max / 2, max, max + 1, d.len(), d.len() + 1] {
+                // Any k the CRT gate refuses is also infeasible in the
+                // (smaller) live space, so the dense call needs no gate.
+                let want = find_cluster(&dense, k, l)
+                    .map(|idxs| idxs.into_iter().map(|i| live[i]).collect::<Vec<_>>());
+                assert_eq!(
+                    node.answer_locally_filtered(k, c, classes, dist, alive),
+                    want,
+                    "k={k} class={c}"
+                );
+                let mut meter = WorkMeter::unlimited();
+                assert_eq!(
+                    node.answer_locally_filtered_budgeted(k, c, classes, dist, alive, &mut meter),
+                    Budgeted::Done(want.clone()),
+                    "k={k} class={c}"
+                );
+                match want {
+                    Some(_) => found += 1,
+                    None => missed += 1,
+                }
+            }
+        }
+    }
+    assert!(found > 0 && missed > 0, "found {found}, missed {missed}");
+}
+
+/// The merge kernel over the `2l` ball of a start host equals the sweep
+/// over that ball's dense sub-matrix, ids mapped back.
+fn check_merge_kernel(d: &DistanceMatrix, classes: &BandwidthClasses) {
+    let (mut found, mut missed) = (0usize, 0usize);
+    for &l in classes.distances() {
+        for start in (0..d.len()).step_by(7) {
+            let ball: Vec<u32> = (0..d.len())
+                .filter(|&x| d.get(start, x) <= 2.0 * l)
+                .map(|x| x as u32)
+                .collect();
+            let at = |i: usize| ball[i] as usize;
+            let dense = DistanceMatrix::from_fn(ball.len(), |i, j| d.get(at(i), at(j)));
+            for k in [0, 1, 2, 5, ball.len() / 2, ball.len(), ball.len() + 1] {
+                let want = find_cluster(&dense, k, l)
+                    .map(|idxs| idxs.into_iter().map(|i| ball[i]).collect::<Vec<_>>());
+                let got = find_cluster_among(&ball, k, l, |a, b| d.get(a as usize, b as usize));
+                assert_eq!(got, want, "start={start} k={k} l={l}");
+                match want {
+                    Some(_) => found += 1,
+                    None => missed += 1,
+                }
+            }
+        }
+    }
+    assert!(found > 0 && missed > 0, "found {found}, missed {missed}");
 }
 
 fn check(noise_sigma: f64) {
@@ -47,6 +123,8 @@ fn check(noise_sigma: f64) {
     ] {
         check_own_max(&d, &class_list);
     }
+    check_node_visits(&d, &classes);
+    check_merge_kernel(&d, &classes);
 
     let (mut found, mut missed) = (0usize, 0usize);
     for &l in classes.distances() {
