@@ -35,20 +35,8 @@
 use std::process::ExitCode;
 
 use bcc_bench::BenchArgs;
+use bcc_core::{fnv1a, FNV_OFFSET};
 use bcc_service::{degrade_chaos, DegradeArtifact, DegradeChaosConfig, DegradeNemesis};
-
-/// FNV-1a offset basis / prime — the same digest discipline the harness
-/// uses for response streams, applied here over per-seed run digests.
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fold_digest(mut h: u64, seed_digest: u64) -> u64 {
-    for b in seed_digest.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Aggregated sweep counters for one nemesis.
 #[derive(Default)]
@@ -67,14 +55,15 @@ struct Sweep {
     digest: u64,
 }
 
-fn sweep(nemesis: DegradeNemesis, seeds: u64, cfg: &DegradeChaosConfig) -> Sweep {
+fn sweep(nemesis: DegradeNemesis, seeds: u64, cfg: &DegradeChaosConfig) -> Result<Sweep, String> {
     let cfg = DegradeChaosConfig { nemesis, ..*cfg };
     let mut s = Sweep {
         digest: FNV_OFFSET,
         ..Sweep::default()
     };
     for seed in 0..seeds {
-        let r = degrade_chaos(seed, &cfg);
+        let r = degrade_chaos(seed, &cfg)
+            .map_err(|e| format!("{} seed {seed}: {e}", cfg.nemesis.as_str()))?;
         s.seeds += 1;
         s.responses += r.responses;
         s.exact += r.exact;
@@ -86,12 +75,14 @@ fn sweep(nemesis: DegradeNemesis, seeds: u64, cfg: &DegradeChaosConfig) -> Sweep
         s.breaker_shed += r.breaker.shed;
         s.unlabeled_degraded += r.unlabeled_degraded;
         s.stuck_open += r.stuck_open;
-        s.digest = fold_digest(s.digest, r.digest);
+        // FNV-1a over the per-seed run digests, the discipline the harness
+        // uses for response streams.
+        s.digest = fnv1a(s.digest, &r.digest.to_le_bytes());
         if (seed + 1) % 200 == 0 {
             println!("  {} {} / {seeds} seeds", cfg.nemesis.as_str(), seed + 1);
         }
     }
-    s
+    Ok(s)
 }
 
 fn sweep_json(s: &Sweep) -> String {
@@ -128,7 +119,7 @@ fn replay_across_threads(
 ) -> Result<(), String> {
     let cfg = DegradeChaosConfig { nemesis, ..*cfg };
     for seed in 0..seeds {
-        let (artifact, _) = DegradeArtifact::capture(seed, &cfg);
+        let (artifact, _) = DegradeArtifact::capture(seed, &cfg)?;
         let json = artifact.to_json();
         let parsed = DegradeArtifact::from_json(&json)?;
         if parsed != artifact {
@@ -170,7 +161,7 @@ fn run() -> Result<ExitCode, String> {
             None => cfg.nemesis,
         };
         let cfg = DegradeChaosConfig { nemesis, ..cfg };
-        let (artifact, report) = DegradeArtifact::capture(seed, &cfg);
+        let (artifact, report) = DegradeArtifact::capture(seed, &cfg)?;
         println!(
             "seed {seed} ({}): {} responses ({} exact, {} stale-cache, {} partial), \
              breakers opened {} closed {}, digest {:016x}",
@@ -212,8 +203,8 @@ fn run() -> Result<ExitCode, String> {
     println!();
 
     let start = std::time::Instant::now();
-    let slow = sweep(DegradeNemesis::SlowLane, slow_seeds, &cfg);
-    let stall = sweep(DegradeNemesis::Stall, stall_seeds, &cfg);
+    let slow = sweep(DegradeNemesis::SlowLane, slow_seeds, &cfg)?;
+    let stall = sweep(DegradeNemesis::Stall, stall_seeds, &cfg)?;
     println!(
         "slow-lane: {} seeds, {} responses ({} exact / {} stale-cache / {} partial), \
          breakers opened {} closed {} shed {}",

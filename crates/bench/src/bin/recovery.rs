@@ -46,31 +46,19 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use bcc_bench::BenchArgs;
-use bcc_core::BandwidthClasses;
-use bcc_metric::{BandwidthMatrix, NodeId, RationalTransform};
+use bcc_core::{fnv1a, FNV_OFFSET};
+use bcc_metric::{BandwidthMatrix, NodeId};
+use bcc_simnet::chaos::chaos_classes;
 use bcc_simnet::{
     run_recovery_schedule, ChaosConfig, DynamicSystem, RecoveryArtifact, RecoveryConfig,
     StorageFaultPlan, SystemConfig, SystemSnapshot,
 };
-
-/// FNV-1a offset basis / prime — folds per-seed final digests into one
-/// sweep digest, the same discipline the other sweep binaries use.
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// Fault probabilities of the corrupted tier: high enough that most
 /// sweeps hit the fallback path, low enough that torn-then-flipped
 /// double corruption stays plausible rather than certain.
 const TORN_WRITE: f64 = 0.45;
 const BIT_FLIP: f64 = 0.45;
-
-fn fold_digest(mut h: u64, seed_digest: u64) -> u64 {
-    for b in seed_digest.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Aggregated counters for one sweep tier.
 #[derive(Default)]
@@ -116,7 +104,9 @@ fn sweep(name: &str, faulty: bool, seeds: u64, cfg: &ChaosConfig, out_dir: &str)
         s.replayed_ops += out.replayed_ops;
         s.cold_hits += out.oracle_stats.cold_hits;
         s.cold_misses += out.oracle_stats.cold_misses;
-        s.digest = fold_digest(s.digest, out.final_digest().unwrap_or(0));
+        // FNV-1a over the per-seed final digests, the discipline the other
+        // sweep binaries use.
+        s.digest = fnv1a(s.digest, &out.final_digest().unwrap_or(0).to_le_bytes());
         if !out.passed() {
             s.failed_seeds.push(seed);
             save_shrunk_failure(seed, faulty, cfg, out_dir);
@@ -223,8 +213,7 @@ impl ScalePoint {
 fn scale_universe(n: usize) -> (BandwidthMatrix, SystemConfig) {
     let tiers = [100.0f64, 60.0, 30.0, 12.0];
     let bandwidth = BandwidthMatrix::from_fn(n, |i, j| tiers[i % 4].min(tiers[j % 4]));
-    let classes = BandwidthClasses::new(vec![25.0, 60.0], RationalTransform::default());
-    (bandwidth, SystemConfig::new(classes))
+    (bandwidth, SystemConfig::new(chaos_classes()))
 }
 
 /// Times a cold bootstrap of `n` hosts against a warm restore (snapshot
@@ -302,14 +291,9 @@ fn run() -> Result<ExitCode, String> {
         };
         let artifact = RecoveryArtifact::capture(seed, &cfg, &rcfg)
             .map_err(|e| format!("seed {seed}: {e}"))?;
-        println!(
-            "seed {seed}: {} kills, {} fallback recoveries, {} corrupted writes, \
-             {} replayed ops, digest {:?}",
-            artifact.kills,
-            artifact.fallback_recoveries,
-            artifact.corrupted_writes,
-            artifact.replayed_ops,
-            artifact.final_digest,
+        print!(
+            "seed {seed}: passed every recovery oracle\n{}",
+            artifact.to_json()
         );
         if let Some(path) = args.value("--save") {
             std::fs::write(path, artifact.to_json()).map_err(|e| format!("write {path}: {e}"))?;

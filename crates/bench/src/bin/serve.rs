@@ -188,7 +188,8 @@ fn main() {
     let mut stale_hits = 0u64;
     let chaos_start = Instant::now();
     for seed in 0..chaos_seeds {
-        let report = serve_chaos(seed, &chaos_cfg);
+        let report =
+            serve_chaos(seed, &chaos_cfg).unwrap_or_else(|e| panic!("chaos seed {seed}: {e}"));
         chaos_responses += report.responses;
         chaos_cached += report.cached;
         stale_hits += report.stale_hits;

@@ -41,31 +41,19 @@
 use std::process::ExitCode;
 
 use bcc_bench::BenchArgs;
-use bcc_core::BandwidthClasses;
-use bcc_metric::{BandwidthMatrix, NodeId, RationalTransform};
+use bcc_core::{fnv1a, FNV_OFFSET};
+use bcc_metric::{BandwidthMatrix, NodeId};
 use bcc_service::ServiceConfig;
 use bcc_shard::harness::{
     generate_shard_schedule, shard_chaos, ShardArtifact, ShardChaosConfig, SHARD_COUNTS,
 };
 use bcc_shard::{CoordOutcome, Coordinator, ShardPlan};
+use bcc_simnet::chaos::chaos_classes;
 use bcc_simnet::SystemConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const SEED: u64 = 2011;
-
-/// FNV-1a offset basis / prime — the digest discipline shared with the
-/// harnesses, applied over per-seed digests and per-query answers.
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Aggregated chaos-sweep counters.
 #[derive(Default)]
@@ -155,10 +143,9 @@ fn block_bandwidth(universe: usize) -> BandwidthMatrix {
 /// Runs the shared churn + query stream at one shard count. Everything is
 /// derived from `SEED`, so every shard count sees the identical stream.
 fn scaling_run(universe: usize, shards: usize, churn_steps: usize, queries: usize) -> Scaling {
-    let classes = BandwidthClasses::new(vec![25.0, 60.0], RationalTransform::default());
     let mut coord = Coordinator::new(
         block_bandwidth(universe),
-        SystemConfig::new(classes),
+        SystemConfig::new(chaos_classes()),
         ShardPlan::contiguous(universe, shards),
         ServiceConfig::default(),
     )
@@ -183,15 +170,9 @@ fn scaling_run(universe: usize, shards: usize, churn_steps: usize, queries: usiz
     // Churn phase: the shared schedule, counting how many shard regions
     // each op touches (digest moved) — the locality measurement.
     let schedule = generate_shard_schedule(SEED, universe, churn_steps);
-    for event in schedule {
+    for (op, host) in schedule {
         let before: Vec<u64> = coord.shards().iter().map(|s| s.region().digest()).collect();
-        let applied = match event {
-            bcc_shard::harness::ShardEvent::Join(h) => coord.join(NodeId::new(h)),
-            bcc_shard::harness::ShardEvent::Leave(h) => coord.leave(NodeId::new(h)),
-            bcc_shard::harness::ShardEvent::Crash(h) => coord.crash(NodeId::new(h)),
-            bcc_shard::harness::ShardEvent::Recover(h) => coord.recover(NodeId::new(h)),
-        };
-        if applied.is_err() {
+        if coord.apply(op, NodeId::new(host)).is_err() {
             continue; // benign skip, same as the harness
         }
         out.churn_ops += 1;
@@ -281,7 +262,7 @@ fn run() -> Result<ExitCode, String> {
 
     // Single-seed mode: run (and optionally save) one replay artifact.
     if let Some(seed) = args.parsed::<u64>("--seed")? {
-        let (artifact, report) = ShardArtifact::capture(seed, &chaos_cfg);
+        let (artifact, report) = ShardArtifact::capture(seed, &chaos_cfg)?;
         println!(
             "seed {seed}: {} queries, {} exact, {} degraded, {} cache hits, \
              {} pruned, digest {:016x}",

@@ -40,18 +40,24 @@ use crate::find_cluster::check_pair;
 /// Slot sentinel for ids not present in the index.
 const ABSENT: u32 = u32::MAX;
 
-/// FNV-1a 64-bit, the digest primitive used across the workspace benches.
+/// FNV-1a offset basis: the state every digest in the workspace starts
+/// from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Byte-wise FNV-1a 64-bit accumulated into `hash`: the one digest
+/// primitive under [`ClusterIndex::digest`], the chaos harnesses'
+/// response-stream digests and the bench sweep folds.
 #[inline]
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     let mut h = hash;
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// One node's sorted distance label: every current member's distance from
 /// the row owner, ascending by `(distance, id)` — the canonical tie-break

@@ -69,7 +69,8 @@ pub use find_cluster::{
     BUDGET_BLOCK,
 };
 pub use index::{
-    find_cluster_indexed, max_cluster_size_indexed, ClusterIndex, IndexError, IndexStats,
+    find_cluster_indexed, fnv1a, max_cluster_size_indexed, ClusterIndex, IndexError, IndexStats,
+    FNV_OFFSET, FNV_PRIME,
 };
 pub use node::{ClusterNode, ProtocolConfig, RoutePolicy};
 pub use query::{

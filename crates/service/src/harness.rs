@@ -12,27 +12,27 @@
 //! [`ServiceConfig::verify_cached`] on, so a single stale serve anywhere
 //! in the run shows up in [`ServeChaosReport::stale_hits`].
 
-use bcc_core::BandwidthClasses;
-use bcc_metric::{BandwidthMatrix, NodeId, RationalTransform};
-use bcc_simnet::chaos::{slow_lane_cost, slow_window_active};
+use bcc_core::{fnv1a, FNV_OFFSET};
+use bcc_metric::NodeId;
+use bcc_simnet::chaos::{
+    chaos_classes, plan_seed, resolve_nemesis, run_fault_window, universe_bandwidth, ReplayRecord,
+    CLASS_BOUNDS,
+};
 use bcc_simnet::{
-    generate_schedule, ChaosConfig, ChaosEvent, DynamicSystem, FaultPlan, SystemConfig,
+    generate_schedule, ChaosConfig, ChaosError, ChaosEvent, DynamicSystem, SystemConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::breaker::BreakerStats;
+use crate::breaker::{BreakerState, BreakerStats};
 use crate::cache::CacheStats;
 use crate::degrade::Tier;
 use crate::service::{ClusterQuery, ClusterService, ServiceConfig, ServiceStats};
 
-/// Access-link capacities the harness universes draw from (Mbps) — the
-/// paper's fast/medium/slow population mix, matching the simnet chaos
-/// harness.
-const CAPS: [f64; 3] = [10.0, 30.0, 100.0];
-
-/// Bandwidth class thresholds every harness universe serves against.
-const CLASS_BOUNDS: [f64; 2] = [25.0, 60.0];
+/// XOR salt of the serving tier's seeded universes
+/// (`bcc_simnet::chaos::universe_bandwidth`); the pinned `degrade/` corpus
+/// digests hang off it.
+const UNIVERSE_SALT: u64 = 0x5E7E_CAB5;
 
 /// Cluster sizes the repeated workload cycles through.
 const WORKLOAD_KS: [usize; 3] = [2, 3, 4];
@@ -80,16 +80,6 @@ pub struct ServeChaosReport {
     pub cache: CacheStats,
 }
 
-/// Expands a seed into the universe's ground-truth bandwidth matrix
-/// (min of the endpoints' access links).
-fn universe_bandwidth(seed: u64, universe: usize) -> BandwidthMatrix {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5E7E_CAB5);
-    let caps: Vec<f64> = (0..universe)
-        .map(|_| CAPS[rng.gen_range(0..CAPS.len())])
-        .collect();
-    BandwidthMatrix::from_fn(universe, |i, j| caps[i].min(caps[j]))
-}
-
 /// Builds a service over a fresh seeded universe with the given knobs
 /// (callers beyond the harness: benches and examples).
 ///
@@ -99,112 +89,34 @@ fn universe_bandwidth(seed: u64, universe: usize) -> BandwidthMatrix {
 /// caller bugs, not data-dependent conditions.
 pub fn seeded_service(seed: u64, universe: usize, config: ServiceConfig) -> ClusterService {
     assert!(universe > 0, "universe must have at least one host");
-    let bandwidth = universe_bandwidth(seed, universe);
-    let classes = BandwidthClasses::new(CLASS_BOUNDS.to_vec(), RationalTransform::default());
-    let system = DynamicSystem::try_new(bandwidth, SystemConfig::new(classes))
+    let bandwidth = universe_bandwidth(seed, UNIVERSE_SALT, universe);
+    let system = DynamicSystem::try_new(bandwidth, SystemConfig::new(chaos_classes()))
         .expect("default system config is valid");
     ClusterService::new(system, config).expect("validated service config")
 }
 
-/// Applies one fault-window event through the live overlay: inject the
-/// plan, run the faulty rounds, heal, re-converge. Mirrors the simnet
-/// chaos harness's window semantics so schedules stress the service the
-/// same way they stress the bare system.
-fn fault_window(
-    sys: &mut DynamicSystem,
+/// Applies one schedule event: churn through the service wrappers (epoch
+/// bumps; embed errors such as a double join skip benignly, exactly as in
+/// the simnet harness), schedule queries through the normal admission
+/// path, fault windows through the shared interpreter on the live overlay.
+fn apply_event(
+    service: &mut ClusterService,
+    event: &ChaosEvent,
     plan_seed: u64,
-    rounds: usize,
-    self_healing: bool,
-    build_plan: impl FnOnce(f64, FaultPlan) -> FaultPlan,
-) {
-    let max_rounds = sys.config().max_rounds;
-    let Some(net) = sys.network_mut() else {
-        return;
-    };
-    let t0 = net.rounds_run() as f64;
-    let plan = build_plan(t0, FaultPlan::new(plan_seed));
-    net.inject_faults(&plan);
-    let window = if self_healing { rounds + 1 } else { rounds };
-    for _ in 0..window {
-        net.run_round();
+) -> Result<(), ChaosError> {
+    if let Some((op, host)) = event.as_churn() {
+        drop(service.apply(op, host));
+    } else if let ChaosEvent::Query {
+        start,
+        k,
+        bandwidth,
+    } = event
+    {
+        drop(service.submit(ClusterQuery::new(NodeId::new(*start), *k, *bandwidth)));
+    } else {
+        service.with_system_mut(|sys| run_fault_window(sys, event, plan_seed))?;
     }
-    net.clear_fault_injector();
-    net.run_to_convergence(max_rounds);
-}
-
-/// Directed overlay edges of the live network (both directions).
-fn overlay_edges(sys: &DynamicSystem) -> Vec<(NodeId, NodeId)> {
-    let anchor = sys.framework().anchor();
-    anchor
-        .bfs_order()
-        .into_iter()
-        .flat_map(|h| anchor.neighbors(h).into_iter().map(move |v| (h, v)))
-        .collect()
-}
-
-fn apply_event(service: &mut ClusterService, event: &ChaosEvent, plan_seed: u64) {
-    match event {
-        // Churn goes through the service wrappers (epoch bumps). Embed
-        // errors (double join, absent leave …) skip benignly, exactly as
-        // in the simnet harness.
-        ChaosEvent::Join { host } => drop(service.join(NodeId::new(*host))),
-        ChaosEvent::Leave { host } => drop(service.leave(NodeId::new(*host))),
-        ChaosEvent::Crash { host } => drop(service.crash(NodeId::new(*host))),
-        ChaosEvent::Recover { host } => drop(service.recover(NodeId::new(*host))),
-        // Schedule queries ride the normal admission path.
-        ChaosEvent::Query {
-            start,
-            k,
-            bandwidth,
-        } => drop(service.submit(ClusterQuery::new(NodeId::new(*start), *k, *bandwidth))),
-        ChaosEvent::Loss { loss, rounds } => service.with_system_mut(|sys| {
-            fault_window(sys, plan_seed, *rounds, false, |t0, plan| {
-                plan.uniform_loss(t0, loss.clamp(0.0, 1.0), None)
-            });
-        }),
-        ChaosEvent::Duplicate { dup, rounds } => service.with_system_mut(|sys| {
-            let edges = overlay_edges(sys);
-            fault_window(sys, plan_seed, *rounds, false, |t0, mut plan| {
-                for &(u, v) in &edges {
-                    plan = plan.link_duplicate(t0, u, v, dup.clamp(0.0, 1.0), None);
-                }
-                plan
-            });
-        }),
-        ChaosEvent::Delay { extra, rounds } => service.with_system_mut(|sys| {
-            let edges = overlay_edges(sys);
-            let extra = *extra as f64;
-            fault_window(sys, plan_seed, *rounds, false, |t0, mut plan| {
-                for &(u, v) in &edges {
-                    plan = plan.latency_spike(t0, u, v, (extra, extra), None);
-                }
-                plan
-            });
-        }),
-        ChaosEvent::Partition { group, rounds } => service.with_system_mut(|sys| {
-            let members: Vec<NodeId> = group
-                .iter()
-                .map(|&h| NodeId::new(h))
-                .filter(|&h| sys.active().any(|a| a == h))
-                .collect();
-            if members.is_empty() || members.len() >= sys.len() {
-                return;
-            }
-            fault_window(sys, plan_seed, *rounds, false, |t0, plan| {
-                plan.partition(t0, members.clone(), None)
-            });
-        }),
-        ChaosEvent::Outage { host, rounds } => service.with_system_mut(|sys| {
-            let node = NodeId::new(*host);
-            if !sys.active().any(|a| a == node) || sys.len() <= 1 {
-                return;
-            }
-            let down_for = *rounds as f64;
-            fault_window(sys, plan_seed, *rounds, true, |t0, plan| {
-                plan.crash_recover(t0, node, down_for)
-            });
-        }),
-    }
+    Ok(())
 }
 
 /// Submits `count` repeated-workload queries at live hosts. The workload
@@ -229,7 +141,12 @@ fn submit_workload(service: &mut ClusterService, rng: &mut StdRng, count: usize)
 /// a repeated workload between events, and audit every cached answer.
 ///
 /// Deterministic: the same `(seed, cfg)` always produces the same report.
-pub fn serve_chaos(seed: u64, cfg: &ServeChaosConfig) -> ServeChaosReport {
+///
+/// # Errors
+///
+/// [`ChaosError::HealConvergence`] when the overlay fails to re-converge
+/// after a fault window heals.
+pub fn serve_chaos(seed: u64, cfg: &ServeChaosConfig) -> Result<ServeChaosReport, ChaosError> {
     let chaos_cfg = ChaosConfig {
         universe: cfg.universe,
         steps: cfg.steps,
@@ -247,8 +164,7 @@ pub fn serve_chaos(seed: u64, cfg: &ServeChaosConfig) -> ServeChaosReport {
     let mut report = ServeChaosReport::default();
 
     for (step, event) in schedule.iter().enumerate() {
-        let plan_seed = seed ^ (step as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        apply_event(&mut service, event, plan_seed);
+        apply_event(&mut service, event, plan_seed(seed, step))?;
         submit_workload(&mut service, &mut rng, cfg.queries_per_step);
         for response in service.drain() {
             report.responses += 1;
@@ -262,7 +178,7 @@ pub fn serve_chaos(seed: u64, cfg: &ServeChaosConfig) -> ServeChaosReport {
     report.service = service.stats();
     report.cache = service.cache_stats();
     report.stale_hits = report.service.stale_hits;
-    report
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -299,21 +215,6 @@ impl DegradeNemesis {
             "slow-lane" => Some(DegradeNemesis::SlowLane),
             "stall" => Some(DegradeNemesis::Stall),
             _ => None,
-        }
-    }
-
-    /// The per-pair work cost this nemesis imposes at schedule step
-    /// `step`.
-    fn cost(&self, step: usize) -> u64 {
-        match self {
-            DegradeNemesis::SlowLane => slow_lane_cost(step),
-            DegradeNemesis::Stall => {
-                if slow_window_active(step) {
-                    u64::MAX
-                } else {
-                    1
-                }
-            }
         }
     }
 }
@@ -390,15 +291,6 @@ pub struct DegradeChaosReport {
     pub digest: u64,
 }
 
-/// FNV-1a over a byte slice, accumulated into `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Folds one response into the run digest.
 fn digest_response(h: u64, r: &crate::service::ServiceResponse) -> u64 {
     let line = format!(
@@ -408,19 +300,12 @@ fn digest_response(h: u64, r: &crate::service::ServiceResponse) -> u64 {
     fnv1a(h, line.as_bytes())
 }
 
-/// Number of bandwidth-class lanes the service runs.
-fn lane_count(service: &ClusterService) -> usize {
-    let mut n = 0;
-    while service.breaker_state(n).is_some() {
-        n += 1;
-    }
-    n
-}
-
-/// True when every lane's breaker is Closed.
-fn all_breakers_closed(service: &ClusterService) -> bool {
-    (0..lane_count(service))
-        .all(|l| service.breaker_state(l) == Some(crate::breaker::BreakerState::Closed))
+/// Lanes (one per bandwidth class) whose breaker is not Closed.
+fn open_lanes(service: &ClusterService) -> u64 {
+    let lanes = service.system().config().protocol.classes.len();
+    (0..lanes)
+        .filter(|&l| service.breaker_state(l) != Some(BreakerState::Closed))
+        .count() as u64
 }
 
 /// Drains the service and folds every response into the report and
@@ -466,7 +351,15 @@ fn pump(service: &mut ClusterService, report: &mut DegradeChaosReport) {
 ///
 /// Deterministic: the same `(seed, cfg)` produces the same report — for
 /// any `bcc-par` thread count.
-pub fn degrade_chaos(seed: u64, cfg: &DegradeChaosConfig) -> DegradeChaosReport {
+///
+/// # Errors
+///
+/// [`ChaosError::HealConvergence`] when the overlay fails to re-converge
+/// after a fault window heals.
+pub fn degrade_chaos(
+    seed: u64,
+    cfg: &DegradeChaosConfig,
+) -> Result<DegradeChaosReport, ChaosError> {
     let chaos_cfg = ChaosConfig {
         universe: cfg.universe,
         steps: cfg.steps,
@@ -494,15 +387,15 @@ pub fn degrade_chaos(seed: u64, cfg: &DegradeChaosConfig) -> DegradeChaosReport 
     }
     let mut rng = StdRng::seed_from_u64(seed ^ 0xDE64_ADE5);
     let mut report = DegradeChaosReport {
-        digest: 0xCBF2_9CE4_8422_2325, // FNV-1a offset basis
+        digest: FNV_OFFSET,
         ..DegradeChaosReport::default()
     };
 
+    // The work-cost hook `bcc-bench chaos --nemesis <name>` runs under.
+    let nemesis = resolve_nemesis(Some(cfg.nemesis.as_str()))?;
     for (step, event) in schedule.iter().enumerate() {
-        let cost = cfg.nemesis.cost(step);
-        service.with_system_mut(|sys| sys.set_work_cost(cost));
-        let plan_seed = seed ^ (step as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        apply_event(&mut service, event, plan_seed);
+        service.with_system_mut(|sys| nemesis(sys, step));
+        apply_event(&mut service, event, plan_seed(seed, step))?;
         submit_workload(&mut service, &mut rng, cfg.queries_per_step);
         pump(&mut service, &mut report);
         report.events += 1;
@@ -517,102 +410,61 @@ pub fn degrade_chaos(seed: u64, cfg: &DegradeChaosConfig) -> DegradeChaosReport 
         drop(service.recover(node));
         drop(service.join(node));
     }
-    let mut reclosed_at = None;
+    report.reclose_rounds = RECLOSE_BOUND as u64;
     for round in 0..RECLOSE_BOUND {
-        if all_breakers_closed(&service) {
-            reclosed_at = Some(round);
+        if open_lanes(&service) == 0 {
+            report.reclose_rounds = round as u64;
             break;
         }
         submit_workload(&mut service, &mut rng, cfg.queries_per_step);
         pump(&mut service, &mut report);
     }
-    match reclosed_at {
-        Some(rounds) => report.reclose_rounds = rounds as u64,
-        None => {
-            report.reclose_rounds = RECLOSE_BOUND as u64;
-            report.stuck_open = (0..lane_count(&service))
-                .filter(|&l| service.breaker_state(l) != Some(crate::breaker::BreakerState::Closed))
-                .count() as u64;
-        }
+    if report.reclose_rounds == RECLOSE_BOUND as u64 {
+        report.stuck_open = open_lanes(&service);
     }
 
     report.breaker = service.breaker_stats();
     report.service = service.stats();
     report.cache = service.cache_stats();
-    report
+    Ok(report)
 }
 
-/// A replayable JSON record of one [`degrade_chaos`] run: the full input
-/// (seed + config) plus the output fingerprint. Stored under
-/// `tests/chaos_corpus/` and in bench artifacts; replaying re-runs the
-/// harness from the inputs and demands a bit-identical report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DegradeArtifact {
-    /// Schema version (currently 1).
-    pub version: u32,
-    /// Harness seed.
-    pub seed: u64,
-    /// Universe size.
-    pub universe: usize,
-    /// Schedule steps.
-    pub steps: usize,
-    /// Workload queries per step.
-    pub queries_per_step: usize,
-    /// Per-query work budget.
-    pub budget: u64,
-    /// Nemesis the run executed under.
-    pub nemesis: DegradeNemesis,
-    /// Responses served.
-    pub responses: u64,
-    /// [`Tier::Exact`] responses.
-    pub exact: u64,
-    /// [`Tier::StaleCache`] responses.
-    pub stale_cache: u64,
-    /// [`Tier::Partial`] responses.
-    pub partial: u64,
-    /// Breaker open transitions.
-    pub breaker_opened: u64,
-    /// Breaker re-close transitions.
-    pub breaker_closed: u64,
-    /// Recovery rounds until every breaker re-closed.
-    pub reclose_rounds: u64,
-    /// Response-stream digest.
-    pub digest: u64,
-}
+/// A replayable JSON record of one [`degrade_chaos`] run, as one
+/// [`ReplayRecord`] of kind `"degrade"`: the full input (seed + config),
+/// then the output fingerprint (tier mix, breaker transitions,
+/// response-stream digest). Stored under `tests/chaos_corpus/degrade/` and
+/// in bench artifacts; replaying re-runs the harness from the inputs and
+/// demands a bit-identical record.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DegradeArtifact(ReplayRecord);
 
 impl DegradeArtifact {
     /// Captures a run as a replayable artifact.
-    pub fn capture(seed: u64, cfg: &DegradeChaosConfig) -> (Self, DegradeChaosReport) {
-        let report = degrade_chaos(seed, cfg);
-        let artifact = DegradeArtifact {
-            version: 1,
-            seed,
-            universe: cfg.universe,
-            steps: cfg.steps,
-            queries_per_step: cfg.queries_per_step,
-            budget: cfg.budget,
-            nemesis: cfg.nemesis,
-            responses: report.responses,
-            exact: report.exact,
-            stale_cache: report.stale_cache,
-            partial: report.partial,
-            breaker_opened: report.breaker.opened,
-            breaker_closed: report.breaker.closed,
-            reclose_rounds: report.reclose_rounds,
-            digest: report.digest,
-        };
-        (artifact, report)
-    }
-
-    /// The artifact's config half.
-    pub fn config(&self) -> DegradeChaosConfig {
-        DegradeChaosConfig {
-            universe: self.universe,
-            steps: self.steps,
-            queries_per_step: self.queries_per_step,
-            budget: self.budget,
-            nemesis: self.nemesis,
-        }
+    ///
+    /// # Errors
+    ///
+    /// Those of [`degrade_chaos`].
+    pub fn capture(
+        seed: u64,
+        cfg: &DegradeChaosConfig,
+    ) -> Result<(Self, DegradeChaosReport), ChaosError> {
+        let report = degrade_chaos(seed, cfg)?;
+        let record = ReplayRecord::new(Some("degrade"))
+            .with_u64("seed", seed)
+            .with_u64("universe", cfg.universe as u64)
+            .with_u64("steps", cfg.steps as u64)
+            .with_u64("queries_per_step", cfg.queries_per_step as u64)
+            .with_u64("budget", cfg.budget)
+            .with_str("nemesis", cfg.nemesis.as_str())
+            .with_u64("responses", report.responses)
+            .with_u64("exact", report.exact)
+            .with_u64("stale_cache", report.stale_cache)
+            .with_u64("partial", report.partial)
+            .with_u64("breaker_opened", report.breaker.opened)
+            .with_u64("breaker_closed", report.breaker.closed)
+            .with_u64("reclose_rounds", report.reclose_rounds)
+            .with_digest("digest", report.digest);
+        Ok((DegradeArtifact(record), report))
     }
 
     /// Re-runs the harness from the artifact's inputs and checks every
@@ -620,56 +472,26 @@ impl DegradeArtifact {
     ///
     /// # Errors
     ///
-    /// A description of the first mismatching field.
-    pub fn replay(&self) -> Result<DegradeChaosReport, String> {
-        let report = degrade_chaos(self.seed, &self.config());
-        let checks: [(&str, u64, u64); 8] = [
-            ("responses", self.responses, report.responses),
-            ("exact", self.exact, report.exact),
-            ("stale_cache", self.stale_cache, report.stale_cache),
-            ("partial", self.partial, report.partial),
-            ("breaker_opened", self.breaker_opened, report.breaker.opened),
-            ("breaker_closed", self.breaker_closed, report.breaker.closed),
-            ("reclose_rounds", self.reclose_rounds, report.reclose_rounds),
-            ("digest", self.digest, report.digest),
-        ];
-        for (field, want, got) in checks {
-            if want != got {
-                return Err(format!(
-                    "degrade replay diverged on {field}: artifact {want}, replay {got}"
-                ));
-            }
-        }
+    /// [`ChaosError::Artifact`] naming a missing or ill-typed input or the
+    /// first field the re-run moved, plus the errors of [`degrade_chaos`].
+    pub fn replay(&self) -> Result<DegradeChaosReport, ChaosError> {
+        let nemesis = self.0.str("nemesis")?;
+        let cfg = DegradeChaosConfig {
+            universe: self.0.usize("universe")?,
+            steps: self.0.usize("steps")?,
+            queries_per_step: self.0.usize("queries_per_step")?,
+            budget: self.0.u64("budget")?,
+            nemesis: DegradeNemesis::from_name(nemesis)
+                .ok_or_else(|| format!("unknown nemesis \"{nemesis}\""))?,
+        };
+        let (rerun, report) = Self::capture(self.0.u64("seed")?, &cfg)?;
+        self.0.expect_same(&rerun.0)?;
         Ok(report)
     }
 
-    /// Serializes to the corpus JSON format (stable field order, 2-space
-    /// indent; the digest is a string, matching the simnet corpus
-    /// convention for u64 fidelity).
+    /// Serializes to the corpus JSON format (see [`ReplayRecord`]).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"version\": {},\n  \"kind\": \"degrade\",\n  \"seed\": {},\n  \
-             \"universe\": {},\n  \"steps\": {},\n  \"queries_per_step\": {},\n  \
-             \"budget\": {},\n  \"nemesis\": \"{}\",\n  \"responses\": {},\n  \
-             \"exact\": {},\n  \"stale_cache\": {},\n  \"partial\": {},\n  \
-             \"breaker_opened\": {},\n  \"breaker_closed\": {},\n  \
-             \"reclose_rounds\": {},\n  \"digest\": \"{}\"\n}}\n",
-            self.version,
-            self.seed,
-            self.universe,
-            self.steps,
-            self.queries_per_step,
-            self.budget,
-            self.nemesis.as_str(),
-            self.responses,
-            self.exact,
-            self.stale_cache,
-            self.partial,
-            self.breaker_opened,
-            self.breaker_closed,
-            self.reclose_rounds,
-            self.digest,
-        )
+        self.0.to_json()
     }
 
     /// Parses the corpus JSON format written by
@@ -677,58 +499,10 @@ impl DegradeArtifact {
     ///
     /// # Errors
     ///
-    /// A description of the missing or malformed field.
-    pub fn from_json(src: &str) -> Result<Self, String> {
-        let kind = json_field(src, "kind")?;
-        if kind != "degrade" {
-            return Err(format!("expected kind \"degrade\", got \"{kind}\""));
-        }
-        let nemesis_name = json_field(src, "nemesis")?;
-        let nemesis = DegradeNemesis::from_name(&nemesis_name)
-            .ok_or_else(|| format!("unknown nemesis \"{nemesis_name}\""))?;
-        let num = |key: &str| -> Result<u64, String> {
-            json_field(src, key)?
-                .parse::<u64>()
-                .map_err(|e| format!("field \"{key}\": {e}"))
-        };
-        Ok(DegradeArtifact {
-            version: num("version")? as u32,
-            seed: num("seed")?,
-            universe: num("universe")? as usize,
-            steps: num("steps")? as usize,
-            queries_per_step: num("queries_per_step")? as usize,
-            budget: num("budget")?,
-            nemesis,
-            responses: num("responses")?,
-            exact: num("exact")?,
-            stale_cache: num("stale_cache")?,
-            partial: num("partial")?,
-            breaker_opened: num("breaker_opened")?,
-            breaker_closed: num("breaker_closed")?,
-            reclose_rounds: num("reclose_rounds")?,
-            digest: num("digest")?,
-        })
+    /// Those of [`ReplayRecord::from_json`] for kind `"degrade"`.
+    pub fn from_json(src: &str) -> Result<Self, ChaosError> {
+        ReplayRecord::from_json(src, Some("degrade")).map(DegradeArtifact)
     }
-}
-
-/// Extracts the value of `"key": <value>` from a flat JSON object,
-/// stripping quotes when present. Only suitable for the artifact's own
-/// flat format.
-fn json_field(src: &str, key: &str) -> Result<String, String> {
-    let needle = format!("\"{key}\"");
-    let at = src
-        .find(&needle)
-        .ok_or_else(|| format!("missing field \"{key}\""))?;
-    let rest = &src[at + needle.len()..];
-    let rest = rest
-        .trim_start()
-        .strip_prefix(':')
-        .ok_or_else(|| format!("malformed field \"{key}\""))?
-        .trim_start();
-    let end = rest
-        .find([',', '\n', '}'])
-        .ok_or_else(|| format!("unterminated field \"{key}\""))?;
-    Ok(rest[..end].trim().trim_matches('"').to_string())
 }
 
 #[cfg(test)]
@@ -742,8 +516,8 @@ mod tests {
             steps: 12,
             queries_per_step: 4,
         };
-        let a = serve_chaos(7, &cfg);
-        let b = serve_chaos(7, &cfg);
+        let a = serve_chaos(7, &cfg).unwrap();
+        let b = serve_chaos(7, &cfg).unwrap();
         assert_eq!(a, b, "same seed must reproduce the same report");
         assert!(a.responses > 0, "workload must actually serve queries");
         assert_eq!(a.stale_hits, 0, "no audited cache hit may be stale");
@@ -756,7 +530,7 @@ mod tests {
             steps: 10,
             queries_per_step: 8,
         };
-        let report = serve_chaos(3, &cfg);
+        let report = serve_chaos(3, &cfg).unwrap();
         assert!(
             report.cached > 0,
             "repeated workload should produce cache hits, got {report:?}"
@@ -775,7 +549,7 @@ mod tests {
     fn degrade_chaos_passes_every_oracle_for_both_nemeses() {
         for nemesis in [DegradeNemesis::SlowLane, DegradeNemesis::Stall] {
             for seed in 0..4 {
-                let report = degrade_chaos(seed, &small_degrade_cfg(nemesis));
+                let report = degrade_chaos(seed, &small_degrade_cfg(nemesis)).unwrap();
                 assert!(report.responses > 0, "{nemesis:?}/{seed}: no traffic");
                 assert_eq!(
                     report.unlabeled_degraded, 0,
@@ -806,7 +580,7 @@ mod tests {
             let mut opened = 0;
             let mut closed = 0;
             for seed in 0..6 {
-                let r = degrade_chaos(seed, &cfg);
+                let r = degrade_chaos(seed, &cfg).unwrap();
                 partial += r.partial;
                 stale += r.stale_cache;
                 opened += r.breaker.opened;
@@ -831,15 +605,15 @@ mod tests {
     #[test]
     fn degrade_chaos_is_deterministic() {
         let cfg = small_degrade_cfg(DegradeNemesis::SlowLane);
-        let a = degrade_chaos(11, &cfg);
-        let b = degrade_chaos(11, &cfg);
+        let a = degrade_chaos(11, &cfg).unwrap();
+        let b = degrade_chaos(11, &cfg).unwrap();
         assert_eq!(a, b, "same seed must reproduce the same report");
     }
 
     #[test]
     fn degrade_artifact_round_trips_and_replays() {
         let cfg = small_degrade_cfg(DegradeNemesis::Stall);
-        let (artifact, report) = DegradeArtifact::capture(5, &cfg);
+        let (artifact, report) = DegradeArtifact::capture(5, &cfg).unwrap();
         let json = artifact.to_json();
         let parsed = DegradeArtifact::from_json(&json).expect("parse own output");
         assert_eq!(parsed, artifact, "JSON round trip");
@@ -847,9 +621,35 @@ mod tests {
         let replayed = parsed.replay().expect("replay must match");
         assert_eq!(replayed, report, "replay reproduces the full report");
         // A corrupted digest must be detected.
-        let mut bad = parsed.clone();
-        bad.digest ^= 1;
+        let bad = json.replace(&report.digest.to_string(), &(report.digest ^ 1).to_string());
+        let bad = DegradeArtifact::from_json(&bad).expect("still a record");
         assert!(bad.replay().is_err(), "digest divergence must be caught");
+    }
+
+    #[test]
+    fn a_heal_that_cannot_converge_is_a_typed_error_not_silence() {
+        // Twelve hosts at seed 3: an outage of host 1 needs three rounds to
+        // heal. Restoring the joined system under a two-round cap (joins
+        // themselves need more, so the cap goes on afterwards) starves
+        // exactly the heal.
+        let bandwidth = universe_bandwidth(3, UNIVERSE_SALT, 12);
+        let mut service = seeded_service(3, 12, ServiceConfig::default());
+        for host in 0..12 {
+            service.join(NodeId::new(host)).unwrap();
+        }
+        let outage = ChaosEvent::Outage { host: 1, rounds: 3 };
+        assert_eq!(apply_event(&mut service, &outage, 1), Ok(()));
+
+        let mut starved = service.system().config().clone();
+        starved.max_rounds = 2;
+        let system = bcc_simnet::SystemSnapshot::capture(service.system())
+            .restore(&bandwidth, &starved)
+            .unwrap();
+        let mut service = ClusterService::new(system, ServiceConfig::default()).unwrap();
+        assert_eq!(
+            apply_event(&mut service, &outage, 1),
+            Err(ChaosError::HealConvergence { max_rounds: 2 })
+        );
     }
 
     #[test]

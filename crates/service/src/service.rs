@@ -5,7 +5,9 @@ use std::collections::VecDeque;
 
 use bcc_core::{QueryError, QueryOutcome, QueryRequest, RetryPolicy};
 use bcc_metric::{BandwidthMatrix, NodeId};
-use bcc_simnet::{ChurnError, DynamicSystem, RecoveryReport, SnapshotStore, Storage, SystemConfig};
+use bcc_simnet::{
+    ChurnError, ChurnOp, DynamicSystem, RecoveryReport, SnapshotStore, Storage, SystemConfig,
+};
 
 use crate::batch::{self, BatchJob};
 use crate::breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
@@ -579,6 +581,20 @@ impl ClusterService {
     /// Propagates [`DynamicSystem::recover`] failures.
     pub fn recover(&mut self, host: NodeId) -> Result<(), ChurnError> {
         self.system.recover(host)
+    }
+
+    /// Applies one churn op (see [`DynamicSystem::apply`]).
+    ///
+    /// # Errors
+    ///
+    /// Those of the method `op` names.
+    pub fn apply(&mut self, op: ChurnOp, host: NodeId) -> Result<(), ChurnError> {
+        match op {
+            ChurnOp::Join => self.join(host),
+            ChurnOp::Leave => self.leave(host),
+            ChurnOp::Crash => self.crash(host),
+            ChurnOp::Recover => self.recover(host),
+        }
     }
 
     /// The wrapped system.

@@ -3,7 +3,11 @@
 //! serving chaos harness must stay stale-free across seeds.
 
 use bcc_metric::NodeId;
-use bcc_service::{seeded_service, serve_chaos, ClusterQuery, ServeChaosConfig, ServiceConfig};
+use bcc_service::{
+    seeded_service, serve_chaos, ClusterQuery, DegradeArtifact, DegradeChaosConfig,
+    ServeChaosConfig, ServiceConfig,
+};
+use bcc_simnet::ChaosError;
 
 fn verified_service(seed: u64, universe: usize) -> bcc_service::ClusterService {
     let mut service = seeded_service(
@@ -152,7 +156,8 @@ fn serving_chaos_stays_stale_free_across_seeds() {
                 steps: 16,
                 queries_per_step: 5,
             },
-        );
+        )
+        .expect("every fault window heals");
         assert!(report.responses > 0, "seed {seed} served nothing");
         assert_eq!(
             report.stale_hits, 0,
@@ -218,4 +223,48 @@ fn invalid_queries_are_rejected_with_typed_errors() {
         bcc_core::QueryError::UnknownNeighbor { neighbor: 99 }
     ));
     assert_eq!(service.stats().rejected, 3);
+}
+
+#[test]
+fn hostile_degrade_artifacts_fail_typed_at_load_or_at_replay() {
+    let json = DegradeArtifact::capture(5, &DegradeChaosConfig::default())
+        .unwrap()
+        .0
+        .to_json();
+    let body = json.trim_end().trim_end_matches('}');
+    // What the substring scanner this loader replaced would have accepted.
+    for bad in [
+        json.replace("\"version\": 1", "\"version\": 2"),
+        json.replace("\"version\": 1", "\"version\": 4294967297"),
+        json.replace("  \"version\": 1,\n", ""),
+        json.replace("\"kind\": \"degrade\"", "\"kind\": \"shard\""),
+        format!("{json}garbage"),
+        format!("{json}{json}"),
+        json.replace("  \"seed\"", "  \"steps\": 1,\n  \"seed\""),
+        body.to_string(),
+        format!("{body}}}}}"),
+    ] {
+        assert_ne!(bad, json);
+        let err = DegradeArtifact::from_json(&bad).unwrap_err();
+        assert!(matches!(err, ChaosError::Artifact { .. }), "{bad}: {err}");
+    }
+    // Well-formed records no capture wrote load, and fail replay typed: an
+    // unknown nemesis, an input of the wrong type, a `"digest"` that only
+    // occurs inside a string value.
+    for bad in [
+        json.replace("\"slow-lane\"", "\"no-such\""),
+        json.replace("\"budget\": 96", "\"budget\": \"96\""),
+        json.replace(
+            "\"slow-lane\"",
+            "\"slow-lane\", \"note\": \"\\\"digest\\\": 7\"",
+        )
+        .replace("  \"digest\"", "  \"other\""),
+    ] {
+        assert_ne!(bad, json);
+        let err = DegradeArtifact::from_json(&bad)
+            .expect("still a record")
+            .replay()
+            .unwrap_err();
+        assert!(matches!(err, ChaosError::Artifact { .. }), "{bad}: {err}");
+    }
 }

@@ -47,7 +47,7 @@ use bcc_core::{find_cluster_among, ClusterError, ClusterIndex, QueryRequest};
 use bcc_embed::{EmbedError, PredictionFramework};
 use bcc_metric::{BandwidthMatrix, DistanceMatrix, NodeId};
 use bcc_service::{ClusterService, ServiceConfig};
-use bcc_simnet::{fw_label_dist, ChurnError, DynamicSystem, SystemConfig};
+use bcc_simnet::{fw_label_dist, ChurnError, ChurnOp, DynamicSystem, SystemConfig};
 
 use crate::cache::{CoordCache, CoordCacheStats, CoordEntry, CoordKey};
 use crate::error::ShardError;
@@ -348,6 +348,20 @@ impl Coordinator {
             return Err(EmbedError::UnknownHost(host).into());
         }
         self.join(host)
+    }
+
+    /// Applies one churn op (see [`DynamicSystem::apply`]).
+    ///
+    /// # Errors
+    ///
+    /// Those of the method `op` names.
+    pub fn apply(&mut self, op: ChurnOp, host: NodeId) -> Result<(), ChurnError> {
+        match op {
+            ChurnOp::Join => self.join(host),
+            ChurnOp::Leave => self.leave(host),
+            ChurnOp::Crash => self.crash(host),
+            ChurnOp::Recover => self.recover(host),
+        }
     }
 
     // -- queries ------------------------------------------------------------

@@ -12,23 +12,21 @@
 //! re-align immediately. Error parity rides along: every churn op and
 //! every query must fail with exactly the baseline's error value.
 
-use bcc_core::BandwidthClasses;
-use bcc_metric::{BandwidthMatrix, NodeId, RationalTransform};
+use bcc_core::{fnv1a, FNV_OFFSET};
+use bcc_metric::NodeId;
 use bcc_service::ServiceConfig;
-use bcc_simnet::{ChurnError, DynamicSystem, SystemConfig};
+use bcc_simnet::chaos::{chaos_classes, expect, universe_bandwidth, ReplayRecord, CLASS_BOUNDS};
+use bcc_simnet::{ChaosError, ChurnOp, DynamicSystem, SystemConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::coordinator::{CoordOutcome, Coordinator};
 use crate::plan::ShardPlan;
 
-/// Access-link capacities the harness universes draw from (Mbps) — the
-/// paper's fast/medium/slow population mix, matching the simnet and
-/// service chaos harnesses.
-const CAPS: [f64; 3] = [10.0, 30.0, 100.0];
-
-/// Bandwidth class thresholds every harness universe serves against.
-const CLASS_BOUNDS: [f64; 2] = [25.0, 60.0];
+/// XOR salt of the sharded tier's seeded universes
+/// (`bcc_simnet::chaos::universe_bandwidth`); the pinned `shard/` corpus
+/// digests hang off it.
+const UNIVERSE_SALT: u64 = 0x5AAD_BA5E;
 
 /// Cluster sizes the repeated workload cycles through.
 const WORKLOAD_KS: [usize; 3] = [2, 3, 4];
@@ -44,21 +42,6 @@ pub const PARTITION_PERIOD: usize = 8;
 /// Steps per period a shard stays unreachable.
 pub const PARTITION_WINDOW: usize = 3;
 
-/// Expands a seed into the universe's ground-truth bandwidth matrix
-/// (min of the endpoints' access links).
-fn universe_bandwidth(seed: u64, universe: usize) -> BandwidthMatrix {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5AAD_BA5E);
-    let caps: Vec<f64> = (0..universe)
-        .map(|_| CAPS[rng.gen_range(0..CAPS.len())])
-        .collect();
-    BandwidthMatrix::from_fn(universe, |i, j| caps[i].min(caps[j]))
-}
-
-fn harness_config() -> SystemConfig {
-    let classes = BandwidthClasses::new(CLASS_BOUNDS.to_vec(), RationalTransform::default());
-    SystemConfig::new(classes)
-}
-
 /// Builds the unsharded baseline system over a fresh seeded universe.
 ///
 /// # Panics
@@ -66,8 +49,11 @@ fn harness_config() -> SystemConfig {
 /// Panics when `universe == 0` (a caller bug).
 pub fn seeded_baseline(seed: u64, universe: usize) -> DynamicSystem {
     assert!(universe > 0, "universe must have at least one host");
-    DynamicSystem::try_new(universe_bandwidth(seed, universe), harness_config())
-        .expect("default system config is valid")
+    DynamicSystem::try_new(
+        universe_bandwidth(seed, UNIVERSE_SALT, universe),
+        SystemConfig::new(chaos_classes()),
+    )
+    .expect("default system config is valid")
 }
 
 /// Builds a coordinator over the *same* seeded universe as
@@ -79,34 +65,22 @@ pub fn seeded_baseline(seed: u64, universe: usize) -> DynamicSystem {
 pub fn seeded_coordinator(seed: u64, universe: usize, shard_count: usize) -> Coordinator {
     assert!(universe > 0, "universe must have at least one host");
     Coordinator::new(
-        universe_bandwidth(seed, universe),
-        harness_config(),
+        universe_bandwidth(seed, UNIVERSE_SALT, universe),
+        SystemConfig::new(chaos_classes()),
         ShardPlan::contiguous(universe, shard_count),
         ServiceConfig::default(),
     )
     .expect("default shard config is valid")
 }
 
-/// One churn event of the sharded schedule. Queries are not scheduled
-/// events — the repeated workload supplies them after every event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardEvent {
-    /// A universe host joins (benign skip when already active).
-    Join(usize),
-    /// A host leaves gracefully.
-    Leave(usize),
-    /// A host crash-stops.
-    Crash(usize),
-    /// A crashed host comes back.
-    Recover(usize),
-}
-
-/// Expands a seed into `steps` churn events over `universe` hosts. The
-/// generator tracks membership so most events are applicable, but keeps a
-/// deliberate slice of invalid ones (double joins, absent recovers;
-/// queries at departed hosts come from the workload) — error parity is
-/// part of the oracle and needs failing ops to bite on.
-pub fn generate_shard_schedule(seed: u64, universe: usize, steps: usize) -> Vec<ShardEvent> {
+/// Expands a seed into `steps` churn events, `(op, universe host)` pairs,
+/// over `universe` hosts. Queries are not scheduled events: the repeated
+/// workload supplies them after every event. The generator tracks
+/// membership so most events are applicable, but keeps a deliberate slice
+/// of invalid ones (double joins, absent recovers; queries at departed
+/// hosts come from the workload) — error parity is part of the oracle and
+/// needs failing ops to bite on.
+pub fn generate_shard_schedule(seed: u64, universe: usize, steps: usize) -> Vec<(ChurnOp, usize)> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5AAD_5EED);
     let mut active: Vec<usize> = (0..universe).collect();
     let mut crashed: Vec<usize> = Vec::new();
@@ -129,24 +103,24 @@ pub fn generate_shard_schedule(seed: u64, universe: usize, steps: usize) -> Vec<
                 active.push(host);
                 crashed.retain(|&c| c != host);
             }
-            ShardEvent::Join(host)
+            (ChurnOp::Join, host)
         } else if roll < 55 {
             let host = active[rng.gen_range(0..active.len())];
             active.retain(|&a| a != host);
-            ShardEvent::Leave(host)
+            (ChurnOp::Leave, host)
         } else if roll < 80 {
             let host = active[rng.gen_range(0..active.len())];
             active.retain(|&a| a != host);
             crashed.push(host);
-            ShardEvent::Crash(host)
+            (ChurnOp::Crash, host)
         } else if let Some(&host) = crashed.last() {
             crashed.pop();
             active.push(host);
-            ShardEvent::Recover(host)
+            (ChurnOp::Recover, host)
         } else {
             // Nothing to recover: an absent-host recover, exercising the
             // error path on baseline and coordinators alike.
-            ShardEvent::Recover(rng.gen_range(0..universe))
+            (ChurnOp::Recover, rng.gen_range(0..universe))
         };
         schedule.push(event);
     }
@@ -207,33 +181,18 @@ pub struct ShardChaosReport {
     pub digest: u64,
 }
 
-/// FNV-1a over a byte slice, accumulated into `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Applies one churn event to the baseline and every coordinator,
 /// checking error parity. Returns the divergences observed.
-fn apply_event(baseline: &mut DynamicSystem, coords: &mut [Coordinator], event: ShardEvent) -> u64 {
-    let base: Result<(), ChurnError> = match event {
-        ShardEvent::Join(h) => baseline.join(NodeId::new(h)),
-        ShardEvent::Leave(h) => baseline.leave(NodeId::new(h)),
-        ShardEvent::Crash(h) => baseline.crash(NodeId::new(h)),
-        ShardEvent::Recover(h) => baseline.recover(NodeId::new(h)),
-    };
+fn apply_event(
+    baseline: &mut DynamicSystem,
+    coords: &mut [Coordinator],
+    (op, host): (ChurnOp, usize),
+) -> u64 {
+    let host = NodeId::new(host);
+    let base = baseline.apply(op, host);
     let mut divergences = 0;
     for coord in coords.iter_mut() {
-        let got = match event {
-            ShardEvent::Join(h) => coord.join(NodeId::new(h)),
-            ShardEvent::Leave(h) => coord.leave(NodeId::new(h)),
-            ShardEvent::Crash(h) => coord.crash(NodeId::new(h)),
-            ShardEvent::Recover(h) => coord.recover(NodeId::new(h)),
-        };
-        if got != base {
+        if coord.apply(op, host) != base {
             divergences += 1;
         }
         if coord.epoch() != baseline.epoch() {
@@ -306,14 +265,14 @@ pub fn shard_chaos(seed: u64, cfg: &ShardChaosConfig) -> ShardChaosReport {
         .map(|&s| seeded_coordinator(seed, cfg.universe, s))
         .collect();
     let mut report = ShardChaosReport {
-        digest: 0xCBF2_9CE4_8422_2325, // FNV-1a offset basis
+        digest: FNV_OFFSET,
         ..ShardChaosReport::default()
     };
 
     // Bring the whole universe up everywhere (parity-checked like any
     // other event, not counted as a step).
     for host in 0..cfg.universe {
-        report.divergences += apply_event(&mut baseline, &mut coords, ShardEvent::Join(host));
+        report.divergences += apply_event(&mut baseline, &mut coords, (ChurnOp::Join, host));
     }
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5AAD_C0DE);
@@ -391,70 +350,50 @@ pub fn shard_chaos(seed: u64, cfg: &ShardChaosConfig) -> ShardChaosReport {
     report
 }
 
-/// A replayable JSON record of one [`shard_chaos`] run: the full input
-/// (seed + config) plus the output fingerprint. Stored under
-/// `tests/chaos_corpus/shard/` and in bench artifacts; replaying re-runs
-/// the harness from the inputs and demands a bit-identical report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardArtifact {
-    /// Schema version (currently 1).
-    pub version: u32,
-    /// Harness seed.
-    pub seed: u64,
-    /// Universe size.
-    pub universe: usize,
-    /// Schedule steps.
-    pub steps: usize,
-    /// Workload queries per step.
-    pub queries_per_step: usize,
-    /// Workload queries issued.
-    pub queries: u64,
-    /// Exact responses (summed over shard counts).
-    pub exact: u64,
-    /// Degraded responses (summed).
-    pub degraded: u64,
-    /// Coordinator cache hits (summed).
-    pub cache_hits: u64,
-    /// Pruned shard consultations (summed).
-    pub pruned: u64,
-    /// Baseline query/answer stream digest.
-    pub digest: u64,
-}
+/// A replayable JSON record of one [`shard_chaos`] run, as one
+/// [`ReplayRecord`] of kind `"shard"`: the full input (seed + config), then
+/// the output fingerprint (counters summed over shard counts, baseline
+/// answer-stream digest). Stored under `tests/chaos_corpus/shard/` and in
+/// bench artifacts; replaying re-runs the harness from the inputs and
+/// demands a bit-identical record.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardArtifact(ReplayRecord);
 
 impl ShardArtifact {
     /// Captures a run as a replayable artifact.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the run violates an oracle (stale serve or baseline
-    /// divergence) — a corpus entry must never freeze a broken run.
-    pub fn capture(seed: u64, cfg: &ShardChaosConfig) -> (Self, ShardChaosReport) {
-        let report = shard_chaos(seed, cfg);
-        assert_eq!(report.stale_hits, 0, "refusing to capture a stale run");
-        assert_eq!(report.divergences, 0, "refusing to capture a divergent run");
-        let artifact = ShardArtifact {
-            version: 1,
-            seed,
-            universe: cfg.universe,
-            steps: cfg.steps,
-            queries_per_step: cfg.queries_per_step,
-            queries: report.queries,
-            exact: report.exact,
-            degraded: report.degraded,
-            cache_hits: report.cache_hits,
-            pruned: report.pruned,
-            digest: report.digest,
-        };
-        (artifact, report)
+    /// [`ChaosError::Artifact`] when the run violates an oracle (stale
+    /// serve or baseline divergence): a corpus entry must never freeze a
+    /// broken run.
+    pub fn capture(
+        seed: u64,
+        cfg: &ShardChaosConfig,
+    ) -> Result<(Self, ShardChaosReport), ChaosError> {
+        Self::from_report(seed, cfg, shard_chaos(seed, cfg))
     }
 
-    /// The artifact's config half.
-    pub fn config(&self) -> ShardChaosConfig {
-        ShardChaosConfig {
-            universe: self.universe,
-            steps: self.steps,
-            queries_per_step: self.queries_per_step,
-        }
+    /// [`ShardArtifact::capture`] of a run that has already been made.
+    fn from_report(
+        seed: u64,
+        cfg: &ShardChaosConfig,
+        report: ShardChaosReport,
+    ) -> Result<(Self, ShardChaosReport), ChaosError> {
+        expect("stale_hits", 0, report.stale_hits)?;
+        expect("divergences", 0, report.divergences)?;
+        let record = ReplayRecord::new(Some("shard"))
+            .with_u64("seed", seed)
+            .with_u64("universe", cfg.universe as u64)
+            .with_u64("steps", cfg.steps as u64)
+            .with_u64("queries_per_step", cfg.queries_per_step as u64)
+            .with_u64("queries", report.queries)
+            .with_u64("exact", report.exact)
+            .with_u64("degraded", report.degraded)
+            .with_u64("cache_hits", report.cache_hits)
+            .with_u64("pruned", report.pruned)
+            .with_digest("digest", report.digest);
+        Ok((ShardArtifact(record), report))
     }
 
     /// Re-runs the harness from the artifact's inputs and checks every
@@ -462,50 +401,22 @@ impl ShardArtifact {
     ///
     /// # Errors
     ///
-    /// A description of the first mismatching field.
-    pub fn replay(&self) -> Result<ShardChaosReport, String> {
-        let report = shard_chaos(self.seed, &self.config());
-        let checks: [(&str, u64, u64); 8] = [
-            ("queries", self.queries, report.queries),
-            ("exact", self.exact, report.exact),
-            ("degraded", self.degraded, report.degraded),
-            ("cache_hits", self.cache_hits, report.cache_hits),
-            ("pruned", self.pruned, report.pruned),
-            ("stale_hits", 0, report.stale_hits),
-            ("divergences", 0, report.divergences),
-            ("digest", self.digest, report.digest),
-        ];
-        for (field, want, got) in checks {
-            if want != got {
-                return Err(format!(
-                    "shard replay diverged on {field}: artifact {want}, replay {got}"
-                ));
-            }
-        }
+    /// [`ChaosError::Artifact`] naming a missing or ill-typed input, a
+    /// violated oracle or the first field the re-run moved.
+    pub fn replay(&self) -> Result<ShardChaosReport, ChaosError> {
+        let cfg = ShardChaosConfig {
+            universe: self.0.usize("universe")?,
+            steps: self.0.usize("steps")?,
+            queries_per_step: self.0.usize("queries_per_step")?,
+        };
+        let (rerun, report) = Self::capture(self.0.u64("seed")?, &cfg)?;
+        self.0.expect_same(&rerun.0)?;
         Ok(report)
     }
 
-    /// Serializes to the corpus JSON format (stable field order, 2-space
-    /// indent; the digest is a string, matching the corpus convention for
-    /// u64 fidelity).
+    /// Serializes to the corpus JSON format (see [`ReplayRecord`]).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"version\": {},\n  \"kind\": \"shard\",\n  \"seed\": {},\n  \
-             \"universe\": {},\n  \"steps\": {},\n  \"queries_per_step\": {},\n  \
-             \"queries\": {},\n  \"exact\": {},\n  \"degraded\": {},\n  \
-             \"cache_hits\": {},\n  \"pruned\": {},\n  \"digest\": \"{}\"\n}}\n",
-            self.version,
-            self.seed,
-            self.universe,
-            self.steps,
-            self.queries_per_step,
-            self.queries,
-            self.exact,
-            self.degraded,
-            self.cache_hits,
-            self.pruned,
-            self.digest,
-        )
+        self.0.to_json()
     }
 
     /// Parses the corpus JSON format written by
@@ -513,51 +424,10 @@ impl ShardArtifact {
     ///
     /// # Errors
     ///
-    /// A description of the missing or malformed field.
-    pub fn from_json(src: &str) -> Result<Self, String> {
-        let kind = json_field(src, "kind")?;
-        if kind != "shard" {
-            return Err(format!("expected kind \"shard\", got \"{kind}\""));
-        }
-        let num = |key: &str| -> Result<u64, String> {
-            json_field(src, key)?
-                .parse::<u64>()
-                .map_err(|e| format!("field \"{key}\": {e}"))
-        };
-        Ok(ShardArtifact {
-            version: num("version")? as u32,
-            seed: num("seed")?,
-            universe: num("universe")? as usize,
-            steps: num("steps")? as usize,
-            queries_per_step: num("queries_per_step")? as usize,
-            queries: num("queries")?,
-            exact: num("exact")?,
-            degraded: num("degraded")?,
-            cache_hits: num("cache_hits")?,
-            pruned: num("pruned")?,
-            digest: num("digest")?,
-        })
+    /// Those of [`ReplayRecord::from_json`] for kind `"shard"`.
+    pub fn from_json(src: &str) -> Result<Self, ChaosError> {
+        ReplayRecord::from_json(src, Some("shard")).map(ShardArtifact)
     }
-}
-
-/// Extracts the value of `"key": <value>` from a flat JSON object,
-/// stripping quotes when present. Only suitable for the artifact's own
-/// flat format.
-fn json_field(src: &str, key: &str) -> Result<String, String> {
-    let needle = format!("\"{key}\"");
-    let at = src
-        .find(&needle)
-        .ok_or_else(|| format!("missing field \"{key}\""))?;
-    let rest = &src[at + needle.len()..];
-    let rest = rest
-        .trim_start()
-        .strip_prefix(':')
-        .ok_or_else(|| format!("malformed field \"{key}\""))?
-        .trim_start();
-    let end = rest
-        .find([',', '\n', '}'])
-        .ok_or_else(|| format!("unterminated field \"{key}\""))?;
-    Ok(rest[..end].trim().trim_matches('"').to_string())
 }
 
 #[cfg(test)]
@@ -605,16 +475,27 @@ mod tests {
             steps: 16,
             queries_per_step: 3,
         };
-        let (artifact, report) = ShardArtifact::capture(5, &cfg);
+        let (artifact, report) = ShardArtifact::capture(5, &cfg).expect("oracle-clean run");
         let json = artifact.to_json();
         let parsed = ShardArtifact::from_json(&json).expect("parse own output");
         assert_eq!(parsed, artifact, "JSON round trip");
         assert_eq!(parsed.to_json(), json, "serialization fixpoint");
         let replayed = parsed.replay().expect("replay must match");
         assert_eq!(replayed, report, "replay reproduces the full report");
-        let mut bad = parsed.clone();
-        bad.digest ^= 1;
+        let bad = json.replace(&report.digest.to_string(), &(report.digest ^ 1).to_string());
+        let bad = ShardArtifact::from_json(&bad).expect("still a record");
         assert!(bad.replay().is_err(), "digest divergence must be caught");
+    }
+
+    #[test]
+    fn a_divergent_run_is_a_typed_capture_error() {
+        let report = ShardChaosReport {
+            divergences: 1,
+            ..ShardChaosReport::default()
+        };
+        let err = ShardArtifact::from_report(7, &ShardChaosConfig::default(), report).unwrap_err();
+        assert!(matches!(err, ChaosError::Artifact { .. }), "{err:?}");
+        assert!(err.to_string().contains("divergences"), "{err}");
     }
 
     #[test]

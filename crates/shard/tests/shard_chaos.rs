@@ -2,6 +2,7 @@
 //! oracle, plus thread-count independence of the full report.
 
 use bcc_shard::harness::{shard_chaos, ShardArtifact, ShardChaosConfig};
+use bcc_simnet::ChaosError;
 
 #[test]
 fn chaos_sweep_is_stale_free_and_baseline_identical() {
@@ -47,12 +48,28 @@ fn artifacts_capture_and_replay_across_seeds() {
         queries_per_step: 3,
     };
     for seed in [3, 17] {
-        let (artifact, _) = ShardArtifact::capture(seed, &cfg);
+        let (artifact, _) = ShardArtifact::capture(seed, &cfg).expect("oracle-clean run");
         let json = artifact.to_json();
         let parsed = ShardArtifact::from_json(&json).expect("parse");
         assert_eq!(parsed.to_json(), json, "seed {seed}: byte fixpoint");
         parsed
             .replay()
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        // A record of another kind, another version or no version is not a
+        // shard artifact; one that names no digest loads and fails replay.
+        for (from, to) in [
+            ("\"version\": 1", "\"version\": 2"),
+            ("\"kind\": \"shard\"", "\"kind\": \"degrade\""),
+            ("  \"version\": 1,\n", ""),
+        ] {
+            let err = ShardArtifact::from_json(&json.replace(from, to)).unwrap_err();
+            assert!(matches!(err, ChaosError::Artifact { .. }), "{err}");
+        }
+        let nameless = json.replace("\"digest\"", "\"other\"");
+        let err = ShardArtifact::from_json(&nameless)
+            .expect("still a record")
+            .replay()
+            .unwrap_err();
+        assert!(matches!(err, ChaosError::Artifact { .. }), "{err}");
     }
 }

@@ -30,6 +30,14 @@
 //! the same outcome, including the final state digest — which is why
 //! passing artifacts double as regression pins (see
 //! `tests/chaos_regressions.rs`).
+//!
+//! This module also owns the vocabulary the other three chaos tiers
+//! (`bcc_service::harness`, `bcc_shard::harness`,
+//! [`crate::persist::run_recovery_schedule`]) are written in: the seeded
+//! universe ([`universe_bandwidth`], [`chaos_classes`]), the fault-window
+//! interpreter ([`run_fault_window`], [`plan_seed`]), the flat artifact
+//! record ([`ReplayRecord`], [`expect`]) and [`ChaosEvent::as_churn`] onto
+//! the one churn op ([`ChurnOp`]). DESIGN.md §9 has the tier table.
 
 use std::collections::BTreeSet;
 
@@ -38,7 +46,7 @@ use bcc_metric::{BandwidthMatrix, DistanceMatrix, NodeId, RationalTransform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::churn::{fw_label_dist, ChurnError, DynamicSystem};
+use crate::churn::{fw_label_dist, ChurnError, ChurnOp, DynamicSystem};
 use crate::fault::FaultPlan;
 use crate::json::{self, Json};
 use crate::persist::PersistError;
@@ -48,8 +56,13 @@ use crate::system::SystemConfig;
 /// paper's fast/medium/slow population mix.
 const CAPS: [f64; 3] = [10.0, 30.0, 100.0];
 
-/// Bandwidth class thresholds every chaos universe clusters against.
-const CLASS_BOUNDS: [f64; 2] = [25.0, 60.0];
+/// Bandwidth class thresholds every chaos universe, in every tier,
+/// clusters against.
+pub const CLASS_BOUNDS: [f64; 2] = [25.0, 60.0];
+
+/// XOR salt of this tier's universes. The service and shard tiers keep
+/// their own: every pinned digest hangs off its tier's salt.
+pub(crate) const UNIVERSE_SALT: u64 = 0xBCC0_CAB5;
 
 /// Tunables for schedule generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,6 +156,20 @@ pub enum ChaosEvent {
         /// Rounds the host stays down.
         rounds: usize,
     },
+}
+
+impl ChaosEvent {
+    /// The churn op this event applies, if it is one.
+    pub fn as_churn(&self) -> Option<(ChurnOp, NodeId)> {
+        let (op, host) = match self {
+            ChaosEvent::Join { host } => (ChurnOp::Join, host),
+            ChaosEvent::Leave { host } => (ChurnOp::Leave, host),
+            ChaosEvent::Crash { host } => (ChurnOp::Crash, host),
+            ChaosEvent::Recover { host } => (ChurnOp::Recover, host),
+            _ => return None,
+        };
+        Some((op, NodeId::new(*host)))
+    }
 }
 
 /// An invariant violation found while executing a schedule.
@@ -295,17 +322,27 @@ pub enum ChaosOutcome {
     Violated(Violation),
 }
 
-/// Expands a seed into the universe's ground-truth bandwidth matrix.
-pub(crate) fn universe_bandwidth(seed: u64, universe: usize) -> BandwidthMatrix {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xBCC0_CAB5);
+/// Expands a seed into a chaos universe's ground-truth bandwidth matrix
+/// (min of the endpoints' access links). `salt` separates the tiers'
+/// universes for one seed.
+pub fn universe_bandwidth(seed: u64, salt: u64, universe: usize) -> BandwidthMatrix {
+    let mut rng = StdRng::seed_from_u64(seed ^ salt);
     let caps: Vec<f64> = (0..universe)
         .map(|_| CAPS[rng.gen_range(0..CAPS.len())])
         .collect();
     BandwidthMatrix::from_fn(universe, |i, j| caps[i].min(caps[j]))
 }
 
-pub(crate) fn chaos_classes() -> BandwidthClasses {
+/// The bandwidth classes of every chaos universe ([`CLASS_BOUNDS`]).
+pub fn chaos_classes() -> BandwidthClasses {
     BandwidthClasses::new(CLASS_BOUNDS.to_vec(), RationalTransform::default())
+}
+
+/// Fault-plan seed of schedule position `step`, derived from the run seed
+/// alone so replaying a shrunk schedule feeds each surviving event a seed
+/// that depends only on its position.
+pub fn plan_seed(seed: u64, step: usize) -> u64 {
+    seed ^ (step as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Deterministically expands `seed` into a schedule of
@@ -483,9 +520,8 @@ pub fn run_schedule_with_stats(
     events: &[ChaosEvent],
     mut nemesis: impl FnMut(&mut DynamicSystem, usize),
 ) -> (ChaosOutcome, OracleStats) {
-    let bandwidth = universe_bandwidth(seed, cfg.universe);
+    let bandwidth = universe_bandwidth(seed, UNIVERSE_SALT, cfg.universe);
     let sys_cfg = SystemConfig::new(chaos_classes());
-    let max_rounds = sys_cfg.max_rounds;
     let mut cache = ColdCache::default();
     let mut sys = match DynamicSystem::try_new(bandwidth, sys_cfg) {
         Ok(sys) => sys,
@@ -503,11 +539,7 @@ pub fn run_schedule_with_stats(
     let retry = RetryPolicy::default();
 
     for (step, event) in events.iter().enumerate() {
-        // Deterministic per-step seed for fault-plan randomness, derived
-        // from the run seed alone so replaying a shrunk schedule feeds
-        // each surviving event a seed that depends only on its position.
-        let plan_seed = seed ^ (step as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        if let Err(v) = apply_event(&mut sys, step, event, plan_seed, max_rounds, &retry) {
+        if let Err(v) = apply_event(&mut sys, step, event, plan_seed(seed, step), &retry) {
             note_violation(&v);
             return (ChaosOutcome::Violated(v), cache.stats);
         }
@@ -542,7 +574,6 @@ fn apply_event(
     step: usize,
     event: &ChaosEvent,
     plan_seed: u64,
-    max_rounds: usize,
     retry: &RetryPolicy,
 ) -> Result<(), Violation> {
     let liveness = |detail: String| Violation {
@@ -550,83 +581,27 @@ fn apply_event(
         oracle: "liveness".into(),
         detail,
     };
-    let churn = |r: Result<(), ChurnError>| match r {
-        Ok(()) | Err(ChurnError::Embed(_)) => Ok(()),
-        Err(e @ ChurnError::Convergence { .. }) => Err(liveness(e.to_string())),
-        // The churn paths validate membership before building index deltas,
-        // so an index rejection means the maintenance machinery itself is
-        // broken — an oracle violation, never a benign skip.
-        Err(e @ ChurnError::Index(_)) => Err(Violation {
-            step,
-            oracle: "index".into(),
-            detail: e.to_string(),
-        }),
-    };
+    if let Some((op, host)) = event.as_churn() {
+        return match sys.apply(op, host) {
+            Ok(()) | Err(ChurnError::Embed(_)) => Ok(()),
+            Err(e @ ChurnError::Convergence { .. }) => Err(liveness(e.to_string())),
+            // The churn paths validate membership before building index
+            // deltas, so an index rejection means the maintenance machinery
+            // itself is broken — an oracle violation, never a benign skip.
+            Err(e @ ChurnError::Index(_)) => Err(Violation {
+                step,
+                oracle: "index".into(),
+                detail: e.to_string(),
+            }),
+        };
+    }
     match event {
-        ChaosEvent::Join { host } => churn(sys.join(NodeId::new(*host))),
-        ChaosEvent::Leave { host } => churn(sys.leave(NodeId::new(*host))),
-        ChaosEvent::Crash { host } => churn(sys.crash(NodeId::new(*host))),
-        ChaosEvent::Recover { host } => churn(sys.recover(NodeId::new(*host))),
         ChaosEvent::Query {
             start,
             k,
             bandwidth,
         } => check_query(sys, step, NodeId::new(*start), *k, *bandwidth, retry),
-        ChaosEvent::Loss { loss, rounds } => {
-            run_fault_window(sys, max_rounds, *rounds, false, |t0| {
-                FaultPlan::new(plan_seed).uniform_loss(t0, loss.clamp(0.0, 1.0), None)
-            })
-            .map_err(|e| liveness(e.to_string()))
-        }
-        ChaosEvent::Duplicate { dup, rounds } => {
-            let edges = overlay_edges(sys);
-            run_fault_window(sys, max_rounds, *rounds, false, |t0| {
-                let mut plan = FaultPlan::new(plan_seed);
-                for &(u, v) in &edges {
-                    plan = plan.link_duplicate(t0, u, v, dup.clamp(0.0, 1.0), None);
-                }
-                plan
-            })
-            .map_err(|e| liveness(e.to_string()))
-        }
-        ChaosEvent::Delay { extra, rounds } => {
-            let edges = overlay_edges(sys);
-            let extra = *extra as f64;
-            run_fault_window(sys, max_rounds, *rounds, false, |t0| {
-                let mut plan = FaultPlan::new(plan_seed);
-                for &(u, v) in &edges {
-                    plan = plan.latency_spike(t0, u, v, (extra, extra), None);
-                }
-                plan
-            })
-            .map_err(|e| liveness(e.to_string()))
-        }
-        ChaosEvent::Partition { group, rounds } => {
-            let members: Vec<NodeId> = group
-                .iter()
-                .map(|&h| NodeId::new(h))
-                .filter(|&h| sys.active().any(|a| a == h))
-                .collect();
-            // A partition needs live hosts on both sides; otherwise skip.
-            if members.is_empty() || members.len() >= sys.len() {
-                return Ok(());
-            }
-            run_fault_window(sys, max_rounds, *rounds, false, |t0| {
-                FaultPlan::new(plan_seed).partition(t0, members.clone(), None)
-            })
-            .map_err(|e| liveness(e.to_string()))
-        }
-        ChaosEvent::Outage { host, rounds } => {
-            let node = NodeId::new(*host);
-            if !sys.active().any(|a| a == node) || sys.len() <= 1 {
-                return Ok(());
-            }
-            let down_for = *rounds as f64;
-            run_fault_window(sys, max_rounds, *rounds, true, |t0| {
-                FaultPlan::new(plan_seed).crash_recover(t0, node, down_for)
-            })
-            .map_err(|e| liveness(e.to_string()))
-        }
+        fault => run_fault_window(sys, fault, plan_seed).map_err(|e| liveness(e.to_string())),
     }
 }
 
@@ -640,25 +615,75 @@ fn overlay_edges(sys: &DynamicSystem) -> Vec<(NodeId, NodeId)> {
         .collect()
 }
 
-/// Self-contained fault window: inject the plan (timed from the current
-/// round), run `rounds` faulty rounds (one extra when the plan schedules
-/// its own recovery, so the heal transition fires and resets the node),
-/// heal everything by detaching the injector, and re-converge.
+/// The one fault-window interpreter, shared by every tier that consumes
+/// [`ChaosEvent`] schedules: turns a `Loss`, `Duplicate`, `Delay`,
+/// `Partition` or `Outage` event into a [`FaultPlan`] seeded with
+/// `plan_seed` and timed from the current round, injects it, runs the
+/// faulty rounds (one extra for an `Outage`, whose plan schedules its own
+/// recovery, so the heal transition fires and resets the node), heals
+/// everything by detaching the injector, and re-converges.
 ///
-/// `Err` carries the liveness failure description.
-fn run_fault_window(
+/// Windows that cannot bite skip benignly: no live overlay, a partition
+/// without live hosts on both sides, an outage of an inactive or the only
+/// host. Churn and query events are not fault windows and are left alone.
+///
+/// # Errors
+///
+/// [`ChaosError::HealConvergence`] when the overlay is still changing
+/// [`SystemConfig::max_rounds`] rounds after the heal: a liveness failure.
+pub fn run_fault_window(
     sys: &mut DynamicSystem,
-    max_rounds: usize,
-    rounds: usize,
-    self_healing: bool,
-    build_plan: impl FnOnce(f64) -> FaultPlan,
+    event: &ChaosEvent,
+    plan_seed: u64,
 ) -> Result<(), ChaosError> {
+    let Some(t0) = sys.network().map(|net| net.rounds_run() as f64) else {
+        return Ok(());
+    };
+    let plan = FaultPlan::new(plan_seed);
+    let (plan, window) = match event {
+        ChaosEvent::Loss { loss, rounds } => {
+            (plan.uniform_loss(t0, loss.clamp(0.0, 1.0), None), *rounds)
+        }
+        ChaosEvent::Duplicate { dup, rounds } => (
+            overlay_edges(sys).into_iter().fold(plan, |plan, (u, v)| {
+                plan.link_duplicate(t0, u, v, dup.clamp(0.0, 1.0), None)
+            }),
+            *rounds,
+        ),
+        ChaosEvent::Delay { extra, rounds } => {
+            let extra = *extra as f64;
+            (
+                overlay_edges(sys).into_iter().fold(plan, |plan, (u, v)| {
+                    plan.latency_spike(t0, u, v, (extra, extra), None)
+                }),
+                *rounds,
+            )
+        }
+        ChaosEvent::Partition { group, rounds } => {
+            let members: Vec<NodeId> = group
+                .iter()
+                .map(|&h| NodeId::new(h))
+                .filter(|&h| sys.is_active(h))
+                .collect();
+            if members.is_empty() || members.len() >= sys.len() {
+                return Ok(());
+            }
+            (plan.partition(t0, members, None), *rounds)
+        }
+        ChaosEvent::Outage { host, rounds } => {
+            let node = NodeId::new(*host);
+            if !sys.is_active(node) || sys.len() <= 1 {
+                return Ok(());
+            }
+            (plan.crash_recover(t0, node, *rounds as f64), rounds + 1)
+        }
+        _ => return Ok(()),
+    };
+    let max_rounds = sys.config().max_rounds;
     let Some(net) = sys.network_mut() else {
         return Ok(());
     };
-    let t0 = net.rounds_run() as f64;
-    net.inject_faults(&build_plan(t0));
-    let window = if self_healing { rounds + 1 } else { rounds };
+    net.inject_faults(&plan);
     for _ in 0..window {
         net.run_round();
     }
@@ -1003,6 +1028,21 @@ pub fn nemesis_hook(name: &str) -> Option<fn(&mut DynamicSystem, usize)> {
     }
 }
 
+/// The hook a run executes under: [`nemesis_hook`] of `name`, the inert
+/// hook for `None`.
+///
+/// # Errors
+///
+/// [`ChaosError::UnknownNemesis`] for a name with no registered hook.
+pub fn resolve_nemesis(name: Option<&str>) -> Result<fn(&mut DynamicSystem, usize), ChaosError> {
+    match name {
+        None => Ok(|_, _| {}),
+        Some(name) => nemesis_hook(name).ok_or_else(|| ChaosError::UnknownNemesis {
+            name: name.to_string(),
+        }),
+    }
+}
+
 /// Simulates a skipped CRT propagation: the first host with a neighbor
 /// gets a bogus stale row written into its aggrCRT store.
 fn crt_stale_nemesis(sys: &mut DynamicSystem, _step: usize) {
@@ -1082,18 +1122,8 @@ pub fn capture(
     cfg: &ChaosConfig,
     nemesis: Option<&str>,
 ) -> Result<ReplayArtifact, ChaosError> {
-    let hook = match nemesis {
-        None => None,
-        Some(name) => Some(
-            nemesis_hook(name).ok_or_else(|| ChaosError::UnknownNemesis {
-                name: name.to_string(),
-            })?,
-        ),
-    };
-    let run = |events: &[ChaosEvent]| match hook {
-        None => run_schedule(seed, cfg, events),
-        Some(h) => run_schedule_with(seed, cfg, events, h),
-    };
+    let hook = resolve_nemesis(nemesis)?;
+    let run = |events: &[ChaosEvent]| run_schedule_with(seed, cfg, events, hook);
     let schedule = generate_schedule(seed, cfg);
     let (schedule, violation, final_digest) = match run(&schedule) {
         ChaosOutcome::Passed { final_digest } => (schedule, None, final_digest),
@@ -1113,6 +1143,184 @@ pub fn capture(
         violation,
         final_digest,
     })
+}
+
+/// Schema version every artifact is written with and every loader
+/// demands.
+const RECORD_VERSION: u64 = 1;
+
+/// The one replay comparison: `Ok` when a re-run reproduced the `recorded`
+/// value of field `name`.
+///
+/// # Errors
+///
+/// [`ChaosError::Artifact`] naming the field and both values.
+pub fn expect<T: PartialEq + std::fmt::Display>(
+    name: &str,
+    recorded: T,
+    got: T,
+) -> Result<(), ChaosError> {
+    if recorded == got {
+        return Ok(());
+    }
+    Err(format!("replay diverged on {name}: recorded {recorded}, got {got}").into())
+}
+
+/// The flat record every tier's artifact is written as and read from: a
+/// `version`, an optional `kind`, then ordered named fields, each a `u64`,
+/// an `f64`, a string, or a `u64` digest stored as a string so it survives
+/// `f64`-based JSON tooling. Rendering is byte-stable (two-space indent,
+/// `": "`, trailing newline), so committed artifacts are parse → render
+/// fixpoints.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReplayRecord {
+    fields: Vec<(String, Json)>,
+}
+
+impl ReplayRecord {
+    /// A record holding the current schema version (1) and `kind`.
+    pub fn new(kind: Option<&str>) -> Self {
+        let rec = ReplayRecord { fields: Vec::new() }.with_u64("version", RECORD_VERSION);
+        match kind {
+            Some(kind) => rec.with_str("kind", kind),
+            None => rec,
+        }
+    }
+
+    pub(crate) fn with_json(mut self, name: &str, value: Json) -> Self {
+        self.fields.push((name.to_string(), value));
+        self
+    }
+
+    /// Appends a `u64` field.
+    pub fn with_u64(self, name: &str, value: u64) -> Self {
+        self.with_json(name, Json::from_u64(value))
+    }
+
+    /// Appends a finite `f64` field (shortest round-trip representation).
+    pub fn with_f64(self, name: &str, value: f64) -> Self {
+        self.with_json(name, Json::from_f64(value))
+    }
+
+    /// Appends a string field.
+    pub fn with_str(self, name: &str, value: &str) -> Self {
+        self.with_json(name, Json::from_str(value))
+    }
+
+    /// Appends a `u64` digest, stored as a decimal string.
+    pub fn with_digest(self, name: &str, value: u64) -> Self {
+        self.with_str(name, &value.to_string())
+    }
+
+    /// Serializes to deterministic, diff-friendly JSON.
+    pub fn to_json(&self) -> String {
+        Json::Obj(self.fields.clone()).render()
+    }
+
+    /// Parses a record strictly: one JSON object and nothing after it, no
+    /// duplicate keys, `version` equal to the one this build writes and,
+    /// when `kind` is given, a matching `kind` field.
+    ///
+    /// # Errors
+    ///
+    /// [`ChaosError::Artifact`] describing what was malformed.
+    pub fn from_json(text: &str, kind: Option<&str>) -> Result<Self, ChaosError> {
+        let Json::Obj(fields) = json::parse(text)? else {
+            return Err("artifact is not a JSON object".into());
+        };
+        let rec = ReplayRecord { fields };
+        let version = rec.u64("version")?;
+        if version != RECORD_VERSION {
+            return Err(format!(
+                "unsupported artifact version {version} (this build reads {RECORD_VERSION})"
+            )
+            .into());
+        }
+        match kind {
+            Some(kind) if rec.str("kind")? != kind => {
+                Err(format!("expected an artifact of kind \"{kind}\"").into())
+            }
+            _ => Ok(rec),
+        }
+    }
+
+    pub(crate) fn json(&self, name: &str) -> Option<&Json> {
+        self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+    }
+
+    /// An optional field through `conv`; present but ill-typed is an error.
+    fn opt<'a, T>(
+        &'a self,
+        name: &str,
+        what: &str,
+        conv: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<Option<T>, ChaosError> {
+        self.json(name)
+            .map(|v| {
+                conv(v).ok_or_else(|| format!("artifact field '{name}' must be {what}").into())
+            })
+            .transpose()
+    }
+
+    fn required<T>(name: &str, value: Option<T>) -> Result<T, ChaosError> {
+        value.ok_or_else(|| format!("artifact missing '{name}'").into())
+    }
+
+    /// A required `u64` field.
+    ///
+    /// # Errors
+    ///
+    /// [`ChaosError::Artifact`] when missing or not a `u64` (as for every
+    /// reader below).
+    pub fn u64(&self, name: &str) -> Result<u64, ChaosError> {
+        Self::required(name, self.opt(name, "a u64", Json::as_u64)?)
+    }
+
+    /// A required `usize` field.
+    pub fn usize(&self, name: &str) -> Result<usize, ChaosError> {
+        Self::required(name, self.opt(name, "a usize", Json::as_usize)?)
+    }
+
+    /// An optional finite `f64` field.
+    pub fn opt_f64(&self, name: &str) -> Result<Option<f64>, ChaosError> {
+        self.opt(name, "a finite number", |v| {
+            v.as_f64().filter(|x| x.is_finite())
+        })
+    }
+
+    /// An optional string field.
+    pub fn opt_str(&self, name: &str) -> Result<Option<&str>, ChaosError> {
+        self.opt(name, "a string", Json::as_str)
+    }
+
+    /// A required string field.
+    pub fn str(&self, name: &str) -> Result<&str, ChaosError> {
+        Self::required(name, self.opt_str(name)?)
+    }
+
+    /// An optional digest field (a `u64` stored as a string).
+    pub fn opt_digest(&self, name: &str) -> Result<Option<u64>, ChaosError> {
+        self.opt(name, "a u64 in a string", |v| v.as_str()?.parse().ok())
+    }
+
+    /// Field by field [`expect`] of `self`, the recorded run, against
+    /// `got`, a fresh capture of the same inputs: the one compare loop
+    /// behind every tier's `replay`.
+    ///
+    /// # Errors
+    ///
+    /// [`ChaosError::Artifact`] for the first field that differs or that
+    /// only one side holds.
+    pub fn expect_same(&self, got: &ReplayRecord) -> Result<(), ChaosError> {
+        let token = |rec: &ReplayRecord, name: &str| match rec.json(name) {
+            Some(v) => v.render().trim_end().to_string(),
+            None => "nothing".to_string(),
+        };
+        for (name, _) in self.fields.iter().chain(&got.fields) {
+            expect(name, token(self, name), token(got, name))?;
+        }
+        Ok(())
+    }
 }
 
 /// A self-contained, bit-reproducible record of one chaos run: everything
@@ -1150,15 +1358,8 @@ impl ReplayArtifact {
             universe: self.universe,
             steps: self.schedule.len(),
         };
-        match &self.nemesis {
-            None => Ok(run_schedule(self.seed, &cfg, &self.schedule)),
-            Some(name) => {
-                let hook = nemesis_hook(name).ok_or_else(|| ChaosError::UnknownNemesis {
-                    name: name.to_string(),
-                })?;
-                Ok(run_schedule_with(self.seed, &cfg, &self.schedule, hook))
-            }
-        }
+        let hook = resolve_nemesis(self.nemesis.as_deref())?;
+        Ok(run_schedule_with(self.seed, &cfg, &self.schedule, hook))
     }
 
     /// Re-executes the schedule and verifies the outcome is bit-identical
@@ -1190,34 +1391,30 @@ impl ReplayArtifact {
 
     /// Serializes to deterministic, diff-friendly JSON.
     pub fn to_json(&self) -> String {
-        let mut fields = vec![
-            ("version".to_string(), Json::from_usize(1)),
-            ("seed".to_string(), Json::from_u64(self.seed)),
-            ("universe".to_string(), Json::from_usize(self.universe)),
-            (
-                "schedule".to_string(),
+        let mut rec = ReplayRecord::new(None)
+            .with_u64("seed", self.seed)
+            .with_u64("universe", self.universe as u64)
+            .with_json(
+                "schedule",
                 Json::Arr(self.schedule.iter().map(event_to_json).collect()),
-            ),
-        ];
+            );
         if let Some(nemesis) = &self.nemesis {
-            fields.push(("nemesis".to_string(), Json::from_str(nemesis)));
+            rec = rec.with_str("nemesis", nemesis);
         }
         if let Some(v) = &self.violation {
-            fields.push((
-                "violation".to_string(),
+            rec = rec.with_json(
+                "violation",
                 Json::Obj(vec![
                     ("step".to_string(), Json::from_usize(v.step)),
                     ("oracle".to_string(), Json::from_str(&v.oracle)),
                     ("detail".to_string(), Json::from_str(&v.detail)),
                 ]),
-            ));
+            );
         }
-        // The digest is a full u64: stored as a string so the artifact
-        // survives f64-based JSON tooling unscathed.
         if let Some(d) = self.final_digest {
-            fields.push(("final_digest".to_string(), Json::from_str(&d.to_string())));
+            rec = rec.with_digest("final_digest", d);
         }
-        Json::Obj(fields).render()
+        rec.to_json()
     }
 
     /// Parses an artifact previously produced by
@@ -1227,61 +1424,35 @@ impl ReplayArtifact {
     ///
     /// [`ChaosError::Artifact`] describes the malformed field.
     pub fn from_json(text: &str) -> Result<Self, ChaosError> {
-        let doc = json::parse(text)?;
-        let seed = doc
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or("artifact missing u64 'seed'")?;
-        let universe = doc
-            .get("universe")
-            .and_then(Json::as_usize)
-            .ok_or("artifact missing 'universe'")?;
-        let schedule = doc
-            .get("schedule")
+        let rec = ReplayRecord::from_json(text, None)?;
+        let schedule = rec
+            .json("schedule")
             .and_then(Json::as_arr)
             .ok_or("artifact missing 'schedule' array")?
             .iter()
             .map(event_from_json)
             .collect::<Result<Vec<_>, _>>()?;
-        let nemesis = match doc.get("nemesis") {
+        let violation = match rec.json("violation") {
             None => None,
-            Some(v) => Some(v.as_str().ok_or("'nemesis' must be a string")?.to_string()),
-        };
-        let violation = match doc.get("violation") {
-            None => None,
-            Some(v) => Some(Violation {
-                step: v
-                    .get("step")
-                    .and_then(Json::as_usize)
-                    .ok_or("violation missing 'step'")?,
-                oracle: v
-                    .get("oracle")
-                    .and_then(Json::as_str)
-                    .ok_or("violation missing 'oracle'")?
-                    .to_string(),
-                detail: v
-                    .get("detail")
-                    .and_then(Json::as_str)
-                    .ok_or("violation missing 'detail'")?
-                    .to_string(),
-            }),
-        };
-        let final_digest = match doc.get("final_digest") {
-            None => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or("'final_digest' must be a string")?
-                    .parse::<u64>()
-                    .map_err(|e| format!("bad final_digest: {e}"))?,
-            ),
+            Some(Json::Obj(fields)) => {
+                let v = ReplayRecord {
+                    fields: fields.clone(),
+                };
+                Some(Violation {
+                    step: v.usize("step")?,
+                    oracle: v.str("oracle")?.to_string(),
+                    detail: v.str("detail")?.to_string(),
+                })
+            }
+            Some(_) => return Err("'violation' must be an object".into()),
         };
         Ok(ReplayArtifact {
-            seed,
-            universe,
+            seed: rec.u64("seed")?,
+            universe: rec.usize("universe")?,
             schedule,
-            nemesis,
+            nemesis: rec.opt_str("nemesis")?.map(String::from),
             violation,
-            final_digest,
+            final_digest: rec.opt_digest("final_digest")?,
         })
     }
 }
@@ -1476,18 +1647,7 @@ mod tests {
         };
         for seed in 0..4u64 {
             let schedule = generate_schedule(seed, &cfg);
-            let churn_steps = schedule
-                .iter()
-                .filter(|e| {
-                    matches!(
-                        e,
-                        ChaosEvent::Join { .. }
-                            | ChaosEvent::Leave { .. }
-                            | ChaosEvent::Crash { .. }
-                            | ChaosEvent::Recover { .. }
-                    )
-                })
-                .count() as u64;
+            let churn_steps = schedule.iter().filter(|e| e.as_churn().is_some()).count() as u64;
             let (outcome, stats) = run_schedule_with_stats(seed, &cfg, &schedule, |_, _| {});
             assert!(
                 matches!(outcome, ChaosOutcome::Passed { .. }),

@@ -30,7 +30,7 @@ use bcc_core::{
     Budgeted, ClusterError, ClusterIndex, IndexError, QueryOutcome, RetryPolicy, WorkMeter,
 };
 use bcc_embed::{EmbedError, PredictionFramework};
-use bcc_metric::{BandwidthMatrix, DistanceMatrix, FiniteMetric, NodeId};
+use bcc_metric::{BandwidthMatrix, DistanceMatrix, NodeId};
 
 use crate::config::ConfigError;
 use crate::engine::{NodeGossipState, OverlayDelta, SimNetwork};
@@ -49,6 +49,22 @@ pub(crate) struct RestoredParts {
     pub gossip: Vec<NodeGossipState>,
     pub work_cost: u64,
     pub last_convergence_rounds: Option<usize>,
+}
+
+/// A membership operation: the one churn vocabulary of the workspace.
+/// Schedules generate it, the journal records it, and every system type
+/// (`DynamicSystem`, `ClusterService`, `Coordinator`) applies it through
+/// an `apply(op, host)` that dispatches to its four churn methods.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChurnOp {
+    /// A new host joined the system.
+    Join,
+    /// A host departed gracefully.
+    Leave,
+    /// A host crashed without detaching.
+    Crash,
+    /// A previously crashed host rejoined.
+    Recover,
 }
 
 /// An error from a membership operation on a [`DynamicSystem`].
@@ -199,24 +215,6 @@ fn label_universe_matrix(
         }
     }
     m
-}
-
-/// The predicted label-distance metric over the index's active members,
-/// renumbered to index slots — the space the system-wide `_indexed`
-/// probes run on.
-struct ActiveLabelMetric<'a> {
-    fw: &'a PredictionFramework,
-    ids: &'a [u32],
-}
-
-impl FiniteMetric for ActiveLabelMetric<'_> {
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    fn distance(&self, i: usize, j: usize) -> f64 {
-        fw_label_dist(self.fw, self.ids[i], self.ids[j])
-    }
 }
 
 /// A clustering system whose membership changes over time.
@@ -578,6 +576,21 @@ impl DynamicSystem {
         self.join(host)
     }
 
+    /// Applies one churn op: the `join`, `leave`, `crash` or `recover` of
+    /// `host` that `op` names.
+    ///
+    /// # Errors
+    ///
+    /// Those of the method `op` names.
+    pub fn apply(&mut self, op: ChurnOp, host: NodeId) -> Result<(), ChurnError> {
+        match op {
+            ChurnOp::Join => self.join(host),
+            ChurnOp::Leave => self.leave(host),
+            ChurnOp::Crash => self.crash(host),
+            ChurnOp::Recover => self.recover(host),
+        }
+    }
+
     /// Hosts currently crashed (and not yet recovered).
     pub fn crashed(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.crashed.iter().copied()
@@ -826,45 +839,6 @@ impl DynamicSystem {
         let ids: Vec<u32> = self.active.iter().map(|h| h.index() as u32).collect();
         let fw = &self.framework;
         ClusterIndex::build(self.bandwidth.len(), &ids, |a, b| fw_label_dist(fw, a, b))
-    }
-
-    /// Centralized indexed probe: `k` active hosts with predicted pairwise
-    /// bandwidth ≥ `bandwidth`, answered through the live index in its
-    /// slot order (ascending host id) — bit-identical members to the
-    /// brute-force pair sweep over the same predicted metric. Returns
-    /// `None` when no such cluster exists (or `bandwidth` is not positive
-    /// and finite).
-    pub fn find_cluster_indexed(&self, k: usize, bandwidth: f64) -> Option<Vec<NodeId>> {
-        if !bandwidth.is_finite() || bandwidth <= 0.0 {
-            return None;
-        }
-        let l = self.config.transform.distance_constraint(bandwidth);
-        let metric = ActiveLabelMetric {
-            fw: &self.framework,
-            ids: self.index.ids(),
-        };
-        bcc_core::find_cluster_indexed(&metric, &self.index, k, l).map(|slots| {
-            slots
-                .into_iter()
-                .map(|s| NodeId::new(self.index.ids()[s] as usize))
-                .collect()
-        })
-    }
-
-    /// Centralized indexed `max_cluster_size` over the active membership:
-    /// the largest `k` for which [`DynamicSystem::find_cluster_indexed`]
-    /// would succeed at `bandwidth`. `0` when the system is empty or the
-    /// bandwidth is invalid.
-    pub fn max_cluster_size_indexed(&self, bandwidth: f64) -> usize {
-        if !bandwidth.is_finite() || bandwidth <= 0.0 || self.index.is_empty() {
-            return 0;
-        }
-        let l = self.config.transform.distance_constraint(bandwidth);
-        let metric = ActiveLabelMetric {
-            fw: &self.framework,
-            ids: self.index.ids(),
-        };
-        bcc_core::max_cluster_size_indexed(&metric, &self.index, l)
     }
 
     /// The gossip digest a *cold restart* of the current membership would
@@ -1347,41 +1321,6 @@ mod tests {
         let before = s.index_stamp();
         s.leave(n(2)).unwrap();
         assert_ne!(s.index_stamp(), before, "churn moves the stamp");
-    }
-
-    #[test]
-    fn indexed_probe_matches_pair_sweep_on_live_metric() {
-        use bcc_core::{find_cluster, max_cluster_size};
-        let mut s = dynamic();
-        for i in 0..6 {
-            s.join(n(i)).unwrap();
-        }
-        s.leave(n(4)).unwrap();
-        // Materialize the same predicted label metric the index serves,
-        // in index slot order, and compare against the brute-force oracle.
-        let ids: Vec<u32> = s.cluster_index().ids().to_vec();
-        let fw = s.framework();
-        let d = DistanceMatrix::from_fn(ids.len(), |i, j| fw_label_dist(fw, ids[i], ids[j]));
-        for bw in [10.0, 30.0, 40.0, 80.0, 100.0] {
-            let l = s.config().transform.distance_constraint(bw);
-            for k in 2..=ids.len() {
-                let expect = find_cluster(&d, k, l).map(|slots| {
-                    slots
-                        .into_iter()
-                        .map(|i| n(ids[i] as usize))
-                        .collect::<Vec<_>>()
-                });
-                assert_eq!(s.find_cluster_indexed(k, bw), expect, "k={k} bw={bw}");
-            }
-            assert_eq!(
-                s.max_cluster_size_indexed(bw),
-                max_cluster_size(&d, l),
-                "bw={bw}"
-            );
-        }
-        // Invalid bandwidths degrade to the empty answer, not a panic.
-        assert_eq!(s.find_cluster_indexed(2, f64::NAN), None);
-        assert_eq!(s.max_cluster_size_indexed(-1.0), 0);
     }
 
     #[test]

@@ -179,12 +179,18 @@ fn render_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parses one JSON document; trailing whitespace is allowed, trailing
-/// content is an error.
+/// Deepest array/object nesting [`parse`] follows: artifacts nest three
+/// levels, and hostile input must not recurse the stack away.
+const MAX_DEPTH: usize = 32;
+
+/// Parses one JSON document strictly; trailing whitespace is allowed,
+/// trailing content, a repeated object key or nesting beyond
+/// [`MAX_DEPTH`] is an error.
 pub(crate) fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -198,6 +204,7 @@ pub(crate) fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -240,8 +247,20 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -375,6 +394,9 @@ impl Parser<'_> {
         loop {
             self.skip_ws();
             let key = self.string()?;
+            if fields.iter().any(|(k, _)| *k == key) {
+                return Err(format!("duplicate key {key:?} before byte {}", self.pos));
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -458,9 +480,21 @@ mod tests {
             "[1 2]",
             "-",
             "\"\\q\"",
+            "{\"a\": 1, \"a\": 2}",
+            "{\"a\": {\"b\": 1, \"b\": 1}}",
+            "{\"a\": 1",
+            "{\"a\": 1}}",
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&ok).is_ok());
+        let deep = "[".repeat(100_000);
+        assert!(parse(&deep).unwrap_err().contains("nesting"));
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub use chaos::{
     run_schedule_with_stats, shrink_schedule, ChaosConfig, ChaosError, ChaosEvent, ChaosOutcome,
     OracleStats, ReplayArtifact, Violation,
 };
-pub use churn::{fw_label_dist, ChurnError, DynamicSystem, OverlayStats, RebuildCost};
+pub use churn::{fw_label_dist, ChurnError, ChurnOp, DynamicSystem, OverlayStats, RebuildCost};
 pub use config::ConfigError;
 pub use engine::{NodeGossipState, OverlayDelta, SimNetwork, TrafficStats};
 pub use event::{AsyncConfig, AsyncNetwork};
@@ -97,7 +97,7 @@ pub use fault::{
     FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultTransition, MessageFate, PlannedInjector,
 };
 pub use persist::{
-    run_recovery_schedule, ChurnOp, FaultyStorage, JournalRecord, MemStorage, PersistError,
+    run_recovery_schedule, FaultyStorage, JournalRecord, MemStorage, PersistError,
     RecoveryArtifact, RecoveryConfig, RecoveryOutcome, RecoveryReport, SnapshotStore, Storage,
     StorageFaultPlan, SystemSnapshot,
 };

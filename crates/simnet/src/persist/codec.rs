@@ -5,17 +5,16 @@
 //! round trip reproduces values exactly — the property the
 //! snapshot→restore digest oracles rely on.
 
+use bcc_core::{FNV_OFFSET, FNV_PRIME};
+
 use super::error::PersistError;
 
-/// FNV-1a offset basis (the same constants the cluster index digests
-/// use, so one hash discipline covers the whole stack).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a processed a 64-bit word at a time (little-endian, byte-wise
-/// over the tail), so checksumming a multi-megabyte snapshot section
-/// costs an eighth of the classic byte-wise loop. Every step is a
+/// FNV-1a over `bcc_core`'s constants (one hash discipline for the whole
+/// stack), but processed a 64-bit word at a time (little-endian,
+/// byte-wise over the tail) and therefore a different function from
+/// [`bcc_core::fnv1a`], fixed by the on-disk format. Checksumming a
+/// multi-megabyte snapshot section this way costs an eighth of the
+/// classic byte-wise loop. Every step is a
 /// bijection of the running state for a fixed input word, so two inputs
 /// differing in any bit — a flipped bit, a torn tail — are *guaranteed*
 /// to checksum differently once lengths match, which is the only

@@ -15,25 +15,14 @@ use bcc_metric::NodeId;
 
 use super::codec::fnv64;
 use super::error::PersistError;
+use crate::churn::ChurnOp;
 
 /// Body bytes per frame: op (1) + host (4) + epoch (8).
 const BODY_LEN: usize = 13;
 /// Total bytes per frame: length prefix + body + checksum.
 pub(crate) const FRAME_LEN: usize = 4 + BODY_LEN + 8;
 
-/// A churn operation, as recorded in the journal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChurnOp {
-    /// A new host joined the system.
-    Join,
-    /// A host departed gracefully.
-    Leave,
-    /// A host crashed without detaching.
-    Crash,
-    /// A previously crashed host rejoined.
-    Recover,
-}
-
+/// The journal's one-byte wire code of a [`ChurnOp`].
 impl ChurnOp {
     fn code(self) -> u8 {
         match self {

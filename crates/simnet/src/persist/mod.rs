@@ -36,8 +36,9 @@ mod snapshot;
 mod storage;
 mod store;
 
+pub use crate::churn::ChurnOp;
 pub use error::PersistError;
-pub use journal::{ChurnOp, JournalRecord};
+pub use journal::JournalRecord;
 pub use recovery::{run_recovery_schedule, RecoveryArtifact, RecoveryConfig, RecoveryOutcome};
 pub use snapshot::{SystemSnapshot, SNAPSHOT_VERSION};
 pub use storage::{FaultyStorage, MemStorage, Storage, StorageFaultPlan};

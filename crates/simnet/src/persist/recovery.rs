@@ -18,18 +18,14 @@
 //!
 //! [`ReplayArtifact`]: crate::chaos::ReplayArtifact
 
-use bcc_metric::NodeId;
-
 use super::error::PersistError;
-use super::journal::ChurnOp;
 use super::storage::{FaultyStorage, StorageFaultPlan};
 use super::store::SnapshotStore;
 use crate::chaos::{
     chaos_classes, generate_schedule, run_schedule_with_stats, universe_bandwidth, ChaosConfig,
-    ChaosError, ChaosEvent, ChaosOutcome, OracleStats,
+    ChaosError, ChaosOutcome, OracleStats, ReplayRecord, UNIVERSE_SALT,
 };
 use crate::churn::DynamicSystem;
-use crate::json::{self, Json};
 use crate::system::SystemConfig;
 
 /// Cadences and fault plan for the kill-restart tier.
@@ -100,17 +96,6 @@ impl RecoveryOutcome {
     }
 }
 
-/// The churn op a schedule event journals, if it is one.
-fn as_churn(event: &ChaosEvent) -> Option<(ChurnOp, usize)> {
-    match event {
-        ChaosEvent::Join { host } => Some((ChurnOp::Join, *host)),
-        ChaosEvent::Leave { host } => Some((ChurnOp::Leave, *host)),
-        ChaosEvent::Crash { host } => Some((ChurnOp::Crash, *host)),
-        ChaosEvent::Recover { host } => Some((ChurnOp::Recover, *host)),
-        _ => None,
-    }
-}
-
 /// Runs `seed`'s chaos schedule under the kill-restart nemesis.
 ///
 /// # Panics
@@ -126,7 +111,7 @@ pub fn run_recovery_schedule(
         "recovery cadences must be positive"
     );
     let schedule = generate_schedule(seed, cfg);
-    let bandwidth = universe_bandwidth(seed, cfg.universe);
+    let bandwidth = universe_bandwidth(seed, UNIVERSE_SALT, cfg.universe);
     let sys_cfg = SystemConfig::new(chaos_classes());
     // Always run through the fault-injecting storage; a plan with zero
     // probabilities never corrupts, so the clean tier is the same code.
@@ -147,11 +132,11 @@ pub fn run_recovery_schedule(
         if persist_error.is_some() {
             return; // a failed recovery already ended the experiment
         }
-        if let Some((op, host)) = as_churn(&schedule[step]) {
+        if let Some((op, host)) = schedule[step].as_churn() {
             // Journal the op even when the live system skipped it
             // benignly (e.g. a double join): replay skips it the same
             // way, and the recorded post-op epoch pins that equivalence.
-            store.log(op, NodeId::new(host), sys.epoch());
+            store.log(op, host, sys.epoch());
         }
         if step.is_multiple_of(rcfg.snapshot_every) {
             store.snapshot(sys);
@@ -217,7 +202,7 @@ pub fn run_recovery_schedule(
 
     // Satellite oracle: the cold-reference memo must actually be
     // memoizing — misses are bounded by the schedule's churn steps.
-    let churn_steps = schedule.iter().filter(|e| as_churn(e).is_some()).count() as u64;
+    let churn_steps = schedule.iter().filter(|e| e.as_churn().is_some()).count() as u64;
     if oracle_stats.cold_misses > churn_steps + 1 {
         failures.push(format!(
             "cold-reference memo missed {} times for {churn_steps} churn steps",
@@ -239,57 +224,15 @@ pub fn run_recovery_schedule(
     }
 }
 
-/// A pinned, re-runnable record of one kill-restart run: the inputs
-/// (seed, sizes, cadences, fault probabilities) and the outputs the
-/// rerun must reproduce exactly (counters and final digest).
+/// A pinned, re-runnable record of one kill-restart run, as one
+/// [`ReplayRecord`]: the inputs (seed, sizes, cadences, storage-fault
+/// probabilities when faults were injected; the plan's seed is the run
+/// seed) and the outputs the rerun must reproduce exactly (counters and
+/// final digest).
 #[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryArtifact {
-    /// The run seed.
-    pub seed: u64,
-    /// Universe size.
-    pub universe: usize,
-    /// Schedule length.
-    pub steps: usize,
-    /// Snapshot cadence.
-    pub snapshot_every: usize,
-    /// Kill cadence.
-    pub kill_every: usize,
-    /// Storage-fault probabilities `(torn_write, bit_flip)`, if faults
-    /// were injected (the plan's seed is the run seed).
-    pub faults: Option<(f64, f64)>,
-    /// Kill-restart cycles the run must perform.
-    pub kills: u64,
-    /// Fallback recoveries the run must perform.
-    pub fallback_recoveries: u64,
-    /// Snapshot writes the fault plan must corrupt.
-    pub corrupted_writes: u64,
-    /// Journal records the run must replay.
-    pub replayed_ops: u64,
-    /// Final overlay digest the run must reproduce.
-    pub final_digest: Option<u64>,
-}
+pub struct RecoveryArtifact(ReplayRecord);
 
 impl RecoveryArtifact {
-    /// The chaos/recovery configs this artifact encodes.
-    fn configs(&self) -> (ChaosConfig, RecoveryConfig) {
-        let steps = self.steps.saturating_sub(self.universe.min(4));
-        (
-            ChaosConfig {
-                universe: self.universe,
-                steps,
-            },
-            RecoveryConfig {
-                snapshot_every: self.snapshot_every,
-                kill_every: self.kill_every,
-                storage_faults: self.faults.map(|(torn, flip)| {
-                    StorageFaultPlan::new(self.seed)
-                        .torn_write(torn)
-                        .bit_flip(flip)
-                }),
-            },
-        )
-    }
-
     /// Captures a run of `seed` under the given configs as an artifact.
     ///
     /// # Errors
@@ -314,19 +257,27 @@ impl RecoveryArtifact {
                 ),
             });
         }
-        Ok(RecoveryArtifact {
-            seed,
-            universe: cfg.universe,
-            steps: cfg.steps + cfg.universe.min(4),
-            snapshot_every: rcfg.snapshot_every,
-            kill_every: rcfg.kill_every,
-            faults: rcfg.storage_faults.map(|p| (p.torn_write, p.bit_flip)),
-            kills: out.kills,
-            fallback_recoveries: out.fallback_recoveries,
-            corrupted_writes: out.corrupted_writes,
-            replayed_ops: out.replayed_ops,
-            final_digest: out.final_digest(),
-        })
+        // `steps` records the whole schedule, initial joins included.
+        let mut rec = ReplayRecord::new(None)
+            .with_u64("seed", seed)
+            .with_u64("universe", cfg.universe as u64)
+            .with_u64("steps", (cfg.steps + cfg.universe.min(4)) as u64)
+            .with_u64("snapshot_every", rcfg.snapshot_every as u64)
+            .with_u64("kill_every", rcfg.kill_every as u64);
+        if let Some(plan) = rcfg.storage_faults {
+            rec = rec
+                .with_f64("torn_write", plan.torn_write)
+                .with_f64("bit_flip", plan.bit_flip);
+        }
+        rec = rec
+            .with_u64("kills", out.kills)
+            .with_u64("fallback_recoveries", out.fallback_recoveries)
+            .with_u64("corrupted_writes", out.corrupted_writes)
+            .with_u64("replayed_ops", out.replayed_ops);
+        if let Some(d) = out.final_digest() {
+            rec = rec.with_digest("final_digest", d);
+        }
+        Ok(RecoveryArtifact(rec))
     }
 
     /// Re-runs the pinned configuration and verifies every recorded
@@ -335,144 +286,45 @@ impl RecoveryArtifact {
     /// # Errors
     ///
     /// [`ChaosError::Persist`] if a recovery failed;
-    /// [`ChaosError::Artifact`] describing any divergence.
+    /// [`ChaosError::Artifact`] naming a missing or ill-typed input or
+    /// the first field the re-run moved.
     pub fn replay(&self) -> Result<(), ChaosError> {
-        let (cfg, rcfg) = self.configs();
-        let out = run_recovery_schedule(self.seed, &cfg, &rcfg);
-        if let Some(e) = out.persist_error {
-            return Err(ChaosError::Persist(e));
-        }
-        let diverged = |what: &str, recorded: String, got: String| {
-            Err(ChaosError::Artifact {
-                detail: format!(
-                    "kill-restart replay diverged on {what}: recorded {recorded}, got {got}"
-                ),
-            })
-        };
-        if !out.passed() {
-            return diverged("outcome", "passed".into(), format!("{:?}", out.failures));
-        }
-        let checks: [(&str, u64, u64); 4] = [
-            ("kills", self.kills, out.kills),
-            (
-                "fallback_recoveries",
-                self.fallback_recoveries,
-                out.fallback_recoveries,
-            ),
-            (
-                "corrupted_writes",
-                self.corrupted_writes,
-                out.corrupted_writes,
-            ),
-            ("replayed_ops", self.replayed_ops, out.replayed_ops),
-        ];
-        for (what, recorded, got) in checks {
-            if recorded != got {
-                return diverged(what, recorded.to_string(), got.to_string());
+        let rec = &self.0;
+        let (seed, universe) = (rec.u64("seed")?, rec.usize("universe")?);
+        let storage_faults = match (rec.opt_f64("torn_write")?, rec.opt_f64("bit_flip")?) {
+            (None, None) => None,
+            (Some(torn), Some(flip)) => {
+                Some(StorageFaultPlan::new(seed).torn_write(torn).bit_flip(flip))
             }
+            _ => return Err("recovery artifact fault fields must be paired".into()),
+        };
+        let cfg = ChaosConfig {
+            universe,
+            steps: rec.usize("steps")?.saturating_sub(universe.min(4)),
+        };
+        let rcfg = RecoveryConfig {
+            snapshot_every: rec.usize("snapshot_every")?,
+            kill_every: rec.usize("kill_every")?,
+            storage_faults,
+        };
+        if rcfg.snapshot_every == 0 || rcfg.kill_every == 0 {
+            return Err("recovery artifact cadences must be positive".into());
         }
-        if out.final_digest() != self.final_digest {
-            return diverged(
-                "final_digest",
-                format!("{:?}", self.final_digest),
-                format!("{:?}", out.final_digest()),
-            );
-        }
-        Ok(())
+        rec.expect_same(&Self::capture(seed, &cfg, &rcfg)?.0)
     }
 
     /// Serializes to deterministic, diff-friendly JSON.
     pub fn to_json(&self) -> String {
-        let mut fields = vec![
-            ("version".to_string(), Json::from_usize(1)),
-            ("seed".to_string(), Json::from_u64(self.seed)),
-            ("universe".to_string(), Json::from_usize(self.universe)),
-            ("steps".to_string(), Json::from_usize(self.steps)),
-            (
-                "snapshot_every".to_string(),
-                Json::from_usize(self.snapshot_every),
-            ),
-            ("kill_every".to_string(), Json::from_usize(self.kill_every)),
-        ];
-        if let Some((torn, flip)) = self.faults {
-            fields.push(("torn_write".to_string(), Json::from_f64(torn)));
-            fields.push(("bit_flip".to_string(), Json::from_f64(flip)));
-        }
-        fields.push(("kills".to_string(), Json::from_u64(self.kills)));
-        fields.push((
-            "fallback_recoveries".to_string(),
-            Json::from_u64(self.fallback_recoveries),
-        ));
-        fields.push((
-            "corrupted_writes".to_string(),
-            Json::from_u64(self.corrupted_writes),
-        ));
-        fields.push((
-            "replayed_ops".to_string(),
-            Json::from_u64(self.replayed_ops),
-        ));
-        // Stored as a string: the digest is a full u64 and must survive
-        // f64-based JSON tooling.
-        if let Some(d) = self.final_digest {
-            fields.push(("final_digest".to_string(), Json::from_str(&d.to_string())));
-        }
-        Json::Obj(fields).render()
+        self.0.to_json()
     }
 
     /// Parses an artifact produced by [`RecoveryArtifact::to_json`].
     ///
     /// # Errors
     ///
-    /// [`ChaosError::Artifact`] describes the malformed field.
+    /// Those of [`ReplayRecord::from_json`].
     pub fn from_json(text: &str) -> Result<Self, ChaosError> {
-        let doc = json::parse(text)?;
-        let req_u64 = |name: &str| {
-            doc.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ChaosError::Artifact {
-                    detail: format!("recovery artifact missing u64 '{name}'"),
-                })
-        };
-        let req_usize = |name: &str| {
-            doc.get(name)
-                .and_then(Json::as_usize)
-                .ok_or_else(|| ChaosError::Artifact {
-                    detail: format!("recovery artifact missing '{name}'"),
-                })
-        };
-        let faults = match (doc.get("torn_write"), doc.get("bit_flip")) {
-            (None, None) => None,
-            (torn, flip) => Some((
-                torn.and_then(Json::as_f64)
-                    .ok_or("recovery artifact fault fields must be paired numbers")?,
-                flip.and_then(Json::as_f64)
-                    .ok_or("recovery artifact fault fields must be paired numbers")?,
-            )),
-        };
-        let final_digest = match doc.get("final_digest") {
-            None => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or("'final_digest' must be a string")?
-                    .parse::<u64>()
-                    .map_err(|e| ChaosError::Artifact {
-                        detail: format!("bad final_digest: {e}"),
-                    })?,
-            ),
-        };
-        Ok(RecoveryArtifact {
-            seed: req_u64("seed")?,
-            universe: req_usize("universe")?,
-            steps: req_usize("steps")?,
-            snapshot_every: req_usize("snapshot_every")?,
-            kill_every: req_usize("kill_every")?,
-            faults,
-            kills: req_u64("kills")?,
-            fallback_recoveries: req_u64("fallback_recoveries")?,
-            corrupted_writes: req_u64("corrupted_writes")?,
-            replayed_ops: req_u64("replayed_ops")?,
-            final_digest,
-        })
+        ReplayRecord::from_json(text, None).map(RecoveryArtifact)
     }
 }
 
@@ -548,22 +400,27 @@ mod tests {
         back.replay().unwrap();
 
         // Tampering any pinned counter must make replay diverge.
-        let mut tampered = artifact.clone();
-        tampered.replayed_ops += 1;
-        let err = tampered.replay().unwrap_err();
-        assert!(err.to_string().contains("diverged"), "{err}");
+        let ops = artifact.0.u64("replayed_ops").unwrap();
+        let tampered = text.replace(
+            &format!("\"replayed_ops\": {ops}"),
+            &format!("\"replayed_ops\": {}", ops + 1),
+        );
+        let err = RecoveryArtifact::from_json(&tampered)
+            .unwrap()
+            .replay()
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "replay diverged on replayed_ops: recorded {}, got {ops}",
+                ops + 1
+            )
+        );
     }
 
     #[test]
     fn malformed_recovery_artifacts_are_rejected() {
-        for bad in [
-            "{}",
-            r#"{"seed": 1, "universe": 6}"#,
-            r#"{"seed": 1, "universe": 6, "steps": 18, "snapshot_every": 4,
-                "kill_every": 7, "kills": 2, "fallback_recoveries": 0,
-                "corrupted_writes": 0, "replayed_ops": 4, "final_digest": 7}"#,
-            "nope",
-        ] {
+        for bad in ["{}", r#"{"seed": 1, "universe": 6}"#, "nope"] {
             assert!(
                 RecoveryArtifact::from_json(bad).is_err(),
                 "accepted {bad:?}"

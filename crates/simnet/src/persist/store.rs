@@ -12,10 +12,10 @@
 use bcc_metric::{BandwidthMatrix, NodeId};
 
 use super::error::PersistError;
-use super::journal::{decode_records, encode_record, ChurnOp, JournalRecord};
+use super::journal::{decode_records, encode_record, JournalRecord};
 use super::snapshot::SystemSnapshot;
 use super::storage::Storage;
-use crate::churn::{ChurnError, DynamicSystem};
+use crate::churn::{ChurnError, ChurnOp, DynamicSystem};
 use crate::system::SystemConfig;
 
 /// Key prefix for snapshot blobs (`snapshot.<generation>`).
@@ -187,14 +187,7 @@ impl<S: Storage> SnapshotStore<S> {
 /// must then match the journaled epoch — any divergence means the replay
 /// is not reproducing the original run.
 fn replay_op(sys: &mut DynamicSystem, rec: &JournalRecord) -> Result<(), PersistError> {
-    let host = rec.node();
-    let outcome = match rec.op {
-        ChurnOp::Join => sys.join(host),
-        ChurnOp::Leave => sys.leave(host),
-        ChurnOp::Crash => sys.crash(host),
-        ChurnOp::Recover => sys.recover(host),
-    };
-    match outcome {
+    match sys.apply(rec.op, rec.node()) {
         Ok(()) | Err(ChurnError::Embed(_)) => {}
         Err(e @ (ChurnError::Convergence { .. } | ChurnError::Index(_))) => {
             return Err(PersistError::Malformed {
@@ -217,11 +210,11 @@ fn replay_op(sys: &mut DynamicSystem, rec: &JournalRecord) -> Result<(), Persist
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{chaos_classes, universe_bandwidth};
+    use crate::chaos::{chaos_classes, universe_bandwidth, UNIVERSE_SALT};
     use crate::persist::storage::MemStorage;
 
     fn setup(universe: usize, hosts: usize) -> (DynamicSystem, BandwidthMatrix, SystemConfig) {
-        let bandwidth = universe_bandwidth(11, universe);
+        let bandwidth = universe_bandwidth(11, UNIVERSE_SALT, universe);
         let config = SystemConfig::new(chaos_classes());
         let hosts: Vec<NodeId> = (0..hosts).map(NodeId::new).collect();
         let sys = DynamicSystem::bootstrap(bandwidth.clone(), config.clone(), &hosts).unwrap();
@@ -235,13 +228,7 @@ mod tests {
         host: usize,
     ) {
         let host = NodeId::new(host);
-        let outcome = match op {
-            ChurnOp::Join => sys.join(host),
-            ChurnOp::Leave => sys.leave(host),
-            ChurnOp::Crash => sys.crash(host),
-            ChurnOp::Recover => sys.recover(host),
-        };
-        outcome.unwrap();
+        sys.apply(op, host).unwrap();
         store.log(op, host, sys.epoch());
     }
 

@@ -22,46 +22,27 @@ fn system_from_caps(caps: &[f64]) -> (DynamicSystem, BandwidthMatrix, SystemConf
     (sys, bandwidth, config)
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Join(usize),
-    Leave(usize),
-    Crash(usize),
-    Recover(usize),
-}
-
-impl Op {
-    fn apply(self, sys: &mut DynamicSystem) -> (ChurnOp, NodeId, bool) {
-        let (kind, host) = match self {
-            Op::Join(h) => (ChurnOp::Join, NodeId::new(h)),
-            Op::Leave(h) => (ChurnOp::Leave, NodeId::new(h)),
-            Op::Crash(h) => (ChurnOp::Crash, NodeId::new(h)),
-            Op::Recover(h) => (ChurnOp::Recover, NodeId::new(h)),
-        };
-        let applied = match kind {
-            ChurnOp::Join => sys.join(host),
-            ChurnOp::Leave => sys.leave(host),
-            ChurnOp::Crash => sys.crash(host),
-            ChurnOp::Recover => sys.recover(host),
-        }
-        .is_ok();
-        (kind, host, applied)
-    }
-}
+type Op = (ChurnOp, NodeId);
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    (0usize..4, 0usize..UNIVERSE).prop_map(|(kind, host)| match kind {
-        0 => Op::Join(host),
-        1 => Op::Leave(host),
-        2 => Op::Crash(host),
-        _ => Op::Recover(host),
+    (0usize..4, 0usize..UNIVERSE).prop_map(|(kind, host)| {
+        let op = [
+            ChurnOp::Join,
+            ChurnOp::Leave,
+            ChurnOp::Crash,
+            ChurnOp::Recover,
+        ][kind];
+        (op, NodeId::new(host))
     })
 }
 
 /// A schedule that starts with a few joins so most runs have live hosts.
 fn arb_schedule() -> impl Strategy<Value = Vec<Op>> {
     (
-        proptest::collection::vec((0usize..UNIVERSE).prop_map(Op::Join), 2..5),
+        proptest::collection::vec(
+            (0usize..UNIVERSE).prop_map(|h| (ChurnOp::Join, NodeId::new(h))),
+            2..5,
+        ),
         proptest::collection::vec(arb_op(), 0..20),
     )
         .prop_map(|(joins, tail)| {
@@ -85,8 +66,8 @@ proptest! {
         tail in proptest::collection::vec(arb_op(), 1..8),
     ) {
         let (mut sys, bandwidth, config) = system_from_caps(&caps);
-        for op in ops {
-            op.apply(&mut sys);
+        for (op, host) in ops {
+            let _ = sys.apply(op, host);
         }
 
         let bytes = SystemSnapshot::capture(&sys).encode();
@@ -105,8 +86,8 @@ proptest! {
 
         // The restored replica must track the original under identical churn.
         for op in tail {
-            op.apply(&mut sys);
-            op.apply(&mut restored);
+            let _ = sys.apply(op.0, op.1);
+            let _ = restored.apply(op.0, op.1);
             prop_assert_eq!(restored.epoch(), sys.epoch(), "diverged after {:?}", op);
             prop_assert_eq!(restored.live_digest(), sys.live_digest(), "diverged after {:?}", op);
         }
@@ -125,11 +106,11 @@ proptest! {
         let cut = cut % (ops.len() + 1);
         let mut store = SnapshotStore::new(MemStorage::new());
         let mut logged = 0usize;
-        for (i, op) in ops.iter().enumerate() {
+        for (i, &(kind, host)) in ops.iter().enumerate() {
             if i == cut {
                 store.snapshot(&sys);
             }
-            let (kind, host, _) = op.apply(&mut sys);
+            let _ = sys.apply(kind, host);
             if i >= cut {
                 // Journal every attempted op (applied or benignly skipped),
                 // exactly like the live kill-restart nemesis does.
@@ -166,8 +147,8 @@ proptest! {
         let plan = StorageFaultPlan::new(seed).torn_write(torn).bit_flip(flip);
         let mut store = SnapshotStore::with_retain(FaultyStorage::new(plan), 4);
         store.snapshot(&sys);
-        for (i, op) in ops.iter().enumerate() {
-            let (kind, host, _) = op.apply(&mut sys);
+        for (i, &(kind, host)) in ops.iter().enumerate() {
+            let _ = sys.apply(kind, host);
             store.log(kind, host, sys.epoch());
             if i % 3 == 2 {
                 store.snapshot(&sys);

@@ -5,7 +5,7 @@
 
 use bcc_core::BandwidthClasses;
 use bcc_metric::{BandwidthMatrix, NodeId, RationalTransform};
-use bcc_simnet::{DynamicSystem, SystemConfig};
+use bcc_simnet::{ChurnOp, DynamicSystem, SystemConfig};
 use proptest::prelude::*;
 
 const UNIVERSE: usize = 8;
@@ -16,20 +16,15 @@ fn system_from_caps(caps: &[f64]) -> DynamicSystem {
     DynamicSystem::new(bandwidth, SystemConfig::new(classes))
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Join(usize),
-    Leave(usize),
-    Crash(usize),
-    Recover(usize),
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    (0usize..4, 0usize..UNIVERSE).prop_map(|(kind, host)| match kind {
-        0 => Op::Join(host),
-        1 => Op::Leave(host),
-        2 => Op::Crash(host),
-        _ => Op::Recover(host),
+fn arb_op() -> impl Strategy<Value = (ChurnOp, usize)> {
+    (0usize..4, 0usize..UNIVERSE).prop_map(|(kind, host)| {
+        let op = [
+            ChurnOp::Join,
+            ChurnOp::Leave,
+            ChurnOp::Crash,
+            ChurnOp::Recover,
+        ][kind];
+        (op, host)
     })
 }
 
@@ -44,12 +39,7 @@ proptest! {
         let mut sys = system_from_caps(&caps);
         let mut applied = 0u64;
         for op in ops {
-            let result = match op {
-                Op::Join(h) => sys.join(NodeId::new(h)),
-                Op::Leave(h) => sys.leave(NodeId::new(h)),
-                Op::Crash(h) => sys.crash(NodeId::new(h)),
-                Op::Recover(h) => sys.recover(NodeId::new(h)),
-            };
+            let result = sys.apply(op.0, NodeId::new(op.1));
             // Invalid transitions (double-join, leave of an absent host,
             // recover of a non-crashed host, ...) are rejected and must
             // leave the index untouched; valid ones must keep it exactly

@@ -7,7 +7,7 @@
 
 use bcc_core::BandwidthClasses;
 use bcc_metric::{BandwidthMatrix, NodeId, RationalTransform};
-use bcc_simnet::{DynamicSystem, SimNetwork, SystemConfig};
+use bcc_simnet::{ChurnOp, DynamicSystem, SimNetwork, SystemConfig};
 use proptest::prelude::*;
 
 const UNIVERSE: usize = 8;
@@ -18,20 +18,15 @@ fn system_from_caps(caps: &[f64]) -> DynamicSystem {
     DynamicSystem::new(bandwidth, SystemConfig::new(classes))
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Join(usize),
-    Leave(usize),
-    Crash(usize),
-    Recover(usize),
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    (0usize..4, 0usize..UNIVERSE).prop_map(|(kind, host)| match kind {
-        0 => Op::Join(host),
-        1 => Op::Leave(host),
-        2 => Op::Crash(host),
-        _ => Op::Recover(host),
+fn arb_op() -> impl Strategy<Value = (ChurnOp, usize)> {
+    (0usize..4, 0usize..UNIVERSE).prop_map(|(kind, host)| {
+        let op = [
+            ChurnOp::Join,
+            ChurnOp::Leave,
+            ChurnOp::Crash,
+            ChurnOp::Recover,
+        ][kind];
+        (op, host)
     })
 }
 
@@ -49,12 +44,7 @@ proptest! {
             // Reading before the op warms the memo, so an op that failed
             // to forget it would serve the previous state's digest below.
             prop_assert_eq!(sys.live_digest(), sys.network().map(SimNetwork::digest));
-            let result = match op {
-                Op::Join(h) => sys.join(NodeId::new(h)),
-                Op::Leave(h) => sys.leave(NodeId::new(h)),
-                Op::Crash(h) => sys.crash(NodeId::new(h)),
-                Op::Recover(h) => sys.recover(NodeId::new(h)),
-            };
+            let result = sys.apply(op.0, NodeId::new(op.1));
             // Invalid transitions are rejected without touching the
             // overlay; valid ones must leave the focused repair sitting on
             // the exact fixpoint a cold restart of the new membership

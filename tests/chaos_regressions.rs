@@ -13,42 +13,63 @@
 //!     --seed <seed> --save tests/chaos_corpus/seed<seed>.json
 //! ```
 
+use std::path::Path;
+
 use bcc_service::DegradeArtifact;
 use bcc_shard::harness::ShardArtifact;
 use bcc_simnet::chaos::ReplayArtifact;
-use bcc_simnet::RecoveryArtifact;
+use bcc_simnet::{ChaosError, RecoveryArtifact};
 
-#[test]
-fn corpus_replays_bit_identically() {
-    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/chaos_corpus");
-    let mut replayed = 0;
-    let mut entries: Vec<_> = std::fs::read_dir(corpus)
-        .expect("chaos corpus directory exists")
+/// Replays every `*.json` under `tests/chaos_corpus/<dir>` in name order.
+/// `replay` parses the text, re-executes the artifact and returns its
+/// re-rendering: an artifact is also a serialization fixpoint, so that
+/// must reproduce the committed bytes.
+fn replay_corpus(dir: &str, at_least: usize, replay: impl Fn(&str) -> Result<String, ChaosError>) {
+    let corpus = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/chaos_corpus")
+        .join(dir);
+    let mut entries: Vec<_> = std::fs::read_dir(&corpus)
+        .unwrap_or_else(|e| panic!("{}: {e}", corpus.display()))
         .map(|e| e.expect("readable corpus entry").path())
         .filter(|p| p.extension().is_some_and(|e| e == "json"))
         .collect();
     entries.sort();
-    for path in entries {
-        let text = std::fs::read_to_string(&path).expect("readable artifact");
-        let artifact = ReplayArtifact::from_json(&text)
-            .unwrap_or_else(|e| panic!("{}: malformed artifact: {e}", path.display()));
-        artifact
-            .replay()
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        // The artifact is also a serialization fixpoint: re-rendering the
-        // parsed form must reproduce the committed bytes.
+    for path in &entries {
+        let text = std::fs::read_to_string(path).expect("readable artifact");
+        let rendered = replay(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert_eq!(
-            artifact.to_json(),
+            rendered,
             text,
             "{}: artifact is not byte-stable under parse → render",
             path.display()
         );
-        replayed += 1;
     }
     assert!(
-        replayed >= 3,
-        "corpus unexpectedly small: {replayed} artifacts"
+        entries.len() >= at_least,
+        "{} unexpectedly small: {} artifacts",
+        corpus.display(),
+        entries.len()
     );
+}
+
+/// Replays under 1, 2 and 8 `bcc-par` threads: budgets and the
+/// scatter–gather merge are logical, so no pin may depend on scheduling.
+fn under_thread_counts<T>(replay: impl Fn() -> Result<T, ChaosError>) -> Result<(), ChaosError> {
+    for threads in [1usize, 2, 8] {
+        bcc_par::set_threads(threads);
+        replay().map_err(|e| format!("under {threads} thread(s): {e}"))?;
+    }
+    bcc_par::set_threads(0);
+    Ok(())
+}
+
+#[test]
+fn corpus_replays_bit_identically() {
+    replay_corpus("", 3, |text| {
+        let artifact = ReplayArtifact::from_json(text)?;
+        artifact.replay()?;
+        Ok(artifact.to_json())
+    });
 }
 
 /// The `degrade/` sub-corpus pins whole degraded serving runs: each
@@ -68,37 +89,11 @@ fn corpus_replays_bit_identically() {
 /// ```
 #[test]
 fn degrade_corpus_replays_bit_identically() {
-    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/chaos_corpus/degrade");
-    let mut replayed = 0;
-    let mut entries: Vec<_> = std::fs::read_dir(corpus)
-        .expect("degrade corpus directory exists")
-        .map(|e| e.expect("readable corpus entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "json"))
-        .collect();
-    entries.sort();
-    for path in entries {
-        let text = std::fs::read_to_string(&path).expect("readable artifact");
-        let artifact = DegradeArtifact::from_json(&text)
-            .unwrap_or_else(|e| panic!("{}: malformed artifact: {e}", path.display()));
-        for threads in [1usize, 2, 8] {
-            bcc_par::set_threads(threads);
-            artifact
-                .replay()
-                .unwrap_or_else(|e| panic!("{} under {threads} thread(s): {e}", path.display()));
-        }
-        bcc_par::set_threads(0);
-        assert_eq!(
-            artifact.to_json(),
-            text,
-            "{}: artifact is not byte-stable under parse → render",
-            path.display()
-        );
-        replayed += 1;
-    }
-    assert!(
-        replayed >= 2,
-        "degrade corpus unexpectedly small: {replayed} artifacts"
-    );
+    replay_corpus("degrade", 2, |text| {
+        let artifact = DegradeArtifact::from_json(text)?;
+        under_thread_counts(|| artifact.replay())?;
+        Ok(artifact.to_json())
+    });
 }
 
 /// The `shard/` sub-corpus pins whole sharded-coordinator chaos runs:
@@ -119,37 +114,11 @@ fn degrade_corpus_replays_bit_identically() {
 /// ```
 #[test]
 fn shard_corpus_replays_bit_identically() {
-    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/chaos_corpus/shard");
-    let mut replayed = 0;
-    let mut entries: Vec<_> = std::fs::read_dir(corpus)
-        .expect("shard corpus directory exists")
-        .map(|e| e.expect("readable corpus entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "json"))
-        .collect();
-    entries.sort();
-    for path in entries {
-        let text = std::fs::read_to_string(&path).expect("readable artifact");
-        let artifact = ShardArtifact::from_json(&text)
-            .unwrap_or_else(|e| panic!("{}: malformed artifact: {e}", path.display()));
-        for threads in [1usize, 2, 8] {
-            bcc_par::set_threads(threads);
-            artifact
-                .replay()
-                .unwrap_or_else(|e| panic!("{} under {threads} thread(s): {e}", path.display()));
-        }
-        bcc_par::set_threads(0);
-        assert_eq!(
-            artifact.to_json(),
-            text,
-            "{}: artifact is not byte-stable under parse → render",
-            path.display()
-        );
-        replayed += 1;
-    }
-    assert!(
-        replayed >= 2,
-        "shard corpus unexpectedly small: {replayed} artifacts"
-    );
+    replay_corpus("shard", 2, |text| {
+        let artifact = ShardArtifact::from_json(text)?;
+        under_thread_counts(|| artifact.replay())?;
+        Ok(artifact.to_json())
+    });
 }
 
 /// The `recovery/` sub-corpus pins whole kill-restart runs against
@@ -170,31 +139,9 @@ fn shard_corpus_replays_bit_identically() {
 /// ```
 #[test]
 fn recovery_corpus_replays_bit_identically() {
-    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/chaos_corpus/recovery");
-    let mut replayed = 0;
-    let mut entries: Vec<_> = std::fs::read_dir(corpus)
-        .expect("recovery corpus directory exists")
-        .map(|e| e.expect("readable corpus entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "json"))
-        .collect();
-    entries.sort();
-    for path in entries {
-        let text = std::fs::read_to_string(&path).expect("readable artifact");
-        let artifact = RecoveryArtifact::from_json(&text)
-            .unwrap_or_else(|e| panic!("{}: malformed artifact: {e}", path.display()));
-        artifact
-            .replay()
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(
-            artifact.to_json(),
-            text,
-            "{}: artifact is not byte-stable under parse → render",
-            path.display()
-        );
-        replayed += 1;
-    }
-    assert!(
-        replayed >= 2,
-        "recovery corpus unexpectedly small: {replayed} artifacts"
-    );
+    replay_corpus("recovery", 2, |text| {
+        let artifact = RecoveryArtifact::from_json(text)?;
+        artifact.replay()?;
+        Ok(artifact.to_json())
+    });
 }

@@ -6,27 +6,8 @@
 //! visit) must be a real cluster of live hosts.
 
 use bandwidth_clusters::prelude::*;
-use bandwidth_clusters::simnet::fw_label_dist;
+use bandwidth_clusters::simnet::{fw_label_dist, ChurnOp};
 use bcc_datasets::{generate, SynthConfig};
-
-enum Op {
-    Join(usize),
-    Leave(usize),
-    Crash(usize),
-    Recover(usize),
-}
-
-fn apply(
-    system: &mut DynamicSystem,
-    op: &Op,
-) -> Result<(), bandwidth_clusters::simnet::ChurnError> {
-    match *op {
-        Op::Join(h) => system.join(NodeId::new(h)),
-        Op::Leave(h) => system.leave(NodeId::new(h)),
-        Op::Crash(h) => system.crash(NodeId::new(h)),
-        Op::Recover(h) => system.recover(NodeId::new(h)),
-    }
-}
 
 fn small_system(classes: &BandwidthClasses) -> DynamicSystem {
     let mut cfg = SynthConfig::small(2011);
@@ -45,7 +26,7 @@ fn index_digest_of_a_clone_and_its_original_follow_their_own_rows() {
     let mut copy = original.clone();
     assert_eq!(copy.cluster_index().digest(), before);
 
-    apply(&mut copy, &Op::Leave(5)).unwrap();
+    copy.leave(NodeId::new(5)).unwrap();
     assert_eq!(
         copy.cluster_index().digest(),
         copy.rebuild_index_cold().digest()
@@ -54,7 +35,7 @@ fn index_digest_of_a_clone_and_its_original_follow_their_own_rows() {
     assert_eq!(original.cluster_index().digest(), before);
     assert_eq!(before, original.rebuild_index_cold().digest());
 
-    apply(&mut original, &Op::Join(60)).unwrap();
+    original.join(NodeId::new(60)).unwrap();
     assert_eq!(
         original.cluster_index().digest(),
         original.rebuild_index_cold().digest()
@@ -75,23 +56,23 @@ fn gossip_fixpoint_and_served_answers_hold_under_churn() {
     let mut system = small_system(&classes);
     let retry = RetryPolicy::default();
 
-    use Op::*;
+    use ChurnOp::*;
     let schedule = [
-        Join(50),
-        Leave(3),
-        Crash(17),
-        Join(63),
-        Leave(0), // the overlay root
-        Recover(17),
-        Crash(50),
-        Crash(21),
-        Join(3),
-        Recover(21),
-        Leave(63),
-        Recover(50),
+        (Join, 50),
+        (Leave, 3),
+        (Crash, 17),
+        (Join, 63),
+        (Leave, 0), // the overlay root
+        (Recover, 17),
+        (Crash, 50),
+        (Crash, 21),
+        (Join, 3),
+        (Recover, 21),
+        (Leave, 63),
+        (Recover, 50),
     ];
     let mut found = 0usize;
-    for (step, op) in schedule.iter().enumerate() {
+    for (step, &(op, host)) in schedule.iter().enumerate() {
         // Read before the op, so the digest memo is full when the op runs:
         // a memo that outlived the rows would show below.
         assert_eq!(
@@ -99,7 +80,9 @@ fn gossip_fixpoint_and_served_answers_hold_under_churn() {
             system.rebuild_index_cold().digest(),
             "step {step}: index digest before the op"
         );
-        apply(&mut system, op).unwrap_or_else(|e| panic!("step {step}: {e}"));
+        system
+            .apply(op, NodeId::new(host))
+            .unwrap_or_else(|e| panic!("step {step}: {e}"));
 
         assert_eq!(
             system.live_digest(),

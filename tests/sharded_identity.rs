@@ -5,83 +5,13 @@
 //! the merge kernel, so its `work_units` must be exactly the distance
 //! evaluations the unsharded kernel makes.
 
+mod common;
+
 use bandwidth_clusters::core::find_cluster_among;
 use bandwidth_clusters::prelude::*;
-use bandwidth_clusters::simnet::{fw_label_dist, ChurnError};
+use bandwidth_clusters::simnet::fw_label_dist;
 use bcc_shard::{CoordOutcome, Coordinator, ShardPlan};
-
-const HOSTS: usize = 64;
-
-/// A noise-free capacitated hierarchy, numbered so that contiguous id
-/// ranges are subtrees: 64 hosts → 16 sites of 4 → 8 regions → 4 zones,
-/// pairwise bandwidth the minimum capacity on the tree path. Zone uplinks
-/// are slow, so a tight-class ball stays inside one shard of four (the
-/// prune certificate fires) and a wide-class ball straddles them.
-fn hierarchy() -> BandwidthMatrix {
-    let access = |i: usize| 30.0 + ((i * 37) % 11) as f64 * 22.0;
-    let site = |s: usize| 150.0 + ((s * 53) % 7) as f64 * 50.0;
-    let region = |r: usize| 40.0 + ((r * 29) % 5) as f64 * 12.0;
-    let zone = |z: usize| 6.0 + ((z * 3) % 4) as f64 * 2.5;
-    BandwidthMatrix::from_fn(HOSTS, |i, j| {
-        let mut bw = access(i).min(access(j));
-        let (si, sj) = (i / 4, j / 4);
-        if si != sj {
-            bw = bw.min(site(si)).min(site(sj));
-        }
-        let (ri, rj) = (si / 2, sj / 2);
-        if ri != rj {
-            bw = bw.min(region(ri)).min(region(rj));
-        }
-        let (zi, zj) = (ri / 2, rj / 2);
-        if zi != zj {
-            bw = bw.min(zone(zi)).min(zone(zj));
-        }
-        bw
-    })
-}
-
-#[derive(Clone, Copy)]
-enum Op {
-    Join(usize),
-    Leave(usize),
-    Crash(usize),
-    Recover(usize),
-}
-
-/// Twelve ops over hosts in every zone; the double join and the recover of
-/// a host that never crashed must fail alike on both sides.
-const SCHEDULE: [Op; 12] = [
-    Op::Leave(5),
-    Op::Join(60),
-    Op::Crash(17),
-    Op::Leave(33),
-    Op::Join(61),
-    Op::Join(61),
-    Op::Recover(17),
-    Op::Crash(48),
-    Op::Join(5),
-    Op::Recover(2),
-    Op::Leave(20),
-    Op::Recover(48),
-];
-
-fn apply_system(sys: &mut DynamicSystem, op: Op) -> Result<(), ChurnError> {
-    match op {
-        Op::Join(h) => sys.join(NodeId::new(h)),
-        Op::Leave(h) => sys.leave(NodeId::new(h)),
-        Op::Crash(h) => sys.crash(NodeId::new(h)),
-        Op::Recover(h) => sys.recover(NodeId::new(h)),
-    }
-}
-
-fn apply_coord(coord: &mut Coordinator, op: Op) -> Result<(), ChurnError> {
-    match op {
-        Op::Join(h) => coord.join(NodeId::new(h)),
-        Op::Leave(h) => coord.leave(NodeId::new(h)),
-        Op::Crash(h) => coord.crash(NodeId::new(h)),
-        Op::Recover(h) => coord.recover(NodeId::new(h)),
-    }
-}
+use common::{hierarchy, HOSTS, SCHEDULE};
 
 /// The unsharded kernel run by hand over the baseline's own ball, counting
 /// its distance evaluations.
@@ -120,10 +50,11 @@ fn coordinator_answers_equal_the_unsharded_system_after_every_op() {
 
     let (mut found, mut none, mut refused, mut counted) = (0usize, 0usize, 0usize, 0usize);
     for step in 0..=SCHEDULE.len() {
-        if let Some(&op) = step.checked_sub(1).map(|i| &SCHEDULE[i]) {
-            let want = apply_system(&mut baseline, op);
+        if let Some(&(op, host)) = step.checked_sub(1).map(|i| &SCHEDULE[i]) {
+            let host = NodeId::new(host);
+            let want = baseline.apply(op, host);
             for coord in &mut coords {
-                assert_eq!(apply_coord(coord, op), want, "op {step}");
+                assert_eq!(coord.apply(op, host), want, "op {step}");
                 assert_eq!(coord.epoch(), baseline.epoch(), "op {step}");
             }
         }
