@@ -101,6 +101,14 @@ pub fn find_cluster<M: FiniteMetric>(metric: &M, k: usize, l: f64) -> Option<Vec
 /// all when `k == 0`, `k == 1` or `k > ids.len()`. A caller that counts
 /// its `dist` calls (the coordinator's `work_units`) counts evaluations
 /// made, not pairs of the candidate set.
+///
+/// The body is this kernel's own, not the metered sweep with an unlimited
+/// meter: it charges nothing, keeps no partial, and on entering row `p` it
+/// counts `|B(p, l)|` in the row it has just filled and skips the row's
+/// pairs when fewer than `k` candidates lie within `l`. Every `S*_pq` with
+/// `d(p, q) ≤ l` sits inside that ball, so a skipped row holds no
+/// satisfying pair and the answer stays the first one in row-major order,
+/// the one [`find_cluster`] returns on the same sub-metric.
 pub fn find_cluster_among(
     ids: &[u32],
     k: usize,
@@ -111,10 +119,42 @@ pub fn find_cluster_among(
         ids.windows(2).all(|w| w[0] < w[1]),
         "candidate ids must be strictly ascending for canonical answers"
     );
-    let mut rows = LazyRows::new(ids.len(), |i, j| dist(ids[i], ids[j]));
-    sweep_rows(&mut rows, k, l, &mut WorkMeter::unlimited())
-        .into_value()
-        .map(|idxs| idxs.into_iter().map(|i| ids[i]).collect())
+    let _span = bcc_obs::span!("core.find_cluster");
+    bcc_obs::inc!("core.find_cluster.calls");
+    let m = ids.len();
+    if k > m || k == 0 {
+        return None;
+    }
+    if k == 1 {
+        return Some(vec![ids[0]]);
+    }
+    let mut rows = LazyRows::new(m, |i, j| dist(ids[i], ids[j]));
+    let mut scratch = Vec::with_capacity(k);
+    let mut scanned = 0u64;
+    let found = 'search: {
+        for p in 0..m {
+            rows.ensure(p);
+            // The exact ball gate: the `0.0` diagonal counts `p` itself, so
+            // this is |B(p, l)| over the candidates.
+            if rows.row(p).iter().filter(|&&d| d <= l).count() < k {
+                continue;
+            }
+            for q in (p + 1)..m {
+                scanned += 1;
+                let dpq = rows.row(p)[q];
+                if dpq <= l {
+                    // Both rows before either borrow: filling may move them.
+                    rows.ensure(q);
+                    if members_into(rows.row(p), rows.row(q), dpq, k, &mut scratch) {
+                        break 'search true;
+                    }
+                }
+            }
+        }
+        false
+    };
+    bcc_obs::add!("core.find_cluster.pairs_scanned", scanned);
+    found.then(|| scratch.into_iter().map(|i| ids[i]).collect())
 }
 
 /// Algorithm 1 with an explicit pair scan order. See [`find_cluster`].
@@ -298,10 +338,11 @@ pub fn find_cluster_budgeted<M: FiniteMetric>(
 }
 
 /// The one metered sweep: Algorithm 1 row-major over a [`LazyRows`] store,
-/// behind [`find_cluster_budgeted`], [`find_cluster_among`] and every
-/// node-local search. Row `p` is filled on entering it and row `q` before
-/// the membership test of an in-range pair, so a pair beyond `l` costs one
-/// read of row `p` and nothing else.
+/// behind [`find_cluster_budgeted`] and every node-local search (the
+/// unmetered [`find_cluster_among`] has its own, gated body). Row `p` is
+/// filled on entering it and row `q` before the membership test of an
+/// in-range pair, so a pair beyond `l` costs one read of row `p` and
+/// nothing else.
 pub(crate) fn sweep_rows<F: FnMut(usize, usize) -> f64>(
     rows: &mut LazyRows<F>,
     k: usize,

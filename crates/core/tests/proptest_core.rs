@@ -7,6 +7,7 @@ use bcc_core::{
 };
 use bcc_metric::{DistanceMatrix, EuclideanPoints, FiniteMetric, NodeId, RationalTransform};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Random tree metric from a random parent array + edge weights.
 fn tree_metric(parents: &[usize], weights: &[f64]) -> DistanceMatrix {
@@ -107,6 +108,24 @@ fn assert_evaluation_contract(asked: &[(usize, usize)], what: &str) {
     }
 }
 
+/// Calls of `find_cluster_among_cases` in which the kernel's ball gate
+/// skipped a row, by outcome: nothing found, and found in a later row.
+static GATED_NONE: AtomicUsize = AtomicUsize::new(0);
+static GATED_THEN_FOUND: AtomicUsize = AtomicUsize::new(0);
+
+#[test]
+fn find_cluster_among_is_find_cluster_on_the_id_subspace() {
+    find_cluster_among_cases();
+    let (none, found) = (
+        GATED_NONE.load(Ordering::Relaxed),
+        GATED_THEN_FOUND.load(Ordering::Relaxed),
+    );
+    assert!(
+        none > 0 && found > 0,
+        "the ball gate must fire on both outcomes: {none} unanswered, {found} answered later"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -155,11 +174,13 @@ proptest! {
         prop_assert_eq!(row, asc);
     }
 
-    #[test]
-    fn find_cluster_among_is_find_cluster_on_the_id_subspace(
+    // No `#[test]`: the wrapper of the same name below runs the cases and
+    // then checks what they covered.
+    fn find_cluster_among_cases(
         d in arb_tied_space(),
         picks in proptest::collection::vec(any::<bool>(), 40),
         l_pick in 0..LS.len(),
+        p_pick in 0usize..40,
     ) {
         // Ascending, usually non-contiguous ids; the oracle is the sweep
         // over the materialised sub-matrix of the same ids, mapped back.
@@ -167,7 +188,15 @@ proptest! {
         let ids: Vec<u32> = (0..d.len()).filter(|&i| picks[i]).map(|i| i as u32).collect();
         let m = ids.len();
         let sub = DistanceMatrix::from_fn(m, |i, j| d.get(ids[i] as usize, ids[j] as usize));
-        for k in [0, 1, 2, 3, m, m + 1] {
+        // |B(p, l)| over the candidates, `p` included: the kernel skips row
+        // `p` exactly when this is below `k`.
+        let reach: Vec<usize> = (0..m)
+            .map(|p| (0..m).filter(|&x| sub.get(p, x) <= l).count())
+            .collect();
+        // The gate's boundary: the smallest `k` that gates a drawn row, and
+        // the largest that does not.
+        let boundary = reach.get(p_pick % m.max(1)).copied().unwrap_or(0);
+        for k in [0, 1, 2, 3, m, m + 1, boundary, boundary + 1] {
             let expect = find_cluster(&sub, k, l)
                 .map(|x| x.into_iter().map(|i| ids[i]).collect::<Vec<_>>());
             let mut asked = Vec::new();
@@ -175,10 +204,18 @@ proptest! {
                 asked.push((a as usize, b as usize));
                 d.get(a as usize, b as usize)
             });
-            prop_assert_eq!(got, expect, "ids={:?} k={} l={}", ids, k, l);
+            prop_assert_eq!(&got, &expect, "ids={:?} k={} l={}", ids, k, l);
             assert_evaluation_contract(&asked, "find_cluster_among");
             if k <= 1 || k > m {
                 prop_assert!(asked.is_empty(), "k={} of {} evaluated {:?}", k, m, asked);
+                continue;
+            }
+            // Every row is entered when nothing is found, and row 0 always:
+            // a gated row 0 beside an answer is an answer from a later row.
+            if got.is_none() && reach.iter().any(|&r| r < k) {
+                GATED_NONE.fetch_add(1, Ordering::Relaxed);
+            } else if got.is_some() && reach[0] < k {
+                GATED_THEN_FOUND.fetch_add(1, Ordering::Relaxed);
             }
         }
     }

@@ -477,7 +477,7 @@ impl DegradeArtifact {
     pub fn replay(&self) -> Result<DegradeChaosReport, ChaosError> {
         let nemesis = self.0.str("nemesis")?;
         let cfg = DegradeChaosConfig {
-            universe: self.0.usize("universe")?,
+            universe: self.0.universe()?,
             steps: self.0.usize("steps")?,
             queries_per_step: self.0.usize("queries_per_step")?,
             budget: self.0.u64("budget")?,

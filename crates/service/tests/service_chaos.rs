@@ -249,11 +249,14 @@ fn hostile_degrade_artifacts_fail_typed_at_load_or_at_replay() {
         assert!(matches!(err, ChaosError::Artifact { .. }), "{bad}: {err}");
     }
     // Well-formed records no capture wrote load, and fail replay typed: an
-    // unknown nemesis, an input of the wrong type, a `"digest"` that only
-    // occurs inside a string value.
+    // unknown nemesis, an input of the wrong type, a universe nothing could
+    // be built for, a `"digest"` that only occurs inside a string value.
     for bad in [
         json.replace("\"slow-lane\"", "\"no-such\""),
         json.replace("\"budget\": 96", "\"budget\": \"96\""),
+        json.replace("\"universe\": 8", "\"universe\": 0"),
+        json.replace("\"universe\": 8", "\"universe\": 4097"),
+        json.replace("\"universe\": 8", &format!("\"universe\": {}", usize::MAX)),
         json.replace(
             "\"slow-lane\"",
             "\"slow-lane\", \"note\": \"\\\"digest\\\": 7\"",

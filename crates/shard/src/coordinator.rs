@@ -35,10 +35,18 @@
 //! answer, and [`CoordResponse::work_units`] at one shard equals the
 //! unsharded kernel's count exactly (`tests/sharded_identity.rs`).
 //!
-//! Scatter runs on the `bcc-par` pool, but every per-shard enumeration is
-//! read-only and the merge is serial, so responses are identical for any
-//! thread count — the shard proptests pin all of S ∈ {1,2,4} ×
-//! threads ∈ {1,2,8} against the unsharded instance.
+//! The kernel also skips, after filling it, every row whose `l`-ball holds
+//! fewer than `k` candidates: no pair of such a row can bound an answer,
+//! so the answer is the one a full scan returns and only the pairs scanned
+//! fall (and with them the partner rows a dead row would have opened).
+//!
+//! Scatter runs on the caller's thread, one shard after another: a query's
+//! prune tests and member scans are microseconds of work, less than a
+//! `bcc-par` call spends creating and joining its workers. Nothing in a
+//! coordinator query touches the pool, so responses cannot depend on the
+//! thread count — the shard proptests still pin all of S ∈ {1,2,4} ×
+//! threads ∈ {1,2,8} against the unsharded instance, because the shard
+//! services underneath do use it.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -460,53 +468,57 @@ impl Coordinator {
         }
 
         // Scatter: every shard produces its verdict independently (read-
-        // only), in parallel; verdict order is shard order regardless of
-        // thread count.
+        // only), one after another in shard order. The whole phase is a few
+        // microseconds of prune tests and member scans, less than handing
+        // it to another thread would cost.
         let fw = &self.framework;
         let shards = &self.shards;
-        let gathers: Vec<(Gather, u64)> = bcc_par::par_map(shards.len(), |s| {
-            let sh = &shards[s];
-            let region = &sh.region;
-            if region.ids().is_empty() {
-                // An empty shard contributes nothing and needs no
-                // certificate (vacuously pruned).
-                return (Gather::Pruned, 0);
-            }
-            if s == owner {
-                if !sh.reachable {
-                    return (Gather::Missing, 0);
+        let gathers: Vec<(Gather, u64)> = shards
+            .iter()
+            .enumerate()
+            .map(|(s, sh)| {
+                let region = &sh.region;
+                if region.ids().is_empty() {
+                    // An empty shard contributes nothing and needs no
+                    // certificate (vacuously pruned).
+                    return (Gather::Pruned, 0);
                 }
-                let (_, ids) = region.ball(owner_slot, radius);
-                let mut v = ids.to_vec();
+                if s == owner {
+                    if !sh.reachable {
+                        return (Gather::Missing, 0);
+                    }
+                    let (_, ids) = region.ball(owner_slot, radius);
+                    let mut v = ids.to_vec();
+                    v.sort_unstable();
+                    // Ball enumeration is a binary search over precomputed
+                    // rows: zero label-distance evaluations.
+                    return (Gather::Candidates(v), 0);
+                }
+                // Boundary certificate: with a_s the shard's lowest member and
+                // r_s its region radius (max row-0 distance, precomputed),
+                // d(start, a_s) − r_s > 2l implies by the triangle inequality
+                // that no member lies within 2l. One distance evaluation.
+                let a = region.ids()[0];
+                let (d_row, _) = region.row(0);
+                let r = d_row.last().copied().unwrap_or(0.0);
+                if fw_label_dist(fw, start_id, a) - r > radius {
+                    return (Gather::Pruned, 1);
+                }
+                if !sh.reachable {
+                    return (Gather::Missing, 1);
+                }
+                // The ball straddles this shard's boundary: scan its members
+                // under the global metric. One evaluation per member.
+                let mut v: Vec<u32> = region
+                    .ids()
+                    .iter()
+                    .copied()
+                    .filter(|&x| fw_label_dist(fw, start_id, x) <= radius)
+                    .collect();
                 v.sort_unstable();
-                // Ball enumeration is a binary search over precomputed
-                // rows: zero label-distance evaluations.
-                return (Gather::Candidates(v), 0);
-            }
-            // Boundary certificate: with a_s the shard's lowest member and
-            // r_s its region radius (max row-0 distance, precomputed),
-            // d(start, a_s) − r_s > 2l implies by the triangle inequality
-            // that no member lies within 2l. One distance evaluation.
-            let a = region.ids()[0];
-            let (d_row, _) = region.row(0);
-            let r = d_row.last().copied().unwrap_or(0.0);
-            if fw_label_dist(fw, start_id, a) - r > radius {
-                return (Gather::Pruned, 1);
-            }
-            if !sh.reachable {
-                return (Gather::Missing, 1);
-            }
-            // The ball straddles this shard's boundary: scan its members
-            // under the global metric. One evaluation per member.
-            let mut v: Vec<u32> = region
-                .ids()
-                .iter()
-                .copied()
-                .filter(|&x| fw_label_dist(fw, start_id, x) <= radius)
-                .collect();
-            v.sort_unstable();
-            (Gather::Candidates(v), 1 + region.ids().len() as u64)
-        });
+                (Gather::Candidates(v), 1 + region.ids().len() as u64)
+            })
+            .collect();
 
         // Gather: concatenate in shard order, then canonicalize. Shards
         // partition the membership, so no dedup is needed and ascending

@@ -405,7 +405,7 @@ impl ShardArtifact {
     /// violated oracle or the first field the re-run moved.
     pub fn replay(&self) -> Result<ShardChaosReport, ChaosError> {
         let cfg = ShardChaosConfig {
-            universe: self.0.usize("universe")?,
+            universe: self.0.universe()?,
             steps: self.0.usize("steps")?,
             queries_per_step: self.0.usize("queries_per_step")?,
         };

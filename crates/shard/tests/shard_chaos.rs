@@ -65,11 +65,19 @@ fn artifacts_capture_and_replay_across_seeds() {
             let err = ShardArtifact::from_json(&json.replace(from, to)).unwrap_err();
             assert!(matches!(err, ChaosError::Artifact { .. }), "{err}");
         }
-        let nameless = json.replace("\"digest\"", "\"other\"");
-        let err = ShardArtifact::from_json(&nameless)
-            .expect("still a record")
-            .replay()
-            .unwrap_err();
-        assert!(matches!(err, ChaosError::Artifact { .. }), "{err}");
+        // So does one that asks for a universe nothing could be built for.
+        for bad in [
+            json.replace("\"digest\"", "\"other\""),
+            json.replace("\"universe\": 10", "\"universe\": 0"),
+            json.replace("\"universe\": 10", "\"universe\": 4097"),
+            json.replace("\"universe\": 10", &format!("\"universe\": {}", usize::MAX)),
+        ] {
+            assert_ne!(bad, json);
+            let err = ShardArtifact::from_json(&bad)
+                .expect("still a record")
+                .replay()
+                .unwrap_err();
+            assert!(matches!(err, ChaosError::Artifact { .. }), "{err}");
+        }
     }
 }

@@ -1149,6 +1149,10 @@ pub fn capture(
 /// demands.
 const RECORD_VERSION: u64 = 1;
 
+/// Largest universe a replay record may ask for. Every tier's replay
+/// allocates `universe²` distances; the largest recorded run is 1024 hosts.
+const MAX_REPLAY_UNIVERSE: usize = 4096;
+
 /// The one replay comparison: `Ok` when a re-run reproduced the `recorded`
 /// value of field `name`.
 ///
@@ -1279,6 +1283,24 @@ impl ReplayRecord {
     /// A required `usize` field.
     pub fn usize(&self, name: &str) -> Result<usize, ChaosError> {
         Self::required(name, self.opt(name, "a usize", Json::as_usize)?)
+    }
+
+    /// The required `universe` field: the host count a replay builds its
+    /// universe for, so it is bounded here, before any tier sizes a matrix
+    /// (or asserts a non-empty one) from it.
+    ///
+    /// # Errors
+    ///
+    /// Also [`ChaosError::Artifact`] outside `1..=4096`.
+    pub fn universe(&self) -> Result<usize, ChaosError> {
+        let universe = self.usize("universe")?;
+        if (1..=MAX_REPLAY_UNIVERSE).contains(&universe) {
+            return Ok(universe);
+        }
+        Err(format!(
+            "artifact field 'universe' must be in 1..={MAX_REPLAY_UNIVERSE}, found {universe}"
+        )
+        .into())
     }
 
     /// An optional finite `f64` field.
@@ -1448,7 +1470,7 @@ impl ReplayArtifact {
         };
         Ok(ReplayArtifact {
             seed: rec.u64("seed")?,
-            universe: rec.usize("universe")?,
+            universe: rec.universe()?,
             schedule,
             nemesis: rec.opt_str("nemesis")?.map(String::from),
             violation,

@@ -290,7 +290,7 @@ impl RecoveryArtifact {
     /// the first field the re-run moved.
     pub fn replay(&self) -> Result<(), ChaosError> {
         let rec = &self.0;
-        let (seed, universe) = (rec.u64("seed")?, rec.usize("universe")?);
+        let (seed, universe) = (rec.u64("seed")?, rec.universe()?);
         let storage_faults = match (rec.opt_f64("torn_write")?, rec.opt_f64("bit_flip")?) {
             (None, None) => None,
             (Some(torn), Some(flip)) => {

@@ -1,11 +1,15 @@
 //! Hostile artifact bytes: every committed corpus file, truncated, with one
 //! byte flipped, or with a stretch of itself spliced in again, goes
 //! through its loader and comes back `Ok` or a typed error, never a
-//! panic; and whatever loads is a parse → render fixpoint.
+//! panic; and whatever loads is a parse → render fixpoint. A well-formed
+//! file that asks for a universe of zero or of billions of hosts is
+//! refused before anything is sized from it.
 //!
 //! The `degrade/` and `shard/` artifact types live above this crate
-//! (`bcc-service`, `bcc-shard`); each is a [`ReplayRecord`] of its kind
-//! and loads through exactly the call driven here.
+//! (`bcc-service`, `bcc-shard`); each is a [`ReplayRecord`] of its kind,
+//! loads through exactly the call driven here, and sizes its replay from
+//! [`ReplayRecord::universe`] (`tests/one_owner.rs` keeps it the only read
+//! of that field; their own chaos tests drive their `replay`).
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -18,27 +22,49 @@ use proptest::prelude::*;
 /// whatever it accepted.
 type Loader = fn(&str) -> Result<String, ChaosError>;
 
-/// Committed corpus files: four chaos, two each of the other kinds.
+/// What a tier does with the universe its record names, as far as this
+/// crate can drive it: load and replay, or the read a replay starts with.
+type Sizer = fn(&str) -> Result<(), ChaosError>;
+
+/// Committed corpus files: five chaos, two each of the other kinds.
 const FILES: usize = 11;
 
-fn corpus() -> &'static [(String, String, Loader)] {
-    static CORPUS: OnceLock<Vec<(String, String, Loader)>> = OnceLock::new();
+fn corpus() -> &'static [(String, String, Loader, Sizer)] {
+    static CORPUS: OnceLock<Vec<(String, String, Loader, Sizer)>> = OnceLock::new();
     CORPUS.get_or_init(|| {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/chaos_corpus");
-        let tiers: [(&str, Loader); 4] = [
-            ("", |t| ReplayArtifact::from_json(t).map(|a| a.to_json())),
-            ("recovery", |t| {
-                RecoveryArtifact::from_json(t).map(|a| a.to_json())
-            }),
-            ("degrade", |t| {
-                ReplayRecord::from_json(t, Some("degrade")).map(|r| r.to_json())
-            }),
-            ("shard", |t| {
-                ReplayRecord::from_json(t, Some("shard")).map(|r| r.to_json())
-            }),
+        let tiers: [(&str, Loader, Sizer); 4] = [
+            (
+                "",
+                |t| ReplayArtifact::from_json(t).map(|a| a.to_json()),
+                |t| ReplayArtifact::from_json(t)?.replay().map(drop),
+            ),
+            (
+                "recovery",
+                |t| RecoveryArtifact::from_json(t).map(|a| a.to_json()),
+                |t| RecoveryArtifact::from_json(t)?.replay(),
+            ),
+            (
+                "degrade",
+                |t| ReplayRecord::from_json(t, Some("degrade")).map(|r| r.to_json()),
+                |t| {
+                    ReplayRecord::from_json(t, Some("degrade"))?
+                        .universe()
+                        .map(drop)
+                },
+            ),
+            (
+                "shard",
+                |t| ReplayRecord::from_json(t, Some("shard")).map(|r| r.to_json()),
+                |t| {
+                    ReplayRecord::from_json(t, Some("shard"))?
+                        .universe()
+                        .map(drop)
+                },
+            ),
         ];
         let mut files = Vec::new();
-        for (dir, loader) in tiers {
+        for (dir, loader, sizer) in tiers {
             let mut paths: Vec<_> = std::fs::read_dir(root.join(dir))
                 .expect("corpus directory exists")
                 .map(|e| e.expect("readable corpus entry").path())
@@ -47,7 +73,7 @@ fn corpus() -> &'static [(String, String, Loader)] {
             paths.sort();
             for path in paths {
                 let text = std::fs::read_to_string(&path).expect("readable artifact");
-                files.push((path.display().to_string(), text, loader));
+                files.push((path.display().to_string(), text, loader, sizer));
             }
         }
         assert_eq!(files.len(), FILES, "all four kinds of the committed corpus");
@@ -75,8 +101,27 @@ fn check(name: &str, what: &str, loader: Loader, bytes: &[u8]) {
 
 #[test]
 fn committed_artifacts_load_and_are_render_fixpoints() {
-    for (name, text, loader) in corpus() {
+    for (name, text, loader, _) in corpus() {
         assert_eq!(loader(text).as_ref(), Ok(text), "{name}");
+    }
+}
+
+#[test]
+fn a_hostile_universe_is_refused_before_anything_is_sized() {
+    for (name, text, _, sizer) in corpus() {
+        let line = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("\"universe\":"))
+            .unwrap_or_else(|| panic!("{name} names no universe"));
+        assert!(sizer(text).is_ok(), "{name} as committed");
+        for universe in [0, 4097, usize::MAX] {
+            let bad = text.replace(line, &format!("  \"universe\": {universe},"));
+            assert_ne!(&bad, text);
+            match sizer(&bad) {
+                Err(ChaosError::Artifact { .. }) => {}
+                other => panic!("{name}, universe {universe}: {other:?}"),
+            }
+        }
     }
 }
 
@@ -179,7 +224,7 @@ proptest! {
         from in any::<usize>(),
         len in 1usize..64,
     ) {
-        let (name, text, loader) = &corpus()[file];
+        let (name, text, loader, _) = &corpus()[file];
         let bytes = text.as_bytes();
 
         let cut = cut % bytes.len();

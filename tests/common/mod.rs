@@ -1,5 +1,6 @@
-//! The fixture `sharded_identity` and `restored_identity` share: one
-//! 64-host universe and one twelve-op churn schedule.
+//! The fixture `sharded_identity`, `restored_identity` and
+//! `served_identity` share: one 64-host universe and one twelve-op churn
+//! schedule.
 
 use bandwidth_clusters::prelude::*;
 use bandwidth_clusters::simnet::ChurnOp;

@@ -75,9 +75,11 @@ fn check_node_visits(d: &DistanceMatrix, classes: &BandwidthClasses) {
 }
 
 /// The merge kernel over the `2l` ball of a start host equals the sweep
-/// over that ball's dense sub-matrix, ids mapped back.
+/// over that ball's dense sub-matrix, ids mapped back, and its ball gate
+/// (a row with fewer than `k` candidates within `l` is skipped) fires both
+/// where nothing is found and ahead of an answer from a later row.
 fn check_merge_kernel(d: &DistanceMatrix, classes: &BandwidthClasses) {
-    let (mut found, mut missed) = (0usize, 0usize);
+    let (mut gated_none, mut gated_then_found) = (0usize, 0usize);
     for &l in classes.distances() {
         for start in (0..d.len()).step_by(7) {
             let ball: Vec<u32> = (0..d.len())
@@ -86,19 +88,28 @@ fn check_merge_kernel(d: &DistanceMatrix, classes: &BandwidthClasses) {
                 .collect();
             let at = |i: usize| ball[i] as usize;
             let dense = DistanceMatrix::from_fn(ball.len(), |i, j| d.get(at(i), at(j)));
+            let reach = |p: usize| (0..ball.len()).filter(|&x| dense.get(p, x) <= l).count();
             for k in [0, 1, 2, 5, ball.len() / 2, ball.len(), ball.len() + 1] {
                 let want = find_cluster(&dense, k, l)
                     .map(|idxs| idxs.into_iter().map(|i| ball[i]).collect::<Vec<_>>());
                 let got = find_cluster_among(&ball, k, l, |a, b| d.get(a as usize, b as usize));
                 assert_eq!(got, want, "start={start} k={k} l={l}");
+                if k < 2 || k > ball.len() {
+                    continue;
+                }
+                // Row 0 is always entered, every row when nothing is found.
                 match want {
-                    Some(_) => found += 1,
-                    None => missed += 1,
+                    None if (0..ball.len()).any(|p| reach(p) < k) => gated_none += 1,
+                    Some(_) if reach(0) < k => gated_then_found += 1,
+                    _ => {}
                 }
             }
         }
     }
-    assert!(found > 0 && missed > 0, "found {found}, missed {missed}");
+    assert!(
+        gated_none > 0 && gated_then_found > 0,
+        "gated with no answer {gated_none}, gated before an answer {gated_then_found}"
+    );
 }
 
 fn check(noise_sigma: f64) {

@@ -1,5 +1,6 @@
-//! One owner per decision: the byte-wise FNV-1a, the artifact reader and
-//! the seeded chaos universe each have one definition under `crates/*/src`.
+//! One owner per decision: the byte-wise FNV-1a, the artifact reader, the
+//! seeded chaos universe and the bound on a replay record's universe each
+//! have one definition under `crates/*/src`.
 //! A second copy (the state the chaos harnesses grew from: six `fnv1a`s,
 //! two `json_field` scanners, three universe builders) fails here, by
 //! file, before it can drift from the first.
@@ -41,6 +42,8 @@ fn each_shared_decision_is_defined_in_one_file() {
         ("100000001b3", Some("crates/core/src/index.rs")),
         ("fn universebandwidth", Some("crates/simnet/src/chaos.rs")),
         ("fn jsonfield", None),
+        // A replay record's universe is read through the one bounded reader.
+        ("usize(\"universe\")", Some("crates/simnet/src/chaos.rs")),
     ];
     let mut holders = vec![Vec::new(); owners.len()];
     for path in &sources {
