@@ -224,11 +224,13 @@ fn ablate_vivaldi_dim(bw: &bcc_metric::BandwidthMatrix) {
 }
 
 fn ablate_route_policy(bw: &bcc_metric::BandwidthMatrix, queries: usize) {
-    use bcc_core::RoutePolicy;
+    use bcc_core::{process_query, RoutePolicy};
     let t = RationalTransform::default();
     let n = bw.len();
     let classes = BandwidthClasses::linspace(10.0, 80.0, 10, t);
-    let system = ClusterSystem::build(bw.clone(), SystemConfig::new(classes));
+    let system = ClusterSystem::build(bw.clone(), SystemConfig::new(classes.clone()));
+    let predicted = system.predicted_matrix();
+    let dist = |a: NodeId, b: NodeId| predicted.get(a.index(), b.index());
     let policies = [
         RoutePolicy::FirstFit,
         RoutePolicy::BestFit,
@@ -243,10 +245,8 @@ fn ablate_route_policy(bw: &bcc_metric::BandwidthMatrix, queries: usize) {
             let k = rng.gen_range(2..=(n / 4).max(2));
             let b = rng.gen_range(15.0..=70.0);
             let start = NodeId::new(rng.gen_range(0..n));
-            let out = system
-                .network()
-                .query_with_policy(start, k, b, policy)
-                .expect("valid");
+            let nodes = system.network().nodes();
+            let out = process_query(nodes, start, k, b, &classes, dist, policy).expect("valid");
             hops += out.hops;
             if out.found() {
                 found += 1;

@@ -100,9 +100,10 @@ fn main() {
     };
 
     // Smoke runs record span durations in deterministic logical time, so
-    // the obs snapshot is byte-stable across runs at a fixed seed and
-    // thread count — what the CI obs job diffs. Full runs keep wall-clock
-    // timings (real latencies, not reproducible bit-for-bit).
+    // the obs snapshot is byte-stable across runs at a fixed seed, at any
+    // thread count (nothing below touches the pool) — what the CI obs job
+    // diffs. Full runs keep wall-clock timings (real latencies, not
+    // reproducible bit-for-bit).
     if smoke {
         bcc_obs::set_logical_time(1_000);
     }
@@ -222,7 +223,7 @@ fn main() {
     // Sharded deployment gauges: a 4-shard coordinator over a small
     // universe serves every live host once per class, then publishes its
     // per-shard gauges into the same registry the snapshot below reads.
-    // Counters only — deterministic at a fixed seed and thread count.
+    // Counters only — deterministic at a fixed seed.
     let mut coord = bcc_shard::harness::seeded_coordinator(SEED, 12, 4);
     for h in 0..12 {
         coord.join(NodeId::new(h)).expect("join fresh host");

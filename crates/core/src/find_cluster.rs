@@ -102,8 +102,8 @@ pub fn find_cluster<M: FiniteMetric>(metric: &M, k: usize, l: f64) -> Option<Vec
 /// its `dist` calls (the coordinator's `work_units`) counts evaluations
 /// made, not pairs of the candidate set.
 ///
-/// The body is this kernel's own, not the metered sweep with an unlimited
-/// meter: it charges nothing, keeps no partial, and on entering row `p` it
+/// The body is this kernel's own, not the metered sweep under
+/// [`Unmetered`]: it keeps no partial, and on entering row `p` it
 /// counts `|B(p, l)|` in the row it has just filled and skips the row's
 /// pairs when fewer than `k` candidates lie within `l`. Every `S*_pq` with
 /// `d(p, q) ≤ l` sits inside that ball, so a skipped row holds no
@@ -220,6 +220,49 @@ pub fn find_cluster_ordered<M: FiniteMetric>(
 /// work cost.
 pub const BUDGET_BLOCK: usize = 16;
 
+/// What a search charges its work to: the type parameter of every
+/// `_budgeted` kernel, of the node-local searches and of the resilient
+/// walk.
+///
+/// The meter is chosen at compile time, so one search body serves both
+/// callers. Under [`WorkMeter`] it charges pairs and keeps partials.
+/// Under the zero-sized [`Unmetered`], `charge` is `true`, so every block
+/// check and exhaustion arm is dead code and compiles away.
+pub trait Meter {
+    /// Charges `pairs` pair-examinations and reports whether the budget
+    /// still holds.
+    fn charge(&mut self, pairs: u64) -> bool;
+
+    /// `true` once the budget is spent.
+    fn exhausted(&self) -> bool;
+
+    /// Units charged so far (cost-inflated pair count).
+    fn used(&self) -> u64;
+}
+
+/// The meter of a search that has no budget: charges nothing and never
+/// runs dry, so a `_budgeted` kernel under it always returns
+/// [`Budgeted::Done`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Unmetered;
+
+impl Meter for Unmetered {
+    #[inline]
+    fn charge(&mut self, _pairs: u64) -> bool {
+        true
+    }
+
+    #[inline]
+    fn exhausted(&self) -> bool {
+        false
+    }
+
+    #[inline]
+    fn used(&self) -> u64 {
+        0
+    }
+}
+
 /// A deterministic work budget threaded through the `_budgeted` kernels.
 ///
 /// Work is counted in *pairs examined* — the unit behind the
@@ -250,29 +293,6 @@ impl WorkMeter {
         }
     }
 
-    /// A meter that never exhausts (`limit = u64::MAX`, saturating charge).
-    pub fn unlimited() -> Self {
-        WorkMeter::new(u64::MAX)
-    }
-
-    /// Charges `pairs` pair-examinations and reports whether the budget
-    /// still holds. Saturating: an unlimited meter can never wrap into
-    /// exhaustion.
-    pub fn charge(&mut self, pairs: u64) -> bool {
-        self.used = self.used.saturating_add(pairs.saturating_mul(self.cost));
-        !self.exhausted()
-    }
-
-    /// `true` once more than `limit` units have been charged.
-    pub fn exhausted(&self) -> bool {
-        self.used > self.limit
-    }
-
-    /// Units charged so far (cost-inflated pair count).
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
     /// The budget ceiling in work units.
     pub fn limit(&self) -> u64 {
         self.limit
@@ -281,6 +301,24 @@ impl WorkMeter {
     /// Units charged per pair examined.
     pub fn cost(&self) -> u64 {
         self.cost
+    }
+}
+
+impl Meter for WorkMeter {
+    /// Saturating: a meter whose limit is `u64::MAX` can never wrap into
+    /// exhaustion.
+    fn charge(&mut self, pairs: u64) -> bool {
+        self.used = self.used.saturating_add(pairs.saturating_mul(self.cost));
+        !self.exhausted()
+    }
+
+    /// `true` once more than `limit` units have been charged.
+    fn exhausted(&self) -> bool {
+        self.used > self.limit
+    }
+
+    fn used(&self) -> u64 {
+        self.used
     }
 }
 
@@ -315,31 +353,32 @@ impl<T> Budgeted<T> {
     }
 }
 
-/// [`find_cluster`] under a [`WorkMeter`]: the row-major scan checks the
+/// [`find_cluster`] under a [`Meter`]: the row-major scan checks the
 /// budget every [`BUDGET_BLOCK`] pairs and, when it runs dry, returns the
 /// largest pair-bounded subset (size ≥ 2) seen so far instead of running to
 /// completion.
 ///
-/// With an unexhausted meter the result is bit-identical to
-/// [`find_cluster`] — the same scan order, pair filter and membership
-/// test; only the block-boundary budget check is added. The sweep reads
-/// `metric` through a lazily filled row store: `distance(i, j)` is asked
-/// once per unordered pair of the rows the scan opens, as `i < j`, and the
-/// diagonal is taken as `0`. The meter charges pairs scanned, never rows
-/// filled.
+/// Under [`Unmetered`], or a meter that never runs dry, the result is
+/// bit-identical to [`find_cluster`] — the same scan order, pair filter
+/// and membership test; only the block-boundary budget check is added.
+/// The sweep reads `metric` through a lazily filled row store:
+/// `distance(i, j)` is asked once per unordered pair of the rows the scan
+/// opens, as `i < j`, and the diagonal is taken as `0`. The meter charges
+/// pairs scanned, never rows filled.
 pub fn find_cluster_budgeted<M: FiniteMetric>(
     metric: &M,
     k: usize,
     l: f64,
-    meter: &mut WorkMeter,
+    meter: &mut impl Meter,
 ) -> Budgeted<Option<Vec<usize>>> {
     let mut rows = LazyRows::new(metric.len(), |i, j| metric.distance(i, j));
     sweep_rows(&mut rows, k, l, meter)
 }
 
 /// The one metered sweep: Algorithm 1 row-major over a [`LazyRows`] store,
-/// behind [`find_cluster_budgeted`] and every node-local search (the
-/// unmetered [`find_cluster_among`] has its own, gated body). Row `p` is
+/// behind [`find_cluster_budgeted`] and every node-local search, under
+/// whichever [`Meter`] the caller holds (the merge kernel
+/// [`find_cluster_among`] has its own, gated body). Row `p` is
 /// filled on entering it and row `q` before the membership test of an
 /// in-range pair, so a pair beyond `l` costs one read of row `p` and
 /// nothing else.
@@ -347,7 +386,7 @@ pub(crate) fn sweep_rows<F: FnMut(usize, usize) -> f64>(
     rows: &mut LazyRows<F>,
     k: usize,
     l: f64,
-    meter: &mut WorkMeter,
+    meter: &mut impl Meter,
 ) -> Budgeted<Option<Vec<usize>>> {
     let _span = bcc_obs::span!("core.find_cluster");
     bcc_obs::inc!("core.find_cluster.calls");
@@ -406,16 +445,17 @@ pub(crate) fn sweep_rows<F: FnMut(usize, usize) -> f64>(
     Budgeted::Done(None)
 }
 
-/// [`max_cluster_size`] under a [`WorkMeter`]: scans pairs row-major,
+/// [`max_cluster_size`] under a [`Meter`]: scans pairs row-major,
 /// checking the budget every [`BUDGET_BLOCK`] pairs; when it runs dry it
 /// returns the best size established so far (≥ 1 on non-empty spaces).
 ///
-/// With an unexhausted meter the result equals [`max_cluster_size`]. Reads
-/// `metric` the way [`find_cluster_budgeted`] does.
+/// Under a meter that does not run dry the result equals
+/// [`max_cluster_size`]. Reads `metric` the way [`find_cluster_budgeted`]
+/// does.
 pub fn max_cluster_size_budgeted<M: FiniteMetric>(
     metric: &M,
     l: f64,
-    meter: &mut WorkMeter,
+    meter: &mut impl Meter,
 ) -> Budgeted<usize> {
     let mut rows = LazyRows::new(metric.len(), |i, j| metric.distance(i, j));
     max_size_rows(&mut rows, l, meter)
@@ -427,7 +467,7 @@ pub fn max_cluster_size_budgeted<M: FiniteMetric>(
 pub(crate) fn max_size_rows<F: FnMut(usize, usize) -> f64>(
     rows: &mut LazyRows<F>,
     l: f64,
-    meter: &mut WorkMeter,
+    meter: &mut impl Meter,
 ) -> Budgeted<usize> {
     let _span = bcc_obs::span!("core.max_cluster_size");
     bcc_obs::inc!("core.max_cluster_size.calls");
@@ -916,13 +956,19 @@ mod tests {
         let mut slow = WorkMeter::with_cost(10, 4);
         assert!(!slow.charge(3), "3 pairs at cost 4 exceed 10 units");
         assert_eq!(slow.used(), 12);
-        // Unlimited meters saturate instead of wrapping into exhaustion.
-        let mut unlimited = WorkMeter::unlimited();
-        assert!(unlimited.charge(u64::MAX));
-        assert!(unlimited.charge(u64::MAX));
-        assert!(!unlimited.exhausted());
+        // A meter at the ceiling saturates instead of wrapping into
+        // exhaustion.
+        let mut ceiling = WorkMeter::new(u64::MAX);
+        assert!(ceiling.charge(u64::MAX));
+        assert!(ceiling.charge(u64::MAX));
+        assert!(!ceiling.exhausted());
         // Zero cost is clamped to one so charging always makes progress.
         assert_eq!(WorkMeter::with_cost(5, 0).cost(), 1);
+        // No meter at all: every charge holds and nothing is counted.
+        let mut none = Unmetered;
+        assert!(none.charge(u64::MAX));
+        assert!(!none.exhausted());
+        assert_eq!(none.used(), 0);
     }
 
     #[test]
@@ -935,16 +981,16 @@ mod tests {
         for d in &spaces {
             for k in 1..=d.len() {
                 for l in [0.5, 2.0, 3.0, 5.0, 100.0] {
-                    let mut meter = WorkMeter::unlimited();
-                    let got = find_cluster_budgeted(d, k, l, &mut meter);
-                    assert_eq!(got, Budgeted::Done(find_cluster(d, k, l)), "k={k} l={l}");
+                    let want = Budgeted::Done(find_cluster(d, k, l));
+                    let got = find_cluster_budgeted(d, k, l, &mut WorkMeter::new(u64::MAX));
+                    assert_eq!(got, want, "k={k} l={l}");
+                    assert_eq!(find_cluster_budgeted(d, k, l, &mut Unmetered), want);
                 }
-                let mut meter = WorkMeter::unlimited();
                 let l = 3.0;
-                assert_eq!(
-                    max_cluster_size_budgeted(d, l, &mut meter),
-                    Budgeted::Done(max_cluster_size(d, l))
-                );
+                let want = Budgeted::Done(max_cluster_size(d, l));
+                let got = max_cluster_size_budgeted(d, l, &mut WorkMeter::new(u64::MAX));
+                assert_eq!(got, want);
+                assert_eq!(max_cluster_size_budgeted(d, l, &mut Unmetered), want);
             }
         }
     }

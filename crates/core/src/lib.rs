@@ -11,7 +11,8 @@
 //!   centralized search, plus the binary-search variant from Algorithm 3;
 //!   [`find_cluster_indexed`] / [`max_cluster_size_indexed`] answer the same
 //!   probes from a [`ClusterIndex`], and [`find_cluster_budgeted`] /
-//!   [`max_cluster_size_budgeted`] run the sweep under a [`WorkMeter`],
+//!   [`max_cluster_size_budgeted`] run the sweep under a [`Meter`] — a
+//!   [`WorkMeter`] budget, or [`Unmetered`], chosen at compile time —
 //!   reading the space through lazily filled rows (as do
 //!   [`find_cluster_among`] and every node-local search), so a search
 //!   evaluates the distances of the rows it opens and no others.
@@ -65,8 +66,8 @@ pub use euclidean::{find_cluster_euclidean, max_cluster_size_euclidean};
 pub use find_cluster::{
     diameter, exists_cluster_brute_force, find_cluster, find_cluster_among, find_cluster_budgeted,
     find_cluster_ordered, max_cluster_size, max_cluster_size_binary_search,
-    max_cluster_size_budgeted, min_diameter_cluster, Budgeted, PairOrder, Query, WorkMeter,
-    BUDGET_BLOCK,
+    max_cluster_size_budgeted, min_diameter_cluster, Budgeted, Meter, PairOrder, Query, Unmetered,
+    WorkMeter, BUDGET_BLOCK,
 };
 pub use index::{
     find_cluster_indexed, fnv1a, max_cluster_size_indexed, ClusterIndex, IndexError, IndexStats,
@@ -74,6 +75,5 @@ pub use index::{
 };
 pub use node::{ClusterNode, ProtocolConfig, RoutePolicy};
 pub use query::{
-    process_query, process_query_resilient, process_query_resilient_budgeted,
-    process_query_with_policy, Degradation, QueryOutcome, QueryRequest, RetryPolicy,
+    process_query, process_query_resilient, Degradation, QueryOutcome, QueryRequest, RetryPolicy,
 };

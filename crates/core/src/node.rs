@@ -21,7 +21,7 @@ use bcc_metric::{DistanceMatrix, NodeId};
 
 use crate::classes::BandwidthClasses;
 use crate::error::ClusterError;
-use crate::find_cluster::{max_size_rows, sweep_rows, Budgeted, WorkMeter};
+use crate::find_cluster::{max_size_rows, sweep_rows, Budgeted, Meter, Unmetered};
 use crate::index::{max_cluster_sizes_indexed, ClusterIndex};
 use crate::rows::LazyRows;
 
@@ -328,21 +328,10 @@ impl ClusterNode {
         self.class_count
     }
 
-    /// Algorithm 4, local half: answers `(k, class_idx)` from the local
-    /// clustering space if `aggrCRT[x][l]` admits it.
-    pub fn answer_locally(
-        &self,
-        k: usize,
-        class_idx: usize,
-        classes: &BandwidthClasses,
-        dist: impl FnMut(NodeId, NodeId) -> f64,
-    ) -> Option<Vec<NodeId>> {
-        self.answer_locally_filtered(k, class_idx, classes, dist, |_| true)
-    }
-
-    /// [`ClusterNode::answer_locally`] restricted to hosts the caller
-    /// believes alive — the failure-recovery variant used by
-    /// [`crate::process_query_resilient`].
+    /// Algorithm 4, local half: answers `(k, class_idx)` from the part of
+    /// the local clustering space `alive` admits, if `aggrCRT[x][l]` admits
+    /// it. The plain walk passes `|_| true`; [`crate::process_query_resilient`]
+    /// runs the same search under its meter with its liveness oracle.
     ///
     /// The clustering space may contain crashed hosts (close-node records
     /// are only as fresh as the last gossip round), so a cluster assembled
@@ -350,12 +339,8 @@ impl ClusterNode {
     /// keeps the answer valid: the diameter constraint is hereditary, so
     /// any subset of a feasible cluster is feasible.
     ///
-    /// This is a one-shot satisfiable probe behind a CRT gate that already
-    /// promised the answer, so it runs the row-major pair sweep, which
-    /// exits at the first satisfying pair, and reads `V_x` through a lazily
-    /// filled row store: `dist` is asked only for the rows the sweep opens,
-    /// once per unordered pair. A [`ClusterIndex`] or a full local matrix
-    /// built for the one call costs more than the whole sweep.
+    /// This is [`ClusterNode::answer_locally_filtered_budgeted`] under
+    /// [`Unmetered`].
     pub fn answer_locally_filtered(
         &self,
         k: usize,
@@ -364,8 +349,7 @@ impl ClusterNode {
         dist: impl FnMut(NodeId, NodeId) -> f64,
         alive: impl FnMut(NodeId) -> bool,
     ) -> Option<Vec<NodeId>> {
-        let mut meter = WorkMeter::unlimited();
-        self.answer_locally_filtered_budgeted(k, class_idx, classes, dist, alive, &mut meter)
+        self.answer_locally_filtered_budgeted(k, class_idx, classes, dist, alive, &mut Unmetered)
             .into_value()
     }
 
@@ -382,13 +366,21 @@ impl ClusterNode {
         self.answer_locally_filtered(k, class_idx, classes, dist, alive)
     }
 
-    /// [`ClusterNode::answer_locally_filtered`] under a [`WorkMeter`]: the
-    /// local cluster search charges the meter per pair examined, and on
-    /// exhaustion reports the largest live subset (size ≥ 2) assembled so
-    /// far as the `best_partial` instead of a full answer.
+    /// The one node-local search: [`ClusterNode::answer_locally_filtered`]
+    /// under a [`Meter`]. The local cluster search charges the meter per
+    /// pair examined, and on exhaustion reports the largest live subset
+    /// (size ≥ 2) assembled so far as the `best_partial` instead of a full
+    /// answer.
     ///
-    /// With an unexhausted meter the result is bit-identical to the
-    /// unbudgeted variant.
+    /// This is a one-shot satisfiable probe behind a CRT gate that already
+    /// promised the answer, so it runs the row-major pair sweep, which
+    /// exits at the first satisfying pair, and reads `V_x` through a lazily
+    /// filled row store: `dist` is asked only for the rows the sweep opens,
+    /// once per unordered pair. A [`ClusterIndex`] or a full local matrix
+    /// built for the one call costs more than the whole sweep.
+    ///
+    /// Under a meter that does not run dry the result is bit-identical to
+    /// the [`Unmetered`] one.
     pub fn answer_locally_filtered_budgeted(
         &self,
         k: usize,
@@ -396,7 +388,7 @@ impl ClusterNode {
         classes: &BandwidthClasses,
         mut dist: impl FnMut(NodeId, NodeId) -> f64,
         alive: impl FnMut(NodeId) -> bool,
-        meter: &mut WorkMeter,
+        meter: &mut impl Meter,
     ) -> Budgeted<Option<Vec<NodeId>>> {
         if k == 0 || k > self.own_max[class_idx] {
             return Budgeted::Done(None);
@@ -424,7 +416,7 @@ impl ClusterNode {
         classes: &BandwidthClasses,
         mut dist: impl FnMut(NodeId, NodeId) -> f64,
         alive: impl FnMut(NodeId) -> bool,
-        meter: &mut WorkMeter,
+        meter: &mut impl Meter,
     ) -> Budgeted<Option<Vec<NodeId>>> {
         let Some(space) = self.live_space(2, alive) else {
             return Budgeted::Done(None);
@@ -446,28 +438,12 @@ impl ClusterNode {
         budgeted_hosts_of(&space, sweep_rows(&mut rows, m, l, meter))
     }
 
-    /// Algorithm 4, routing half: a neighbor (≠ `exclude`) whose direction
-    /// promises a cluster of size ≥ `k` for this class.
-    pub fn route(&self, k: usize, class_idx: usize, exclude: Option<NodeId>) -> Option<NodeId> {
-        self.route_with_policy(k, class_idx, exclude, RoutePolicy::FirstFit)
-    }
-
-    /// Like [`ClusterNode::route`] but with an explicit neighbor-selection
-    /// policy.
-    pub fn route_with_policy(
-        &self,
-        k: usize,
-        class_idx: usize,
-        exclude: Option<NodeId>,
-        policy: RoutePolicy,
-    ) -> Option<NodeId> {
-        self.route_excluding(k, class_idx, exclude, &[], policy)
-    }
-
-    /// Like [`ClusterNode::route_with_policy`] but also skipping every
-    /// neighbor in `blacklist` — hosts discovered dead while the query was
-    /// in flight, which the walk reroutes around.
-    pub fn route_excluding(
+    /// Algorithm 4, routing half: a neighbor whose direction promises a
+    /// cluster of size ≥ `k` for this class, picked by `policy`, skipping
+    /// `exclude` (the neighbor the query came from) and every neighbor in
+    /// `blacklist` (hosts discovered dead while the query was in flight,
+    /// which the resilient walk reroutes around).
+    pub fn route(
         &self,
         k: usize,
         class_idx: usize,
@@ -638,7 +614,7 @@ mod tests {
         x.recompute_own_max(&classes(), |_, _| unreachable!("a lone host has no pair"));
         assert_eq!(x.own_max(), &[1, 1]);
         assert_eq!(
-            x.answer_locally(1, 0, &classes(), line_dist),
+            x.answer_locally_filtered(1, 0, &classes(), line_dist, |_| true),
             Some(vec![n(3)])
         );
     }
@@ -668,13 +644,21 @@ mod tests {
         x.receive_node_info(n(1), vec![n(1), n(2), n(3)]).unwrap();
         x.recompute_own_max(&classes(), line_dist);
         // Class 1 (b = 50, l = 2): max is 3.
-        let got = x.answer_locally(3, 1, &classes(), line_dist).unwrap();
+        let got = x
+            .answer_locally_filtered(3, 1, &classes(), line_dist, |_| true)
+            .unwrap();
         assert_eq!(got.len(), 3);
-        assert!(x.answer_locally(4, 1, &classes(), line_dist).is_none());
-        assert!(x.answer_locally(0, 1, &classes(), line_dist).is_none());
+        assert!(x
+            .answer_locally_filtered(4, 1, &classes(), line_dist, |_| true)
+            .is_none());
+        assert!(x
+            .answer_locally_filtered(0, 1, &classes(), line_dist, |_| true)
+            .is_none());
         // Class 0 (l = 4): all four fit.
         assert_eq!(
-            x.answer_locally(4, 0, &classes(), line_dist).unwrap().len(),
+            x.answer_locally_filtered(4, 0, &classes(), line_dist, |_| true)
+                .unwrap()
+                .len(),
             4
         );
     }
@@ -685,7 +669,9 @@ mod tests {
         x.receive_node_info(n(1), vec![n(1), n(2), n(3), n(7), n(8)])
             .unwrap();
         x.recompute_own_max(&classes(), line_dist);
-        let got = x.answer_locally(3, 1, &classes(), line_dist).unwrap();
+        let got = x
+            .answer_locally_filtered(3, 1, &classes(), line_dist, |_| true)
+            .unwrap();
         for (i, &a) in got.iter().enumerate() {
             for &b in &got[i + 1..] {
                 assert!(line_dist(a, b) <= 2.0, "pair ({a}, {b}) violates l");
@@ -698,15 +684,18 @@ mod tests {
         let mut x = ClusterNode::new(n(1), vec![n(0), n(2)], 1);
         x.receive_crt(n(0), vec![5]).unwrap();
         x.receive_crt(n(2), vec![5]).unwrap();
-        assert_eq!(x.route(4, 0, Some(n(0))), Some(n(2)));
-        assert_eq!(x.route(4, 0, None), Some(n(0)));
-        assert_eq!(x.route(6, 0, None), None);
+        assert_eq!(
+            x.route(4, 0, Some(n(0)), &[], RoutePolicy::FirstFit),
+            Some(n(2))
+        );
+        assert_eq!(x.route(4, 0, None, &[], RoutePolicy::FirstFit), Some(n(0)));
+        assert_eq!(x.route(6, 0, None, &[], RoutePolicy::FirstFit), None);
     }
 
     #[test]
     fn routing_before_any_crt_is_none() {
         let x = ClusterNode::new(n(1), vec![n(0), n(2)], 1);
-        assert_eq!(x.route(2, 0, None), None);
+        assert_eq!(x.route(2, 0, None, &[], RoutePolicy::FirstFit), None);
         assert_eq!(x.crt_entry(n(0), 0), 0);
     }
 
@@ -798,7 +787,7 @@ mod tests {
         let mut x = ClusterNode::new(n(0), vec![n(1)], 2);
         x.receive_node_info(n(1), vec![n(1), n(2), n(3)]).unwrap();
         x.recompute_own_max(&classes(), line_dist);
-        let mut meter = WorkMeter::unlimited();
+        let mut meter = Unmetered;
         let partial = x
             .best_partial_budgeted(1, &classes(), line_dist, |u| u != n(1), &mut meter)
             .into_value()
@@ -812,21 +801,18 @@ mod tests {
     }
 
     #[test]
-    fn route_excluding_skips_blacklisted_neighbors() {
+    fn route_skips_blacklisted_neighbors() {
         let mut x = ClusterNode::new(n(1), vec![n(0), n(2), n(3)], 1);
         x.receive_crt(n(0), vec![5]).unwrap();
         x.receive_crt(n(2), vec![5]).unwrap();
         x.receive_crt(n(3), vec![5]).unwrap();
+        assert_eq!(x.route(4, 0, None, &[], RoutePolicy::FirstFit), Some(n(0)));
         assert_eq!(
-            x.route_excluding(4, 0, None, &[], RoutePolicy::FirstFit),
-            Some(n(0))
-        );
-        assert_eq!(
-            x.route_excluding(4, 0, None, &[n(0)], RoutePolicy::FirstFit),
+            x.route(4, 0, None, &[n(0)], RoutePolicy::FirstFit),
             Some(n(2))
         );
         assert_eq!(
-            x.route_excluding(4, 0, Some(n(2)), &[n(0), n(3)], RoutePolicy::FirstFit),
+            x.route(4, 0, Some(n(2)), &[n(0), n(3)], RoutePolicy::FirstFit),
             None
         );
     }

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::classes::BandwidthClasses;
 use crate::error::ClusterError;
-use crate::find_cluster::{Budgeted, WorkMeter};
+use crate::find_cluster::{Budgeted, Meter};
 use crate::node::{ClusterNode, RoutePolicy};
 
 /// A reusable description of one `(k, b)` cluster query and the node it
@@ -173,7 +173,8 @@ impl RetryPolicy {
     }
 }
 
-/// Routes the query `(k, bandwidth)` starting at `start`.
+/// Routes the query `(k, bandwidth)` starting at `start`, forwarding by
+/// `policy`.
 ///
 /// `nodes` maps dense host ids to protocol state; `dist` is the predicted
 /// distance oracle every node consults (labels / prediction tree).
@@ -192,30 +193,6 @@ pub fn process_query(
     k: usize,
     bandwidth: f64,
     classes: &BandwidthClasses,
-    dist: impl FnMut(NodeId, NodeId) -> f64,
-) -> Result<QueryOutcome, ClusterError> {
-    process_query_with_policy(
-        nodes,
-        start,
-        k,
-        bandwidth,
-        classes,
-        dist,
-        RoutePolicy::FirstFit,
-    )
-}
-
-/// [`process_query`] with an explicit forwarding policy.
-///
-/// # Errors
-///
-/// Same as [`process_query`].
-pub fn process_query_with_policy(
-    nodes: &[ClusterNode],
-    start: NodeId,
-    k: usize,
-    bandwidth: f64,
-    classes: &BandwidthClasses,
     mut dist: impl FnMut(NodeId, NodeId) -> f64,
     policy: RoutePolicy,
 ) -> Result<QueryOutcome, ClusterError> {
@@ -226,49 +203,38 @@ pub fn process_query_with_policy(
     let mut path = vec![start];
     let mut hops = 0;
 
-    loop {
+    let cluster = loop {
         let node = &nodes[current.index()];
         debug_assert_eq!(node.id(), current, "nodes must be indexed by id");
-        if let Some(cluster) = node.answer_locally(k, class_idx, classes, &mut dist) {
-            return Ok(QueryOutcome {
-                cluster: Some(cluster),
-                hops,
-                path,
-                degradation: Degradation::default(),
-            });
+        if let Some(cluster) =
+            node.answer_locally_filtered(k, class_idx, classes, &mut dist, |_| true)
+        {
+            break Some(cluster);
         }
-        match node.route_with_policy(k, class_idx, previous, policy) {
-            Some(next) => {
-                previous = Some(current);
-                current = next;
-                hops += 1;
-                path.push(current);
-                // Safety net: on a tree overlay the no-backtrack walk is a
-                // simple path, so it can never exceed the node count.
-                if hops > nodes.len() {
-                    return Ok(QueryOutcome {
-                        cluster: None,
-                        hops,
-                        path,
-                        degradation: Degradation::default(),
-                    });
-                }
-            }
-            None => {
-                return Ok(QueryOutcome {
-                    cluster: None,
-                    hops,
-                    path,
-                    degradation: Degradation::default(),
-                })
-            }
+        let Some(next) = node.route(k, class_idx, previous, &[], policy) else {
+            break None;
+        };
+        previous = Some(current);
+        current = next;
+        hops += 1;
+        path.push(current);
+        // Safety net: on a tree overlay the no-backtrack walk is a simple
+        // path, so it can never exceed the node count.
+        if hops > nodes.len() {
+            break None;
         }
-    }
+    };
+    Ok(QueryOutcome {
+        cluster,
+        hops,
+        path,
+        degradation: Degradation::default(),
+    })
 }
 
-/// [`process_query`] hardened against crashed hosts: Algorithm 4 with
-/// retry, hop-budget timeouts and rerouting around dead anchor-tree
-/// neighbors.
+/// [`process_query`] hardened against crashed hosts and charged to a
+/// [`Meter`]: Algorithm 4 with retry, hop-budget timeouts and rerouting
+/// around dead anchor-tree neighbors.
 ///
 /// `alive` is the caller's liveness oracle (in the simulators: the fault
 /// injector's crash set; in a deployment: failure detection). The walk:
@@ -284,8 +250,19 @@ pub fn process_query_with_policy(
 ///    live partial cluster seen, plus retry/staleness accounting, in
 ///    [`QueryOutcome::degradation`].
 ///
+/// Every node visit and every local cluster search along the walk charges
+/// `meter`, and the moment it runs dry the walk stops and reports
+/// [`Budgeted::Exhausted`] carrying the degraded outcome assembled so far
+/// (partial cluster, path, retry accounting). Work is charged in pairs
+/// examined by the node-local kernels — a deterministic quantity — so
+/// where the walk is cut depends only on the overlay state and the budget,
+/// never on wall-clock or thread count. Under
+/// [`Unmetered`](crate::Unmetered) the walk always returns
+/// [`Budgeted::Done`], and under a meter that does not run dry it returns
+/// the same outcome.
+///
 /// With a fault-free overlay (`alive` always true) the outcome is identical
-/// to [`process_query_with_policy`] except for hop-budget truncation.
+/// to [`process_query`] except for hop-budget truncation.
 ///
 /// # Errors
 ///
@@ -298,47 +275,11 @@ pub fn process_query_resilient(
     k: usize,
     bandwidth: f64,
     classes: &BandwidthClasses,
-    dist: impl FnMut(NodeId, NodeId) -> f64,
-    policy: RoutePolicy,
-    retry: &RetryPolicy,
-    alive: impl FnMut(NodeId) -> bool,
-) -> Result<QueryOutcome, ClusterError> {
-    let mut meter = WorkMeter::unlimited();
-    match process_query_resilient_budgeted(
-        nodes, start, k, bandwidth, classes, dist, policy, retry, alive, &mut meter,
-    )? {
-        Budgeted::Done(out) => Ok(out),
-        // An unlimited meter never exhausts; the charge saturates below it.
-        Budgeted::Exhausted { best_partial, .. } => Ok(best_partial),
-    }
-}
-
-/// [`process_query_resilient`] under a [`WorkMeter`]: every local cluster
-/// search along the walk charges the meter, and the moment it runs dry the
-/// walk stops and reports [`Budgeted::Exhausted`] carrying the degraded
-/// outcome assembled so far (partial cluster, path, retry accounting).
-///
-/// Work is charged in pairs examined by the node-local kernels — a
-/// deterministic quantity — so where the walk is cut depends only on the
-/// overlay state and the budget, never on wall-clock or thread count. With
-/// a meter that never exhausts the result is bit-identical to
-/// [`process_query_resilient`] (which is implemented on top of this).
-///
-/// # Errors
-///
-/// Same as [`process_query_resilient`].
-#[allow(clippy::too_many_arguments)]
-pub fn process_query_resilient_budgeted(
-    nodes: &[ClusterNode],
-    start: NodeId,
-    k: usize,
-    bandwidth: f64,
-    classes: &BandwidthClasses,
     mut dist: impl FnMut(NodeId, NodeId) -> f64,
     policy: RoutePolicy,
     retry: &RetryPolicy,
     mut alive: impl FnMut(NodeId) -> bool,
-    meter: &mut WorkMeter,
+    meter: &mut impl Meter,
 ) -> Result<Budgeted<QueryOutcome>, ClusterError> {
     let class_idx = QueryRequest::new(start, k, bandwidth).validate(classes, nodes.len())?;
     if !alive(start) {
@@ -362,127 +303,118 @@ pub fn process_query_resilient_budgeted(
         }
     }
 
-    for attempt in 0..=retry.max_retries {
-        if attempt > 0 {
-            deg.retries += 1;
-        }
-        let hop_budget = retry.budget_for_attempt(attempt);
-        let mut current = start;
-        let mut previous: Option<NodeId> = None;
-        let mut hops_this_attempt = 0;
-        let mut progress = false; // learned a new dead host this attempt
-        full_path.push(start);
-
-        'walk: loop {
-            // Every node visit pre-charges one unit (the CRT
-            // consultation), so a walk is interruptible at node
-            // boundaries even when the local scans are too small to
-            // cross a kernel block boundary. Under a saturating work
-            // cost this refuses immediately — the budgeted analogue of
-            // a deadline that has already expired.
-            if !meter.charge(1) {
-                return Ok(Budgeted::Exhausted {
-                    pairs_done: meter.used(),
-                    best_partial: QueryOutcome {
-                        cluster: None,
-                        hops: total_hops,
-                        path: full_path,
-                        degradation: deg,
-                    },
-                });
+    // `true` when the meter ran dry; a found cluster returns from inside.
+    let exhausted = 'search: {
+        for attempt in 0..=retry.max_retries {
+            if attempt > 0 {
+                deg.retries += 1;
             }
-            let node = &nodes[current.index()];
-            debug_assert_eq!(node.id(), current, "nodes must be indexed by id");
-            match node.answer_locally_filtered_budgeted(
-                k, class_idx, classes, &mut dist, &mut alive, meter,
-            ) {
-                Budgeted::Done(Some(cluster)) => {
-                    deg.partial = None;
-                    return Ok(Budgeted::Done(QueryOutcome {
-                        cluster: Some(cluster),
-                        hops: total_hops,
-                        path: full_path,
-                        degradation: deg,
-                    }));
+            let hop_budget = retry.budget_for_attempt(attempt);
+            let mut current = start;
+            let mut previous: Option<NodeId> = None;
+            let mut hops_this_attempt = 0;
+            let mut progress = false; // learned a new dead host this attempt
+            full_path.push(start);
+
+            'walk: loop {
+                // Every node visit pre-charges one unit (the CRT
+                // consultation), so a walk is interruptible at node
+                // boundaries even when the local scans are too small to
+                // cross a kernel block boundary. Under a saturating work
+                // cost this refuses immediately — the budgeted analogue of
+                // a deadline that has already expired.
+                if !meter.charge(1) {
+                    break 'search true;
                 }
-                Budgeted::Done(None) => {}
-                Budgeted::Exhausted { best_partial, .. } => {
-                    keep_partial(&mut deg, best_partial);
-                    return Ok(Budgeted::Exhausted {
-                        pairs_done: meter.used(),
-                        best_partial: QueryOutcome {
-                            cluster: None,
+                let node = &nodes[current.index()];
+                debug_assert_eq!(node.id(), current, "nodes must be indexed by id");
+                match node.answer_locally_filtered_budgeted(
+                    k, class_idx, classes, &mut dist, &mut alive, meter,
+                ) {
+                    Budgeted::Done(Some(cluster)) => {
+                        deg.partial = None;
+                        return Ok(Budgeted::Done(QueryOutcome {
+                            cluster: Some(cluster),
                             hops: total_hops,
                             path: full_path,
                             degradation: deg,
-                        },
-                    });
-                }
-            }
-            // The CRT gate promised k here but the live space cannot
-            // deliver it: remember the best live cluster as a fallback.
-            if k <= node.own_max()[class_idx] {
-                deg.stale_state = true;
-                match node.best_partial_budgeted(class_idx, classes, &mut dist, &mut alive, meter) {
-                    Budgeted::Done(p) => keep_partial(&mut deg, p),
+                        }));
+                    }
+                    Budgeted::Done(None) => {}
                     Budgeted::Exhausted { best_partial, .. } => {
                         keep_partial(&mut deg, best_partial);
-                        return Ok(Budgeted::Exhausted {
-                            pairs_done: meter.used(),
-                            best_partial: QueryOutcome {
-                                cluster: None,
-                                hops: total_hops,
-                                path: full_path,
-                                degradation: deg,
-                            },
-                        });
+                        break 'search true;
                     }
                 }
-            }
-            // Pick a live next hop, blacklisting dead ones as discovered
-            // (the reroute-around-dead-neighbors step).
-            loop {
-                match node.route_excluding(k, class_idx, previous, &blacklist, policy) {
-                    Some(next) if !alive(next) => {
-                        blacklist.push(next);
-                        deg.dead_encountered += 1;
-                        deg.stale_state = true;
-                        progress = true;
-                    }
-                    Some(next) => {
-                        previous = Some(current);
-                        current = next;
-                        total_hops += 1;
-                        hops_this_attempt += 1;
-                        full_path.push(current);
-                        if hops_this_attempt >= hop_budget || total_hops > 2 * nodes.len() {
-                            break 'walk; // timeout: abandon this attempt
+                // The CRT gate promised k here but the live space cannot
+                // deliver it: remember the best live cluster as a fallback.
+                if k <= node.own_max()[class_idx] {
+                    deg.stale_state = true;
+                    match node
+                        .best_partial_budgeted(class_idx, classes, &mut dist, &mut alive, meter)
+                    {
+                        Budgeted::Done(p) => keep_partial(&mut deg, p),
+                        Budgeted::Exhausted { best_partial, .. } => {
+                            keep_partial(&mut deg, best_partial);
+                            break 'search true;
                         }
-                        continue 'walk;
                     }
-                    None => break 'walk, // dead end: nothing eligible
+                }
+                // Pick a live next hop, blacklisting dead ones as discovered
+                // (the reroute-around-dead-neighbors step).
+                loop {
+                    match node.route(k, class_idx, previous, &blacklist, policy) {
+                        Some(next) if !alive(next) => {
+                            blacklist.push(next);
+                            deg.dead_encountered += 1;
+                            deg.stale_state = true;
+                            progress = true;
+                        }
+                        Some(next) => {
+                            previous = Some(current);
+                            current = next;
+                            total_hops += 1;
+                            hops_this_attempt += 1;
+                            full_path.push(current);
+                            if hops_this_attempt >= hop_budget || total_hops > 2 * nodes.len() {
+                                break 'walk; // timeout: abandon this attempt
+                            }
+                            continue 'walk;
+                        }
+                        None => break 'walk, // dead end: nothing eligible
+                    }
                 }
             }
-        }
 
-        // A clean dead end with no new liveness knowledge would replay the
-        // exact same walk: further retries are pointless.
-        if !progress && hops_this_attempt < hop_budget {
-            break;
+            // A clean dead end with no new liveness knowledge would replay
+            // the exact same walk: further retries are pointless.
+            if !progress && hops_this_attempt < hop_budget {
+                break;
+            }
         }
-    }
+        false
+    };
 
-    Ok(Budgeted::Done(QueryOutcome {
+    let outcome = QueryOutcome {
         cluster: None,
         hops: total_hops,
         path: full_path,
         degradation: deg,
-    }))
+    };
+    Ok(if exhausted {
+        Budgeted::Exhausted {
+            pairs_done: meter.used(),
+            best_partial: outcome,
+        }
+    } else {
+        Budgeted::Done(outcome)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::find_cluster::{Unmetered, WorkMeter};
     use bcc_metric::RationalTransform;
 
     fn n(i: usize) -> NodeId {
@@ -496,6 +428,50 @@ mod tests {
     /// Line metric over ids.
     fn line_dist(a: NodeId, b: NodeId) -> f64 {
         (a.index() as f64 - b.index() as f64).abs()
+    }
+
+    /// The plain walk, first fit, over the line metric.
+    fn query(
+        nodes: &[ClusterNode],
+        start: NodeId,
+        k: usize,
+        b: f64,
+    ) -> Result<QueryOutcome, ClusterError> {
+        process_query(
+            nodes,
+            start,
+            k,
+            b,
+            &classes(),
+            line_dist,
+            RoutePolicy::FirstFit,
+        )
+    }
+
+    /// The resilient walk, first fit and unmetered, over the line metric.
+    fn resilient(
+        nodes: &[ClusterNode],
+        start: NodeId,
+        k: usize,
+        b: f64,
+        retry: &RetryPolicy,
+        alive: impl FnMut(NodeId) -> bool,
+    ) -> Result<QueryOutcome, ClusterError> {
+        let cls = classes();
+        let policy = RoutePolicy::FirstFit;
+        process_query_resilient(
+            nodes,
+            start,
+            k,
+            b,
+            &cls,
+            line_dist,
+            policy,
+            retry,
+            alive,
+            &mut Unmetered,
+        )
+        .map(Budgeted::into_value)
     }
 
     /// A 4-node path overlay 0—1—2—3 where only node 3's corner of the
@@ -528,7 +504,7 @@ mod tests {
     #[test]
     fn local_answer_zero_hops() {
         let nodes = path_overlay();
-        let out = process_query(&nodes, n(3), 2, 50.0, &classes(), line_dist).unwrap();
+        let out = query(&nodes, n(3), 2, 50.0).unwrap();
         assert!(out.found());
         assert_eq!(out.hops, 0);
         assert_eq!(out.path, vec![n(3)]);
@@ -537,7 +513,7 @@ mod tests {
     #[test]
     fn query_routes_across_overlay() {
         let nodes = path_overlay();
-        let out = process_query(&nodes, n(0), 2, 50.0, &classes(), line_dist).unwrap();
+        let out = query(&nodes, n(0), 2, 50.0).unwrap();
         assert!(out.found(), "cluster reachable via routing");
         assert_eq!(out.hops, 3);
         assert_eq!(out.path, vec![n(0), n(1), n(2), n(3)]);
@@ -548,7 +524,7 @@ mod tests {
     #[test]
     fn unsatisfiable_query_returns_empty() {
         let nodes = path_overlay();
-        let out = process_query(&nodes, n(0), 4, 50.0, &classes(), line_dist).unwrap();
+        let out = query(&nodes, n(0), 4, 50.0).unwrap();
         assert!(!out.found());
     }
 
@@ -567,7 +543,7 @@ mod tests {
         // Node 1 believes direction 0 holds size-2 clusters (stale info).
         nodes[1].receive_crt(n(0), vec![2]).unwrap();
         nodes[0].receive_crt(n(1), vec![2]).unwrap();
-        let out = process_query(&nodes, n(0), 2, 50.0, &cls, line_dist).unwrap();
+        let out = query(&nodes, n(0), 2, 50.0).unwrap();
         // 0 forwards to 1; 1 cannot forward back to 0; returns empty.
         assert!(!out.found());
         assert_eq!(out.hops, 1);
@@ -577,34 +553,24 @@ mod tests {
     fn invalid_queries_rejected() {
         let nodes = path_overlay();
         assert!(matches!(
-            process_query(&nodes, n(0), 1, 50.0, &classes(), line_dist),
+            query(&nodes, n(0), 1, 50.0),
             Err(ClusterError::InvalidSizeConstraint { .. })
         ));
         assert!(matches!(
-            process_query(&nodes, n(0), 2, 90.0, &classes(), line_dist),
+            query(&nodes, n(0), 2, 90.0),
             Err(ClusterError::NoMatchingClass { .. })
         ));
         assert!(matches!(
-            process_query(&nodes, n(9), 2, 50.0, &classes(), line_dist),
+            query(&nodes, n(9), 2, 50.0),
             Err(ClusterError::UnknownNeighbor { .. })
         ));
         for bad in [0.0, -3.0, f64::NAN, f64::INFINITY] {
             assert!(matches!(
-                process_query(&nodes, n(0), 2, bad, &classes(), line_dist),
+                query(&nodes, n(0), 2, bad),
                 Err(ClusterError::InvalidBandwidthConstraint { .. })
             ));
             assert!(matches!(
-                process_query_resilient(
-                    &nodes,
-                    n(0),
-                    2,
-                    bad,
-                    &classes(),
-                    line_dist,
-                    RoutePolicy::FirstFit,
-                    &RetryPolicy::default(),
-                    |_| true,
-                ),
+                resilient(&nodes, n(0), 2, bad, &RetryPolicy::default(), |_| true),
                 Err(ClusterError::InvalidBandwidthConstraint { .. })
             ));
         }
@@ -641,24 +607,24 @@ mod tests {
         center.receive_crt(n(2), vec![2]).unwrap();
         center.receive_crt(n(3), vec![5]).unwrap();
         assert_eq!(
-            center.route_with_policy(2, 0, Some(n(0)), RoutePolicy::FirstFit),
+            center.route(2, 0, Some(n(0)), &[], RoutePolicy::FirstFit),
             Some(n(2))
         );
         assert_eq!(
-            center.route_with_policy(2, 0, Some(n(0)), RoutePolicy::BestFit),
+            center.route(2, 0, Some(n(0)), &[], RoutePolicy::BestFit),
             Some(n(3))
         );
         assert_eq!(
-            center.route_with_policy(2, 0, Some(n(0)), RoutePolicy::TightestFit),
+            center.route(2, 0, Some(n(0)), &[], RoutePolicy::TightestFit),
             Some(n(2))
         );
         // Policies only choose among *eligible* directions.
         assert_eq!(
-            center.route_with_policy(3, 0, Some(n(0)), RoutePolicy::TightestFit),
+            center.route(3, 0, Some(n(0)), &[], RoutePolicy::TightestFit),
             Some(n(3))
         );
         assert_eq!(
-            center.route_with_policy(6, 0, Some(n(0)), RoutePolicy::BestFit),
+            center.route(6, 0, Some(n(0)), &[], RoutePolicy::BestFit),
             None
         );
     }
@@ -672,9 +638,7 @@ mod tests {
             RoutePolicy::BestFit,
             RoutePolicy::TightestFit,
         ] {
-            let out =
-                process_query_with_policy(&nodes, n(0), 2, 50.0, &classes(), line_dist, policy)
-                    .unwrap();
+            let out = process_query(&nodes, n(0), 2, 50.0, &classes(), line_dist, policy).unwrap();
             assert!(out.found(), "policy {policy:?}");
         }
     }
@@ -683,19 +647,9 @@ mod tests {
     fn resilient_matches_plain_query_without_faults() {
         let nodes = path_overlay();
         for start in 0..4 {
-            let plain = process_query(&nodes, n(start), 2, 50.0, &classes(), line_dist).unwrap();
-            let res = process_query_resilient(
-                &nodes,
-                n(start),
-                2,
-                50.0,
-                &classes(),
-                line_dist,
-                RoutePolicy::FirstFit,
-                &RetryPolicy::default(),
-                |_| true,
-            )
-            .unwrap();
+            let plain = query(&nodes, n(start), 2, 50.0).unwrap();
+            let res =
+                resilient(&nodes, n(start), 2, 50.0, &RetryPolicy::default(), |_| true).unwrap();
             assert_eq!(res.cluster, plain.cluster, "start n{start}");
             assert_eq!(res.hops, plain.hops);
             assert!(res.clean());
@@ -705,17 +659,9 @@ mod tests {
     #[test]
     fn resilient_rejects_dead_entry_node() {
         let nodes = path_overlay();
-        let err = process_query_resilient(
-            &nodes,
-            n(0),
-            2,
-            50.0,
-            &classes(),
-            line_dist,
-            RoutePolicy::FirstFit,
-            &RetryPolicy::default(),
-            |u| u != n(0),
-        )
+        let err = resilient(&nodes, n(0), 2, 50.0, &RetryPolicy::default(), |u| {
+            u != n(0)
+        })
         .unwrap_err();
         assert!(matches!(err, ClusterError::NodeUnavailable { node: 0 }));
     }
@@ -742,17 +688,9 @@ mod tests {
         nodes[1].receive_crt(n(3), vec![2]).unwrap();
         nodes[0].receive_crt(n(1), vec![2]).unwrap();
 
-        let out = process_query_resilient(
-            &nodes,
-            n(0),
-            2,
-            50.0,
-            &cls,
-            line_dist,
-            RoutePolicy::FirstFit,
-            &RetryPolicy::default(),
-            |u| u != n(2),
-        )
+        let out = resilient(&nodes, n(0), 2, 50.0, &RetryPolicy::default(), |u| {
+            u != n(2)
+        })
         .unwrap();
         assert!(out.found(), "must reroute around the dead fork");
         assert_eq!(out.cluster.unwrap(), vec![n(3), n(4)]);
@@ -768,17 +706,9 @@ mod tests {
         // unbuildable, and the outcome degrades to a partial-free miss
         // (singletons are not clusters).
         let nodes = path_overlay();
-        let out = process_query_resilient(
-            &nodes,
-            n(3),
-            2,
-            50.0,
-            &classes(),
-            line_dist,
-            RoutePolicy::FirstFit,
-            &RetryPolicy::default(),
-            |u| u != n(2),
-        )
+        let out = resilient(&nodes, n(3), 2, 50.0, &RetryPolicy::default(), |u| {
+            u != n(2)
+        })
         .unwrap();
         assert!(!out.found());
         assert!(
@@ -804,17 +734,9 @@ mod tests {
         for node in &mut nodes {
             node.recompute_own_max(&cls, line_dist);
         }
-        let out = process_query_resilient(
-            &nodes,
-            n(0),
-            3,
-            50.0,
-            &cls,
-            line_dist,
-            RoutePolicy::FirstFit,
-            &RetryPolicy::default(),
-            |u| u != n(2),
-        )
+        let out = resilient(&nodes, n(0), 3, 50.0, &RetryPolicy::default(), |u| {
+            u != n(2)
+        })
         .unwrap();
         assert!(!out.found());
         assert!(out.degradation.stale_state);
@@ -827,14 +749,11 @@ mod tests {
     fn hop_budget_truncates_and_backoff_extends() {
         let nodes = path_overlay();
         // Budget 1 with no retries cannot reach node 3 from node 0.
-        let starved = process_query_resilient(
+        let starved = resilient(
             &nodes,
             n(0),
             2,
             50.0,
-            &classes(),
-            line_dist,
-            RoutePolicy::FirstFit,
             &RetryPolicy {
                 max_retries: 0,
                 initial_hop_budget: 1,
@@ -846,14 +765,11 @@ mod tests {
         assert!(!starved.found());
         // Backoff 2× per retry: budgets 1, 2, 4 — the third attempt
         // reaches node 3 (3 hops away).
-        let retried = process_query_resilient(
+        let retried = resilient(
             &nodes,
             n(0),
             2,
             50.0,
-            &classes(),
-            line_dist,
-            RoutePolicy::FirstFit,
             &RetryPolicy {
                 max_retries: 3,
                 initial_hop_budget: 1,
@@ -908,14 +824,11 @@ mod tests {
     #[test]
     fn huge_retry_policy_completes_without_overflow() {
         let nodes = path_overlay();
-        let out = process_query_resilient(
+        let out = resilient(
             &nodes,
             n(0),
             2,
             50.0,
-            &classes(),
-            line_dist,
-            RoutePolicy::FirstFit,
             &RetryPolicy {
                 max_retries: 1000,
                 initial_hop_budget: usize::MAX / 2,
@@ -927,64 +840,52 @@ mod tests {
         assert!(out.found());
     }
 
+    /// The resilient walk from `start` over the line metric under `meter`,
+    /// everyone alive.
+    fn walk(
+        nodes: &[ClusterNode],
+        start: NodeId,
+        k: usize,
+        meter: &mut impl Meter,
+    ) -> Result<Budgeted<QueryOutcome>, ClusterError> {
+        let (cls, retry) = (classes(), RetryPolicy::default());
+        let policy = RoutePolicy::FirstFit;
+        process_query_resilient(
+            nodes,
+            start,
+            k,
+            50.0,
+            &cls,
+            line_dist,
+            policy,
+            &retry,
+            |_| true,
+            meter,
+        )
+    }
+
     #[test]
     fn budgeted_walk_matches_unbudgeted_when_not_exhausted() {
         let nodes = path_overlay();
         for start in 0..4 {
             for k in [2usize, 3, 4] {
-                let plain = process_query_resilient(
-                    &nodes,
-                    n(start),
-                    k,
-                    50.0,
-                    &classes(),
-                    line_dist,
-                    RoutePolicy::FirstFit,
-                    &RetryPolicy::default(),
-                    |_| true,
-                )
-                .unwrap();
-                let mut meter = WorkMeter::new(u64::MAX / 2);
-                let budgeted = process_query_resilient_budgeted(
-                    &nodes,
-                    n(start),
-                    k,
-                    50.0,
-                    &classes(),
-                    line_dist,
-                    RoutePolicy::FirstFit,
-                    &RetryPolicy::default(),
-                    |_| true,
-                    &mut meter,
-                )
-                .unwrap();
-                assert_eq!(budgeted, Budgeted::Done(plain), "start n{start} k={k}");
+                let unmetered = walk(&nodes, n(start), k, &mut Unmetered).unwrap();
+                assert!(!unmetered.is_exhausted());
+                let budgeted = walk(&nodes, n(start), k, &mut WorkMeter::new(u64::MAX / 2));
+                assert_eq!(budgeted.unwrap(), unmetered, "start n{start} k={k}");
             }
         }
     }
 
     #[test]
     fn exhausted_walk_reports_degraded_outcome() {
-        // A meter spent before the walk starts: the entry node's local
-        // search exhausts immediately and the outcome is a labeled partial
-        // miss, not a silent truncation.
+        // A meter spent before the walk starts: the first node visit
+        // refuses and the outcome is a labeled partial miss, not a silent
+        // truncation.
         let nodes = path_overlay();
         let mut meter = WorkMeter::new(0);
         meter.charge(1);
-        let out = process_query_resilient_budgeted(
-            &nodes,
-            n(3),
-            2,
-            50.0,
-            &classes(),
-            line_dist,
-            RoutePolicy::FirstFit,
-            &RetryPolicy::default(),
-            |_| true,
-            &mut meter,
-        )
-        .unwrap();
-        match out {
+        match walk(&nodes, n(3), 2, &mut meter).unwrap() {
             Budgeted::Exhausted {
                 pairs_done,
                 best_partial,
@@ -1002,7 +903,7 @@ mod tests {
         // b = 30 snaps to class 50 (harder), so the answered cluster also
         // satisfies 30.
         let nodes = path_overlay();
-        let out = process_query(&nodes, n(3), 2, 30.0, &classes(), line_dist).unwrap();
+        let out = query(&nodes, n(3), 2, 30.0).unwrap();
         assert!(out.found());
         for c in out.cluster.unwrap().windows(2) {
             assert!(line_dist(c[0], c[1]) <= 2.0);

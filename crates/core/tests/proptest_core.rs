@@ -3,7 +3,8 @@
 use bcc_core::{
     diameter, exists_cluster_brute_force, find_cluster, find_cluster_among, find_cluster_budgeted,
     find_cluster_euclidean, find_cluster_ordered, max_cluster_size, max_cluster_size_binary_search,
-    max_cluster_size_budgeted, BandwidthClasses, Budgeted, ClusterNode, PairOrder, WorkMeter,
+    max_cluster_size_budgeted, BandwidthClasses, Budgeted, ClusterNode, PairOrder, Unmetered,
+    WorkMeter,
 };
 use bcc_metric::{DistanceMatrix, EuclideanPoints, FiniteMetric, NodeId, RationalTransform};
 use proptest::prelude::*;
@@ -227,16 +228,17 @@ proptest! {
     ) {
         let (m, l) = (d.len(), LS[l_pick]);
         for k in [0, 1, 2, 3, m, m + 1] {
+            let want = Budgeted::Done(find_cluster(&d, k, l));
             prop_assert_eq!(
-                find_cluster_budgeted(&d, k, l, &mut WorkMeter::unlimited()),
-                Budgeted::Done(find_cluster(&d, k, l)),
+                find_cluster_budgeted(&d, k, l, &mut WorkMeter::new(u64::MAX)),
+                want.clone(),
                 "k={} l={}", k, l
             );
+            prop_assert_eq!(find_cluster_budgeted(&d, k, l, &mut Unmetered), want);
         }
-        prop_assert_eq!(
-            max_cluster_size_budgeted(&d, l, &mut WorkMeter::unlimited()),
-            Budgeted::Done(max_cluster_size(&d, l))
-        );
+        let want = Budgeted::Done(max_cluster_size(&d, l));
+        prop_assert_eq!(max_cluster_size_budgeted(&d, l, &mut WorkMeter::new(u64::MAX)), want.clone());
+        prop_assert_eq!(max_cluster_size_budgeted(&d, l, &mut Unmetered), want);
     }
 
     #[test]
@@ -294,7 +296,7 @@ proptest! {
                         d.get(a.index(), b.index())
                     },
                     alive,
-                    &mut WorkMeter::unlimited(),
+                    &mut WorkMeter::new(u64::MAX),
                 );
                 prop_assert_eq!(metered, Budgeted::Done(expect));
                 assert_evaluation_contract(&asked, "answer_locally_filtered_budgeted");
@@ -315,7 +317,7 @@ proptest! {
                     d.get(a.index(), b.index())
                 },
                 alive,
-                &mut WorkMeter::unlimited(),
+                &mut WorkMeter::new(u64::MAX),
             );
             prop_assert_eq!(partial, Budgeted::Done(expect), "class={}", class_idx);
             assert_evaluation_contract(&asked, "best_partial_budgeted");

@@ -5,7 +5,8 @@
 
 use bcc_core::{
     find_cluster, find_cluster_budgeted, find_cluster_indexed, max_cluster_size,
-    max_cluster_size_budgeted, max_cluster_size_indexed, Budgeted, ClusterIndex, WorkMeter,
+    max_cluster_size_budgeted, max_cluster_size_indexed, Budgeted, ClusterIndex, Meter, Unmetered,
+    WorkMeter,
 };
 use bcc_metric::DistanceMatrix;
 use proptest::prelude::*;
@@ -103,17 +104,14 @@ proptest! {
         l in 1.0f64..150.0,
     ) {
         // The served pair: the metered sweep is the degradation ladder's
-        // kernel, the plain sweep its reference.
-        let mut meter = WorkMeter::unlimited();
-        prop_assert_eq!(
-            find_cluster_budgeted(&d, k, l, &mut meter),
-            Budgeted::Done(find_cluster(&d, k, l))
-        );
-        let mut meter = WorkMeter::unlimited();
-        prop_assert_eq!(
-            max_cluster_size_budgeted(&d, l, &mut meter),
-            Budgeted::Done(max_cluster_size(&d, l))
-        );
+        // kernel and, unmetered, the served one; the plain sweep is the
+        // reference of both.
+        let want = Budgeted::Done(find_cluster(&d, k, l));
+        prop_assert_eq!(find_cluster_budgeted(&d, k, l, &mut WorkMeter::new(u64::MAX)), want.clone());
+        prop_assert_eq!(find_cluster_budgeted(&d, k, l, &mut Unmetered), want);
+        let want = Budgeted::Done(max_cluster_size(&d, l));
+        prop_assert_eq!(max_cluster_size_budgeted(&d, l, &mut WorkMeter::new(u64::MAX)), want.clone());
+        prop_assert_eq!(max_cluster_size_budgeted(&d, l, &mut Unmetered), want);
         // Replay determinism under a tight budget: same cut, same partial.
         let mut a = WorkMeter::new(24);
         let mut b = WorkMeter::new(24);

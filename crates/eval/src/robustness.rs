@@ -20,7 +20,7 @@
 //! Everything is deterministic per seed; the `robustness` binary in
 //! `crates/bench` renders tables and figure-style JSON.
 
-use bcc_core::{find_cluster, BandwidthClasses, ProtocolConfig, RetryPolicy};
+use bcc_core::{find_cluster, BandwidthClasses, ProtocolConfig, RetryPolicy, Unmetered};
 use bcc_embed::{FrameworkConfig, PredictionFramework};
 use bcc_metric::{DistanceMatrix, NodeId};
 use bcc_simnet::{FaultPlan, SimNetwork};
@@ -283,8 +283,9 @@ fn run_trial(cfg: &RobustnessConfig, loss: f64, crash_frac: f64, seed: u64) -> T
         let satisfiable = find_cluster(&sub, cfg.k, l).is_some();
 
         let out = net
-            .query_resilient(start, cfg.k, b, &cfg.retry)
-            .expect("live start and valid query");
+            .query_resilient(start, cfg.k, b, &cfg.retry, &mut Unmetered)
+            .expect("live start and valid query")
+            .into_value();
         stats.all_queries += 1;
         stats.retries.record(out.degradation.retries as f64);
         stats.dead.record(out.degradation.dead_encountered as f64);

@@ -1,13 +1,11 @@
 //! Batch scheduling: coalescing identical queries and grouping the rest
-//! into per-class lanes that fan out over the `bcc-par` runtime.
+//! into per-class lanes.
 //!
 //! A drained batch is reduced to its *unique* jobs (same submit node, `k`
 //! and snapped class ⇒ same answer, computed once and fanned back out to
 //! every requester) and the jobs are grouped into **lanes** by bandwidth
-//! class. Each lane is handed to one `bcc-par` worker and processed
-//! serially in job order, so the set of results — and therefore every
-//! response — is identical for any thread count, including the serial
-//! fallback at one thread.
+//! class. The lanes run in order and each lane's jobs in job order, so
+//! every response is a function of the batch alone.
 
 use std::collections::HashMap;
 
@@ -25,7 +23,7 @@ pub struct BatchJob {
     pub positions: Vec<usize>,
 }
 
-/// A group of jobs sharing a bandwidth class, executed by one worker.
+/// A group of jobs sharing a bandwidth class, executed in job order.
 #[derive(Debug, Clone)]
 pub struct BatchLane {
     /// Snapped bandwidth-class index shared by every job in the lane.

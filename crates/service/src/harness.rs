@@ -350,7 +350,7 @@ fn pump(service: &mut ClusterService, report: &mut DegradeChaosReport) {
 /// within [`RECLOSE_BOUND`] recovery rounds.
 ///
 /// Deterministic: the same `(seed, cfg)` produces the same report — for
-/// any `bcc-par` thread count.
+/// any thread count.
 ///
 /// # Errors
 ///

@@ -13,8 +13,7 @@
 //! - **Batch scheduling** ([`ClusterService::tick`] /
 //!   [`ClusterService::drain`]): admitted queries are drained in batches,
 //!   identical queries coalesce into one computation, and compatible
-//!   queries group into per-bandwidth-class lanes that fan out over the
-//!   `bcc-par` runtime — one worker per lane, serial inside a lane, so
+//!   queries group into per-bandwidth-class lanes that run in order, so
 //!   responses are bit-identical for any thread count and always returned
 //!   in submission order.
 //! - **Churn-aware caching** ([`ResultCache`]): answers are cached per

@@ -19,8 +19,6 @@ use bcc_core::Budgeted;
 
 /// Per-position batch slot: (outcome, served-from-cache, tier).
 type BatchSlot = Option<(Result<QueryOutcome, QueryError>, bool, Tier)>;
-/// One lane's results: (job index, budgeted outcome) in lane job order.
-type LaneResults = Vec<(usize, Result<Budgeted<QueryOutcome>, QueryError>)>;
 
 /// One cluster query as submitted by a client.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -425,45 +423,37 @@ impl ClusterService {
             batch::plan(&misses, self.cache.enabled())
         };
 
-        // One worker per lane; lanes run serially inside, so the result
-        // set is identical for any thread count. A coalesced job runs
-        // under its representative's budget (first submitter wins), which
-        // is deterministic because representatives follow submission
-        // order.
+        // The lanes run in order, and the jobs of a lane in order. A
+        // coalesced job runs under its representative's budget (first
+        // submitter wins), which is deterministic because representatives
+        // follow submission order.
         let system = &self.system;
         let retry = &self.config.retry;
         let default_budget = self.config.work_budget;
-        let lane_results: Vec<LaneResults> = bcc_par::par_map(lanes.len(), |l| {
-            lanes[l]
-                .jobs
-                .iter()
-                .map(|&j| {
-                    let BatchJob { key, .. } = &jobs[j];
-                    let rep = batch[jobs[j].positions[0]].1;
-                    debug_assert_eq!(rep.submit_node, key.start);
-                    let _query = bcc_obs::span!("service.query");
-                    let result = match effective_budget(rep.budget, default_budget) {
-                        None => system
-                            .query_resilient(rep.submit_node, rep.k, rep.bandwidth, retry)
-                            .map(Budgeted::Done),
-                        Some(budget) => system.query_budgeted(
-                            rep.submit_node,
-                            rep.k,
-                            rep.bandwidth,
-                            retry,
-                            budget,
-                        ),
-                    };
-                    (j, result)
-                })
-                .collect()
-        });
+        let results: Vec<(usize, Result<Budgeted<QueryOutcome>, QueryError>)> = lanes
+            .iter()
+            .flat_map(|lane| &lane.jobs)
+            .map(|&j| {
+                let BatchJob { key, .. } = &jobs[j];
+                let rep = batch[jobs[j].positions[0]].1;
+                debug_assert_eq!(rep.submit_node, key.start);
+                let _query = bcc_obs::span!("service.query");
+                let result = match effective_budget(rep.budget, default_budget) {
+                    None => system
+                        .query_resilient(rep.submit_node, rep.k, rep.bandwidth, retry)
+                        .map(Budgeted::Done),
+                    Some(budget) => {
+                        system.query_budgeted(rep.submit_node, rep.k, rep.bandwidth, retry, budget)
+                    }
+                };
+                (j, result)
+            })
+            .collect();
 
-        // Sequential accounting in deterministic lane order: breaker
+        // Accounting in lane order, after every lane has run: breaker
         // transitions, the fallback ladder (which may consume stale
-        // entries) and cache fills never happen inside the parallel
-        // region, so they replay identically for any thread count.
-        for (j, result) in lane_results.into_iter().flatten() {
+        // entries) and cache fills.
+        for (j, result) in results {
             self.stats.executed += 1;
             bcc_obs::inc!("service.executed");
             let lane = jobs[j].key.class_idx;

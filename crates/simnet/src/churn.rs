@@ -27,7 +27,8 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
 use bcc_core::{
-    Budgeted, ClusterError, ClusterIndex, IndexError, QueryOutcome, RetryPolicy, WorkMeter,
+    Budgeted, ClusterError, ClusterIndex, IndexError, QueryOutcome, RetryPolicy, Unmetered,
+    WorkMeter,
 };
 use bcc_embed::{EmbedError, PredictionFramework};
 use bcc_metric::{BandwidthMatrix, DistanceMatrix, NodeId};
@@ -184,13 +185,17 @@ pub struct RebuildCost {
 /// of *other* hosts never touches an untouched host's label — which is
 /// exactly what makes incremental index maintenance sound: a membership
 /// delta can only change distances involving the delta's own hosts.
+///
+/// A host with no label (never joined, departed or crashed) is infinitely
+/// far from every other host, so the `d(p, q) ≤ l` filter keeps it out of
+/// every cluster and every ball.
 pub fn fw_label_dist(fw: &PredictionFramework, a: u32, b: u32) -> f64 {
     if a == b {
         return 0.0;
     }
     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
     fw.label_distance(NodeId::new(lo as usize), NodeId::new(hi as usize))
-        .unwrap_or(0.0)
+        .unwrap_or(f64::INFINITY)
 }
 
 /// The dynamic overlay's predicted metric: a universe-indexed matrix
@@ -659,7 +664,8 @@ impl DynamicSystem {
         retry: &RetryPolicy,
     ) -> Result<QueryOutcome, ClusterError> {
         self.overlay_at(start)?
-            .query_resilient(start, k, bandwidth, retry)
+            .query_resilient(start, k, bandwidth, retry, &mut Unmetered)
+            .map(Budgeted::into_value)
     }
 
     /// Delegates to [`DynamicSystem::query_resilient`]; kept under this
@@ -744,7 +750,7 @@ impl DynamicSystem {
     ) -> Result<Budgeted<QueryOutcome>, ClusterError> {
         let net = self.overlay_at(start)?;
         let mut meter = WorkMeter::with_cost(budget, self.work_cost);
-        net.query_resilient_budgeted(start, k, bandwidth, retry, &mut meter)
+        net.query_resilient(start, k, bandwidth, retry, &mut meter)
     }
 
     /// The current overlay, if any host is active.
@@ -1122,6 +1128,37 @@ mod tests {
         // Only two fast hosts remain: the 3-cluster is gone.
         assert!(!s.query(n(3), 3, 80.0).unwrap().found());
         assert!(s.query(n(3), 2, 80.0).unwrap().found());
+    }
+
+    #[test]
+    fn a_departed_host_is_infinitely_far_and_never_clustered() {
+        // Host 1 is one of three fast hosts. Once it leaves, no lookup may
+        // stand it in as a perfect neighbour of the other two.
+        let mut s = dynamic();
+        for i in 0..4 {
+            s.join(n(i)).unwrap();
+        }
+        s.leave(n(1)).unwrap();
+        let fw = s.framework();
+        // Host 5 never joined: it has no label either.
+        for x in [0u32, 2, 3, 5] {
+            assert_eq!(fw_label_dist(fw, 1, x), f64::INFINITY, "d(1, {x})");
+            assert_eq!(fw_label_dist(fw, x, 1), f64::INFINITY, "d({x}, 1)");
+        }
+        assert_eq!(fw_label_dist(fw, 1, 1), 0.0);
+        let mut found = 0;
+        for start in s.active().collect::<Vec<_>>() {
+            for k in 2..=4 {
+                for &b in s.config().protocol.classes.bandwidths() {
+                    let Some(cluster) = s.cluster_near(start, k, b).unwrap() else {
+                        continue;
+                    };
+                    assert!(!cluster.contains(&n(1)), "{start} k={k} b={b}: {cluster:?}");
+                    found += 1;
+                }
+            }
+        }
+        assert!(found > 0, "the check must not be vacuous");
     }
 
     #[test]
@@ -1686,9 +1723,9 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_system_is_shareable_across_lanes() {
-        // `ClusterService::process_batch` hands `&DynamicSystem` to every
-        // `bcc_par` lane, so the memo must not cost the type its `Sync`.
+    fn dynamic_system_is_sync() {
+        // Every query takes `&self`, so a caller may share one system
+        // across threads: the memo must not cost the type its `Sync`.
         fn assert_sync<T: Send + Sync>() {}
         assert_sync::<DynamicSystem>();
     }

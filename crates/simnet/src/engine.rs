@@ -23,8 +23,8 @@ use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 
 use bcc_core::{
-    process_query, process_query_resilient, process_query_resilient_budgeted, Budgeted,
-    ClusterNode, ProtocolConfig, QueryOutcome, RetryPolicy, RoutePolicy, WorkMeter,
+    process_query, process_query_resilient, Budgeted, ClusterNode, Meter, ProtocolConfig,
+    QueryOutcome, RetryPolicy, RoutePolicy,
 };
 use bcc_embed::AnchorTree;
 use bcc_metric::{DistanceMatrix, NodeId};
@@ -492,7 +492,7 @@ impl SimNetwork {
     }
 
     /// Submits a query `(k, bandwidth)` at `start` and routes it through the
-    /// overlay (Algorithm 4).
+    /// overlay (Algorithm 4), first fit.
     ///
     /// # Errors
     ///
@@ -511,36 +511,17 @@ impl SimNetwork {
             bandwidth,
             &self.config.classes,
             self.predicted_dist(),
+            RoutePolicy::FirstFit,
         )
     }
 
-    /// [`SimNetwork::query`] with an explicit forwarding policy.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SimNetwork::query`].
-    pub fn query_with_policy(
-        &self,
-        start: NodeId,
-        k: usize,
-        bandwidth: f64,
-        policy: bcc_core::RoutePolicy,
-    ) -> Result<QueryOutcome, bcc_core::ClusterError> {
-        bcc_core::process_query_with_policy(
-            &self.nodes,
-            start,
-            k,
-            bandwidth,
-            &self.config.classes,
-            self.predicted_dist(),
-            policy,
-        )
-    }
-
-    /// Failure-aware query: Algorithm 4 with retry/backoff and rerouting
-    /// around nodes the fault injector reports dead (see
-    /// [`bcc_core::process_query_resilient`]). Without an injector this
-    /// behaves like [`SimNetwork::query`] plus hop budgeting.
+    /// Failure-aware query charged to `meter`: Algorithm 4 with
+    /// retry/backoff and rerouting around nodes the fault injector reports
+    /// dead (see [`bcc_core::process_query_resilient`]). Without an
+    /// injector this behaves like [`SimNetwork::query`] plus hop budgeting.
+    /// Under [`bcc_core::Unmetered`] it always returns [`Budgeted::Done`];
+    /// under a [`bcc_core::WorkMeter`] it degrades to
+    /// [`Budgeted::Exhausted`] when the budget runs dry.
     ///
     /// # Errors
     ///
@@ -551,37 +532,9 @@ impl SimNetwork {
         k: usize,
         bandwidth: f64,
         retry: &RetryPolicy,
-    ) -> Result<QueryOutcome, bcc_core::ClusterError> {
-        process_query_resilient(
-            &self.nodes,
-            start,
-            k,
-            bandwidth,
-            &self.config.classes,
-            self.predicted_dist(),
-            RoutePolicy::FirstFit,
-            retry,
-            |u| !self.is_down(u),
-        )
-    }
-
-    /// [`SimNetwork::query_resilient`] under a caller-supplied
-    /// [`WorkMeter`]: the walk's local cluster searches charge the meter
-    /// and the query degrades to [`Budgeted::Exhausted`] when it runs dry
-    /// (see [`bcc_core::process_query_resilient_budgeted`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`bcc_core::process_query_resilient`].
-    pub fn query_resilient_budgeted(
-        &self,
-        start: NodeId,
-        k: usize,
-        bandwidth: f64,
-        retry: &RetryPolicy,
-        meter: &mut WorkMeter,
+        meter: &mut impl Meter,
     ) -> Result<Budgeted<QueryOutcome>, bcc_core::ClusterError> {
-        process_query_resilient_budgeted(
+        process_query_resilient(
             &self.nodes,
             start,
             k,
@@ -910,7 +863,7 @@ impl SimNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcc_core::BandwidthClasses;
+    use bcc_core::{BandwidthClasses, Unmetered};
     use bcc_embed::{FrameworkConfig, PredictionFramework};
     use bcc_metric::RationalTransform;
 
@@ -1237,14 +1190,17 @@ mod tests {
 
         let retry = RetryPolicy::default();
         for start in [0usize, 1, 5, 7] {
-            let out = net.query_resilient(n(start), 2, 50.0, &retry).unwrap();
+            let out = net
+                .query_resilient(n(start), 2, 50.0, &retry, &mut Unmetered)
+                .unwrap()
+                .into_value();
             assert!(out.found(), "start n{start} must still find a pair");
             let c = out.cluster.as_ref().unwrap();
             assert!(!c.contains(&dead), "no dead member in {c:?}");
         }
         // Submitting at the dead node is a typed error.
         assert!(matches!(
-            net.query_resilient(dead, 2, 50.0, &retry),
+            net.query_resilient(dead, 2, 50.0, &retry, &mut Unmetered),
             Err(bcc_core::ClusterError::NodeUnavailable { node: 3 })
         ));
     }

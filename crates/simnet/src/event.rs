@@ -24,7 +24,9 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 
-use bcc_core::{ClusterNode, ProtocolConfig, QueryOutcome, RetryPolicy, RoutePolicy};
+use bcc_core::{
+    Budgeted, ClusterNode, ProtocolConfig, QueryOutcome, RetryPolicy, RoutePolicy, Unmetered,
+};
 use bcc_embed::AnchorTree;
 use bcc_metric::{DistanceMatrix, NodeId};
 use rand::rngs::StdRng;
@@ -510,6 +512,7 @@ impl AsyncNetwork {
             bandwidth,
             &self.config.protocol.classes,
             |a, b| self.predicted.get(a.index(), b.index()),
+            RoutePolicy::FirstFit,
         )
     }
 
@@ -537,7 +540,9 @@ impl AsyncNetwork {
             RoutePolicy::FirstFit,
             retry,
             |u| !self.is_down(u),
+            &mut Unmetered,
         )
+        .map(Budgeted::into_value)
     }
 
     /// Hash of all protocol state — comparable with

@@ -38,7 +38,7 @@
 //! failure-aware query routes around the corpse:
 //!
 //! ```
-//! use bcc_core::{BandwidthClasses, ProtocolConfig, RetryPolicy};
+//! use bcc_core::{BandwidthClasses, ProtocolConfig, RetryPolicy, Unmetered};
 //! use bcc_embed::{FrameworkConfig, PredictionFramework};
 //! use bcc_metric::{BandwidthMatrix, NodeId, RationalTransform};
 //! use bcc_simnet::{FaultPlan, SimNetwork};
@@ -62,8 +62,9 @@
 //!
 //! assert!(net.is_down(NodeId::new(1)));
 //! let out = net
-//!     .query_resilient(NodeId::new(0), 3, 50.0, &RetryPolicy::default())
-//!     .expect("valid query");
+//!     .query_resilient(NodeId::new(0), 3, 50.0, &RetryPolicy::default(), &mut Unmetered)
+//!     .expect("valid query")
+//!     .into_value();
 //! let cluster = out.cluster.expect("three fast hosts survive");
 //! assert!(!cluster.contains(&NodeId::new(1)), "dead host never returned");
 //! assert!(net.traffic().dropped > 0, "losses are accounted");

@@ -13,7 +13,8 @@
 //! - ground-truth helpers for scoring results against real bandwidth.
 
 use bcc_core::{
-    find_cluster, BandwidthClasses, ClusterError, ProtocolConfig, QueryOutcome, RetryPolicy,
+    find_cluster, BandwidthClasses, Budgeted, ClusterError, ProtocolConfig, QueryOutcome,
+    RetryPolicy, Unmetered,
 };
 use bcc_embed::{EnsembleConfig, FrameworkConfig, PredictionFramework, TreeEnsemble};
 use bcc_metric::{BandwidthMatrix, DistanceMatrix, NodeId, RationalTransform};
@@ -233,7 +234,9 @@ impl ClusterSystem {
         bandwidth: f64,
         retry: &RetryPolicy,
     ) -> Result<QueryOutcome, ClusterError> {
-        self.network.query_resilient(start, k, bandwidth, retry)
+        self.network
+            .query_resilient(start, k, bandwidth, retry, &mut Unmetered)
+            .map(Budgeted::into_value)
     }
 
     /// Centralized query (`TREE-CENTRAL`): Algorithm 1 over the entire

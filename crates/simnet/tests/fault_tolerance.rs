@@ -3,7 +3,7 @@
 //! must (a) leave every *satisfiable* query answerable within the default
 //! retry budget, and (b) be bit-for-bit reproducible from the seed.
 
-use bcc_core::{find_cluster, BandwidthClasses, ProtocolConfig, RetryPolicy};
+use bcc_core::{find_cluster, BandwidthClasses, ProtocolConfig, RetryPolicy, Unmetered};
 use bcc_embed::{FrameworkConfig, PredictionFramework};
 use bcc_metric::{BandwidthMatrix, DistanceMatrix, NodeId, RationalTransform};
 use bcc_simnet::{FaultPlan, SimNetwork};
@@ -95,8 +95,9 @@ fn satisfiable_queries_survive_loss_and_crashes() {
                 let truth_reachable = find_cluster(&sub, k, l);
 
                 let out = net
-                    .query_resilient(NodeId::new(start), k, b, &retry)
-                    .expect("valid query from live host");
+                    .query_resilient(NodeId::new(start), k, b, &retry, &mut Unmetered)
+                    .expect("valid query from live host")
+                    .into_value();
                 assert!(
                     out.degradation.retries <= retry.max_retries,
                     "budget respected"
@@ -151,11 +152,9 @@ fn scenario_is_bit_for_bit_reproducible() {
     // Queries on the degraded overlay reproduce too, degradation included.
     let retry = RetryPolicy::default();
     let start = NodeId::new(downs(&a).first().map_or(0, |&d| (d + 1) % HOSTS));
-    let qa = a.query_resilient(start, 3, 60.0, &retry).unwrap();
-    let qb = b.query_resilient(start, 3, 60.0, &retry).unwrap();
-    assert_eq!(qa.cluster, qb.cluster);
-    assert_eq!(qa.path, qb.path);
-    assert_eq!(qa.degradation, qb.degradation);
+    let qa = a.query_resilient(start, 3, 60.0, &retry, &mut Unmetered);
+    let qb = b.query_resilient(start, 3, 60.0, &retry, &mut Unmetered);
+    assert_eq!(qa.unwrap(), qb.unwrap());
 }
 
 #[test]

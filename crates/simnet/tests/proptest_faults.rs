@@ -2,7 +2,7 @@
 //! stay safe under arbitrary fault plans, loss accounting is monotone,
 //! and healthy systems degrade not at all.
 
-use bcc_core::{BandwidthClasses, ProtocolConfig, RetryPolicy};
+use bcc_core::{BandwidthClasses, ProtocolConfig, RetryPolicy, Unmetered};
 use bcc_embed::{FrameworkConfig, PredictionFramework};
 use bcc_metric::{BandwidthMatrix, NodeId, RationalTransform};
 use bcc_simnet::{ClusterSystem, FaultPlan, SimNetwork, SystemConfig};
@@ -93,10 +93,10 @@ proptest! {
             if net.is_down(start) {
                 continue;
             }
-            let Ok(out) = net.query_resilient(start, k, b, &retry) else {
+            let Ok(out) = net.query_resilient(start, k, b, &retry, &mut Unmetered) else {
                 continue;
             };
-            let Some(cluster) = out.cluster else { continue };
+            let Some(cluster) = out.into_value().cluster else { continue };
             for &u in &cluster {
                 prop_assert!(!net.is_down(u), "dead host {u} in answer {cluster:?}");
             }

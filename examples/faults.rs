@@ -12,6 +12,7 @@
 //! cargo run --release --example faults
 //! ```
 
+use bandwidth_clusters::core::Unmetered;
 use bandwidth_clusters::prelude::*;
 use bandwidth_clusters::simnet::SimNetwork;
 
@@ -58,7 +59,9 @@ fn main() -> Result<(), ClusterError> {
         .map(NodeId::new)
         .find(|&n| !net.is_down(n))
         .expect("someone survives");
-    let out = net.query_resilient(start, 4, 60.0, &retry)?;
+    let out = net
+        .query_resilient(start, 4, 60.0, &retry, &mut Unmetered)?
+        .into_value();
     match &out.cluster {
         Some(c) => println!(
             "query (k=4, b=60) from {start}: found {c:?} in {} hops, \

@@ -1,17 +1,19 @@
 //! The three node-local kernels that serve — the pair sweep, the indexed
-//! scan and the metered sweep with headroom — are one function: same
+//! scan and the metered sweep, unmetered or with headroom — are one
+//! function: same
 //! cluster, same member order, same maximum, at every class distance, on a
 //! perfect tree metric and on a noisy one the pruning bounds get no help
 //! from. So is the all-class form of the indexed scan behind
 //! `ClusterNode::recompute_own_max`, whatever the class list looks like.
 //! And so are the searches that read their space through lazily filled
-//! rows instead of a matrix: a node visit (`answer_locally_filtered`, plain
-//! and metered, with and without dead hosts) and the merge kernel
-//! `find_cluster_among` over a `2l` ball.
+//! rows instead of a matrix: a node visit (`answer_locally_filtered`, and
+//! its `_budgeted` body under `Unmetered` and under a `WorkMeter`, with and
+//! without dead hosts) and the merge kernel `find_cluster_among` over a
+//! `2l` ball.
 
 use bandwidth_clusters::core::{
     find_cluster_among, find_cluster_budgeted, find_cluster_indexed, max_cluster_size_budgeted,
-    max_cluster_size_indexed, Budgeted, ClusterIndex, WorkMeter,
+    max_cluster_size_indexed, Budgeted, ClusterIndex, Unmetered, WorkMeter,
 };
 use bandwidth_clusters::prelude::*;
 use bcc_datasets::{generate, SynthConfig};
@@ -31,7 +33,7 @@ fn check_own_max(d: &DistanceMatrix, classes: &BandwidthClasses) {
 
 /// A node fed the whole space answers every `(k, class)` with the cluster
 /// the sweep finds in the dense matrix of the hosts `alive` admits, through
-/// the plain entry point and the metered one alike.
+/// the plain entry point and the one body under either meter alike.
 fn check_node_visits(d: &DistanceMatrix, classes: &BandwidthClasses) {
     let mut node = ClusterNode::new(NodeId::new(0), vec![NodeId::new(1)], classes.len());
     node.receive_node_info(NodeId::new(1), (1..d.len()).map(NodeId::new).collect())
@@ -58,10 +60,23 @@ fn check_node_visits(d: &DistanceMatrix, classes: &BandwidthClasses) {
                     want,
                     "k={k} class={c}"
                 );
-                let mut meter = WorkMeter::unlimited();
+                let want_done = Budgeted::Done(want.clone());
+                let mut meter = WorkMeter::new(u64::MAX);
                 assert_eq!(
                     node.answer_locally_filtered_budgeted(k, c, classes, dist, alive, &mut meter),
-                    Budgeted::Done(want.clone()),
+                    want_done,
+                    "k={k} class={c}"
+                );
+                assert_eq!(
+                    node.answer_locally_filtered_budgeted(
+                        k,
+                        c,
+                        classes,
+                        dist,
+                        alive,
+                        &mut Unmetered
+                    ),
+                    want_done,
                     "k={k} class={c}"
                 );
                 match want {
@@ -142,18 +157,26 @@ fn check(noise_sigma: f64) {
         let max = max_cluster_size(&d, l);
         assert_eq!(max_cluster_size_indexed(&d, &index, l), max, "l={l}");
         assert_eq!(
-            max_cluster_size_budgeted(&d, l, &mut WorkMeter::unlimited()),
+            max_cluster_size_budgeted(&d, l, &mut WorkMeter::new(u64::MAX)),
             Budgeted::Done(max),
             "l={l}"
+        );
+        assert_eq!(
+            max_cluster_size_budgeted(&d, l, &mut Unmetered),
+            Budgeted::Done(max)
         );
         // Both sides of the feasibility edge, plus the degenerate sizes.
         for k in [0, 1, 2, max / 2, max, max + 1, d.len(), d.len() + 1] {
             let sweep = find_cluster(&d, k, l);
             assert_eq!(find_cluster_indexed(&d, &index, k, l), sweep, "k={k} l={l}");
             assert_eq!(
-                find_cluster_budgeted(&d, k, l, &mut WorkMeter::unlimited()),
+                find_cluster_budgeted(&d, k, l, &mut WorkMeter::new(u64::MAX)),
                 Budgeted::Done(sweep.clone()),
                 "k={k} l={l}"
+            );
+            assert_eq!(
+                find_cluster_budgeted(&d, k, l, &mut Unmetered),
+                Budgeted::Done(sweep.clone())
             );
             match sweep {
                 Some(_) => found += 1,

@@ -3,8 +3,12 @@
 //! `aggrCRT[x]` rows come from the indexed all-class maxima) must equal a
 //! cold restart's fixpoint, the index digest read on demand must equal a
 //! cold rebuild's, and every routed answer (one swept probe per node
-//! visit) must be a real cluster of live hosts.
+//! visit) must be a real cluster of live hosts. The walk behind those
+//! answers is one body whichever meter it is charged to.
 
+use bandwidth_clusters::core::{
+    process_query_resilient, Budgeted, Meter, RoutePolicy, Unmetered, WorkMeter,
+};
 use bandwidth_clusters::prelude::*;
 use bandwidth_clusters::simnet::{fw_label_dist, ChurnOp};
 use bcc_datasets::{generate, SynthConfig};
@@ -141,4 +145,91 @@ fn gossip_fixpoint_and_served_answers_hold_under_churn() {
         found > 1000,
         "the sweep must not be vacuous: {found} answers"
     );
+}
+
+/// The resilient walk over `system`'s overlay under `meter`, `alive`
+/// standing in for the fault detector.
+fn walk(
+    system: &DynamicSystem,
+    (start, k, b): (NodeId, usize, f64),
+    alive: &dyn Fn(NodeId) -> bool,
+    meter: &mut impl Meter,
+) -> Budgeted<QueryOutcome> {
+    let fw = system.framework();
+    let dist = |u: NodeId, v: NodeId| fw_label_dist(fw, u.index() as u32, v.index() as u32);
+    let nodes = system.network().unwrap().nodes();
+    let classes = &system.config().protocol.classes;
+    let (policy, retry) = (RoutePolicy::FirstFit, RetryPolicy::default());
+    process_query_resilient(
+        nodes, start, k, b, classes, dist, policy, &retry, alive, meter,
+    )
+    .unwrap()
+}
+
+/// The meter is a type parameter, so the served walk and the budgeted one
+/// are one body. On the shared fixture, with every host alive and with one
+/// host crashed under the overlay's feet, every outcome, degradation
+/// included, is the same under `Unmetered` as under a `WorkMeter` with
+/// headroom. So is every `DynamicSystem` answer once the crash is applied.
+/// And a zero budget refuses every query at its first node visit.
+#[test]
+fn one_walk_under_either_meter() {
+    let classes = BandwidthClasses::linspace(10.0, 80.0, 4, RationalTransform::default());
+    let mut system = small_system(&classes);
+    let retry = RetryPolicy::default();
+    let dead = NodeId::new(17);
+    let (mut found, mut degraded) = (0usize, 0usize);
+    let alives: [&dyn Fn(NodeId) -> bool; 2] = [&|_| true, &|u| u != dead];
+    for alive in alives {
+        for start in system.active().filter(|&u| alive(u)) {
+            for k in [2usize, 5, 11] {
+                for &b in classes.bandwidths() {
+                    let at = format!("start {start} k {k} b {b}");
+                    let mut meter = WorkMeter::new(u64::MAX);
+                    let metered = walk(&system, (start, k, b), alive, &mut meter);
+                    let unmetered = walk(&system, (start, k, b), alive, &mut Unmetered);
+                    assert_eq!(metered, unmetered, "{at}");
+                    assert!(meter.used() > 0, "{at}: a walk visits at least one node");
+                    let Budgeted::Done(out) = unmetered else {
+                        panic!("{at}: an unmetered walk ran dry");
+                    };
+                    found += usize::from(out.found());
+                    degraded += usize::from(!out.clean());
+                }
+            }
+        }
+    }
+    assert!(found > 100, "{found} answers");
+    assert!(degraded > 0, "the crashed host must degrade some walk");
+
+    for crashed in [false, true] {
+        if crashed {
+            system.crash(dead).unwrap();
+        }
+        for start in (0..48).map(NodeId::new) {
+            for k in [2usize, 5, 11] {
+                for &b in classes.bandwidths() {
+                    let at = format!("crashed {crashed} start {start} k {k} b {b}");
+                    let served = system.query_resilient(start, k, b, &retry);
+                    let budgeted = system.query_budgeted(start, k, b, &retry, u64::MAX);
+                    assert_eq!(budgeted, served.clone().map(Budgeted::Done), "{at}");
+                    if served.is_err() {
+                        assert_eq!(start, dead, "{at}: only the crashed host refuses");
+                        continue;
+                    }
+                    match system.query_budgeted(start, k, b, &retry, 0).unwrap() {
+                        Budgeted::Exhausted {
+                            pairs_done,
+                            best_partial,
+                        } => {
+                            assert_eq!(pairs_done, 1, "{at}: one unit for the first visit");
+                            assert_eq!(best_partial.path, vec![start], "{at}");
+                            assert!(!best_partial.found(), "{at}");
+                        }
+                        done => panic!("{at}: a zero budget answered {done:?}"),
+                    }
+                }
+            }
+        }
+    }
 }

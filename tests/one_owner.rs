@@ -1,9 +1,11 @@
 //! One owner per decision: the byte-wise FNV-1a, the artifact reader, the
-//! seeded chaos universe and the bound on a replay record's universe each
-//! have one definition under `crates/*/src`.
+//! seeded chaos universe, the bound on a replay record's universe and the
+//! resilient query walk each have one definition under `crates/*/src`.
 //! A second copy (the state the chaos harnesses grew from: six `fnv1a`s,
-//! two `json_field` scanners, three universe builders) fails here, by
-//! file, before it can drift from the first.
+//! two `json_field` scanners, three universe builders; the walk's
+//! budgeted and unbudgeted twins) fails here, by file, before it can drift
+//! from the first. So does a meter that cannot run dry standing in for
+//! `Unmetered`, and a call into the thread pool from the serving layer.
 
 use std::path::{Path, PathBuf};
 
@@ -16,6 +18,29 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
             out.push(path);
         }
     }
+}
+
+/// `text` without its `#[cfg(test)]` items: each is cut from the attribute
+/// to the brace that closes the item's first `{`.
+fn library_text(text: &str) -> String {
+    let mut library = String::new();
+    let mut rest = text;
+    while let Some(at) = rest.find("#[cfg(test)]") {
+        library.push_str(&rest[..at]);
+        let item = &rest[at..];
+        let mut depth = 0usize;
+        let end = item.char_indices().find_map(|(i, c)| {
+            match c {
+                '{' => depth += 1,
+                '}' if depth == 1 => return Some(i + 1),
+                '}' => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+            None
+        });
+        rest = end.map_or("", |end| &item[end..]);
+    }
+    library + rest
 }
 
 #[test]
@@ -35,28 +60,48 @@ fn each_shared_decision_is_defined_in_one_file() {
         sources.len()
     );
 
-    // (what to look for in the text with `_` removed and lowercased, the
-    // one file that may hold it). `persist/codec.rs` imports the FNV
+    // (what to look for in the text with `_` removed and lowercased, where,
+    // the one file that may hold it). `persist/codec.rs` imports the FNV
     // constants, so its word-wise `fnv64` holds no literal.
     let owners = [
-        ("100000001b3", Some("crates/core/src/index.rs")),
-        ("fn universebandwidth", Some("crates/simnet/src/chaos.rs")),
-        ("fn jsonfield", None),
+        ("100000001b3", "crates/", Some("crates/core/src/index.rs")),
+        (
+            "fn universebandwidth",
+            "crates/",
+            Some("crates/simnet/src/chaos.rs"),
+        ),
+        ("fn jsonfield", "crates/", None),
         // A replay record's universe is read through the one bounded reader.
-        ("usize(\"universe\")", Some("crates/simnet/src/chaos.rs")),
+        (
+            "usize(\"universe\")",
+            "crates/",
+            Some("crates/simnet/src/chaos.rs"),
+        ),
+        // A search with no budget runs under `Unmetered`.
+        ("unlimited()", "crates/", None),
+        // The batch runs its lanes in order: serving touches no pool.
+        ("bccpar", "crates/service/src/", None),
     ];
+    // The one resilient walk is the one library caller of
+    // `RetryPolicy::budget_for_attempt`.
+    let mut walks = Vec::new();
     let mut holders = vec![Vec::new(); owners.len()];
     for path in &sources {
         let text = std::fs::read_to_string(path).expect("readable source");
         let text = text.replace('_', "").to_lowercase();
         let relative = path.strip_prefix(root).expect("under the manifest dir");
-        for (found, (needle, _)) in holders.iter_mut().zip(owners) {
-            if text.contains(needle) {
-                found.push(relative.to_string_lossy().replace('\\', "/"));
+        let relative = relative.to_string_lossy().replace('\\', "/");
+        for (found, (needle, scope, _)) in holders.iter_mut().zip(owners) {
+            if relative.starts_with(scope) && text.contains(needle) {
+                found.push(relative.clone());
             }
         }
+        for _ in library_text(&text).matches(".budgetforattempt(") {
+            walks.push(relative.clone());
+        }
     }
-    for (found, (needle, owner)) in holders.iter().zip(owners) {
+    assert_eq!(walks, ["crates/core/src/query.rs"], "resilient walk bodies");
+    for (found, (needle, _, owner)) in holders.iter().zip(owners) {
         let expected: Vec<String> = owner.iter().map(|o| o.to_string()).collect();
         assert_eq!(found, &expected, "files holding {needle:?}");
     }
