@@ -94,21 +94,18 @@ pub fn find_cluster<M: FiniteMetric>(metric: &M, k: usize, l: f64) -> Option<Vec
 /// answers bit-identical by construction — the scan order, tie-breaks and
 /// float comparisons are all decided here, once.
 ///
-/// The sub-metric is never materialised: the sweep reads it through a
-/// lazily filled row store, so `dist` is called only for the rows the
-/// sweep opens — at most once per unordered pair, always as
-/// `dist(ids[i], ids[j])` with `i < j`, never on the diagonal, and not at
-/// all when `k == 0`, `k == 1` or `k > ids.len()`. A caller that counts
-/// its `dist` calls (the coordinator's `work_units`) counts evaluations
-/// made, not pairs of the candidate set.
-///
-/// The body is this kernel's own, not the metered sweep under
-/// [`Unmetered`]: it keeps no partial, and on entering row `p` it
-/// counts `|B(p, l)|` in the row it has just filled and skips the row's
-/// pairs when fewer than `k` candidates lie within `l`. Every `S*_pq` with
-/// `d(p, q) ≤ l` sits inside that ball, so a skipped row holds no
-/// satisfying pair and the answer stays the first one in row-major order,
-/// the one [`find_cluster`] returns on the same sub-metric.
+/// The kernel has no body of its own: it is the one gated sweep behind
+/// [`find_cluster_budgeted`] under [`Unmetered`], over a lazily filled
+/// row store of the candidates, with positions mapped back to ids. So
+/// `dist` is called only for the rows the sweep opens — at most once per
+/// unordered pair, always as `dist(ids[i], ids[j])` with `i < j`, never on
+/// the diagonal, and not at all when `k == 0`, `k == 1` or
+/// `k > ids.len()`. A caller that counts its `dist` calls (the
+/// coordinator's `work_units`) counts evaluations made, not pairs of the
+/// candidate set. The sweep's ball gate skips every row whose `l`-ball
+/// holds fewer than `k` candidates and every pair closer than the row's
+/// `k`-th nearest candidate, so a merge fills a partner row only for a
+/// pair whose ball can hold `k` candidates.
 pub fn find_cluster_among(
     ids: &[u32],
     k: usize,
@@ -119,42 +116,10 @@ pub fn find_cluster_among(
         ids.windows(2).all(|w| w[0] < w[1]),
         "candidate ids must be strictly ascending for canonical answers"
     );
-    let _span = bcc_obs::span!("core.find_cluster");
-    bcc_obs::inc!("core.find_cluster.calls");
-    let m = ids.len();
-    if k > m || k == 0 {
-        return None;
-    }
-    if k == 1 {
-        return Some(vec![ids[0]]);
-    }
-    let mut rows = LazyRows::new(m, |i, j| dist(ids[i], ids[j]));
-    let mut scratch = Vec::with_capacity(k);
-    let mut scanned = 0u64;
-    let found = 'search: {
-        for p in 0..m {
-            rows.ensure(p);
-            // The exact ball gate: the `0.0` diagonal counts `p` itself, so
-            // this is |B(p, l)| over the candidates.
-            if rows.row(p).iter().filter(|&&d| d <= l).count() < k {
-                continue;
-            }
-            for q in (p + 1)..m {
-                scanned += 1;
-                let dpq = rows.row(p)[q];
-                if dpq <= l {
-                    // Both rows before either borrow: filling may move them.
-                    rows.ensure(q);
-                    if members_into(rows.row(p), rows.row(q), dpq, k, &mut scratch) {
-                        break 'search true;
-                    }
-                }
-            }
-        }
-        false
-    };
-    bcc_obs::add!("core.find_cluster.pairs_scanned", scanned);
-    found.then(|| scratch.into_iter().map(|i| ids[i]).collect())
+    let mut rows = LazyRows::new(ids.len(), |i, j| dist(ids[i], ids[j]));
+    sweep_rows(&mut rows, k, l, &mut Unmetered)
+        .into_value()
+        .map(|x| x.into_iter().map(|i| ids[i]).collect())
 }
 
 /// Algorithm 1 with an explicit pair scan order. See [`find_cluster`].
@@ -227,8 +192,14 @@ pub const BUDGET_BLOCK: usize = 16;
 /// The meter is chosen at compile time, so one search body serves both
 /// callers. Under [`WorkMeter`] it charges pairs and keeps partials.
 /// Under the zero-sized [`Unmetered`], `charge` is `true`, so every block
-/// check and exhaustion arm is dead code and compiles away.
+/// check and exhaustion arm is dead code and compiles away, and so is the
+/// partial-answer bookkeeping [`Meter::PARTIAL`] switches off.
 pub trait Meter {
+    /// `true` when an exhausted search must report the best partial answer
+    /// it assembled. The sweep's ball gate floors its radius at one more
+    /// than that partial's size, so a meter that keeps none gates at `k`.
+    const PARTIAL: bool;
+
     /// Charges `pairs` pair-examinations and reports whether the budget
     /// still holds.
     fn charge(&mut self, pairs: u64) -> bool;
@@ -247,6 +218,8 @@ pub trait Meter {
 pub struct Unmetered;
 
 impl Meter for Unmetered {
+    const PARTIAL: bool = false;
+
     #[inline]
     fn charge(&mut self, _pairs: u64) -> bool {
         true
@@ -305,6 +278,8 @@ impl WorkMeter {
 }
 
 impl Meter for WorkMeter {
+    const PARTIAL: bool = true;
+
     /// Saturating: a meter whose limit is `u64::MAX` can never wrap into
     /// exhaustion.
     fn charge(&mut self, pairs: u64) -> bool {
@@ -375,18 +350,29 @@ pub fn find_cluster_budgeted<M: FiniteMetric>(
     sweep_rows(&mut rows, k, l, meter)
 }
 
-/// The one metered sweep: Algorithm 1 row-major over a [`LazyRows`] store,
-/// behind [`find_cluster_budgeted`] and every node-local search, under
-/// whichever [`Meter`] the caller holds (the merge kernel
-/// [`find_cluster_among`] has its own, gated body). Row `p` is
-/// filled on entering it and row `q` before the membership test of an
-/// in-range pair, so a pair beyond `l` costs one read of row `p` and
-/// nothing else.
-pub(crate) fn sweep_rows<F: FnMut(usize, usize) -> f64>(
+/// The one sweep: Algorithm 1 row-major over a [`LazyRows`] store, behind
+/// [`find_cluster_budgeted`], the merge kernel [`find_cluster_among`] and
+/// every node-local search, under whichever [`Meter`] the caller holds.
+/// Row `p` is filled on entering it and row `q` before the membership
+/// test of a pair the ball gate lets through, so a pair beyond `l` costs
+/// one read of row `p` and nothing else.
+///
+/// **The ball gate** ([`BallGate`]). `S*_pq` lies inside the ball
+/// `B(p, d(p, q))`, so a pair whose ball holds fewer than `g` hosts has
+/// `|S*_pq| < g`. The sweep skips row `p` when `|B(p, l)| < g` and
+/// otherwise runs the membership test only for the pairs with
+/// `r_g(p) ≤ d(p, q) ≤ l`, `r_g(p)` the `g`-th smallest entry of the row.
+/// With `g = k` a skipped pair cannot answer. A meter that keeps partials
+/// ([`Meter::PARTIAL`]) floors the gate at `g = min(k, |best| + 1)`,
+/// `best` read at row start, so a skipped pair can neither answer nor
+/// strictly grow the partial. Every pair, gated or not, still advances the
+/// budget block counter, so answers, charges, cut points and partials are
+/// those of the ungated sweep; only rows filled and pairs tested fall.
+pub(crate) fn sweep_rows<F: FnMut(usize, usize) -> f64, M: Meter>(
     rows: &mut LazyRows<F>,
     k: usize,
     l: f64,
-    meter: &mut impl Meter,
+    meter: &mut M,
 ) -> Budgeted<Option<Vec<usize>>> {
     let _span = bcc_obs::span!("core.find_cluster");
     bcc_obs::inc!("core.find_cluster.calls");
@@ -404,11 +390,28 @@ pub(crate) fn sweep_rows<F: FnMut(usize, usize) -> f64>(
         };
     }
     let mut scratch = Vec::with_capacity(k);
+    let mut radii = Vec::new();
     let mut best: Vec<usize> = Vec::new();
-    let mut scanned = 0u64;
+    let (mut scanned, mut gated) = (0u64, 0u64);
+    let flush = |scanned: u64, gated: u64| {
+        bcc_obs::add!("core.find_cluster.pairs_scanned", scanned);
+        bcc_obs::add!("core.find_cluster.pairs_gated", gated);
+    };
     let mut block = 0usize;
     for p in 0..n {
         rows.ensure(p);
+        let g = if M::PARTIAL { k.min(best.len() + 1) } else { k };
+        let Some(mut gate) = BallGate::open(rows.row(p), l, g) else {
+            gated += ball(&rows.row(p)[p + 1..], l) as u64;
+            if !skip_pairs(&mut block, n - p - 1, meter) {
+                flush(scanned, gated);
+                return Budgeted::Exhausted {
+                    pairs_done: meter.used(),
+                    best_partial: (!best.is_empty()).then_some(best),
+                };
+            }
+            continue;
+        };
         for q in (p + 1)..n {
             scanned += 1;
             let dpq = rows.row(p)[q];
@@ -416,22 +419,26 @@ pub(crate) fn sweep_rows<F: FnMut(usize, usize) -> f64>(
             // constraint reduces to d(p, q) <= l and pairs beyond l (or
             // NaN) are skipped outright.
             if dpq <= l {
-                // Both rows before either borrow: filling may move them.
-                rows.ensure(q);
-                if members_into(rows.row(p), rows.row(q), dpq, k, &mut scratch) {
-                    meter.charge(block as u64 + 1);
-                    bcc_obs::add!("core.find_cluster.pairs_scanned", scanned);
-                    return Budgeted::Done(Some(scratch));
-                }
-                if scratch.len() > best.len() && scratch.len() >= 2 {
-                    best = scratch.clone();
+                if gate.admits(rows.row(p), dpq, &mut radii) {
+                    // Both rows before either borrow: filling may move them.
+                    rows.ensure(q);
+                    if members_into(rows.row(p), rows.row(q), dpq, k, &mut scratch) {
+                        meter.charge(block as u64 + 1);
+                        flush(scanned, gated);
+                        return Budgeted::Done(Some(scratch));
+                    }
+                    if M::PARTIAL && scratch.len() > best.len() && scratch.len() >= 2 {
+                        best = scratch.clone();
+                    }
+                } else {
+                    gated += 1;
                 }
             }
             block += 1;
             if block == BUDGET_BLOCK {
                 block = 0;
                 if !meter.charge(BUDGET_BLOCK as u64) {
-                    bcc_obs::add!("core.find_cluster.pairs_scanned", scanned);
+                    flush(scanned, gated);
                     return Budgeted::Exhausted {
                         pairs_done: meter.used(),
                         best_partial: (!best.is_empty()).then_some(best),
@@ -441,7 +448,7 @@ pub(crate) fn sweep_rows<F: FnMut(usize, usize) -> f64>(
         }
     }
     meter.charge(block as u64);
-    bcc_obs::add!("core.find_cluster.pairs_scanned", scanned);
+    flush(scanned, gated);
     Budgeted::Done(None)
 }
 
@@ -462,8 +469,11 @@ pub fn max_cluster_size_budgeted<M: FiniteMetric>(
 }
 
 /// The one metered maximum: `max |S*_pq|` over the pairs within `l`,
-/// row-major over a [`LazyRows`] store, filled the way [`sweep_rows`]
-/// fills it.
+/// row-major over a [`LazyRows`] store, filled and gated the way
+/// [`sweep_rows`] fills and gates it. The gate's floor is `best + 1`, the
+/// running maximum read at row start: a skipped pair has
+/// `|S*_pq| ≤ best`, so the maximum, exact or cut short, is the ungated
+/// one.
 pub(crate) fn max_size_rows<F: FnMut(usize, usize) -> f64>(
     rows: &mut LazyRows<F>,
     l: f64,
@@ -481,13 +491,23 @@ pub(crate) fn max_size_rows<F: FnMut(usize, usize) -> f64>(
             best_partial: 1,
         };
     }
+    let mut radii = Vec::new();
     let mut best = 1usize;
     let mut block = 0usize;
     for p in 0..n {
         rows.ensure(p);
+        let Some(mut gate) = BallGate::open(rows.row(p), l, best + 1) else {
+            if !skip_pairs(&mut block, n - p - 1, meter) {
+                return Budgeted::Exhausted {
+                    pairs_done: meter.used(),
+                    best_partial: best,
+                };
+            }
+            continue;
+        };
         for q in (p + 1)..n {
             let dpq = rows.row(p)[q];
-            if dpq <= l {
+            if dpq <= l && gate.admits(rows.row(p), dpq, &mut radii) {
                 rows.ensure(q);
                 best = best.max(members_count(rows.row(p), rows.row(q), dpq));
             }
@@ -505,6 +525,68 @@ pub(crate) fn max_size_rows<F: FnMut(usize, usize) -> f64>(
     }
     meter.charge(block as u64);
     Budgeted::Done(best)
+}
+
+/// `|B(p, d)|` read off row `p`: the entries within `d`, the `0.0`
+/// diagonal included. A NaN entry lies within no `d`.
+fn ball(row: &[f64], d: f64) -> usize {
+    row.iter().filter(|&&x| x <= d).count()
+}
+
+/// The ball gate of one row `p` of a sweep at floor `g`: which pairs
+/// `(p, q)` within `l` can have `|S*_pq| ≥ g`. Exactly those with
+/// `|B(p, d(p, q))| ≥ g`, that is with `d(p, q) ≥ r_g(p)`, the `g`-th
+/// smallest entry of the row (every `d ≤ l` is compared against entries
+/// within `l` only).
+///
+/// The row's first pair within `l` is decided by counting its ball, one
+/// branch-free pass, so a sweep that answers there pays no selection; the
+/// second takes `r_g(p)` once, with `select_nth_unstable_by` over the
+/// row's entries within `l` in a reused buffer, and every later pair is
+/// one comparison.
+struct BallGate {
+    g: usize,
+    l: f64,
+    counted: bool,
+    radius: Option<f64>,
+}
+
+impl BallGate {
+    /// The gate of `row`, or `None` when `|B(p, l)| < g`: no pair of the
+    /// row can reach `g`.
+    fn open(row: &[f64], l: f64, g: usize) -> Option<Self> {
+        (ball(row, l) >= g).then_some(BallGate {
+            g,
+            l,
+            counted: false,
+            radius: None,
+        })
+    }
+
+    /// `|B(p, d)| ≥ g` for a pair at distance `d ≤ l` of `row`.
+    fn admits(&mut self, row: &[f64], d: f64, radii: &mut Vec<f64>) -> bool {
+        if let Some(r) = self.radius {
+            return d >= r;
+        }
+        if !self.counted {
+            self.counted = true;
+            return ball(row, d) >= self.g;
+        }
+        radii.clear();
+        radii.extend(row.iter().copied().filter(|&x| x <= self.l));
+        let (_, &mut r, _) = radii.select_nth_unstable_by(self.g - 1, f64::total_cmp);
+        self.radius = Some(r);
+        d >= r
+    }
+}
+
+/// Advances the budget block counter over `pairs` pairs the gate skipped,
+/// charging every block they complete, as the pair loop would have; `false`
+/// as soon as a charge runs the meter dry.
+fn skip_pairs(block: &mut usize, pairs: usize, meter: &mut impl Meter) -> bool {
+    let total = *block + pairs;
+    *block = total % BUDGET_BLOCK;
+    (0..total / BUDGET_BLOCK).all(|_| meter.charge(BUDGET_BLOCK as u64))
 }
 
 /// [`check_pair`] over two filled rows: builds `S*_pq` into `scratch`

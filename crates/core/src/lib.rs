@@ -15,7 +15,8 @@
 //!   [`WorkMeter`] budget, or [`Unmetered`], chosen at compile time —
 //!   reading the space through lazily filled rows (as do
 //!   [`find_cluster_among`] and every node-local search), so a search
-//!   evaluates the distances of the rows it opens and no others.
+//!   evaluates the distances of the rows it opens and no others, and opens
+//!   no pair its row's `k`-th-nearest-neighbour radius rules out.
 //!   Every node-local kernel is serial: parallelism lives per lane
 //!   (`bcc-service`), per shard (`bcc-shard`) and per run (`bcc-eval`);
 //! - [`ClusterNode`] — per-host protocol state implementing Algorithm 2

@@ -3,8 +3,8 @@
 use bcc_core::{
     diameter, exists_cluster_brute_force, find_cluster, find_cluster_among, find_cluster_budgeted,
     find_cluster_euclidean, find_cluster_ordered, max_cluster_size, max_cluster_size_binary_search,
-    max_cluster_size_budgeted, BandwidthClasses, Budgeted, ClusterNode, PairOrder, Unmetered,
-    WorkMeter,
+    max_cluster_size_budgeted, BandwidthClasses, Budgeted, ClusterNode, Meter, PairOrder,
+    Unmetered, WorkMeter,
 };
 use bcc_metric::{DistanceMatrix, EuclideanPoints, FiniteMetric, NodeId, RationalTransform};
 use proptest::prelude::*;
@@ -127,6 +127,176 @@ fn find_cluster_among_is_find_cluster_on_the_id_subspace() {
     );
 }
 
+/// `0..=14` hosts with integer distances in `0..6`, so ties sit on every
+/// ball radius; about one pair in eleven is NaN, one `∞` and one `-0.0`.
+fn arb_gate_space() -> impl Strategy<Value = DistanceMatrix> {
+    (0usize..=14)
+        .prop_flat_map(|m| {
+            (
+                Just(m),
+                proptest::collection::vec(0u8..11, m * m.saturating_sub(1) / 2),
+            )
+        })
+        .prop_map(|(m, entries)| {
+            let mut entries = entries.into_iter();
+            DistanceMatrix::from_fn(m, |_, _| match entries.next().unwrap() {
+                e @ 0..=5 => f64::from(e),
+                e @ 6..=7 => f64::from(e - 5),
+                8 => f64::NAN,
+                9 => f64::INFINITY,
+                _ => -0.0,
+            })
+        })
+}
+
+/// `|B(p, d)|`: the hosts within `d` of `p`, `p` itself included.
+fn ball(d: &DistanceMatrix, p: usize, r: f64) -> usize {
+    (0..d.len()).filter(|&x| d.get(p, x) <= r).count()
+}
+
+/// The metered sweep as it ran before the ball gate, over a dense matrix:
+/// every pair within `l` gets its membership test. Also counts the pairs
+/// the gate would have skipped before the sweep returned: those within `l`
+/// whose ball `B(p, d(p, q))` holds fewer than `min(k, |best| + 1)` hosts,
+/// `best` read at row start.
+fn ungated_sweep(
+    d: &DistanceMatrix,
+    k: usize,
+    l: f64,
+    meter: &mut WorkMeter,
+    gateable: &mut usize,
+) -> Budgeted<Option<Vec<usize>>> {
+    let n = d.len();
+    if k > n || k == 0 {
+        return Budgeted::Done(None);
+    }
+    if k == 1 {
+        return Budgeted::Done(Some(vec![0]));
+    }
+    if meter.exhausted() {
+        return Budgeted::Exhausted {
+            pairs_done: meter.used(),
+            best_partial: None,
+        };
+    }
+    let mut best: Vec<usize> = Vec::new();
+    let mut block = 0;
+    for p in 0..n {
+        let g = k.min(best.len() + 1);
+        for q in (p + 1)..n {
+            let dpq = d.get(p, q);
+            if dpq <= l {
+                if ball(d, p, dpq) < g {
+                    *gateable += 1;
+                }
+                let members: Vec<usize> = (0..n)
+                    .filter(|&x| d.get(x, p) <= dpq && d.get(x, q) <= dpq)
+                    .take(k)
+                    .collect();
+                if members.len() == k {
+                    meter.charge(block + 1);
+                    return Budgeted::Done(Some(members));
+                }
+                if members.len() > best.len() && members.len() >= 2 {
+                    best = members;
+                }
+            }
+            block += 1;
+            if block == 16 {
+                block = 0;
+                if !meter.charge(16) {
+                    return Budgeted::Exhausted {
+                        pairs_done: meter.used(),
+                        best_partial: (!best.is_empty()).then_some(best),
+                    };
+                }
+            }
+        }
+    }
+    meter.charge(block);
+    Budgeted::Done(None)
+}
+
+/// The metered maximum as it ran before the ball gate, over a dense
+/// matrix; counts, like [`ungated_sweep`], the pairs a gate floored at
+/// `best + 1` would have skipped.
+fn ungated_max(
+    d: &DistanceMatrix,
+    l: f64,
+    meter: &mut WorkMeter,
+    gateable: &mut usize,
+) -> Budgeted<usize> {
+    let n = d.len();
+    if n == 0 {
+        return Budgeted::Done(0);
+    }
+    if meter.exhausted() {
+        return Budgeted::Exhausted {
+            pairs_done: meter.used(),
+            best_partial: 1,
+        };
+    }
+    let mut best = 1;
+    let mut block = 0;
+    for p in 0..n {
+        let g = best + 1;
+        for q in (p + 1)..n {
+            let dpq = d.get(p, q);
+            if dpq <= l {
+                if ball(d, p, dpq) < g {
+                    *gateable += 1;
+                }
+                let size = (0..n)
+                    .filter(|&x| d.get(x, p) <= dpq && d.get(x, q) <= dpq)
+                    .count();
+                best = best.max(size);
+            }
+            block += 1;
+            if block == 16 {
+                block = 0;
+                if !meter.charge(16) {
+                    return Budgeted::Exhausted {
+                        pairs_done: meter.used(),
+                        best_partial: best,
+                    };
+                }
+            }
+        }
+    }
+    meter.charge(block);
+    Budgeted::Done(best)
+}
+
+/// Searches of `gated_sweeps_cut_where_the_ungated_ones_cut` in which the
+/// ball gate skipped a pair before the sweep ran dry, and before it
+/// answered.
+static GATED_THEN_EXHAUSTED: AtomicUsize = AtomicUsize::new(0);
+static GATED_THEN_ANSWERED: AtomicUsize = AtomicUsize::new(0);
+
+fn count_gated<T>(gateable: usize, result: &Budgeted<Option<T>>) {
+    if gateable == 0 {
+        return;
+    }
+    match result {
+        Budgeted::Exhausted { .. } => GATED_THEN_EXHAUSTED.fetch_add(1, Ordering::Relaxed),
+        Budgeted::Done(Some(_)) => GATED_THEN_ANSWERED.fetch_add(1, Ordering::Relaxed),
+        Budgeted::Done(None) => 0,
+    };
+}
+
+#[test]
+fn gated_sweeps_cut_where_the_ungated_ones_cut() {
+    gated_sweeps_cut_where_the_ungated_ones_cut_cases();
+    let (exhausted, answered) = (
+        GATED_THEN_EXHAUSTED.load(Ordering::Relaxed),
+        GATED_THEN_ANSWERED.load(Ordering::Relaxed),
+    );
+    assert!(
+        exhausted > 0 && answered > 0,
+        "the gate must skip a pair ahead of both outcomes: {exhausted} exhausted, {answered} answered"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -217,6 +387,83 @@ proptest! {
                 GATED_NONE.fetch_add(1, Ordering::Relaxed);
             } else if got.is_some() && reach[0] < k {
                 GATED_THEN_FOUND.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    // No `#[test]`: the wrapper of the same name without `_cases` runs
+    // them and then checks what they covered.
+    fn gated_sweeps_cut_where_the_ungated_ones_cut_cases(d in arb_gate_space()) {
+        // Every budget from an empty one to past the last block, at unit
+        // and inflated cost: the gated sweeps return the ungated sweep's
+        // answer, charge, cut point and partial, and leave the meter where
+        // it left it.
+        let m = d.len();
+        let pairs = (m * m.saturating_sub(1) / 2) as u64;
+        let classes = BandwidthClasses::new(
+            vec![10.0, 25.0, 50.0, 100.0],
+            RationalTransform::new(100.0),
+        );
+        let neighbor = NodeId::new(1000);
+        let mut node = ClusterNode::new(NodeId::new(0), vec![neighbor], 4);
+        node.receive_node_info(neighbor, (1..m.max(1)).map(NodeId::new).collect()).unwrap();
+        let dist = |a: NodeId, b: NodeId| d.get(a.index(), b.index());
+        let hosts = |idxs: Vec<usize>| idxs.into_iter().map(NodeId::new).collect::<Vec<_>>();
+        for cost in [1, 3] {
+            for budget in 0..=pairs * cost + 16 {
+                let meter = || WorkMeter::with_cost(budget, cost);
+                for l in [0.0, 1.0, 2.0, 3.0, 5.0, f64::INFINITY] {
+                    for k in [2, 3, 4, m / 2, m, m + 1] {
+                        let (mut want_meter, mut got_meter, mut gateable) = (meter(), meter(), 0);
+                        let want = ungated_sweep(&d, k, l, &mut want_meter, &mut gateable);
+                        let got = find_cluster_budgeted(&d, k, l, &mut got_meter);
+                        prop_assert_eq!(
+                            &got, &want, "find m={} k={} l={} budget={} cost={}", m, k, l, budget, cost
+                        );
+                        prop_assert_eq!(got_meter.used(), want_meter.used());
+                        count_gated(gateable, &got);
+                    }
+                    let (mut want_meter, mut got_meter, mut gateable) = (meter(), meter(), 0);
+                    prop_assert_eq!(
+                        max_cluster_size_budgeted(&d, l, &mut got_meter),
+                        ungated_max(&d, l, &mut want_meter, &mut gateable),
+                        "max m={} l={} budget={} cost={}", m, l, budget, cost
+                    );
+                    prop_assert_eq!(got_meter.used(), want_meter.used());
+                }
+                if m < 2 {
+                    continue;
+                }
+                // The partial of a node visit: the sizing pass and then the
+                // member search at the size it found, on one meter.
+                for class_idx in 0..classes.len() {
+                    let l = classes.distance_of(class_idx);
+                    let (mut want_meter, mut got_meter, mut gateable) = (meter(), meter(), 0);
+                    let want = match ungated_max(&d, l, &mut want_meter, &mut gateable) {
+                        Budgeted::Exhausted { pairs_done, .. } => Budgeted::Exhausted {
+                            pairs_done,
+                            best_partial: None,
+                        },
+                        Budgeted::Done(size) if size < 2 => Budgeted::Done(None),
+                        Budgeted::Done(size) => {
+                            match ungated_sweep(&d, size, l, &mut want_meter, &mut gateable) {
+                                Budgeted::Done(x) => Budgeted::Done(x.map(hosts)),
+                                Budgeted::Exhausted { pairs_done, best_partial } => {
+                                    Budgeted::Exhausted {
+                                        pairs_done,
+                                        best_partial: best_partial.map(hosts),
+                                    }
+                                }
+                            }
+                        }
+                    };
+                    let got = node.best_partial_budgeted(class_idx, &classes, dist, |_| true, &mut got_meter);
+                    prop_assert_eq!(
+                        &got, &want, "partial m={} class={} budget={} cost={}", m, class_idx, budget, cost
+                    );
+                    prop_assert_eq!(got_meter.used(), want_meter.used());
+                    count_gated(gateable, &got);
+                }
             }
         }
     }

@@ -31,9 +31,39 @@ fn check_own_max(d: &DistanceMatrix, classes: &BandwidthClasses) {
     }
 }
 
+/// The pairs the sweep's ball gate skips under `Unmetered`, read off the
+/// dense rows: those within `l`, up to the first pair whose `S*_pq`
+/// reaches `k` (or all of them), whose ball `B(p, d(p, q))` holds fewer
+/// than `k` hosts.
+fn gated_pairs(dense: &DistanceMatrix, k: usize, l: f64) -> usize {
+    let n = dense.len();
+    let within = |p: usize, r: f64| (0..n).filter(|&x| dense.get(p, x) <= r).count();
+    let mut gated = 0;
+    for p in 0..n {
+        for q in (p + 1)..n {
+            let dpq = dense.get(p, q);
+            if dpq > l {
+                continue;
+            }
+            if within(p, dpq) < k {
+                gated += 1;
+            } else if (0..n)
+                .filter(|&x| dense.get(x, p) <= dpq && dense.get(x, q) <= dpq)
+                .count()
+                >= k
+            {
+                return gated;
+            }
+        }
+    }
+    gated
+}
+
 /// A node fed the whole space answers every `(k, class)` with the cluster
 /// the sweep finds in the dense matrix of the hosts `alive` admits, through
-/// the plain entry point and the one body under either meter alike.
+/// the plain entry point and the one body under either meter alike. At
+/// `k = own_max` and `own_max − 1`, where the ball gate binds hardest, the
+/// gate must skip pairs, or the pin is vacuous.
 fn check_node_visits(d: &DistanceMatrix, classes: &BandwidthClasses) {
     let mut node = ClusterNode::new(NodeId::new(0), vec![NodeId::new(1)], classes.len());
     node.receive_node_info(NodeId::new(1), (1..d.len()).map(NodeId::new).collect())
@@ -41,7 +71,7 @@ fn check_node_visits(d: &DistanceMatrix, classes: &BandwidthClasses) {
     let dist = |a: NodeId, b: NodeId| d.get(a.index(), b.index());
     node.recompute_own_max(classes, dist);
     let filters: [&dyn Fn(NodeId) -> bool; 2] = [&|_| true, &|u| u.index() % 3 != 2];
-    let (mut found, mut missed) = (0usize, 0usize);
+    let (mut found, mut missed, mut gated) = (0usize, 0usize, 0usize);
     for alive in filters {
         let live: Vec<NodeId> = (0..d.len())
             .map(NodeId::new)
@@ -50,7 +80,8 @@ fn check_node_visits(d: &DistanceMatrix, classes: &BandwidthClasses) {
         let dense = DistanceMatrix::from_fn(live.len(), |i, j| dist(live[i], live[j]));
         for (c, &l) in classes.distances().iter().enumerate() {
             let max = node.own_max()[c];
-            for k in [0, 1, 2, max / 2, max, max + 1, d.len(), d.len() + 1] {
+            let below = max.saturating_sub(1);
+            for k in [0, 1, 2, max / 2, below, max, max + 1, d.len(), d.len() + 1] {
                 // Any k the CRT gate refuses is also infeasible in the
                 // (smaller) live space, so the dense call needs no gate.
                 let want = find_cluster(&dense, k, l)
@@ -83,10 +114,17 @@ fn check_node_visits(d: &DistanceMatrix, classes: &BandwidthClasses) {
                     Some(_) => found += 1,
                     None => missed += 1,
                 }
+                if k >= 2 && (k == below || k == max) {
+                    gated += gated_pairs(&dense, k, l);
+                }
             }
         }
     }
     assert!(found > 0 && missed > 0, "found {found}, missed {missed}");
+    assert!(
+        gated > 0,
+        "the ball gate skipped no pair at k = own_max or own_max − 1"
+    );
 }
 
 /// The merge kernel over the `2l` ball of a start host equals the sweep

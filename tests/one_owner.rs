@@ -5,7 +5,10 @@
 //! two `json_field` scanners, three universe builders; the walk's
 //! budgeted and unbudgeted twins) fails here, by file, before it can drift
 //! from the first. So does a meter that cannot run dry standing in for
-//! `Unmetered`, and a call into the thread pool from the serving layer.
+//! `Unmetered`, a call into the thread pool from the serving layer, and a
+//! loop over the pairs of a `LazyRows` store outside the one gated sweep
+//! (`sweep_rows`) and the one gated maximum (`max_size_rows`): the merge
+//! kernel has no body of its own.
 
 use std::path::{Path, PathBuf};
 
@@ -20,12 +23,17 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// `text` without its `#[cfg(test)]` items: each is cut from the attribute
-/// to the brace that closes the item's first `{`.
+/// `text` without its `#[cfg(test)]` items.
 fn library_text(text: &str) -> String {
+    without_items(text, "#[cfg(test)]")
+}
+
+/// `text` without the items that start at `marker`: each is cut from the
+/// marker to the brace that closes the item's first `{`.
+fn without_items(text: &str, marker: &str) -> String {
     let mut library = String::new();
     let mut rest = text;
-    while let Some(at) = rest.find("#[cfg(test)]") {
+    while let Some(at) = rest.find(marker) {
         library.push_str(&rest[..at]);
         let item = &rest[at..];
         let mut depth = 0usize;
@@ -85,6 +93,9 @@ fn each_shared_decision_is_defined_in_one_file() {
     // The one resilient walk is the one library caller of
     // `RetryPolicy::budget_for_attempt`.
     let mut walks = Vec::new();
+    // Library files that read a `LazyRows` store's rows outside the two
+    // gated bodies.
+    let mut row_loops = Vec::new();
     let mut holders = vec![Vec::new(); owners.len()];
     for path in &sources {
         let text = std::fs::read_to_string(path).expect("readable source");
@@ -96,11 +107,23 @@ fn each_shared_decision_is_defined_in_one_file() {
                 found.push(relative.clone());
             }
         }
-        for _ in library_text(&text).matches(".budgetforattempt(") {
+        let library = library_text(&text);
+        for _ in library.matches(".budgetforattempt(") {
             walks.push(relative.clone());
+        }
+        if library.contains("lazyrows") {
+            let rest = without_items(&library, "fn sweeprows");
+            let rest = without_items(&rest, "fn maxsizerows");
+            if rest.contains(".ensure(") || rest.contains(".row(") {
+                row_loops.push(relative.clone());
+            }
         }
     }
     assert_eq!(walks, ["crates/core/src/query.rs"], "resilient walk bodies");
+    assert!(
+        row_loops.is_empty(),
+        "row-store pair loops outside sweep_rows / max_size_rows: {row_loops:?}"
+    );
     for (found, (needle, _, owner)) in holders.iter().zip(owners) {
         let expected: Vec<String> = owner.iter().map(|o| o.to_string()).collect();
         assert_eq!(found, &expected, "files holding {needle:?}");
