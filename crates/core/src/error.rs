@@ -36,6 +36,14 @@ pub enum ClusterError {
         /// The unavailable host index.
         node: usize,
     },
+    /// A routing-table row (received or restored) does not have one entry
+    /// per configured bandwidth class.
+    ClassCountMismatch {
+        /// The node's class count.
+        expected: usize,
+        /// The row's length.
+        got: usize,
+    },
 }
 
 impl fmt::Display for ClusterError {
@@ -64,6 +72,12 @@ impl fmt::Display for ClusterError {
             }
             ClusterError::NodeUnavailable { node } => {
                 write!(f, "host n{node} is unavailable (crashed or unreachable)")
+            }
+            ClusterError::ClassCountMismatch { expected, got } => {
+                write!(
+                    f,
+                    "routing-table row has {got} bandwidth classes, expected {expected}"
+                )
             }
         }
     }
@@ -101,6 +115,15 @@ mod tests {
         assert!(ClusterError::NodeUnavailable { node: 4 }
             .to_string()
             .contains("n4"));
+        let e = ClusterError::ClassCountMismatch {
+            expected: 2,
+            got: 3,
+        };
+        assert_eq!(e, e.clone());
+        assert_eq!(
+            e.to_string(),
+            "routing-table row has 3 bandwidth classes, expected 2"
+        );
     }
 
     #[test]

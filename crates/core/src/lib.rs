@@ -74,7 +74,7 @@ pub use index::{
     find_cluster_indexed, fnv1a, max_cluster_size_indexed, ClusterIndex, IndexError, IndexStats,
     FNV_OFFSET, FNV_PRIME,
 };
-pub use node::{ClusterNode, ProtocolConfig, RoutePolicy};
+pub use node::{ClusterNode, Distances, ProtocolConfig, RoutePolicy};
 pub use query::{
     process_query, process_query_resilient, Degradation, QueryOutcome, QueryRequest, RetryPolicy,
 };

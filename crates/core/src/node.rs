@@ -47,6 +47,61 @@ impl ProtocolConfig {
     }
 }
 
+/// The predicted-distance oracle a node reads its clustering space
+/// through — in the paper, the label distance (Sec. II-D).
+///
+/// A node visit binds each host it reads to a [`Distances::Key`] once and
+/// then reads every pair by key, so a store indexed by something other
+/// than the host id pays its lookup once per host, not once per pair. Any
+/// `FnMut(NodeId, NodeId) -> f64` is an oracle whose key is the id itself.
+pub trait Distances {
+    /// What a host is bound to for the rest of one visit.
+    type Key: Copy;
+
+    /// Binds `host`.
+    fn key(&mut self, host: NodeId) -> Self::Key;
+
+    /// The predicted distance between two distinct bound hosts.
+    fn dist(&mut self, a: Self::Key, b: Self::Key) -> f64;
+}
+
+impl<F: FnMut(NodeId, NodeId) -> f64> Distances for F {
+    type Key = NodeId;
+
+    #[inline]
+    fn key(&mut self, host: NodeId) -> NodeId {
+        host
+    }
+
+    #[inline]
+    fn dist(&mut self, a: NodeId, b: NodeId) -> f64 {
+        self(a, b)
+    }
+}
+
+/// Lends an oracle to one node visit and keeps it for the next: the
+/// routed walks hand one oracle to every node they visit.
+pub(crate) struct Lend<'a, D>(pub(crate) &'a mut D);
+
+impl<D: Distances> Distances for Lend<'_, D> {
+    type Key = D::Key;
+
+    #[inline]
+    fn key(&mut self, host: NodeId) -> D::Key {
+        self.0.key(host)
+    }
+
+    #[inline]
+    fn dist(&mut self, a: D::Key, b: D::Key) -> f64 {
+        self.0.dist(a, b)
+    }
+}
+
+/// `space` bound to `dist`'s keys, position for position.
+fn bind<D: Distances>(space: &[NodeId], dist: &mut D) -> Vec<D::Key> {
+    space.iter().map(|&u| dist.key(u)).collect()
+}
+
 /// Protocol state of one host.
 #[derive(Debug, Clone)]
 pub struct ClusterNode {
@@ -124,7 +179,7 @@ impl ClusterNode {
         &self,
         to: NodeId,
         n_cut: usize,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
+        mut dist: impl Distances,
     ) -> Result<Vec<NodeId>, ClusterError> {
         if !self.neighbors.contains(&to) {
             return Err(ClusterError::UnknownNeighbor {
@@ -143,7 +198,14 @@ impl ClusterNode {
         cand.retain(|&u| u != to);
         // Top n_cut by predicted distance to `to`; ties break by id so the
         // protocol is deterministic.
-        let mut keyed: Vec<(f64, NodeId)> = cand.into_iter().map(|u| (dist(to, u), u)).collect();
+        let target = dist.key(to);
+        let mut keyed: Vec<(f64, NodeId)> = cand
+            .into_iter()
+            .map(|u| {
+                let key = dist.key(u);
+                (dist.dist(target, key), u)
+            })
+            .collect();
         let by_dist_then_id = |a: &(f64, NodeId), b: &(f64, NodeId)| {
             a.0.partial_cmp(&b.0)
                 .expect("distances are comparable")
@@ -217,20 +279,10 @@ impl ClusterNode {
     /// [`crate::max_cluster_size`] sweep's. The index build reads every
     /// entry of the space, so this is the one node-local path that
     /// materialises its matrix.
-    pub fn recompute_own_max(
-        &mut self,
-        classes: &BandwidthClasses,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
-    ) {
+    pub fn recompute_own_max(&mut self, classes: &BandwidthClasses, mut dist: impl Distances) {
         let _span = bcc_obs::span!("core.recompute_own_max");
-        // The space (always holding `self.id`) is freed before the index is
-        // built: glibc's heap layout over a whole bootstrap follows this
-        // order, and holding it longer read 10 MiB more peak RSS on a
-        // 768-host sharded deployment.
-        let local = {
-            let space = self.clustering_space();
-            DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]))
-        };
+        let keys = bind(&self.clustering_space(), &mut dist);
+        let local = DistanceMatrix::from_fn(keys.len(), |i, j| dist.dist(keys[i], keys[j]));
         bcc_obs::observe!("core.own_max.space_len", local.len() as u64);
         let index = ClusterIndex::from_metric(&local);
         self.own_max = max_cluster_sizes_indexed(&local, &index, classes.distances());
@@ -249,14 +301,10 @@ impl ClusterNode {
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::NoMatchingClass`] if the row length does not
-    /// match the class count.
+    /// Returns [`ClusterError::ClassCountMismatch`] if the row length does
+    /// not match the class count.
     pub fn restore_own_max(&mut self, own_max: Vec<usize>) -> Result<(), ClusterError> {
-        if own_max.len() != self.class_count {
-            return Err(ClusterError::NoMatchingClass {
-                bandwidth: f64::NAN,
-            });
-        }
+        self.check_width(&own_max)?;
         self.own_max = own_max;
         Ok(())
     }
@@ -291,20 +339,27 @@ impl ClusterNode {
     /// # Errors
     ///
     /// Returns [`ClusterError::UnknownNeighbor`] if `from` is not a
-    /// neighbor, and [`ClusterError::NoMatchingClass`] if the row length
-    /// does not match the class count.
+    /// neighbor, and [`ClusterError::ClassCountMismatch`] if the row
+    /// length does not match the class count.
     pub fn receive_crt(&mut self, from: NodeId, row: Vec<usize>) -> Result<(), ClusterError> {
         if !self.neighbors.contains(&from) {
             return Err(ClusterError::UnknownNeighbor {
                 neighbor: from.index(),
             });
         }
+        self.check_width(&row)?;
+        self.aggr_crt.insert(from, row);
+        Ok(())
+    }
+
+    /// A routing-table row must hold one entry per bandwidth class.
+    fn check_width(&self, row: &[usize]) -> Result<(), ClusterError> {
         if row.len() != self.class_count {
-            return Err(ClusterError::NoMatchingClass {
-                bandwidth: f64::NAN,
+            return Err(ClusterError::ClassCountMismatch {
+                expected: self.class_count,
+                got: row.len(),
             });
         }
-        self.aggr_crt.insert(from, row);
         Ok(())
     }
 
@@ -346,7 +401,7 @@ impl ClusterNode {
         k: usize,
         class_idx: usize,
         classes: &BandwidthClasses,
-        dist: impl FnMut(NodeId, NodeId) -> f64,
+        dist: impl Distances,
         alive: impl FnMut(NodeId) -> bool,
     ) -> Option<Vec<NodeId>> {
         self.answer_locally_filtered_budgeted(k, class_idx, classes, dist, alive, &mut Unmetered)
@@ -360,7 +415,7 @@ impl ClusterNode {
         k: usize,
         class_idx: usize,
         classes: &BandwidthClasses,
-        dist: impl FnMut(NodeId, NodeId) -> f64,
+        dist: impl Distances,
         alive: impl FnMut(NodeId) -> bool,
     ) -> Option<Vec<NodeId>> {
         self.answer_locally_filtered(k, class_idx, classes, dist, alive)
@@ -375,8 +430,9 @@ impl ClusterNode {
     /// This is a one-shot satisfiable probe behind a CRT gate that already
     /// promised the answer, so it runs the row-major pair sweep, which
     /// exits at the first satisfying pair, and reads `V_x` through a lazily
-    /// filled row store: `dist` is asked only for the rows the sweep opens,
-    /// once per unordered pair. A [`ClusterIndex`] or a full local matrix
+    /// filled row store: each host of the space is bound to its key once,
+    /// and `dist` is asked only for the rows the sweep opens, once per
+    /// unordered pair. A [`ClusterIndex`] or a full local matrix
     /// built for the one call costs more than the whole sweep.
     ///
     /// Under a meter that does not run dry the result is bit-identical to
@@ -386,7 +442,7 @@ impl ClusterNode {
         k: usize,
         class_idx: usize,
         classes: &BandwidthClasses,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
+        mut dist: impl Distances,
         alive: impl FnMut(NodeId) -> bool,
         meter: &mut impl Meter,
     ) -> Budgeted<Option<Vec<NodeId>>> {
@@ -397,7 +453,8 @@ impl ClusterNode {
             return Budgeted::Done(None);
         };
         let l = classes.distance_of(class_idx);
-        let mut rows = LazyRows::new(space.len(), |i, j| dist(space[i], space[j]));
+        let keys = bind(&space, &mut dist);
+        let mut rows = LazyRows::new(keys.len(), |i, j| dist.dist(keys[i], keys[j]));
         budgeted_hosts_of(&space, sweep_rows(&mut rows, k, l, meter))
     }
 
@@ -414,7 +471,7 @@ impl ClusterNode {
         &self,
         class_idx: usize,
         classes: &BandwidthClasses,
-        mut dist: impl FnMut(NodeId, NodeId) -> f64,
+        mut dist: impl Distances,
         alive: impl FnMut(NodeId) -> bool,
         meter: &mut impl Meter,
     ) -> Budgeted<Option<Vec<NodeId>>> {
@@ -422,7 +479,8 @@ impl ClusterNode {
             return Budgeted::Done(None);
         };
         let l = classes.distance_of(class_idx);
-        let mut rows = LazyRows::new(space.len(), |i, j| dist(space[i], space[j]));
+        let keys = bind(&space, &mut dist);
+        let mut rows = LazyRows::new(keys.len(), |i, j| dist.dist(keys[i], keys[j]));
         let m = match max_size_rows(&mut rows, l, meter) {
             Budgeted::Done(m) => m,
             Budgeted::Exhausted { pairs_done, .. } => {
@@ -634,8 +692,14 @@ mod tests {
     #[test]
     fn crt_row_length_checked() {
         let mut x = ClusterNode::new(n(1), vec![n(0)], 2);
-        assert!(x.receive_crt(n(0), vec![1]).is_err());
+        let wrong = ClusterError::ClassCountMismatch {
+            expected: 2,
+            got: 1,
+        };
+        assert_eq!(x.receive_crt(n(0), vec![1]), Err(wrong.clone()));
+        assert_eq!(x.restore_own_max(vec![1]), Err(wrong));
         assert!(x.receive_crt(n(0), vec![1, 2]).is_ok());
+        assert!(x.restore_own_max(vec![1, 2]).is_ok());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use crate::classes::BandwidthClasses;
 use crate::error::ClusterError;
 use crate::find_cluster::{Budgeted, Meter};
-use crate::node::{ClusterNode, RoutePolicy};
+use crate::node::{ClusterNode, Distances, Lend, RoutePolicy};
 
 /// A reusable description of one `(k, b)` cluster query and the node it
 /// enters the overlay at — the unit of work the serving layer batches,
@@ -193,7 +193,7 @@ pub fn process_query(
     k: usize,
     bandwidth: f64,
     classes: &BandwidthClasses,
-    mut dist: impl FnMut(NodeId, NodeId) -> f64,
+    mut dist: impl Distances,
     policy: RoutePolicy,
 ) -> Result<QueryOutcome, ClusterError> {
     let class_idx = QueryRequest::new(start, k, bandwidth).validate(classes, nodes.len())?;
@@ -207,7 +207,7 @@ pub fn process_query(
         let node = &nodes[current.index()];
         debug_assert_eq!(node.id(), current, "nodes must be indexed by id");
         if let Some(cluster) =
-            node.answer_locally_filtered(k, class_idx, classes, &mut dist, |_| true)
+            node.answer_locally_filtered(k, class_idx, classes, Lend(&mut dist), |_| true)
         {
             break Some(cluster);
         }
@@ -275,7 +275,7 @@ pub fn process_query_resilient(
     k: usize,
     bandwidth: f64,
     classes: &BandwidthClasses,
-    mut dist: impl FnMut(NodeId, NodeId) -> f64,
+    mut dist: impl Distances,
     policy: RoutePolicy,
     retry: &RetryPolicy,
     mut alive: impl FnMut(NodeId) -> bool,
@@ -329,7 +329,12 @@ pub fn process_query_resilient(
                 let node = &nodes[current.index()];
                 debug_assert_eq!(node.id(), current, "nodes must be indexed by id");
                 match node.answer_locally_filtered_budgeted(
-                    k, class_idx, classes, &mut dist, &mut alive, meter,
+                    k,
+                    class_idx,
+                    classes,
+                    Lend(&mut dist),
+                    &mut alive,
+                    meter,
                 ) {
                     Budgeted::Done(Some(cluster)) => {
                         deg.partial = None;
@@ -350,9 +355,13 @@ pub fn process_query_resilient(
                 // deliver it: remember the best live cluster as a fallback.
                 if k <= node.own_max()[class_idx] {
                     deg.stale_state = true;
-                    match node
-                        .best_partial_budgeted(class_idx, classes, &mut dist, &mut alive, meter)
-                    {
+                    match node.best_partial_budgeted(
+                        class_idx,
+                        classes,
+                        Lend(&mut dist),
+                        &mut alive,
+                        meter,
+                    ) {
                         Budgeted::Done(p) => keep_partial(&mut deg, p),
                         Budgeted::Exhausted { best_partial, .. } => {
                             keep_partial(&mut deg, best_partial);

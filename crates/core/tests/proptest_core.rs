@@ -522,7 +522,7 @@ proptest! {
                     k,
                     class_idx,
                     &classes,
-                    |a, b| {
+                    |a: NodeId, b: NodeId| {
                         asked.push((a.index(), b.index()));
                         d.get(a.index(), b.index())
                     },
@@ -538,7 +538,7 @@ proptest! {
                     k,
                     class_idx,
                     &classes,
-                    |a, b| {
+                    |a: NodeId, b: NodeId| {
                         asked.push((a.index(), b.index()));
                         d.get(a.index(), b.index())
                     },
@@ -559,7 +559,7 @@ proptest! {
             let partial = node.best_partial_budgeted(
                 class_idx,
                 &classes,
-                |a, b| {
+                |a: NodeId, b: NodeId| {
                     asked.push((a.index(), b.index()));
                     d.get(a.index(), b.index())
                 },

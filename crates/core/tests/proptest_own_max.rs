@@ -56,7 +56,7 @@ proptest! {
                 .unwrap();
         }
         prop_assert_eq!(node.clustering_space().len(), m);
-        node.recompute_own_max(&classes, |a, b| metric.get(a.index(), b.index()));
+        node.recompute_own_max(&classes, |a: NodeId, b: NodeId| metric.get(a.index(), b.index()));
 
         let oracle: Vec<usize> = classes
             .distances()

@@ -33,7 +33,9 @@ fn index_builds_follow_the_access_pattern() {
         node.receive_node_info(NodeId::new(1), (1..9).map(NodeId::new).collect())
             .unwrap();
         let before = index_builds();
-        node.recompute_own_max(&classes, |a, b| a.index().abs_diff(b.index()) as f64);
+        node.recompute_own_max(&classes, |a: NodeId, b: NodeId| {
+            a.index().abs_diff(b.index()) as f64
+        });
         assert_eq!(index_builds() - before, 1, "{class_count} classes");
     }
 

@@ -152,13 +152,13 @@ pub struct OverlayStats {
     pub last_rounds: u64,
     /// Gossip messages the most recent churn op sent.
     pub last_messages: u64,
-    /// Predicted-matrix entries the most recent churn op rewrote.
+    /// Predicted-store entries the most recent churn op rewrote.
     pub last_predicted_entries: u64,
     /// Seed hosts of the most recent churn op's disturbed region.
     pub last_region: u64,
     /// Gossip messages across all churn ops.
     pub messages: u64,
-    /// Predicted-matrix entries rewritten across all churn ops.
+    /// Predicted-store entries rewritten across all churn ops.
     pub predicted_entries: u64,
 }
 
@@ -171,7 +171,7 @@ pub struct RebuildCost {
     pub rounds: u64,
     /// Gossip messages sent on the way there.
     pub messages: u64,
-    /// Predicted-matrix entries a cold rebuild computes (all active
+    /// Predicted-store entries a cold rebuild computes (all active
     /// pairs).
     pub predicted_entries: u64,
 }
@@ -198,28 +198,27 @@ pub fn fw_label_dist(fw: &PredictionFramework, a: u32, b: u32) -> f64 {
         .unwrap_or(f64::INFINITY)
 }
 
-/// The dynamic overlay's predicted metric: a universe-indexed matrix
-/// whose *active × active* block holds label distances and whose inactive
-/// rows stay 0.0 (never read while their host is out). Filling only the
-/// live pairs keeps a cold build `O(|active|²)` even when the membership
-/// is a sliver of the universe, and the label metric (unlike a tree BFS,
-/// whose fold order moves with every splice) makes each entry a pure
-/// function of its two endpoints' immutable labels — the property that
-/// lets incremental maintenance rewrite only the touched rows and still
-/// land bit-identical to this cold fill.
-fn label_universe_matrix(
+/// A fresh overlay over the active membership, its predicted-distance
+/// store holding the label distance of every active pair and nothing
+/// else. The label metric (unlike a tree BFS, whose fold order moves with
+/// every splice) makes each entry a pure function of its two endpoints'
+/// immutable labels — the property that lets incremental maintenance
+/// rewrite only the touched rows and still land bit-identical to this
+/// cold fill.
+fn label_network(
     fw: &PredictionFramework,
     universe: usize,
     active: &BTreeSet<NodeId>,
-) -> DistanceMatrix {
-    let mut m = DistanceMatrix::new(universe);
-    let ids: Vec<u32> = active.iter().map(|h| h.index() as u32).collect();
-    for (i, &a) in ids.iter().enumerate() {
-        for &b in &ids[i + 1..] {
-            m.set(a as usize, b as usize, fw_label_dist(fw, a, b));
-        }
-    }
-    m
+    config: &SystemConfig,
+) -> SimNetwork {
+    let members: Vec<NodeId> = active.iter().copied().collect();
+    SimNetwork::over_members(
+        fw.anchor(),
+        universe,
+        &members,
+        |a, b| fw_label_dist(fw, a.index() as u32, b.index() as u32),
+        config.protocol.clone(),
+    )
 }
 
 /// A clustering system whose membership changes over time.
@@ -252,14 +251,13 @@ pub struct DynamicSystem {
     /// Overlay-maintenance counters — the gossip-side `full_builds == 0`
     /// discipline (asserted by the chaos `overlay` oracle).
     overlay_stats: OverlayStats,
+    /// Departed hosts whose member slots in the overlay's predicted store
+    /// are not free yet: a slot is released once a repair converges, and
+    /// a repair that fails leaves its departed host here for the next one.
+    retired: Vec<NodeId>,
     /// [`DynamicSystem::live_digest`] of the current overlay state, filled
     /// by the first read and cleared by every `&mut` path that can reach
-    /// `network`. Its placement used to move `sharded_region`'s
-    /// `peak_rss_mb` by 10 MiB (fifteen universe-sized matrices around
-    /// glibc's mmap threshold); with the universe shared, a 16-byte probe
-    /// field in the middle of this struct reads 33.0–33.2 MiB at seeds
-    /// 1–10 against 46.4–46.7 without it, where the parent read 82.5–82.7
-    /// (72.5 in its other allocator mode). Placement no longer matters.
+    /// `network`.
     digest_memo: OnceLock<Option<u64>>,
 }
 
@@ -322,6 +320,7 @@ impl DynamicSystem {
             work_cost: 1,
             index,
             overlay_stats: OverlayStats::default(),
+            retired: Vec::new(),
             digest_memo: OnceLock::new(),
         })
     }
@@ -422,8 +421,7 @@ impl DynamicSystem {
             }
             None
         } else {
-            let predicted = label_universe_matrix(&framework, bandwidth.len(), &active);
-            let mut net = SimNetwork::new(framework.anchor(), predicted, config.protocol.clone());
+            let mut net = label_network(&framework, bandwidth.len(), &active, &config);
             net.import_gossip(gossip)?;
             Some(net)
         };
@@ -439,6 +437,7 @@ impl DynamicSystem {
             work_cost: work_cost.max(1),
             index,
             overlay_stats: OverlayStats::default(),
+            retired: Vec::new(),
             digest_memo: OnceLock::new(),
         })
     }
@@ -868,10 +867,12 @@ impl DynamicSystem {
     /// Builds a fresh converged fault-free overlay from the live framework,
     /// returning it with the rounds it needed.
     fn fresh_network(&self) -> Result<(SimNetwork, usize), ChurnError> {
-        // Predicted distances indexed by universe id; inactive rows unused.
-        let fw = &self.framework;
-        let predicted = label_universe_matrix(fw, self.bandwidth.len(), &self.active);
-        let mut net = SimNetwork::new(fw.anchor(), predicted, self.config.protocol.clone());
+        let mut net = label_network(
+            &self.framework,
+            self.bandwidth.len(),
+            &self.active,
+            &self.config,
+        );
         let rounds =
             net.run_to_convergence(self.config.max_rounds)
                 .ok_or(ChurnError::Convergence {
@@ -907,9 +908,11 @@ impl DynamicSystem {
     /// orphans on a leave/crash. `departed` is the host that left, if any.
     /// The repair is three cheap steps against the *persistent* overlay:
     ///
-    /// 1. rewrite the predicted-matrix rows of `touched` against the live
+    /// 1. rewrite the predicted-store rows of `touched` against the live
     ///    membership (`O(|touched| · |active|)` — untouched pairs keep
-    ///    their label distances bit-for-bit, so nothing else moved);
+    ///    their label distances bit-for-bit, so nothing else moved), giving
+    ///    a joiner a member slot (a departed host's slot is freed only once
+    ///    the repair converges, see step 3);
     /// 2. build an [`OverlayDelta`]: reset the touched + departed hosts'
     ///    aggregation state, splice the anchor adjacency edits (every
     ///    added or removed anchor edge has a touched/departed endpoint, so
@@ -920,7 +923,9 @@ impl DynamicSystem {
     ///    expands exactly as far as records differ from the old fixpoint
     ///    and lands on the unique fixpoint a cold restart would reach —
     ///    the `live digest == cold_restart_digest` invariant the chaos
-    ///    liveness oracle pins after every op.
+    ///    liveness oracle pins after every op. That fixpoint names no
+    ///    departed host, so their member slots are released here; until
+    ///    then the repair's rounds still read their old rows.
     fn reconverge_after_churn(
         &mut self,
         touched: &[NodeId],
@@ -929,6 +934,7 @@ impl DynamicSystem {
         self.digest_memo.take();
         if self.active.is_empty() {
             self.network = None;
+            self.retired.clear();
             self.last_convergence_rounds = None;
             self.overlay_stats.incremental_ops += 1;
             self.overlay_stats.last_rounds = 0;
@@ -940,10 +946,11 @@ impl DynamicSystem {
         if self.network.is_none() {
             // First host: a blank overlay (no gossip state to preserve, so
             // nothing to repair — the focused pass below converges it).
-            self.network = Some(SimNetwork::new(
-                self.framework.anchor(),
-                DistanceMatrix::new(self.bandwidth.len()),
-                self.config.protocol.clone(),
+            self.network = Some(label_network(
+                &self.framework,
+                self.bandwidth.len(),
+                &self.active,
+                &self.config,
             ));
         }
         let active: Vec<NodeId> = self.active.iter().copied().collect();
@@ -964,6 +971,7 @@ impl DynamicSystem {
         };
         if let Some(d) = departed {
             delta.reset.push(d);
+            self.retired.push(d);
         }
         // Hosts whose anchor adjacency could have changed: the reset hosts
         // themselves plus their overlay neighbors old and new. Every
@@ -998,6 +1006,13 @@ impl DynamicSystem {
                 max_rounds: self.config.max_rounds,
             })?;
         let messages = net.traffic().messages - messages_before;
+        for h in self.retired.drain(..) {
+            // A host that came back before a repair converged keeps its
+            // slot: its row was rewritten when it rejoined.
+            if !self.active.contains(&h) {
+                net.release_predicted(h);
+            }
+        }
 
         self.last_convergence_rounds = Some(rounds);
         let st = &mut self.overlay_stats;
@@ -1344,6 +1359,37 @@ mod tests {
             "no O(n² log n) rebuild on the hot path"
         );
         assert_eq!(stats.incremental_updates, 10);
+    }
+
+    #[test]
+    fn a_departed_slot_is_freed_only_by_a_repair_that_converges() {
+        let mut s = dynamic();
+        for i in 0..3 {
+            s.join(n(i)).unwrap();
+        }
+        let cap = s.network().unwrap().predicted_capacity();
+        assert_eq!(cap, 4, "three slots and the sentinel");
+        // A repair cut off after one round: the departed host's row is
+        // still read by the spaces that name it, so its slot stays.
+        s.config.max_rounds = 1;
+        assert!(matches!(
+            s.crash(n(1)),
+            Err(ChurnError::Convergence { max_rounds: 1 })
+        ));
+        assert_eq!(s.retired, vec![n(1)]);
+        // It comes back before any repair converged: it keeps its slot
+        // (the rejoin rewrote its row) and nothing is released.
+        s.config.max_rounds = 512;
+        s.recover(n(1)).unwrap();
+        assert!(s.retired.is_empty());
+        // A departure whose repair converges frees the slot at once, and
+        // the next joiner takes it: a fresh fourth slot would double the
+        // block.
+        s.leave(n(2)).unwrap();
+        assert!(s.retired.is_empty());
+        s.join(n(5)).unwrap();
+        assert_eq!(s.network().unwrap().predicted_capacity(), cap);
+        assert_eq!(s.live_digest(), s.cold_restart_digest().unwrap());
     }
 
     #[test]

@@ -30,6 +30,7 @@ use bcc_embed::AnchorTree;
 use bcc_metric::{DistanceMatrix, NodeId};
 
 use crate::fault::{FaultInjector, FaultPlan, FaultTransition, MessageFate};
+use crate::store::MemberStore;
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::wire::Message;
 
@@ -94,7 +95,8 @@ pub struct OverlayDelta {
 #[derive(Debug, Clone)]
 pub struct SimNetwork {
     nodes: Vec<ClusterNode>,
-    predicted: DistanceMatrix,
+    /// Predicted distances of the overlay members, by member slot.
+    predicted: MemberStore,
     config: ProtocolConfig,
     rounds_run: usize,
     traffic: TrafficStats,
@@ -111,11 +113,35 @@ impl SimNetwork {
     /// Ids in `0..predicted.len()` that are absent from the overlay become
     /// isolated placeholders: they carry no gossip and answer no queries.
     /// This is what lets a dynamic system keep stable host ids across joins
-    /// and departures (see [`crate::DynamicSystem`]).
+    /// and departures (see [`crate::DynamicSystem`]). The network keeps
+    /// only the overlay members' block of `predicted`.
     pub fn new(anchor: &AnchorTree, predicted: DistanceMatrix, config: ProtocolConfig) -> Self {
-        let n = predicted.len();
-        let mut nodes = Vec::with_capacity(n);
-        let mut space_digest = vec![0u64; n];
+        let members: Vec<NodeId> = (0..predicted.len())
+            .map(NodeId::new)
+            .filter(|&h| anchor.contains(h))
+            .collect();
+        Self::over_members(
+            anchor,
+            predicted.len(),
+            &members,
+            |a, b| predicted.get(a.index(), b.index()),
+            config,
+        )
+    }
+
+    /// The one constructor body: a network over `universe` ids whose
+    /// predicted-distance store holds `members` (slots in the order given)
+    /// with `dist` between each pair.
+    pub(crate) fn over_members(
+        anchor: &AnchorTree,
+        universe: usize,
+        members: &[NodeId],
+        dist: impl FnMut(NodeId, NodeId) -> f64,
+        config: ProtocolConfig,
+    ) -> Self {
+        let predicted = MemberStore::build(universe, members, dist);
+        let mut nodes = Vec::with_capacity(universe);
+        let mut space_digest = vec![0u64; universe];
         for (i, digest) in space_digest.iter_mut().enumerate() {
             let id = NodeId::new(i);
             let neighbors = if anchor.contains(id) {
@@ -131,7 +157,7 @@ impl SimNetwork {
             // dynamic overlay — hold the exact state a cold convergence
             // would leave them with. Active nodes' spaces grow on their
             // first delivery, so the gate re-fires for them as before.
-            node.recompute_own_max(&config.classes, |a, b| predicted.get(a.index(), b.index()));
+            node.recompute_own_max(&config.classes, &predicted);
             let mut h = DefaultHasher::new();
             node.clustering_space().hash(&mut h);
             *digest = h.finish();
@@ -236,8 +262,12 @@ impl SimNetwork {
         &self.nodes
     }
 
-    fn predicted_dist(&self) -> impl Fn(NodeId, NodeId) -> f64 + '_ {
-        move |a, b| self.predicted.get(a.index(), b.index())
+    /// Side of the predicted-distance block: the next power of two at or
+    /// above the peak member count plus one, at most the universe plus
+    /// one. The block holds its square in `f64`s; an id without a member
+    /// slot costs 4 bytes.
+    pub fn predicted_capacity(&self) -> usize {
+        self.predicted.capacity()
     }
 
     /// Applies fault lifecycle transitions scheduled up to the current
@@ -417,7 +447,7 @@ impl SimNetwork {
             }
             for &x in sender.neighbors() {
                 let info = sender
-                    .node_info_for(x, n_cut, |a, b| self.predicted.get(a.index(), b.index()))
+                    .node_info_for(x, n_cut, &self.predicted)
                     .expect("overlay neighbors are mutual");
                 deliveries.push((x.index(), sender.id(), Message::NodeInfo { nodes: info }));
             }
@@ -438,10 +468,7 @@ impl SimNetwork {
             let d = h.finish();
             if d != self.space_digest[i] {
                 self.space_digest[i] = d;
-                let predicted = &self.predicted;
-                self.nodes[i].recompute_own_max(&self.config.classes, |a, b| {
-                    predicted.get(a.index(), b.index())
-                });
+                self.nodes[i].recompute_own_max(&self.config.classes, &self.predicted);
             }
         }
         let mut deliveries: Vec<(usize, NodeId, Message)> = Vec::new();
@@ -510,7 +537,7 @@ impl SimNetwork {
             k,
             bandwidth,
             &self.config.classes,
-            self.predicted_dist(),
+            &self.predicted,
             RoutePolicy::FirstFit,
         )
     }
@@ -540,7 +567,7 @@ impl SimNetwork {
             k,
             bandwidth,
             &self.config.classes,
-            self.predicted_dist(),
+            &self.predicted,
             RoutePolicy::FirstFit,
             retry,
             |u| !self.is_down(u),
@@ -549,11 +576,12 @@ impl SimNetwork {
     }
 
     /// Rewrites the predicted-distance rows of `touched` hosts against
-    /// every host in `targets` (both orientations — the matrix is
-    /// symmetric). Returns the number of entries written, the churn-cost
-    /// unit the benches report.
+    /// every host in `targets` (both orientations — the store is
+    /// symmetric), first giving a member slot to each host that has none.
+    /// Returns the number of entries written, the churn-cost unit the
+    /// benches report.
     ///
-    /// This is the incremental counterpart of rebuilding the whole matrix:
+    /// This is the incremental counterpart of rebuilding the whole store:
     /// a membership change re-embeds only `touched` hosts, so only their
     /// rows can differ — `O(|touched| · |targets|)` work instead of
     /// `O(n²)`.
@@ -565,15 +593,24 @@ impl SimNetwork {
     ) -> u64 {
         let mut entries = 0u64;
         for &t in touched {
+            let row = self.predicted.assign(t);
             for &u in targets {
                 if t == u {
                     continue;
                 }
-                self.predicted.set(t.index(), u.index(), dist(t, u));
+                let col = self.predicted.assign(u);
+                self.predicted.set(row, col, dist(t, u));
                 entries += 1;
             }
         }
         entries
+    }
+
+    /// Frees a departed host's member slot for the next joiner. Only sound
+    /// once no clustering space names `host`: after the repair that
+    /// removed it has converged.
+    pub(crate) fn release_predicted(&mut self, host: NodeId) {
+        self.predicted.release(host);
     }
 
     /// Applies one churn op's disturbance to the live overlay and returns
@@ -706,7 +743,7 @@ impl SimNetwork {
             let sender = &self.nodes[m];
             for &x in sender.neighbors() {
                 let info = sender
-                    .node_info_for(x, n_cut, |a, b| self.predicted.get(a.index(), b.index()))
+                    .node_info_for(x, n_cut, &self.predicted)
                     .expect("overlay neighbors are mutual");
                 if self.nodes[x.index()].aggr_node_for(sender.id()) == Some(info.as_slice()) {
                     suppressed += 1;
@@ -734,10 +771,7 @@ impl SimNetwork {
             if d != self.space_digest[i] {
                 self.space_digest[i] = d;
                 let before = self.nodes[i].own_max().to_vec();
-                let predicted = &self.predicted;
-                self.nodes[i].recompute_own_max(&self.config.classes, |a, b| {
-                    predicted.get(a.index(), b.index())
-                });
+                self.nodes[i].recompute_own_max(&self.config.classes, &self.predicted);
                 if self.nodes[i].own_max() != before.as_slice() {
                     crt_senders.insert(i);
                 }
@@ -776,7 +810,7 @@ impl SimNetwork {
 
     /// Exports every node's aggregated gossip state as plain data, in node
     /// order. Together with the overlay (anchor tree) and the predicted
-    /// matrix this is the network's complete protocol state: feeding it
+    /// distances this is the network's complete protocol state: feeding it
     /// back through [`SimNetwork::import_gossip`] on a freshly-built
     /// network reproduces [`SimNetwork::digest`] exactly, without running
     /// a single round.
@@ -1012,9 +1046,26 @@ mod tests {
         let mut other = build(5, 3, vec![25.0, 50.0]);
         assert!(other.import_gossip(exported.clone()).is_err());
 
-        // Wrong class count: CRT rows are too wide.
+        // Wrong class count: CRT rows are too wide, a typed mismatch.
         let mut other = build(6, 3, vec![25.0]);
-        assert!(other.import_gossip(exported).is_err());
+        let wide = bcc_core::ClusterError::ClassCountMismatch {
+            expected: 1,
+            got: 2,
+        };
+        assert_eq!(
+            other.import_gossip(exported.clone()),
+            Err(format!("node 0: {wide}"))
+        );
+
+        // A local-maximum row one class too wide, on the right overlay.
+        let mut bad = exported;
+        bad[3].own_max.push(7);
+        let mut other = build(6, 3, vec![25.0, 50.0]);
+        let wide = bcc_core::ClusterError::ClassCountMismatch {
+            expected: 2,
+            got: 3,
+        };
+        assert_eq!(other.import_gossip(bad), Err(format!("node 3: {wide}")));
     }
 
     #[test]

@@ -392,7 +392,9 @@ impl AsyncNetwork {
             let n_cut = self.config.protocol.n_cut;
             for to in neighbors {
                 let info = self.nodes[id.index()]
-                    .node_info_for(to, n_cut, |a, b| self.predicted.get(a.index(), b.index()))
+                    .node_info_for(to, n_cut, |a: NodeId, b: NodeId| {
+                        self.predicted.get(a.index(), b.index())
+                    })
                     .expect("overlay neighbors are mutual");
                 let crt = self.nodes[id.index()].crt_for(to).expect("neighbor");
                 self.emit(id, to, Message::NodeInfo { nodes: info });
@@ -477,10 +479,10 @@ impl AsyncNetwork {
                 if d != self.space_digest[to.index()] {
                     self.space_digest[to.index()] = d;
                     let predicted = &self.predicted;
-                    self.nodes[to.index()]
-                        .recompute_own_max(&self.config.protocol.classes, |a, b| {
-                            predicted.get(a.index(), b.index())
-                        });
+                    self.nodes[to.index()].recompute_own_max(
+                        &self.config.protocol.classes,
+                        |a: NodeId, b: NodeId| predicted.get(a.index(), b.index()),
+                    );
                 }
             }
             Message::CrtRow { ref sizes } => {
@@ -511,7 +513,7 @@ impl AsyncNetwork {
             k,
             bandwidth,
             &self.config.protocol.classes,
-            |a, b| self.predicted.get(a.index(), b.index()),
+            |a: NodeId, b: NodeId| self.predicted.get(a.index(), b.index()),
             RoutePolicy::FirstFit,
         )
     }
@@ -536,7 +538,7 @@ impl AsyncNetwork {
             k,
             bandwidth,
             &self.config.protocol.classes,
-            |a, b| self.predicted.get(a.index(), b.index()),
+            |a: NodeId, b: NodeId| self.predicted.get(a.index(), b.index()),
             RoutePolicy::FirstFit,
             retry,
             |u| !self.is_down(u),

@@ -81,6 +81,7 @@ mod event;
 mod fault;
 mod json;
 pub mod persist;
+mod store;
 mod system;
 mod trace;
 mod wire;

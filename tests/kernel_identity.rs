@@ -25,7 +25,7 @@ fn check_own_max(d: &DistanceMatrix, classes: &BandwidthClasses) {
     node.receive_node_info(NodeId::new(1), (1..d.len()).map(NodeId::new).collect())
         .unwrap();
     assert_eq!(node.clustering_space().len(), d.len());
-    node.recompute_own_max(classes, |a, b| d.get(a.index(), b.index()));
+    node.recompute_own_max(classes, |a: NodeId, b: NodeId| d.get(a.index(), b.index()));
     for (c, &l) in classes.distances().iter().enumerate() {
         assert_eq!(node.own_max()[c], max_cluster_size(d, l), "class {c} l={l}");
     }

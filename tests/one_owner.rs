@@ -8,7 +8,8 @@
 //! `Unmetered`, a call into the thread pool from the serving layer, and a
 //! loop over the pairs of a `LazyRows` store outside the one gated sweep
 //! (`sweep_rows`) and the one gated maximum (`max_size_rows`): the merge
-//! kernel has no body of its own.
+//! kernel has no body of its own. Nor may the overlay engine or the churn
+//! path build a predicted-distance matrix beside the one member store.
 
 use std::path::{Path, PathBuf};
 
@@ -117,6 +118,23 @@ fn each_shared_decision_is_defined_in_one_file() {
             if rest.contains(".ensure(") || rest.contains(".row(") {
                 row_loops.push(relative.clone());
             }
+        }
+    }
+    // The overlay's predicted distances live in one store sized to the
+    // membership (`crates/simnet/src/store.rs`): neither the engine nor the
+    // churn path builds a predicted matrix, universe-sized or otherwise.
+    for file in ["crates/simnet/src/engine.rs", "crates/simnet/src/churn.rs"] {
+        let text = std::fs::read_to_string(root.join(file)).expect("readable source");
+        let library = library_text(&text.replace('_', "").to_lowercase());
+        for needle in [
+            "distancematrix::new(",
+            "distancematrix::fromfn(",
+            "predictedmatrix(",
+        ] {
+            assert!(
+                !library.contains(needle),
+                "{file} builds a predicted matrix ({needle})"
+            );
         }
     }
     assert_eq!(walks, ["crates/core/src/query.rs"], "resilient walk bodies");

@@ -90,7 +90,9 @@ fn theorem_3_2_aggr_node_holds_closest_reachable() {
             // Actual: x's stored aggrNode[m] — read through the clustering
             // space is indirect, so re-request the info m would send.
             let info = net.nodes()[m.index()]
-                .node_info_for(x, n_cut, |a, b| predicted.get(a.index(), b.index()))
+                .node_info_for(x, n_cut, |a: NodeId, b: NodeId| {
+                    predicted.get(a.index(), b.index())
+                })
                 .expect("neighbors");
             let mut actual: Vec<f64> = info
                 .iter()
