@@ -3,17 +3,22 @@
 
 use bcc_core::{find_cluster, BandwidthClasses};
 use bcc_datasets::{generate, SynthConfig};
-use bcc_metric::{NodeId, RationalTransform};
-use bcc_simnet::{ClusterSystem, SystemConfig};
+use bcc_metric::{BandwidthMatrix, NodeId, RationalTransform};
+use bcc_simnet::{DynamicSystem, SystemConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-fn system(n: usize) -> ClusterSystem {
+/// Every host of `bw` bootstrapped into one served system.
+fn build(bw: BandwidthMatrix) -> DynamicSystem {
+    let classes = BandwidthClasses::linspace(10.0, 80.0, 10, RationalTransform::default());
+    let hosts: Vec<NodeId> = (0..bw.len()).map(NodeId::new).collect();
+    DynamicSystem::bootstrap(bw, SystemConfig::new(classes), &hosts).unwrap()
+}
+
+fn system(n: usize) -> DynamicSystem {
     let mut cfg = SynthConfig::small(888);
     cfg.nodes = n;
-    let bw = generate(&cfg);
-    let classes = BandwidthClasses::linspace(10.0, 80.0, 10, RationalTransform::default());
-    ClusterSystem::build(bw, SystemConfig::new(classes))
+    build(generate(&cfg))
 }
 
 fn bench_build(c: &mut Criterion) {
@@ -24,11 +29,7 @@ fn bench_build(c: &mut Criterion) {
         cfg.nodes = n;
         let bw = generate(&cfg);
         group.bench_with_input(BenchmarkId::from_parameter(n), &bw, |b, bw| {
-            b.iter(|| {
-                let classes =
-                    BandwidthClasses::linspace(10.0, 80.0, 10, RationalTransform::default());
-                black_box(ClusterSystem::build(bw.clone(), SystemConfig::new(classes)))
-            })
+            b.iter(|| black_box(build(bw.clone())))
         });
     }
     group.finish();

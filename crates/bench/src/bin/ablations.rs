@@ -21,7 +21,7 @@ use bcc_embed::{FrameworkConfig, PredictionFramework};
 use bcc_eval::{Series, Table};
 use bcc_metric::stats::{relative_error, EmpiricalCdf};
 use bcc_metric::{FiniteMetric, LinearTransform, NodeId, RationalTransform};
-use bcc_simnet::{ClusterSystem, SystemConfig};
+use bcc_simnet::{fw_label_dist, DynamicSystem, SystemConfig};
 use bcc_vivaldi::{VivaldiConfig, VivaldiSystem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,6 +49,12 @@ fn embed_median_error(bw: &bcc_metric::BandwidthMatrix, config: FrameworkConfig)
     EmpiricalCdf::new(errs).percentile(50.0)
 }
 
+/// Every host of `bw` bootstrapped into one served system.
+fn served(bw: &bcc_metric::BandwidthMatrix, config: SystemConfig) -> DynamicSystem {
+    let hosts: Vec<NodeId> = (0..bw.len()).map(NodeId::new).collect();
+    DynamicSystem::bootstrap(bw.clone(), config, &hosts).expect("a tree overlay converges")
+}
+
 fn ablate_ncut(bw: &bcc_metric::BandwidthMatrix, queries: usize) {
     let t = RationalTransform::default();
     let n = bw.len();
@@ -59,7 +65,7 @@ fn ablate_ncut(bw: &bcc_metric::BandwidthMatrix, queries: usize) {
         let classes = BandwidthClasses::linspace(10.0, 80.0, 10, t);
         let mut config = SystemConfig::new(classes);
         config.protocol = bcc_core::ProtocolConfig::new(n_cut, config.protocol.classes.clone());
-        let system = ClusterSystem::build(bw.clone(), config);
+        let system = served(bw, config);
         let mut rng = StdRng::seed_from_u64(1);
         let mut found = 0usize;
         for _ in 0..queries {
@@ -71,7 +77,8 @@ fn ablate_ncut(bw: &bcc_metric::BandwidthMatrix, queries: usize) {
             }
         }
         rr_col.push(Some(found as f64 / queries as f64));
-        bytes_col.push(Some(system.network().traffic().bytes as f64));
+        let traffic = system.network().expect("bootstrapped").traffic();
+        bytes_col.push(Some(traffic.bytes as f64));
     }
     let table = Table::new(
         "Ablation 1 — n_cut: gossip volume vs decentralized RR",
@@ -93,7 +100,7 @@ fn ablate_class_count(bw: &bcc_metric::BandwidthMatrix, queries: usize) {
     let mut crt_bytes = Vec::new();
     for &count in &counts {
         let classes = BandwidthClasses::linspace(10.0, 80.0, count, t);
-        let system = ClusterSystem::build(bw.clone(), SystemConfig::new(classes));
+        let system = served(bw, SystemConfig::new(classes));
         let mut rng = StdRng::seed_from_u64(2);
         let (mut wrong, mut total) = (0usize, 0usize);
         for _ in 0..queries {
@@ -228,9 +235,9 @@ fn ablate_route_policy(bw: &bcc_metric::BandwidthMatrix, queries: usize) {
     let t = RationalTransform::default();
     let n = bw.len();
     let classes = BandwidthClasses::linspace(10.0, 80.0, 10, t);
-    let system = ClusterSystem::build(bw.clone(), SystemConfig::new(classes.clone()));
-    let predicted = system.predicted_matrix();
-    let dist = |a: NodeId, b: NodeId| predicted.get(a.index(), b.index());
+    let system = served(bw, SystemConfig::new(classes.clone()));
+    let fw = system.framework();
+    let dist = |a: NodeId, b: NodeId| fw_label_dist(fw, a.index() as u32, b.index() as u32);
     let policies = [
         RoutePolicy::FirstFit,
         RoutePolicy::BestFit,
@@ -245,7 +252,7 @@ fn ablate_route_policy(bw: &bcc_metric::BandwidthMatrix, queries: usize) {
             let k = rng.gen_range(2..=(n / 4).max(2));
             let b = rng.gen_range(15.0..=70.0);
             let start = NodeId::new(rng.gen_range(0..n));
-            let nodes = system.network().nodes();
+            let nodes = system.network().expect("bootstrapped").nodes();
             let out = process_query(nodes, start, k, b, &classes, dist, policy).expect("valid");
             hops += out.hops;
             if out.found() {

@@ -21,8 +21,8 @@ use args::ParsedArgs;
 use bcc_core::BandwidthClasses;
 use bcc_datasets::{generate, hp_config, load_matrix, save_matrix, umd_config, SynthConfig};
 use bcc_metric::stats::EmpiricalCdf;
-use bcc_metric::{fourpoint, BandwidthMatrix, NodeId, RationalTransform};
-use bcc_simnet::{ClusterSystem, SystemConfig};
+use bcc_metric::{fourpoint, BandwidthMatrix, DistanceMatrix, NodeId, RationalTransform};
+use bcc_simnet::{fw_label_dist, DynamicSystem, SystemConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -125,15 +125,22 @@ fn cmd_stats(p: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-fn build_system(p: &ParsedArgs, bw: BandwidthMatrix) -> Result<ClusterSystem, String> {
+fn build_system(p: &ParsedArgs, bw: BandwidthMatrix) -> Result<DynamicSystem, String> {
     let n_cut: usize = p.get_or("ncut", 10).map_err(|e| e.to_string())?;
     let class_count: usize = p.get_or("classes", 12).map_err(|e| e.to_string())?;
+    if n_cut == 0 {
+        return Err("--ncut must be at least 1".into());
+    }
+    if class_count == 0 {
+        return Err("--classes must be at least 1".into());
+    }
     let cdf = EmpiricalCdf::new(bw.pair_values());
     let (lo, hi) = (cdf.percentile(5.0).max(0.1), cdf.max());
     let classes = BandwidthClasses::linspace(lo, hi, class_count, RationalTransform::default());
     let mut config = SystemConfig::new(classes);
     config.protocol = bcc_core::ProtocolConfig::new(n_cut, config.protocol.classes.clone());
-    Ok(ClusterSystem::build(bw, config))
+    let hosts: Vec<NodeId> = (0..bw.len()).map(NodeId::new).collect();
+    DynamicSystem::bootstrap(bw, config, &hosts).map_err(|e| e.to_string())
 }
 
 fn cmd_query(p: &ParsedArgs) -> Result<(), String> {
@@ -195,9 +202,16 @@ fn cmd_hub(p: &ParsedArgs) -> Result<(), String> {
             return Err(format!("target {t} out of range (0..{n})"));
         }
     }
+    if !b.is_finite() || b <= 0.0 {
+        return Err(bcc_core::ClusterError::InvalidDiameterConstraint { l: b }.to_string());
+    }
     let system = build_system(p, bw)?;
+    // Hub search runs on the label metric the overlay serves.
+    let fw = system.framework();
+    let predicted = DistanceMatrix::from_fn(n, |i, j| fw_label_dist(fw, i as u32, j as u32));
+    let l = system.config().transform.distance_constraint(b);
     let ids: Vec<NodeId> = targets.iter().map(|&t| NodeId::new(t)).collect();
-    match system.find_hub(&ids, b).map_err(|e| e.to_string())? {
+    match bcc_core::hub::find_hub(&predicted, &targets, l).map(NodeId::new) {
         Some(hub) => {
             println!("hub: {}", hub.index());
             for &t in &ids {
@@ -307,6 +321,36 @@ mod tests {
         ]))
         .is_err());
         assert!(run(&v(&["hub", &file, "--targets", "0,99", "--b", "20"])).is_err());
+        std::fs::remove_file(&file).ok();
+    }
+
+    #[test]
+    fn zero_ncut_and_classes_are_errors_not_panics() {
+        let file = temp("m3.txt");
+        run(&v(&[
+            "gen", "--preset", "small", "--nodes", "12", "--out", &file,
+        ]))
+        .unwrap();
+        for flag in ["--ncut", "--classes"] {
+            for [cmd, key, value] in [["query", "--k", "3"], ["hub", "--targets", "0,1"]] {
+                let args = v(&[cmd, &file, key, value, "--b", "20", flag, "0"]);
+                assert!(run(&args).unwrap_err().contains(flag), "{cmd} {flag} 0");
+            }
+        }
+        std::fs::remove_file(&file).ok();
+    }
+
+    #[test]
+    fn hub_rejects_a_bandwidth_that_is_not_positive_and_finite() {
+        let file = temp("m4.txt");
+        run(&v(&[
+            "gen", "--preset", "small", "--nodes", "12", "--out", &file,
+        ]))
+        .unwrap();
+        for b in ["0", "NaN", "-1"] {
+            let err = run(&v(&["hub", &file, "--targets", "0,1", "--b", b])).unwrap_err();
+            assert!(err.contains("must be positive and finite"), "{b}: {err}");
+        }
         std::fs::remove_file(&file).ok();
     }
 }

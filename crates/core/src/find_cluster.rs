@@ -984,6 +984,16 @@ mod tests {
     }
 
     #[test]
+    fn latency_constrained_clustering_works_unchanged() {
+        // The paper's third future-work item: latency is also near-tree,
+        // and the machinery is metric-generic. Two data centres 1 ms apart
+        // internally, 50 ms across.
+        let lat = DistanceMatrix::from_fn(6, |i, j| if (i < 3) == (j < 3) { 1.0 } else { 50.0 });
+        assert_eq!(find_cluster(&lat, 3, 2.0), Some(vec![0, 1, 2]));
+        assert_eq!(find_cluster(&lat, 4, 2.0), None);
+    }
+
+    #[test]
     fn result_satisfies_both_constraints() {
         let d = line(&[0.0, 1.0, 2.0, 3.0, 10.0, 11.0]);
         let x = find_cluster(&d, 4, 3.0).unwrap();

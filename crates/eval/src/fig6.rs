@@ -130,7 +130,7 @@ pub fn run_fig6(cfg: &Fig6Config) -> Fig6Result {
             );
             local
                 .3
-                .record(system.network().traffic().bytes as f64 / n as f64);
+                .record(system.network().expect("bootstrapped").traffic().bytes as f64 / n as f64);
             for _ in 0..cfg.queries_per_round {
                 let k_lo = ((cfg.k_frac.0 * n as f64).round() as usize).max(2);
                 let k_hi = ((cfg.k_frac.1 * n as f64).round() as usize).max(k_lo);

@@ -2,8 +2,8 @@
 
 use bcc_core::{BandwidthClasses, ProtocolConfig};
 use bcc_datasets::{generate, hp_config, umd_config, SynthConfig};
-use bcc_metric::{BandwidthMatrix, DistanceMatrix, EuclideanPoints, RationalTransform};
-use bcc_simnet::{ClusterSystem, SystemConfig};
+use bcc_metric::{BandwidthMatrix, DistanceMatrix, EuclideanPoints, NodeId, RationalTransform};
+use bcc_simnet::{DynamicSystem, SystemConfig};
 use bcc_vivaldi::{VivaldiConfig, VivaldiSystem};
 use serde::{Deserialize, Serialize};
 
@@ -61,19 +61,22 @@ impl DatasetKind {
     }
 }
 
-/// Builds the tree-metric system (prediction framework + converged
-/// overlay) for one round.
+/// Builds the served system (prediction framework + converged overlay)
+/// for one round: every host joins in id order and the overlay converges
+/// once.
 pub fn build_tree_system(
     bandwidth: BandwidthMatrix,
     n_cut: usize,
     classes: BandwidthClasses,
     framework_seed: u64,
-) -> ClusterSystem {
+) -> DynamicSystem {
     let mut config = SystemConfig::new(classes);
     config.protocol = ProtocolConfig::new(n_cut, config.protocol.classes.clone());
     config.framework.seed = framework_seed;
     config.framework.base = bcc_embed::BaseStrategy::Random;
-    ClusterSystem::build(bandwidth, config)
+    let all_hosts: Vec<NodeId> = (0..bandwidth.len()).map(NodeId::new).collect();
+    DynamicSystem::bootstrap(bandwidth, config, &all_hosts)
+        .expect("every id is in the universe once and a tree overlay converges")
 }
 
 /// Builds the Vivaldi baseline embedding for one round.
@@ -99,7 +102,6 @@ pub fn transform() -> RationalTransform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcc_metric::NodeId;
 
     #[test]
     fn dataset_kinds_generate() {

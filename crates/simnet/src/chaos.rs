@@ -47,10 +47,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::churn::{fw_label_dist, ChurnError, ChurnOp, DynamicSystem};
+use crate::config::SystemConfig;
 use crate::fault::FaultPlan;
 use crate::json::{self, Json};
 use crate::persist::PersistError;
-use crate::system::SystemConfig;
 
 /// Access-link capacities hosts are drawn from (Mbps), mirroring the
 /// paper's fast/medium/slow population mix.

@@ -33,9 +33,8 @@ use bcc_core::{
 use bcc_embed::{EmbedError, PredictionFramework};
 use bcc_metric::{BandwidthMatrix, DistanceMatrix, NodeId};
 
-use crate::config::ConfigError;
+use crate::config::{ConfigError, SystemConfig};
 use crate::engine::{NodeGossipState, OverlayDelta, SimNetwork};
-use crate::system::SystemConfig;
 
 /// Everything [`DynamicSystem::from_restored_parts`] needs to reassemble
 /// a system from a checkpoint: the caller-supplied ground truth
@@ -784,6 +783,30 @@ impl DynamicSystem {
         self.bandwidth.get(u.index(), v.index())
     }
 
+    /// Predicted bandwidth between two hosts: the label metric the overlay
+    /// serves ([`fw_label_dist`]), through the configured transform. Zero
+    /// when either host is not embedded.
+    pub fn predicted_bandwidth(&self, u: NodeId, v: NodeId) -> f64 {
+        let d = fw_label_dist(&self.framework, u.index() as u32, v.index() as u32);
+        self.config.transform.to_bandwidth(d)
+    }
+
+    /// Scores a returned cluster against ground truth: the number of pairs
+    /// whose *real* bandwidth is below `b`, and the total number of pairs.
+    pub fn score_cluster(&self, cluster: &[NodeId], b: f64) -> (usize, usize) {
+        let mut wrong = 0;
+        let mut total = 0;
+        for (i, &u) in cluster.iter().enumerate() {
+            for &v in &cluster[i + 1..] {
+                total += 1;
+                if self.real_bandwidth(u, v) < b {
+                    wrong += 1;
+                }
+            }
+        }
+        (wrong, total)
+    }
+
     /// Monotone membership epoch: bumps exactly once on every successful
     /// [`DynamicSystem::join`], [`DynamicSystem::leave`],
     /// [`DynamicSystem::crash`] and [`DynamicSystem::recover`] (it is the
@@ -1075,6 +1098,75 @@ mod tests {
     fn dynamic() -> DynamicSystem {
         let cls = BandwidthClasses::new(vec![40.0, 80.0], RationalTransform::default());
         DynamicSystem::new(universe(), SystemConfig::new(cls))
+    }
+
+    /// Every host of an access-link deployment, bootstrapped in one shot.
+    fn booted(caps: &[f64], classes: Vec<f64>) -> DynamicSystem {
+        let cls = BandwidthClasses::new(classes, RationalTransform::default());
+        let bw = BandwidthMatrix::from_fn(caps.len(), |i, j| caps[i].min(caps[j]));
+        let hosts: Vec<NodeId> = (0..caps.len()).map(n).collect();
+        DynamicSystem::bootstrap(bw, SystemConfig::new(cls), &hosts).unwrap()
+    }
+
+    #[test]
+    fn bootstrapped_predictions_are_exact_on_a_tree_metric() {
+        let s = booted(&[100.0, 100.0, 50.0, 20.0], vec![40.0, 80.0]);
+        assert_eq!(s.len(), 4);
+        for i in 0..4 {
+            for j in (i + 1)..4 {
+                let real = s.real_bandwidth(n(i), n(j));
+                let pred = s.predicted_bandwidth(n(i), n(j));
+                assert!((real - pred).abs() < 1e-6, "({i},{j}): {pred} vs {real}");
+            }
+        }
+        // A host outside the membership has no label: zero bandwidth.
+        let mut s = s;
+        s.leave(n(3)).unwrap();
+        assert_eq!(s.predicted_bandwidth(n(0), n(3)), 0.0);
+    }
+
+    #[test]
+    fn decentralized_query_is_correct_on_tree_metric() {
+        let s = booted(&[100.0, 100.0, 100.0, 30.0, 30.0, 10.0], vec![40.0, 80.0]);
+        let out = s.query(n(5), 3, 80.0).unwrap();
+        let c = out.cluster.unwrap();
+        assert_eq!(s.score_cluster(&c, 80.0), (0, 3));
+        assert_eq!(c, vec![n(0), n(1), n(2)]);
+    }
+
+    #[test]
+    fn cluster_for_lower_class_is_larger() {
+        // b = 20 (class 20): everyone but host 5 qualifies together.
+        let s = booted(&[100.0, 100.0, 100.0, 30.0, 30.0, 10.0], vec![20.0, 80.0]);
+        let c = s.query(n(2), 5, 20.0).unwrap().cluster.unwrap();
+        assert_eq!(s.score_cluster(&c, 20.0), (0, 10));
+    }
+
+    #[test]
+    fn centralized_matches_decentralized_on_easy_queries() {
+        // TREE-CENTRAL as the figures compute it: Algorithm 1 over the
+        // framework's whole predicted metric.
+        let s = booted(&[100.0, 100.0, 100.0, 30.0, 30.0, 10.0], vec![40.0, 80.0]);
+        let predicted = s.framework().predicted_matrix();
+        let l = s.config().transform.distance_constraint(80.0);
+        for k in 2..=4 {
+            let cen = bcc_core::find_cluster(&predicted, k, l);
+            let dec = s.query(n(0), k, 80.0).unwrap();
+            assert_eq!(cen.is_some(), dec.found(), "k = {k}");
+        }
+        // Only three 100 Mbps hosts: k = 4 at 80 Mbps is impossible.
+        assert!(!s.query(n(0), 4, 80.0).unwrap().found());
+    }
+
+    #[test]
+    fn score_cluster_counts_wrong_pairs() {
+        let s = booted(&[100.0, 100.0, 10.0], vec![50.0]);
+        let (wrong, total) = s.score_cluster(&[n(0), n(1), n(2)], 50.0);
+        assert_eq!(total, 3);
+        assert_eq!(wrong, 2, "pairs (0,2) and (1,2) are below 50");
+        // Malformed queries are typed errors on a bootstrapped system too.
+        assert!(s.query(n(0), 1, 40.0).is_err());
+        assert!(s.query(n(0), 2, 99.0).is_err());
     }
 
     #[test]

@@ -1,12 +1,62 @@
-//! Typed validation errors for simulator configurations.
+//! System configuration and its typed validation errors.
 //!
 //! Bad config values used to surface as panics deep inside the RNG (e.g.
 //! `gen_bool` rejecting a loss probability of 1.7 mid-simulation). The
-//! `try_`-constructors on [`crate::AsyncNetwork`], [`crate::ClusterSystem`]
-//! and [`crate::DynamicSystem`] validate up front and return a
+//! `try_`-constructors on [`crate::AsyncNetwork`] and
+//! [`crate::DynamicSystem`] validate up front and return a
 //! [`ConfigError`] instead.
 
 use std::fmt;
+
+use bcc_core::{BandwidthClasses, ProtocolConfig};
+use bcc_embed::FrameworkConfig;
+use bcc_metric::RationalTransform;
+
+/// Configuration for building a [`crate::DynamicSystem`].
+#[derive(Debug, Clone)]
+pub struct SystemConfig {
+    /// Transform between bandwidth and distance.
+    pub transform: RationalTransform,
+    /// Prediction framework growth options.
+    pub framework: FrameworkConfig,
+    /// Overlay protocol options (`n_cut`, bandwidth classes).
+    pub protocol: ProtocolConfig,
+    /// Gossip-round cap for convergence (a tree overlay needs about twice
+    /// its diameter).
+    pub max_rounds: usize,
+}
+
+impl SystemConfig {
+    /// A reasonable default: `C = 100`, exact-global growth, `n_cut = 10`
+    /// and the given bandwidth classes.
+    pub fn new(classes: BandwidthClasses) -> Self {
+        SystemConfig {
+            transform: RationalTransform::default(),
+            framework: FrameworkConfig::default(),
+            protocol: ProtocolConfig::new(10, classes),
+            max_rounds: 512,
+        }
+    }
+
+    /// Checks structural fields up front, so a bad value surfaces as a
+    /// typed error at construction instead of a panic mid-build.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError`] naming the offending field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.max_rounds == 0 {
+            return Err(ConfigError::ZeroMaxRounds);
+        }
+        // `ProtocolConfig::new` asserts this, but the fields are public so a
+        // literal construction can bypass it; re-check here for a typed
+        // error instead of a downstream panic.
+        if self.protocol.n_cut == 0 {
+            return Err(ConfigError::ZeroNCut);
+        }
+        Ok(())
+    }
+}
 
 /// A rejected simulator configuration value.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,17 +87,8 @@ pub enum ConfigError {
     },
     /// The convergence round cap must be positive.
     ZeroMaxRounds,
-    /// A prediction-tree ensemble needs at least one member.
-    ZeroEnsembleMembers,
     /// The per-neighbor record budget `n_cut` must be positive.
     ZeroNCut,
-    /// Gossip failed to reach a fixpoint within the configured round cap —
-    /// on a fault-free tree overlay this means `max_rounds` is too small
-    /// for the overlay diameter.
-    ConvergenceTimeout {
-        /// The round cap that was exhausted.
-        max_rounds: usize,
-    },
     /// A shared universe's bandwidth and real-distance matrices must cover
     /// the same hosts.
     UniverseMismatch {
@@ -80,16 +121,7 @@ impl fmt::Display for ConfigError {
                 write!(f, "timer jitter must be in [0, 1), got {jitter}")
             }
             ConfigError::ZeroMaxRounds => write!(f, "max_rounds must be positive"),
-            ConfigError::ZeroEnsembleMembers => {
-                write!(f, "ensemble_members must be at least 1")
-            }
             ConfigError::ZeroNCut => write!(f, "n_cut must be positive"),
-            ConfigError::ConvergenceTimeout { max_rounds } => {
-                write!(
-                    f,
-                    "gossip did not reach a fixpoint within {max_rounds} rounds"
-                )
-            }
             ConfigError::UniverseMismatch {
                 bandwidth,
                 distance,
@@ -129,19 +161,28 @@ mod tests {
         assert!(ConfigError::ZeroMaxRounds
             .to_string()
             .contains("max_rounds"));
-        assert!(ConfigError::ZeroEnsembleMembers
-            .to_string()
-            .contains("ensemble"));
         assert!(ConfigError::ZeroNCut.to_string().contains("n_cut"));
-        assert!(ConfigError::ConvergenceTimeout { max_rounds: 512 }
-            .to_string()
-            .contains("512"));
         assert!(ConfigError::UniverseMismatch {
             bandwidth: 6,
             distance: 5
         }
         .to_string()
         .contains("6 hosts by bandwidth but 5"));
+    }
+
+    #[test]
+    fn invalid_system_configs_are_rejected() {
+        use bcc_metric::BandwidthMatrix;
+        let cls = BandwidthClasses::new(vec![40.0], RationalTransform::default());
+        let bw = BandwidthMatrix::from_fn(2, |_, _| 50.0);
+        let try_new = |cfg| crate::DynamicSystem::try_new(bw.clone(), cfg).map(|_| ());
+        let mut cfg = SystemConfig::new(cls.clone());
+        cfg.max_rounds = 0;
+        assert_eq!(try_new(cfg), Err(ConfigError::ZeroMaxRounds));
+        let mut cfg = SystemConfig::new(cls.clone());
+        cfg.protocol.n_cut = 0;
+        assert_eq!(try_new(cfg), Err(ConfigError::ZeroNCut));
+        assert_eq!(try_new(SystemConfig::new(cls)), Ok(()));
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! A PeerSim-equivalent substrate: [`SimNetwork`] runs the gossip protocol
 //! (Algorithms 2 and 3) in synchronous rounds over an anchor-tree overlay
-//! and answers decentralized queries (Algorithm 4) with hop accounting;
-//! [`ClusterSystem`] assembles measurements → prediction framework →
-//! converged overlay in one call; [`DynamicSystem`] adds join/leave churn.
+//! and answers decentralized queries (Algorithm 4) with hop accounting.
+//! [`DynamicSystem`] assembles measurements → prediction framework →
+//! converged overlay ([`DynamicSystem::bootstrap`] in one call) and keeps
+//! it converged under join/leave churn; it is the system every figure,
+//! tool and serving layer runs on.
 //! Messages are serialized through [`Message`] so traffic is charged its
 //! real wire size.
 //!
@@ -18,13 +20,15 @@
 //! ```
 //! use bcc_core::BandwidthClasses;
 //! use bcc_metric::{BandwidthMatrix, NodeId, RationalTransform};
-//! use bcc_simnet::{ClusterSystem, SystemConfig};
+//! use bcc_simnet::{DynamicSystem, SystemConfig};
 //!
 //! // Three fast hosts and a slow one, access-link bottlenecked.
 //! let caps = [100.0f64, 100.0, 100.0, 10.0];
 //! let bw = BandwidthMatrix::from_fn(4, |i, j| caps[i].min(caps[j]));
 //! let classes = BandwidthClasses::new(vec![50.0], RationalTransform::default());
-//! let system = ClusterSystem::build(bw, SystemConfig::new(classes));
+//! let hosts: Vec<NodeId> = (0..4).map(NodeId::new).collect();
+//! let system = DynamicSystem::bootstrap(bw, SystemConfig::new(classes), &hosts)
+//!     .expect("hosts in the universe, overlay converges");
 //!
 //! let out = system.query(NodeId::new(3), 3, 50.0).expect("valid query");
 //! assert!(out.found());
@@ -82,7 +86,6 @@ mod fault;
 mod json;
 pub mod persist;
 mod store;
-mod system;
 mod trace;
 mod wire;
 
@@ -92,7 +95,7 @@ pub use chaos::{
     OracleStats, ReplayArtifact, Violation,
 };
 pub use churn::{fw_label_dist, ChurnError, ChurnOp, DynamicSystem, OverlayStats, RebuildCost};
-pub use config::ConfigError;
+pub use config::{ConfigError, SystemConfig};
 pub use engine::{NodeGossipState, OverlayDelta, SimNetwork, TrafficStats};
 pub use event::{AsyncConfig, AsyncNetwork};
 pub use fault::{
@@ -103,6 +106,5 @@ pub use persist::{
     RecoveryArtifact, RecoveryConfig, RecoveryOutcome, RecoveryReport, SnapshotStore, Storage,
     StorageFaultPlan, SystemSnapshot,
 };
-pub use system::{ClusterSystem, SystemConfig};
 pub use trace::{Trace, TraceEvent, TraceKind};
 pub use wire::Message;

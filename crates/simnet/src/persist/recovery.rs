@@ -26,7 +26,7 @@ use crate::chaos::{
     ChaosError, ChaosOutcome, OracleStats, ReplayRecord, UNIVERSE_SALT,
 };
 use crate::churn::DynamicSystem;
-use crate::system::SystemConfig;
+use crate::config::SystemConfig;
 
 /// Cadences and fault plan for the kill-restart tier.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -30,8 +30,8 @@ use bcc_metric::{BandwidthMatrix, NodeId};
 use super::codec::{read_section, write_section, Reader, Writer};
 use super::error::PersistError;
 use crate::churn::{DynamicSystem, RestoredParts};
+use crate::config::SystemConfig;
 use crate::engine::NodeGossipState;
-use crate::system::SystemConfig;
 
 /// Magic bytes opening every snapshot.
 const MAGIC: [u8; 8] = *b"bccsnap\0";

@@ -16,7 +16,7 @@ use super::journal::{decode_records, encode_record, JournalRecord};
 use super::snapshot::SystemSnapshot;
 use super::storage::Storage;
 use crate::churn::{ChurnError, ChurnOp, DynamicSystem};
-use crate::system::SystemConfig;
+use crate::config::SystemConfig;
 
 /// Key prefix for snapshot blobs (`snapshot.<generation>`).
 pub(crate) const SNAPSHOT_PREFIX: &str = "snapshot.";

@@ -5,7 +5,7 @@
 use bcc_core::{BandwidthClasses, ProtocolConfig, RetryPolicy, Unmetered};
 use bcc_embed::{FrameworkConfig, PredictionFramework};
 use bcc_metric::{BandwidthMatrix, NodeId, RationalTransform};
-use bcc_simnet::{ClusterSystem, FaultPlan, SimNetwork, SystemConfig};
+use bcc_simnet::{DynamicSystem, FaultPlan, SimNetwork, SystemConfig};
 use proptest::prelude::*;
 
 /// Random access-link bandwidth matrix with optional multiplicative jitter.
@@ -154,7 +154,8 @@ proptest! {
         b in 15.0f64..120.0,
         start_pick in any::<u32>(),
     ) {
-        let sys = ClusterSystem::build(bw.clone(), SystemConfig::new(classes()));
+        let hosts: Vec<NodeId> = (0..bw.len()).map(NodeId::new).collect();
+        let sys = DynamicSystem::bootstrap(bw, SystemConfig::new(classes()), &hosts).unwrap();
         let start = NodeId::new(start_pick as usize % sys.len());
         let plain = sys.query(start, k, b).expect("valid query");
         let out = sys

@@ -4,7 +4,7 @@
 use bcc_core::{BandwidthClasses, ProtocolConfig};
 use bcc_embed::{FrameworkConfig, PredictionFramework};
 use bcc_metric::{BandwidthMatrix, NodeId, RationalTransform};
-use bcc_simnet::{ClusterSystem, SimNetwork, SystemConfig};
+use bcc_simnet::{DynamicSystem, SimNetwork, SystemConfig};
 use proptest::prelude::*;
 
 /// Random access-link bandwidth matrix (perfect tree metric) with optional
@@ -32,6 +32,12 @@ fn classes() -> BandwidthClasses {
     BandwidthClasses::linspace(10.0, 150.0, 8, RationalTransform::default())
 }
 
+/// Every host of `bw` bootstrapped into the served system.
+fn served(bw: BandwidthMatrix) -> DynamicSystem {
+    let hosts: Vec<NodeId> = (0..bw.len()).map(NodeId::new).collect();
+    DynamicSystem::bootstrap(bw, SystemConfig::new(classes()), &hosts).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -51,8 +57,7 @@ proptest! {
     fn converged_state_is_order_independent_of_threads(bw in arb_bandwidth(12)) {
         // Building twice gives bit-identical protocol state.
         let build = || {
-            let sys = ClusterSystem::build(bw.clone(), SystemConfig::new(classes()));
-            sys.network().digest()
+            served(bw.clone()).live_digest()
         };
         prop_assert_eq!(build(), build());
     }
@@ -64,7 +69,7 @@ proptest! {
         b in 15.0f64..120.0,
         start_pick in any::<u32>(),
     ) {
-        let sys = ClusterSystem::build(bw.clone(), SystemConfig::new(classes()));
+        let sys = served(bw.clone());
         let n = sys.len();
         let start = NodeId::new(start_pick as usize % n);
         let out = sys.query(start, k, b).expect("valid query");
@@ -94,7 +99,7 @@ proptest! {
         // returned pair truly satisfies the constraint.
         let n = caps.len();
         let bw = BandwidthMatrix::from_fn(n, |i, j| caps[i].min(caps[j]));
-        let sys = ClusterSystem::build(bw, SystemConfig::new(classes()));
+        let sys = served(bw);
         for start in 0..n {
             let out = sys.query(NodeId::new(start), k, b).expect("valid query");
             if let Some(cluster) = out.cluster {
@@ -106,7 +111,7 @@ proptest! {
 
     #[test]
     fn hops_bounded_by_overlay_size(bw in arb_bandwidth(14), k in 2usize..6, b in 15.0f64..120.0) {
-        let sys = ClusterSystem::build(bw.clone(), SystemConfig::new(classes()));
+        let sys = served(bw.clone());
         let out = sys.query(NodeId::new(0), k, b).expect("valid query");
         prop_assert!(out.hops < sys.len());
         prop_assert_eq!(out.path.len(), out.hops + 1);

@@ -18,7 +18,7 @@ use rand::SeedableRng;
 
 /// Estimated time to exchange `gb` gigabytes between every task pair,
 /// bottlenecked by the slowest pair in the placement.
-fn workflow_transfer_time(system: &ClusterSystem, placement: &[NodeId], gb: f64) -> f64 {
+fn workflow_transfer_time(system: &DynamicSystem, placement: &[NodeId], gb: f64) -> f64 {
     let mut worst_bw = f64::INFINITY;
     for (i, &u) in placement.iter().enumerate() {
         for &v in &placement[i + 1..] {
@@ -35,7 +35,9 @@ fn main() {
     let bw = generate(&cfg);
 
     let classes = BandwidthClasses::linspace(10.0, 100.0, 10, RationalTransform::default());
-    let system = ClusterSystem::build(bw, SystemConfig::new(classes));
+    let all: Vec<NodeId> = (0..bw.len()).map(NodeId::new).collect();
+    let system = DynamicSystem::bootstrap(bw, SystemConfig::new(classes), &all)
+        .expect("every host is in the universe once");
 
     let k = 8; // tasks in the workflow
     let data_gb = 5.0; // data exchanged per task pair
@@ -55,7 +57,6 @@ fn main() {
 
     // Baseline: random placement, averaged over a few draws.
     let mut rng = StdRng::seed_from_u64(7);
-    let all: Vec<NodeId> = (0..system.len()).map(NodeId::new).collect();
     let mut t_random_total = 0.0;
     let draws = 20;
     for _ in 0..draws {

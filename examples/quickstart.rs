@@ -19,14 +19,18 @@ fn main() {
     // bandwidth classes (this bounds each node's routing table).
     let classes = BandwidthClasses::new(vec![50.0, 200.0, 800.0], RationalTransform::default());
 
-    // Build the full stack: prediction tree, anchor-tree overlay, and the
-    // gossip protocol run to convergence.
-    let system = ClusterSystem::build(bw, SystemConfig::new(classes));
+    // Build the full stack: every host joins the prediction tree, the
+    // anchor-tree overlay forms, and the gossip protocol runs to
+    // convergence.
+    let hosts: Vec<NodeId> = (0..caps.len()).map(NodeId::new).collect();
+    let system = DynamicSystem::bootstrap(bw, SystemConfig::new(classes), &hosts)
+        .expect("every host is in the universe once");
+    let overlay = system.network().expect("hosts joined");
     println!(
         "overlay converged after {} gossip rounds, {} messages ({} bytes)",
-        system.network().rounds_run(),
-        system.network().traffic().messages,
-        system.network().traffic().bytes,
+        overlay.rounds_run(),
+        overlay.traffic().messages,
+        overlay.traffic().bytes,
     );
 
     // Ask the *slowest* host for 3 nodes with pairwise >= 800 Mbps. The

@@ -14,7 +14,7 @@
 //! | [`embed`] | `bcc-embed` | prediction tree, anchor tree, distance labels (the bandwidth-prediction substrate) |
 //! | [`vivaldi`] | `bcc-vivaldi` | Vivaldi coordinates (the baseline embedding) |
 //! | [`core`] | `bcc-core` | Algorithms 1–4, bandwidth classes, Euclidean baseline clustering |
-//! | [`simnet`] | `bcc-simnet` | round-based simulator, end-to-end `ClusterSystem`, churn |
+//! | [`simnet`] | `bcc-simnet` | round-based simulator, the served `DynamicSystem` (bootstrap, queries, churn) |
 //! | [`service`] | `bcc-service` | batched, churn-aware cluster-query serving layer |
 //! | [`datasets`] | `bcc-datasets` | synthetic PlanetLab-like datasets with controllable treeness |
 //! | [`eval`] | `bcc-eval` | the paper's four experiments (Figs. 3–6) |
@@ -31,7 +31,9 @@
 //!
 //! // Build the full decentralized stack and query it from any host.
 //! let classes = BandwidthClasses::new(vec![25.0, 50.0, 75.0], RationalTransform::default());
-//! let system = ClusterSystem::build(bw, SystemConfig::new(classes));
+//! let hosts: Vec<NodeId> = (0..5).map(NodeId::new).collect();
+//! let system = DynamicSystem::bootstrap(bw, SystemConfig::new(classes), &hosts)
+//!     .expect("every host is in the universe once");
 //! let outcome = system.query(NodeId::new(4), 3, 75.0).expect("valid query");
 //! assert_eq!(outcome.cluster, Some(vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)]));
 //! ```
@@ -60,5 +62,5 @@ pub mod prelude {
         BandwidthMatrix, DistanceMatrix, FiniteMetric, NodeId, RationalTransform,
     };
     pub use bcc_service::{ClusterQuery, ClusterService, ServiceConfig, ServiceError};
-    pub use bcc_simnet::{ClusterSystem, DynamicSystem, FaultPlan, SystemConfig};
+    pub use bcc_simnet::{DynamicSystem, FaultPlan, SystemConfig};
 }

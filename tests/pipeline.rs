@@ -10,23 +10,30 @@ use bcc_metric::stats::EmpiricalCdf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn small_dataset(seed: u64) -> bcc_metric::BandwidthMatrix {
+fn small_dataset(seed: u64) -> BandwidthMatrix {
     let mut cfg = SynthConfig::small(seed);
     cfg.nodes = 36;
     generate(&cfg)
 }
 
-fn build(seed: u64) -> ClusterSystem {
+/// Every host of `bw` bootstrapped into the served system.
+fn system(bw: BandwidthMatrix) -> DynamicSystem {
     let classes = BandwidthClasses::linspace(10.0, 80.0, 8, RationalTransform::default());
-    ClusterSystem::build(small_dataset(seed), SystemConfig::new(classes))
+    let hosts: Vec<NodeId> = (0..bw.len()).map(NodeId::new).collect();
+    DynamicSystem::bootstrap(bw, SystemConfig::new(classes), &hosts).unwrap()
+}
+
+fn build(seed: u64) -> DynamicSystem {
+    system(small_dataset(seed))
 }
 
 #[test]
 fn full_stack_is_deterministic() {
     let a = build(3);
     let b = build(3);
-    assert_eq!(a.network().digest(), b.network().digest());
-    assert_eq!(a.network().traffic(), b.network().traffic());
+    let (na, nb) = (a.network().unwrap(), b.network().unwrap());
+    assert_eq!(na.digest(), nb.digest());
+    assert_eq!(na.traffic(), nb.traffic());
     // Identical query outcomes.
     for start in 0..a.len() {
         let qa = a.query(NodeId::new(start), 4, 40.0).unwrap();
@@ -39,7 +46,7 @@ fn full_stack_is_deterministic() {
 fn different_seeds_differ() {
     let a = build(3);
     let b = build(4);
-    assert_ne!(a.network().digest(), b.network().digest());
+    assert_ne!(a.live_digest(), b.live_digest());
 }
 
 #[test]
@@ -54,9 +61,8 @@ fn dataset_roundtrips_through_disk() {
 
     // A system built from the reloaded matrix behaves identically (text
     // format keeps 6 decimals; scores agree on every query).
-    let classes = BandwidthClasses::linspace(10.0, 80.0, 8, RationalTransform::default());
-    let sys_a = ClusterSystem::build(bw, SystemConfig::new(classes.clone()));
-    let sys_b = ClusterSystem::build(loaded, SystemConfig::new(classes));
+    let sys_a = system(bw);
+    let sys_b = system(loaded);
     for start in [0usize, 7, 20] {
         let qa = sys_a.query(NodeId::new(start), 3, 35.0).unwrap();
         let qb = sys_b.query(NodeId::new(start), 3, 35.0).unwrap();
@@ -76,7 +82,8 @@ fn string_format_rejects_corruption() {
 fn answered_clusters_mostly_satisfy_ground_truth() {
     // On the default (mildly noisy) dataset, WPR over many queries must be
     // far below the random-placement rate.
-    let sys = build(12);
+    let bw = small_dataset(12);
+    let sys = system(bw.clone());
     let n = sys.len();
     let mut rng = StdRng::seed_from_u64(1);
     let mut wrong = 0usize;
@@ -95,7 +102,7 @@ fn answered_clusters_mostly_satisfy_ground_truth() {
 
     // Random placement baseline: expected wrong-pair fraction is the CDF
     // of pairwise bandwidth at the mean constraint.
-    let cdf = EmpiricalCdf::new(sys.bandwidth_matrix().pair_values());
+    let cdf = EmpiricalCdf::new(bw.pair_values());
     let random_wpr = cdf.fraction_below(42.5);
     assert!(
         wpr < 0.5 * random_wpr,
@@ -144,6 +151,10 @@ fn probe_budget_is_quadratic_not_cubic() {
 fn centralized_and_decentralized_agree_on_feasibility_of_easy_queries() {
     let sys = build(40);
     let n = sys.len();
+    // TREE-CENTRAL as the figures compute it: Algorithm 1 over the whole
+    // predicted metric, at the exact constraint.
+    let predicted = sys.framework().predicted_matrix();
+    let t = sys.config().transform;
     let mut rng = StdRng::seed_from_u64(3);
     let mut checked = 0;
     for _ in 0..200 {
@@ -151,7 +162,7 @@ fn centralized_and_decentralized_agree_on_feasibility_of_easy_queries() {
         let b = rng.gen_range(15.0..60.0);
         let start = NodeId::new(rng.gen_range(0..n));
         let dec = sys.query(start, k, b).unwrap().found();
-        let cen = sys.centralized_query(k, b).unwrap().is_some();
+        let cen = find_cluster(&predicted, k, t.distance_constraint(b)).is_some();
         // Decentralized can only find what the centralized view admits.
         if dec {
             assert!(

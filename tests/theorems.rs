@@ -191,7 +191,8 @@ fn perfect_tree_metric_gives_zero_wpr() {
     cfg.noise_sigma = 0.0;
     let bw = generate(&cfg);
     let classes = BandwidthClasses::linspace(15.0, 80.0, 8, RationalTransform::default());
-    let system = ClusterSystem::build(bw, SystemConfig::new(classes));
+    let hosts: Vec<NodeId> = (0..24).map(NodeId::new).collect();
+    let system = DynamicSystem::bootstrap(bw, SystemConfig::new(classes), &hosts).unwrap();
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(5);
