@@ -140,40 +140,39 @@ impl SimNetwork {
         config: ProtocolConfig,
     ) -> Self {
         let predicted = MemberStore::build(universe, members, dist);
-        let mut nodes = Vec::with_capacity(universe);
-        let mut space_digest = vec![0u64; universe];
-        for (i, digest) in space_digest.iter_mut().enumerate() {
-            let id = NodeId::new(i);
-            let neighbors = if anchor.contains(id) {
-                anchor.neighbors(id)
-            } else {
-                Vec::new()
-            };
-            let mut node = ClusterNode::new(id, neighbors, config.classes.len());
-            // A blank node is already at its fixpoint for the singleton
-            // space {self}: a cluster of one per class. Computing that here
-            // (and priming the space-change gate to match) means nodes no
-            // round ever visits — isolated placeholders in a persistent
-            // dynamic overlay — hold the exact state a cold convergence
-            // would leave them with. Active nodes' spaces grow on their
-            // first delivery, so the gate re-fires for them as before.
-            node.recompute_own_max(&config.classes, &predicted);
-            let mut h = DefaultHasher::new();
-            node.clustering_space().hash(&mut h);
-            *digest = h.finish();
-            nodes.push(node);
-        }
-        SimNetwork {
+        let nodes = (0..universe)
+            .map(|i| {
+                let id = NodeId::new(i);
+                let neighbors = if anchor.contains(id) {
+                    anchor.neighbors(id)
+                } else {
+                    Vec::new()
+                };
+                ClusterNode::new(id, neighbors, config.classes.len())
+            })
+            .collect();
+        let mut net = SimNetwork {
             nodes,
             predicted,
             config,
             rounds_run: 0,
             traffic: TrafficStats::default(),
-            space_digest,
+            space_digest: vec![0; universe],
             trace: None,
             injector: None,
             pending: Vec::new(),
+        };
+        // A blank node is already at its fixpoint for the singleton space
+        // {self}: a cluster of one per class. Computing that here means
+        // nodes no round or delivery ever visits — isolated placeholders in
+        // a persistent dynamic overlay — hold the exact state a cold
+        // convergence would leave them with, on either engine. Active
+        // nodes' spaces grow on their first delivery, so the gate re-fires
+        // for them.
+        for i in 0..universe {
+            net.refresh_own_max(i);
         }
+        net
     }
 
     /// Turns on message tracing with a bounded buffer (see [`Trace`]).
@@ -270,13 +269,15 @@ impl SimNetwork {
         self.predicted.capacity()
     }
 
-    /// Applies fault lifecycle transitions scheduled up to the current
-    /// round: crashed nodes fall silent, recovered nodes cold-restart.
-    fn apply_fault_transitions(&mut self) {
+    /// Applies fault lifecycle transitions scheduled up to `now`, the
+    /// caller's clock (rounds on this engine, simulated seconds on the
+    /// event engine): crashed nodes fall silent, recovered nodes
+    /// cold-restart. Trace rounds are whole clock ticks.
+    pub(crate) fn apply_fault_transitions(&mut self, now: f64) {
         let Some(injector) = &mut self.injector else {
             return;
         };
-        let transitions = injector.advance(self.rounds_run as f64);
+        let transitions = injector.advance(now);
         for t in transitions {
             let (kind, node, entries) = match &t {
                 FaultTransition::Crashed(node) => (TraceKind::Crash, *node, 0),
@@ -299,7 +300,7 @@ impl SimNetwork {
             }
             if let Some(trace) = &mut self.trace {
                 trace.record(TraceEvent {
-                    round: self.rounds_run,
+                    round: now as usize,
                     from: node,
                     to: node,
                     kind,
@@ -310,19 +311,26 @@ impl SimNetwork {
         }
     }
 
+    /// The injector's verdict on one message sent at `now` (the caller's
+    /// clock); plain delivery without an injector.
+    pub(crate) fn message_fate(&mut self, from: NodeId, to: NodeId, now: f64) -> MessageFate {
+        match &mut self.injector {
+            Some(inj) => inj.message_fate(from, to, now),
+            None => MessageFate::deliver(),
+        }
+    }
+
     /// Sends one message through the (possibly faulty) wire: accounts
     /// traffic, consults the injector for drops/duplicates/delays, and
     /// either applies it immediately or defers it to a later round.
     fn send(&mut self, to: usize, from: NodeId, msg: Message) {
+        let round = self.rounds_run;
         self.traffic.messages += 1;
         self.traffic.bytes += msg.wire_len() as u64;
-        let fate = match &mut self.injector {
-            Some(inj) => inj.message_fate(from, NodeId::new(to), self.rounds_run as f64),
-            None => MessageFate::deliver(),
-        };
+        let fate = self.message_fate(from, NodeId::new(to), round as f64);
         if fate.is_dropped() {
             self.traffic.dropped += 1;
-            self.record(to, from, &msg, TraceKind::Dropped);
+            self.record(round, to, from, &msg, TraceKind::Dropped);
             return;
         }
         let delay_rounds = if fate.extra_delay > 0.0 {
@@ -334,14 +342,14 @@ impl SimNetwork {
             if copy > 0 {
                 self.traffic.messages += 1;
                 self.traffic.bytes += msg.wire_len() as u64;
-                self.record(to, from, &msg, TraceKind::Duplicated);
+                self.record(round, to, from, &msg, TraceKind::Duplicated);
             }
             if delay_rounds == 0 {
-                self.apply_message(to, from, msg.clone());
+                self.apply_message(round, to, from, msg.clone());
             } else {
-                self.record(to, from, &msg, TraceKind::Delayed);
+                self.record(round, to, from, &msg, TraceKind::Delayed);
                 self.pending.push(PendingDelivery {
-                    due_round: self.rounds_run + delay_rounds,
+                    due_round: round + delay_rounds,
                     to,
                     from,
                     msg: msg.clone(),
@@ -350,18 +358,19 @@ impl SimNetwork {
         }
     }
 
-    /// Decodes and applies one message to its receiver, recording it.
-    fn apply_message(&mut self, to: usize, from: NodeId, msg: Message) {
+    /// Decodes and applies one message to its receiver, recording it at
+    /// trace round `round`.
+    pub(crate) fn apply_message(&mut self, round: usize, to: usize, from: NodeId, msg: Message) {
         let decoded = Message::decode(msg.encode()).expect("self-produced message decodes");
         match decoded {
             Message::NodeInfo { nodes } => {
-                self.record_sized(to, from, &msg, TraceKind::NodeInfo, nodes.len());
+                self.record(round, to, from, &msg, TraceKind::NodeInfo);
                 self.nodes[to]
                     .receive_node_info(from, nodes)
                     .expect("valid neighbor");
             }
             Message::CrtRow { sizes } => {
-                self.record_sized(to, from, &msg, TraceKind::CrtRow, sizes.len());
+                self.record(round, to, from, &msg, TraceKind::CrtRow);
                 let row = sizes.into_iter().map(|s| s as usize).collect();
                 self.nodes[to]
                     .receive_crt(from, row)
@@ -370,25 +379,22 @@ impl SimNetwork {
         }
     }
 
-    fn record(&mut self, to: usize, from: NodeId, msg: &Message, kind: TraceKind) {
-        let entries = match msg {
-            Message::NodeInfo { nodes } => nodes.len(),
-            Message::CrtRow { sizes } => sizes.len(),
-        };
-        self.record_sized(to, from, msg, kind, entries);
-    }
-
-    fn record_sized(
+    /// Records one message event at trace round `round`, if tracing is on.
+    pub(crate) fn record(
         &mut self,
+        round: usize,
         to: usize,
         from: NodeId,
         msg: &Message,
         kind: TraceKind,
-        entries: usize,
     ) {
         if let Some(trace) = &mut self.trace {
+            let entries = match msg {
+                Message::NodeInfo { nodes } => nodes.len(),
+                Message::CrtRow { sizes } => sizes.len(),
+            };
             trace.record(TraceEvent {
-                round: self.rounds_run,
+                round,
                 from,
                 to: NodeId::new(to),
                 kind,
@@ -396,6 +402,39 @@ impl SimNetwork {
                 bytes: msg.wire_len(),
             });
         }
+    }
+
+    /// Algorithm 2's `NodeInfo` report from node `from` to its overlay
+    /// neighbor `to`.
+    pub(crate) fn node_info(&self, from: usize, to: NodeId) -> Vec<NodeId> {
+        self.nodes[from]
+            .node_info_for(to, self.config.n_cut, &self.predicted)
+            .expect("overlay neighbors are mutual")
+    }
+
+    /// Algorithm 3's CRT row from node `from` to its overlay neighbor `to`
+    /// (sent as [`Message::crt_row`]).
+    pub(crate) fn crt_row(&self, from: usize, to: NodeId) -> Vec<usize> {
+        self.nodes[from]
+            .crt_for(to)
+            .expect("overlay neighbors are mutual")
+    }
+
+    /// The one space-change gate (Algorithm 3, line 8): re-hashes node
+    /// `i`'s clustering space and, only when the hash moved, recomputes
+    /// the node's local maxima. Returns whether the maxima changed.
+    ///
+    /// A zeroed digest (after a reset, a neighbor edit or a distance-row
+    /// change) forces one recomputation.
+    pub(crate) fn refresh_own_max(&mut self, i: usize) -> bool {
+        let d = space_hash(&self.nodes[i]);
+        if d == self.space_digest[i] {
+            return false;
+        }
+        self.space_digest[i] = d;
+        let before = self.nodes[i].own_max().to_vec();
+        self.nodes[i].recompute_own_max(&self.config.classes, &self.predicted);
+        self.nodes[i].own_max() != before.as_slice()
     }
 
     /// Runs one gossip round. Returns `true` if any node's state changed or
@@ -410,15 +449,14 @@ impl SimNetwork {
     /// digest of the current state; also returns the post-round digest, so
     /// back-to-back rounds hash each state once.
     fn run_round_from(&mut self, digest_before: u64) -> (bool, u64) {
-        let n_cut = self.config.n_cut;
         let n = self.nodes.len();
 
         // Fault lifecycle scheduled up to this round, then any deliveries
         // a latency spike deferred to it. Late messages may find their
         // receiver dead by now — those drop like any other.
-        self.apply_fault_transitions();
-        let mut due: Vec<PendingDelivery> = Vec::new();
         let round = self.rounds_run;
+        self.apply_fault_transitions(round as f64);
+        let mut due: Vec<PendingDelivery> = Vec::new();
         self.pending.retain(|p| {
             if p.due_round <= round {
                 due.push(p.clone());
@@ -430,9 +468,9 @@ impl SimNetwork {
         for p in due {
             if self.is_down(NodeId::new(p.to)) {
                 self.traffic.dropped += 1;
-                self.record(p.to, p.from, &p.msg, TraceKind::Dropped);
+                self.record(round, p.to, p.from, &p.msg, TraceKind::Dropped);
             } else {
-                self.apply_message(p.to, p.from, p.msg);
+                self.apply_message(round, p.to, p.from, p.msg);
             }
         }
 
@@ -446,9 +484,7 @@ impl SimNetwork {
                 continue;
             }
             for &x in sender.neighbors() {
-                let info = sender
-                    .node_info_for(x, n_cut, &self.predicted)
-                    .expect("overlay neighbors are mutual");
+                let info = self.node_info(m, x);
                 deliveries.push((x.index(), sender.id(), Message::NodeInfo { nodes: info }));
             }
         }
@@ -459,16 +495,8 @@ impl SimNetwork {
         // Phase 2: recompute local maxima (only where the space changed),
         // then CrtRow along every directed edge.
         for i in 0..n {
-            if self.is_down(NodeId::new(i)) {
-                continue;
-            }
-            let space = self.nodes[i].clustering_space();
-            let mut h = DefaultHasher::new();
-            space.hash(&mut h);
-            let d = h.finish();
-            if d != self.space_digest[i] {
-                self.space_digest[i] = d;
-                self.nodes[i].recompute_own_max(&self.config.classes, &self.predicted);
+            if !self.is_down(NodeId::new(i)) {
+                self.refresh_own_max(i);
             }
         }
         let mut deliveries: Vec<(usize, NodeId, Message)> = Vec::new();
@@ -478,12 +506,8 @@ impl SimNetwork {
                 continue;
             }
             for &x in sender.neighbors() {
-                let row = sender.crt_for(x).expect("overlay neighbors are mutual");
-                let sizes = row
-                    .iter()
-                    .map(|&s| u32::try_from(s).expect("cluster size fits u32"))
-                    .collect();
-                deliveries.push((x.index(), sender.id(), Message::CrtRow { sizes }));
+                let row = self.crt_row(m, x);
+                deliveries.push((x.index(), sender.id(), Message::crt_row(&row)));
             }
         }
         for (to, from, msg) in deliveries {
@@ -733,7 +757,6 @@ impl SimNetwork {
         info_dirty: &BTreeSet<usize>,
         crt_dirty: &BTreeSet<usize>,
     ) -> (BTreeSet<usize>, BTreeSet<usize>) {
-        let n_cut = self.config.n_cut;
         let mut suppressed = 0u64;
 
         // Phase 1: NodeInfo from every info-dirty sender, produced from
@@ -742,9 +765,7 @@ impl SimNetwork {
         for &m in info_dirty {
             let sender = &self.nodes[m];
             for &x in sender.neighbors() {
-                let info = sender
-                    .node_info_for(x, n_cut, &self.predicted)
-                    .expect("overlay neighbors are mutual");
+                let info = self.node_info(m, x);
                 if self.nodes[x.index()].aggr_node_for(sender.id()) == Some(info.as_slice()) {
                     suppressed += 1;
                 } else {
@@ -764,17 +785,8 @@ impl SimNetwork {
         // updated. A host whose maxima moved speaks in phase 3.
         let mut crt_senders = crt_dirty.clone();
         for &i in info_dirty.union(&next_info) {
-            let space = self.nodes[i].clustering_space();
-            let mut h = DefaultHasher::new();
-            space.hash(&mut h);
-            let d = h.finish();
-            if d != self.space_digest[i] {
-                self.space_digest[i] = d;
-                let before = self.nodes[i].own_max().to_vec();
-                self.nodes[i].recompute_own_max(&self.config.classes, &self.predicted);
-                if self.nodes[i].own_max() != before.as_slice() {
-                    crt_senders.insert(i);
-                }
+            if self.refresh_own_max(i) {
+                crt_senders.insert(i);
             }
         }
 
@@ -783,17 +795,13 @@ impl SimNetwork {
         for &m in &crt_senders {
             let sender = &self.nodes[m];
             for &x in sender.neighbors() {
-                let row = sender.crt_for(x).expect("overlay neighbors are mutual");
+                let row = self.crt_row(m, x);
                 let receiver = &self.nodes[x.index()];
                 if (0..row.len()).all(|c| receiver.crt_entry(sender.id(), c) == row[c]) {
                     suppressed += 1;
                     continue;
                 }
-                let sizes = row
-                    .iter()
-                    .map(|&s| u32::try_from(s).expect("cluster size fits u32"))
-                    .collect();
-                deliveries.push((x.index(), sender.id(), Message::CrtRow { sizes }));
+                deliveries.push((x.index(), sender.id(), Message::crt_row(&row)));
             }
         }
         bcc_obs::add!("simnet.focused.crt_sent", deliveries.len() as u64);
@@ -869,9 +877,7 @@ impl SimNetwork {
             }
             node.restore_own_max(st.own_max)
                 .map_err(|e| format!("node {i}: {e}"))?;
-            let mut h = DefaultHasher::new();
-            self.nodes[i].clustering_space().hash(&mut h);
-            self.space_digest[i] = h.finish();
+            self.space_digest[i] = space_hash(&self.nodes[i]);
         }
         Ok(())
     }
@@ -892,6 +898,13 @@ impl SimNetwork {
         }
         h.finish()
     }
+}
+
+/// Hash of `node`'s clustering space: what the space-change gate compares.
+fn space_hash(node: &ClusterNode) -> u64 {
+    let mut h = DefaultHasher::new();
+    node.clustering_space().hash(&mut h);
+    h.finish()
 }
 
 #[cfg(test)]
@@ -1236,7 +1249,7 @@ mod tests {
         net.run_to_convergence(100).unwrap();
         let dead = n(3);
         net.inject_faults(&FaultPlan::new(6).crash(net.rounds_run() as f64, dead));
-        net.apply_fault_transitions();
+        net.apply_fault_transitions(net.rounds_run() as f64);
         assert!(net.is_down(dead));
 
         let retry = RetryPolicy::default();

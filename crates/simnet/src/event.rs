@@ -2,39 +2,39 @@
 //!
 //! The cycle-driven engine ([`crate::SimNetwork`]) delivers every message in
 //! lock-step rounds — convenient, but real deployments have per-link
-//! latencies and unsynchronized gossip timers. [`AsyncNetwork`] runs the
-//! *same* per-node protocol ([`bcc_core::ClusterNode`]) under a discrete
-//! event queue: each node fires on its own jittered period, and every
-//! message is delayed by a random per-delivery latency.
+//! latencies and unsynchronized gossip timers. [`AsyncNetwork`] reschedules
+//! the *same* protocol state: it holds a [`SimNetwork`] and drives its
+//! message builders, delivery path and space-change gate from a discrete
+//! event queue, where each node fires on its own jittered period and every
+//! message is delayed by a random per-delivery latency. All it keeps of its
+//! own is the clock, the queue and the draws that decide when things
+//! happen.
 //!
 //! Algorithms 2 and 3 compute a fixpoint that is *unique on a tree overlay*
 //! (their correctness proofs are inductions over the tree, independent of
 //! message timing), so the asynchronous execution must reach exactly the
 //! same protocol state as the synchronous one — a property the tests and
-//! the `simnet` integration suite verify via state digests.
+//! the `simnet` integration suite verify via [`SimNetwork::digest`].
 //!
-//! The same [`FaultInjector`] that drives [`crate::SimNetwork`] plugs in
-//! here via [`AsyncNetwork::inject_faults`], with ticks interpreted as
-//! simulated seconds: crashed nodes stop firing timers (and recover by cold
-//! restart), partitions and link faults disturb messages in flight, and
-//! everything lands in the optional [`Trace`].
+//! The same [`FaultPlan`] that drives [`crate::SimNetwork`] plugs in here
+//! via [`AsyncNetwork::inject_faults`], with ticks interpreted as simulated
+//! seconds: crashed nodes stop firing timers (and recover by cold restart),
+//! partitions and link faults disturb messages in flight, and everything
+//! lands in the network's optional [`crate::Trace`] at whole-second rounds.
 
 use std::cmp::Reverse;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BinaryHeap;
-use std::hash::{Hash, Hasher};
 
-use bcc_core::{
-    Budgeted, ClusterNode, ProtocolConfig, QueryOutcome, RetryPolicy, RoutePolicy, Unmetered,
-};
+use bcc_core::ProtocolConfig;
 use bcc_embed::AnchorTree;
 use bcc_metric::{DistanceMatrix, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::ConfigError;
-use crate::fault::{FaultInjector, FaultPlan, FaultTransition, MessageFate};
-use crate::trace::{Trace, TraceEvent, TraceKind};
+use crate::engine::SimNetwork;
+use crate::fault::FaultPlan;
+use crate::trace::TraceKind;
 use crate::wire::Message;
 
 /// Configuration for an [`AsyncNetwork`].
@@ -140,8 +140,7 @@ impl Ord for Event {
 /// The asynchronous overlay simulation.
 #[derive(Debug, Clone)]
 pub struct AsyncNetwork {
-    nodes: Vec<ClusterNode>,
-    predicted: DistanceMatrix,
+    net: SimNetwork,
     config: AsyncConfig,
     rng: StdRng,
     queue: BinaryHeap<Reverse<Event>>,
@@ -149,9 +148,6 @@ pub struct AsyncNetwork {
     seq: u64,
     delivered: u64,
     lost: u64,
-    space_digest: Vec<u64>,
-    trace: Option<Trace>,
-    injector: Option<Box<dyn FaultInjector>>,
 }
 
 impl AsyncNetwork {
@@ -166,7 +162,9 @@ impl AsyncNetwork {
         Self::try_new(anchor, predicted, config).expect("valid AsyncConfig")
     }
 
-    /// [`AsyncNetwork::new`] with up-front configuration validation.
+    /// [`AsyncNetwork::new`] with up-front configuration validation. The
+    /// protocol state is [`SimNetwork::new`]`(anchor, predicted,
+    /// config.protocol)`, placeholders included.
     ///
     /// # Errors
     ///
@@ -178,24 +176,8 @@ impl AsyncNetwork {
         config: AsyncConfig,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
-        let n = predicted.len();
-        let mut nodes = Vec::with_capacity(n);
-        for i in 0..n {
-            let id = NodeId::new(i);
-            let neighbors = if anchor.contains(id) {
-                anchor.neighbors(id)
-            } else {
-                Vec::new()
-            };
-            nodes.push(ClusterNode::new(
-                id,
-                neighbors,
-                config.protocol.classes.len(),
-            ));
-        }
-        let mut net = AsyncNetwork {
-            nodes,
-            predicted,
+        let mut asynch = AsyncNetwork {
+            net: SimNetwork::new(anchor, predicted, config.protocol.clone()),
             rng: StdRng::seed_from_u64(config.seed),
             config,
             queue: BinaryHeap::new(),
@@ -203,15 +185,12 @@ impl AsyncNetwork {
             seq: 0,
             delivered: 0,
             lost: 0,
-            space_digest: vec![0; n],
-            trace: None,
-            injector: None,
         };
-        for i in 0..n {
-            let phase = net.rng.gen_range(0.0..net.config.gossip_period);
-            net.push_event(phase, EventKind::Timer(NodeId::new(i)));
+        for i in 0..asynch.net.len() {
+            let phase = asynch.rng.gen_range(0.0..asynch.config.gossip_period);
+            asynch.push_event(phase, EventKind::Timer(NodeId::new(i)));
         }
-        Ok(net)
+        Ok(asynch)
     }
 
     fn push_event(&mut self, time: f64, kind: EventKind) {
@@ -222,6 +201,14 @@ impl AsyncNetwork {
         };
         self.seq += 1;
         self.queue.push(Reverse(e));
+    }
+
+    /// The protocol state being scheduled: read digests, queries, the
+    /// trace and crash status here. Its round and traffic counters stay at
+    /// zero; this engine counts [`AsyncNetwork::delivered`] and
+    /// [`AsyncNetwork::lost`] instead.
+    pub fn network(&self) -> &SimNetwork {
+        &self.net
     }
 
     /// Current simulated time (seconds).
@@ -239,87 +226,57 @@ impl AsyncNetwork {
         self.lost
     }
 
-    /// Immutable view of the protocol nodes.
-    pub fn nodes(&self) -> &[ClusterNode] {
-        &self.nodes
-    }
-
-    /// Turns on message tracing with a bounded buffer (see [`Trace`]).
-    /// Trace rounds are whole simulated seconds.
+    /// Turns on message tracing with a bounded buffer (see
+    /// [`crate::Trace`]). Trace rounds are whole simulated seconds.
     pub fn enable_tracing(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
+        self.net.enable_tracing(capacity);
     }
 
-    /// Turns on message tracing with an O(1)-eviction ring buffer (see
-    /// [`Trace::ring`]) for long soak runs. Trace rounds are whole
-    /// simulated seconds.
-    pub fn enable_ring_tracing(&mut self, capacity: usize) {
-        self.trace = Some(Trace::ring(capacity));
-    }
-
-    /// The message trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
-    /// Plugs in a fault injector; faults activate as simulated time passes
-    /// their scheduled ticks (1 tick = 1 second).
-    pub fn set_fault_injector(&mut self, injector: Box<dyn FaultInjector>) {
-        self.injector = Some(injector);
-    }
-
-    /// Convenience: [`AsyncNetwork::set_fault_injector`] from a
-    /// [`FaultPlan`].
+    /// Plugs in the injector of `plan`; faults activate as simulated time
+    /// passes their scheduled ticks (1 tick = 1 second).
     pub fn inject_faults(&mut self, plan: &FaultPlan) {
-        self.set_fault_injector(Box::new(plan.injector()));
+        self.net.inject_faults(plan);
     }
 
-    /// The active fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&dyn FaultInjector> {
-        self.injector.as_deref()
-    }
-
-    /// Removes the fault injector: active faults heal immediately and no
-    /// further scheduled fault activates. In-flight deliveries keep their
-    /// already-decided fates.
-    pub fn clear_fault_injector(&mut self) {
-        self.injector = None;
-    }
-
-    /// Whether `node` is currently crashed (always `false` without an
-    /// injector).
-    pub fn is_down(&self, node: NodeId) -> bool {
-        self.injector.as_ref().is_some_and(|i| i.is_down(node))
-    }
-
-    /// Runs the simulation until simulated time `until`.
+    /// Runs the simulation until simulated time `until`. The clock never
+    /// runs backwards: an `until` before [`AsyncNetwork::now`] (or NaN) is
+    /// a no-op.
     pub fn run_until(&mut self, until: f64) {
+        if until.is_nan() || until < self.now {
+            return;
+        }
         while let Some(Reverse(head)) = self.queue.peek() {
             if head.time > until {
                 break;
             }
             let Reverse(event) = self.queue.pop().expect("peeked");
             self.now = event.time;
-            self.apply_fault_transitions();
+            self.net.apply_fault_transitions(self.now);
             match event.kind {
                 EventKind::Timer(id) => self.fire_timer(id),
                 EventKind::Deliver { to, from, payload } => self.deliver(to, from, payload),
             }
         }
         self.now = until;
-        self.apply_fault_transitions();
+        self.net.apply_fault_transitions(self.now);
     }
 
     /// Runs in windows of `window` simulated seconds until the protocol
     /// state stops changing (checked at window boundaries), up to
-    /// `max_time`. Returns the convergence time, or `None` at the cap.
+    /// `max_time`. Returns the convergence time, or `None` at the cap —
+    /// and `None` at once, without running, for a `window` that is not
+    /// positive and finite: a zero, negative or NaN window observes
+    /// nothing, and an infinite one never ends.
     pub fn run_to_convergence(&mut self, window: f64, max_time: f64) -> Option<f64> {
-        let mut last = self.digest();
+        if !(window > 0.0 && window.is_finite()) {
+            return None;
+        }
+        let mut last = self.net.digest();
         let mut t = self.now;
         while t < max_time {
             t += window;
             self.run_until(t);
-            let d = self.digest();
+            let d = self.net.digest();
             if d == last {
                 return Some(self.now);
             }
@@ -328,81 +285,22 @@ impl AsyncNetwork {
         None
     }
 
-    /// Applies fault lifecycle transitions scheduled up to `self.now`.
-    fn apply_fault_transitions(&mut self) {
-        let Some(injector) = &mut self.injector else {
-            return;
-        };
-        let transitions = injector.advance(self.now);
-        for t in transitions {
-            let (kind, node, entries) = match &t {
-                FaultTransition::Crashed(node) => (TraceKind::Crash, *node, 0),
-                FaultTransition::Recovered(node) => (TraceKind::Recover, *node, 0),
-                FaultTransition::PartitionStarted(group) => (
-                    TraceKind::PartitionStart,
-                    group.first().copied().unwrap_or(NodeId::new(0)),
-                    group.len(),
-                ),
-                FaultTransition::PartitionHealed(group) => (
-                    TraceKind::PartitionHeal,
-                    group.first().copied().unwrap_or(NodeId::new(0)),
-                    group.len(),
-                ),
-            };
-            if let FaultTransition::Recovered(node) = &t {
-                // Cold restart: gossip rebuilds the state from scratch.
-                self.nodes[node.index()].reset();
-                self.space_digest[node.index()] = 0;
-            }
-            if let Some(trace) = &mut self.trace {
-                trace.record(TraceEvent {
-                    round: self.now as usize,
-                    from: node,
-                    to: node,
-                    kind,
-                    entries,
-                    bytes: 0,
-                });
-            }
-        }
-    }
-
-    fn record(&mut self, from: NodeId, to: NodeId, payload: &Message, kind: TraceKind) {
-        if let Some(trace) = &mut self.trace {
-            let entries = match payload {
-                Message::NodeInfo { nodes } => nodes.len(),
-                Message::CrtRow { sizes } => sizes.len(),
-            };
-            trace.record(TraceEvent {
-                round: self.now as usize,
-                from,
-                to,
-                kind,
-                entries,
-                bytes: payload.wire_len(),
-            });
-        }
+    /// Records one message event at the current whole simulated second.
+    fn record(&mut self, to: NodeId, from: NodeId, payload: &Message, kind: TraceKind) {
+        self.net
+            .record(self.now as usize, to.index(), from, payload, kind);
     }
 
     fn fire_timer(&mut self, id: NodeId) {
         // A crashed node is silent but keeps its (quiet) timer ticking, so
         // gossip resumes by itself after a recovery.
-        if !self.is_down(id) {
-            let neighbors = self.nodes[id.index()].neighbors().to_vec();
-            let n_cut = self.config.protocol.n_cut;
+        if !self.net.is_down(id) {
+            let neighbors = self.net.nodes()[id.index()].neighbors().to_vec();
             for to in neighbors {
-                let info = self.nodes[id.index()]
-                    .node_info_for(to, n_cut, |a: NodeId, b: NodeId| {
-                        self.predicted.get(a.index(), b.index())
-                    })
-                    .expect("overlay neighbors are mutual");
-                let crt = self.nodes[id.index()].crt_for(to).expect("neighbor");
+                let info = self.net.node_info(id.index(), to);
+                let row = self.net.crt_row(id.index(), to);
                 self.emit(id, to, Message::NodeInfo { nodes: info });
-                let sizes = crt
-                    .iter()
-                    .map(|&s| u32::try_from(s).expect("cluster size fits u32"))
-                    .collect();
-                self.emit(id, to, Message::CrtRow { sizes });
+                self.emit(id, to, Message::crt_row(&row));
             }
         }
         let jitter = 1.0
@@ -417,26 +315,19 @@ impl AsyncNetwork {
     /// i.i.d. loss first, then the injector's verdict, then per-copy
     /// latency draws.
     fn emit(&mut self, from: NodeId, to: NodeId, payload: Message) {
-        if self.background_loss() {
+        let background_loss = self.config.loss > 0.0 && self.rng.gen_bool(self.config.loss);
+        let fate = (!background_loss).then(|| self.net.message_fate(from, to, self.now));
+        let Some(fate) = fate.filter(|f| !f.is_dropped()) else {
             self.lost += 1;
-            self.record(from, to, &payload, TraceKind::Dropped);
+            self.record(to, from, &payload, TraceKind::Dropped);
             return;
-        }
-        let fate = match &mut self.injector {
-            Some(inj) => inj.message_fate(from, to, self.now),
-            None => MessageFate::deliver(),
         };
-        if fate.is_dropped() {
-            self.lost += 1;
-            self.record(from, to, &payload, TraceKind::Dropped);
-            return;
-        }
         for copy in 0..fate.copies {
             if copy > 0 {
-                self.record(from, to, &payload, TraceKind::Duplicated);
+                self.record(to, from, &payload, TraceKind::Duplicated);
             }
             if fate.extra_delay > 0.0 {
-                self.record(from, to, &payload, TraceKind::Delayed);
+                self.record(to, from, &payload, TraceKind::Delayed);
             }
             let lat = self
                 .rng
@@ -452,123 +343,29 @@ impl AsyncNetwork {
         }
     }
 
-    fn background_loss(&mut self) -> bool {
-        self.config.loss > 0.0 && self.rng.gen_bool(self.config.loss.min(1.0))
-    }
-
     fn deliver(&mut self, to: NodeId, from: NodeId, payload: Message) {
         // A message in flight toward a node that crashed meanwhile is lost.
-        if self.is_down(to) {
+        if self.net.is_down(to) {
             self.lost += 1;
-            self.record(from, to, &payload, TraceKind::Dropped);
+            self.record(to, from, &payload, TraceKind::Dropped);
             return;
         }
         self.delivered += 1;
-        match payload {
-            Message::NodeInfo { ref nodes } => {
-                self.record(from, to, &payload, TraceKind::NodeInfo);
-                self.nodes[to.index()]
-                    .receive_node_info(from, nodes.clone())
-                    .expect("valid neighbor");
-                // Recompute local maxima when the clustering space changed
-                // (the asynchronous analogue of Algorithm 3, line 8).
-                let space = self.nodes[to.index()].clustering_space();
-                let mut h = DefaultHasher::new();
-                space.hash(&mut h);
-                let d = h.finish();
-                if d != self.space_digest[to.index()] {
-                    self.space_digest[to.index()] = d;
-                    let predicted = &self.predicted;
-                    self.nodes[to.index()].recompute_own_max(
-                        &self.config.protocol.classes,
-                        |a: NodeId, b: NodeId| predicted.get(a.index(), b.index()),
-                    );
-                }
-            }
-            Message::CrtRow { ref sizes } => {
-                self.record(from, to, &payload, TraceKind::CrtRow);
-                let row = sizes.iter().map(|&s| s as usize).collect();
-                self.nodes[to.index()]
-                    .receive_crt(from, row)
-                    .expect("valid neighbor");
-            }
+        let node_info = matches!(payload, Message::NodeInfo { .. });
+        self.net
+            .apply_message(self.now as usize, to.index(), from, payload);
+        // A new NodeInfo may have changed the receiver's clustering space:
+        // the asynchronous analogue of Algorithm 3, line 8.
+        if node_info {
+            self.net.refresh_own_max(to.index());
         }
-    }
-
-    /// Submits a query against the current (possibly not yet converged)
-    /// state.
-    ///
-    /// # Errors
-    ///
-    /// See [`bcc_core::process_query`].
-    pub fn query(
-        &self,
-        start: NodeId,
-        k: usize,
-        bandwidth: f64,
-    ) -> Result<QueryOutcome, bcc_core::ClusterError> {
-        bcc_core::process_query(
-            &self.nodes,
-            start,
-            k,
-            bandwidth,
-            &self.config.protocol.classes,
-            |a: NodeId, b: NodeId| self.predicted.get(a.index(), b.index()),
-            RoutePolicy::FirstFit,
-        )
-    }
-
-    /// Failure-aware query: Algorithm 4 with retry/backoff and rerouting
-    /// around nodes the fault injector reports dead (see
-    /// [`bcc_core::process_query_resilient`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`bcc_core::process_query_resilient`].
-    pub fn query_resilient(
-        &self,
-        start: NodeId,
-        k: usize,
-        bandwidth: f64,
-        retry: &RetryPolicy,
-    ) -> Result<QueryOutcome, bcc_core::ClusterError> {
-        bcc_core::process_query_resilient(
-            &self.nodes,
-            start,
-            k,
-            bandwidth,
-            &self.config.protocol.classes,
-            |a: NodeId, b: NodeId| self.predicted.get(a.index(), b.index()),
-            RoutePolicy::FirstFit,
-            retry,
-            |u| !self.is_down(u),
-            &mut Unmetered,
-        )
-        .map(Budgeted::into_value)
-    }
-
-    /// Hash of all protocol state — comparable with
-    /// [`crate::SimNetwork::digest`] because both hash the same fields in
-    /// the same order.
-    pub fn digest(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        for node in &self.nodes {
-            node.clustering_space().hash(&mut h);
-            node.own_max().hash(&mut h);
-            for &v in node.neighbors() {
-                for c in 0..self.config.protocol.classes.len() {
-                    node.crt_entry(v, c).hash(&mut h);
-                }
-            }
-        }
-        h.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcc_core::BandwidthClasses;
+    use bcc_core::{BandwidthClasses, RetryPolicy, Unmetered};
     use bcc_embed::{FrameworkConfig, PredictionFramework};
     use bcc_metric::RationalTransform;
 
@@ -602,7 +399,7 @@ mod tests {
         let t = a.run_to_convergence(2.0, 500.0).expect("async converges");
         assert!(t > 0.0);
         assert_eq!(
-            a.digest(),
+            a.network().digest(),
             s.digest(),
             "fixpoint must be schedule-independent"
         );
@@ -614,16 +411,16 @@ mod tests {
         let (mut a2, _) = build_async(10, 2222);
         a1.run_to_convergence(2.0, 500.0).unwrap();
         a2.run_to_convergence(2.0, 500.0).unwrap();
-        assert_eq!(a1.digest(), a2.digest());
+        assert_eq!(a1.network().digest(), a2.network().digest());
     }
 
     #[test]
     fn queries_work_after_async_convergence() {
         let (mut a, _) = build_async(6, 3);
         a.run_to_convergence(2.0, 500.0).unwrap();
-        let out = a.query(n(0), 2, 50.0).unwrap();
+        let out = a.network().query(n(0), 2, 50.0).unwrap();
         assert!(out.found());
-        let out = a.query(n(0), 4, 50.0).unwrap();
+        let out = a.network().query(n(0), 4, 50.0).unwrap();
         assert!(!out.found());
     }
 
@@ -640,12 +437,37 @@ mod tests {
     }
 
     #[test]
+    fn the_clock_never_runs_backwards() {
+        let (mut a, _) = build_async(5, 4);
+        a.run_until(10.0);
+        let delivered = a.delivered();
+        a.run_until(3.0);
+        assert_eq!(a.now(), 10.0, "an earlier horizon is a no-op");
+        a.run_until(f64::NAN);
+        assert_eq!(a.now(), 10.0, "so is NaN");
+        assert_eq!(a.delivered(), delivered);
+        a.run_until(12.0);
+        assert_eq!(a.now(), 12.0);
+    }
+
+    #[test]
+    fn a_window_that_is_not_positive_and_finite_observes_nothing() {
+        let (mut a, _) = build_async(6, 3);
+        for window in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(a.run_to_convergence(window, 500.0), None, "{window}");
+            assert_eq!(a.now(), 0.0, "{window} must not move the clock");
+            assert_eq!(a.delivered(), 0);
+        }
+        assert!(a.run_to_convergence(2.0, 500.0).is_some());
+    }
+
+    #[test]
     fn early_queries_are_safe_but_may_miss() {
         // Before convergence the CRTs are incomplete: queries must not
         // panic and must never return an invalid cluster.
         let (mut a, _) = build_async(8, 5);
         a.run_until(0.05); // almost nothing delivered yet
-        let out = a.query(n(0), 2, 50.0).unwrap();
+        let out = a.network().query(n(0), 2, 50.0).unwrap();
         if let Some(c) = out.cluster {
             assert_eq!(c.len(), 2);
         }
@@ -669,13 +491,13 @@ mod tests {
         // quiet windows ambiguous.
         a.run_until(400.0);
         assert_eq!(
-            a.digest(),
+            a.network().digest(),
             s.digest(),
             "lossy async must reach the lossless fixpoint"
         );
         // Losses are observable, both as a counter and in the trace.
         assert!(a.lost() > 0);
-        assert_eq!(a.trace().unwrap().dropped_messages(), a.lost());
+        assert_eq!(a.network().trace().unwrap().dropped_messages(), a.lost());
     }
 
     #[test]
@@ -690,7 +512,7 @@ mod tests {
         let mut a = AsyncNetwork::new(fw.anchor(), fw.predicted_matrix(), cfg);
         a.run_until(100.0);
         assert_eq!(a.delivered(), 0);
-        assert_ne!(a.digest(), s.digest());
+        assert_ne!(a.network().digest(), s.digest());
     }
 
     #[test]
@@ -699,7 +521,7 @@ mod tests {
         let (mut a2, _) = build_async(7, 9);
         a1.run_until(50.0);
         a2.run_until(50.0);
-        assert_eq!(a1.digest(), a2.digest());
+        assert_eq!(a1.network().digest(), a2.network().digest());
         assert_eq!(a1.delivered(), a2.delivered());
     }
 
@@ -749,8 +571,8 @@ mod tests {
         a.enable_tracing(1 << 16);
         a.inject_faults(&FaultPlan::new(21).crash(0.0, n(3)));
         a.run_until(30.0);
-        assert!(a.is_down(n(3)));
-        let trace = a.trace().unwrap();
+        assert!(a.network().is_down(n(3)));
+        let trace = a.network().trace().unwrap();
         assert!(trace
             .events()
             .iter()
@@ -768,9 +590,9 @@ mod tests {
         let (mut a, s) = build_async(8, 13);
         a.inject_faults(&FaultPlan::new(13).crash_recover(5.0, n(4), 20.0));
         a.run_until(300.0);
-        assert!(!a.is_down(n(4)));
+        assert!(!a.network().is_down(n(4)));
         assert_eq!(
-            a.digest(),
+            a.network().digest(),
             s.digest(),
             "cold restart must rebuild the synchronous fixpoint"
         );
@@ -791,7 +613,11 @@ mod tests {
             .uniform_loss(0.0, 0.2, Some(50.0));
         a.inject_faults(&plan);
         a.run_until(500.0);
-        assert_eq!(a.digest(), s.digest(), "healed faults leave no residue");
+        assert_eq!(
+            a.network().digest(),
+            s.digest(),
+            "healed faults leave no residue"
+        );
     }
 
     #[test]
@@ -801,13 +627,18 @@ mod tests {
         // Crash an interior node *after* convergence: CRT state is stale.
         a.inject_faults(&FaultPlan::new(41).crash(a.now(), n(3)));
         a.run_until(a.now() + 1e-9);
-        assert!(a.is_down(n(3)));
+        assert!(a.network().is_down(n(3)));
         let retry = RetryPolicy::default();
-        let out = a.query_resilient(n(1), 2, 50.0, &retry).unwrap();
+        let out = a
+            .network()
+            .query_resilient(n(1), 2, 50.0, &retry, &mut Unmetered)
+            .unwrap()
+            .into_value();
         assert!(out.found());
         assert!(!out.cluster.as_ref().unwrap().contains(&n(3)));
         assert!(matches!(
-            a.query_resilient(n(3), 2, 50.0, &retry),
+            a.network()
+                .query_resilient(n(3), 2, 50.0, &retry, &mut Unmetered),
             Err(bcc_core::ClusterError::NodeUnavailable { node: 3 })
         ));
     }

@@ -10,10 +10,19 @@
 //! Messages are serialized through [`Message`] so traffic is charged its
 //! real wire size.
 //!
+//! There is one protocol state and two clocks. [`AsyncNetwork`] holds a
+//! [`SimNetwork`] and reschedules its message builders, delivery path and
+//! space-change gate on jittered per-node timers and random link
+//! latencies; it keeps only the event queue, the clock and its draws.
+//! Digests, queries, the trace and crash status are read through
+//! [`AsyncNetwork::network`], so the two schedules are compared on the
+//! same state.
+//!
 //! For robustness studies, a seedable [`FaultPlan`] schedules crashes,
-//! recoveries, partitions and link disturbances; both engines consume it
-//! through the [`FaultInjector`] trait and expose failure-aware queries
-//! (`query_resilient`) that retry and reroute around dead hosts.
+//! recoveries, partitions and link disturbances; both clocks consume it
+//! through the [`FaultInjector`] trait, and
+//! [`SimNetwork::query_resilient`] retries and reroutes around dead
+//! hosts.
 //!
 //! # Example
 //!

@@ -26,6 +26,16 @@ const TAG_NODE_INFO: u8 = 1;
 const TAG_CRT_ROW: u8 = 2;
 
 impl Message {
+    /// The `CrtRow` carrying `row`. Cluster sizes are bounded by the host
+    /// count, so they fit the wire's `u32`.
+    pub(crate) fn crt_row(row: &[usize]) -> Message {
+        let sizes = row
+            .iter()
+            .map(|&s| u32::try_from(s).expect("cluster size fits u32"))
+            .collect();
+        Message::CrtRow { sizes }
+    }
+
     /// Serializes the message (1-byte tag, u32 length, u32 entries).
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();

@@ -151,6 +151,6 @@ proptest! {
         let mut a = AsyncNetwork::new(fw.anchor(), fw.predicted_matrix(), cfg);
         a.inject_faults(&plan);
         a.run_until(400.0);
-        prop_assert_eq!(a.digest(), sync.digest(), "healed faults leave no residue");
+        prop_assert_eq!(a.network().digest(), sync.digest(), "healed faults leave no residue");
     }
 }

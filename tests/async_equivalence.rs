@@ -34,7 +34,7 @@ fn async_and_sync_engines_reach_the_same_fixpoint() {
 
     assert_eq!(
         sync.digest(),
-        asynch.digest(),
+        asynch.network().digest(),
         "fixpoint depends on the schedule"
     );
 
@@ -45,7 +45,7 @@ fn async_and_sync_engines_reach_the_same_fixpoint() {
         let b = rng.gen_range(12.0..75.0);
         let start = NodeId::new(rng.gen_range(0..48));
         let a = sync.query(start, k, b).expect("valid");
-        let b_out = asynch.query(start, k, b).expect("valid");
+        let b_out = asynch.network().query(start, k, b).expect("valid");
         assert_eq!(a, b_out);
     }
 }
@@ -59,9 +59,51 @@ fn async_fixpoint_is_independent_of_latency_distribution() {
         cfg.seed = seed;
         let mut net = AsyncNetwork::new(fw.anchor(), fw.predicted_matrix(), cfg);
         net.run_to_convergence(3.0, 5_000.0).expect("converges");
-        net.digest()
+        net.network().digest()
     };
     let fast_links = run((0.001, 0.005), 1);
     let slow_links = run((0.2, 0.9), 2);
     assert_eq!(fast_links, slow_links);
+}
+
+#[test]
+fn placeholder_ids_hold_the_same_state_on_both_engines() {
+    // The shape `DynamicSystem` serves: predicted distances over the whole
+    // id universe, an overlay over part of it. Ids 6 and 7 are isolated
+    // placeholders that no round and no delivery ever visits, so both
+    // engines must leave them at the singleton fixpoint.
+    let (fw, _) = stack(6, 8);
+    let members = fw.predicted_matrix();
+    let predicted = DistanceMatrix::from_fn(8, |i, j| {
+        if i < 6 && j < 6 {
+            members.get(i, j)
+        } else {
+            (i as f64 - j as f64).abs()
+        }
+    });
+    let classes = BandwidthClasses::linspace(10.0, 80.0, 4, RationalTransform::default());
+    let proto = ProtocolConfig::new(6, classes);
+
+    let mut sync = SimNetwork::new(fw.anchor(), predicted.clone(), proto.clone());
+    sync.run_to_convergence(300).expect("sync converges");
+    let mut cfg = AsyncConfig::new(proto);
+    cfg.seed = 8;
+    let mut asynch = AsyncNetwork::new(fw.anchor(), predicted, cfg);
+    asynch
+        .run_to_convergence(3.0, 2_000.0)
+        .expect("async converges");
+
+    assert_eq!(sync.nodes()[7].own_max(), [1, 1, 1, 1]);
+    for id in [6, 7] {
+        assert_eq!(
+            asynch.network().nodes()[id].own_max(),
+            sync.nodes()[id].own_max(),
+            "placeholder {id}"
+        );
+    }
+    assert_eq!(
+        sync.digest(),
+        asynch.network().digest(),
+        "fixpoint depends on the schedule"
+    );
 }

@@ -9,7 +9,10 @@
 //! loop over the pairs of a `LazyRows` store outside the one gated sweep
 //! (`sweep_rows`) and the one gated maximum (`max_size_rows`): the merge
 //! kernel has no body of its own. Nor may the overlay engine or the churn
-//! path build a predicted-distance matrix beside the one member store.
+//! path build a predicted-distance matrix beside the one member store, nor
+//! the event engine keep protocol state beside the `SimNetwork` it
+//! schedules: the space-change gate that recomputes a node's local maxima
+//! has one body, in `crates/simnet/src/engine.rs`.
 
 use std::path::{Path, PathBuf};
 
@@ -94,6 +97,8 @@ fn each_shared_decision_is_defined_in_one_file() {
     // The one resilient walk is the one library caller of
     // `RetryPolicy::budget_for_attempt`.
     let mut walks = Vec::new();
+    // Library calls of `ClusterNode::recompute_own_max`, by file.
+    let mut own_max_calls = Vec::new();
     // Library files that read a `LazyRows` store's rows outside the two
     // gated bodies.
     let mut row_loops = Vec::new();
@@ -111,6 +116,9 @@ fn each_shared_decision_is_defined_in_one_file() {
         let library = library_text(&text);
         for _ in library.matches(".budgetforattempt(") {
             walks.push(relative.clone());
+        }
+        for _ in library.matches(".recomputeownmax(") {
+            own_max_calls.push(relative.clone());
         }
         if library.contains("lazyrows") {
             let rest = without_items(&library, "fn sweeprows");
@@ -137,7 +145,30 @@ fn each_shared_decision_is_defined_in_one_file() {
             );
         }
     }
+    // The event engine schedules the cycle engine's protocol state: no
+    // hashing of spaces, no query walk, no recomputation of its own. Its
+    // only `DistanceMatrix`s are the import and the two constructors'
+    // parameter, which goes straight to `SimNetwork::new`.
+    let event =
+        std::fs::read_to_string(root.join("crates/simnet/src/event.rs")).expect("readable source");
+    let event = library_text(&event.replace('_', "").to_lowercase());
+    for needle in ["defaulthasher", "processquery", "recomputeownmax"] {
+        assert!(
+            !event.contains(needle),
+            "crates/simnet/src/event.rs names {needle}"
+        );
+    }
+    assert_eq!(
+        event.matches("distancematrix").count(),
+        3,
+        "crates/simnet/src/event.rs holds a predicted matrix of its own"
+    );
     assert_eq!(walks, ["crates/core/src/query.rs"], "resilient walk bodies");
+    assert_eq!(
+        own_max_calls,
+        ["crates/simnet/src/engine.rs"],
+        "space-change gate bodies"
+    );
     assert!(
         row_loops.is_empty(),
         "row-store pair loops outside sweep_rows / max_size_rows: {row_loops:?}"
