@@ -12,7 +12,7 @@
 //! diameter of rounds to flood, and the CRTs one more. The engine tracks
 //! message and byte counts so the evaluation can report communication costs.
 //!
-//! A [`FaultInjector`] (see [`crate::fault`]) can be plugged in with
+//! A [`FaultPlan`] (see [`crate::fault`]) can be plugged in with
 //! [`SimNetwork::inject_faults`]: crashed nodes fall silent (state frozen,
 //! or cleared on recovery), partitioned/lossy links drop messages, and
 //! latency spikes defer deliveries to later rounds. Every injected fault is
@@ -29,7 +29,7 @@ use bcc_core::{
 use bcc_embed::AnchorTree;
 use bcc_metric::{DistanceMatrix, NodeId};
 
-use crate::fault::{FaultInjector, FaultPlan, FaultTransition, MessageFate};
+use crate::fault::{FaultPlan, FaultTransition, MessageFate, PlannedInjector};
 use crate::store::MemberStore;
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::wire::Message;
@@ -102,7 +102,7 @@ pub struct SimNetwork {
     traffic: TrafficStats,
     space_digest: Vec<u64>,
     trace: Option<Trace>,
-    injector: Option<Box<dyn FaultInjector>>,
+    injector: Option<PlannedInjector>,
     pending: Vec<PendingDelivery>,
 }
 
@@ -180,32 +180,15 @@ impl SimNetwork {
         self.trace = Some(Trace::new(capacity));
     }
 
-    /// Turns on message tracing with an O(1)-eviction ring buffer (see
-    /// [`Trace::ring`]) — the right mode for long soak runs where only the
-    /// most recent events matter.
-    pub fn enable_ring_tracing(&mut self, capacity: usize) {
-        self.trace = Some(Trace::ring(capacity));
-    }
-
     /// The message trace, if tracing was enabled.
     pub fn trace(&self) -> Option<&Trace> {
         self.trace.as_ref()
     }
 
-    /// Plugs in a fault injector; faults activate as rounds pass their
-    /// scheduled ticks (1 tick = 1 round).
-    pub fn set_fault_injector(&mut self, injector: Box<dyn FaultInjector>) {
-        self.injector = Some(injector);
-    }
-
-    /// Convenience: [`SimNetwork::set_fault_injector`] from a [`FaultPlan`].
+    /// Plugs in the injector of `plan`; faults activate as rounds pass
+    /// their scheduled ticks (1 tick = 1 round).
     pub fn inject_faults(&mut self, plan: &FaultPlan) {
-        self.set_fault_injector(Box::new(plan.injector()));
-    }
-
-    /// The active fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&dyn FaultInjector> {
-        self.injector.as_deref()
+        self.injector = Some(plan.injector());
     }
 
     /// Removes the fault injector: every fault still active (crashes,
@@ -272,12 +255,14 @@ impl SimNetwork {
     /// Applies fault lifecycle transitions scheduled up to `now`, the
     /// caller's clock (rounds on this engine, simulated seconds on the
     /// event engine): crashed nodes fall silent, recovered nodes
-    /// cold-restart. Trace rounds are whole clock ticks.
-    pub(crate) fn apply_fault_transitions(&mut self, now: f64) {
+    /// cold-restart. Trace rounds are whole clock ticks. Returns the
+    /// recovered nodes.
+    pub(crate) fn apply_fault_transitions(&mut self, now: f64) -> Vec<NodeId> {
         let Some(injector) = &mut self.injector else {
-            return;
+            return Vec::new();
         };
         let transitions = injector.advance(now);
+        let mut recovered = Vec::new();
         for t in transitions {
             let (kind, node, entries) = match &t {
                 FaultTransition::Crashed(node) => (TraceKind::Crash, *node, 0),
@@ -297,6 +282,7 @@ impl SimNetwork {
                 // Cold restart: gossip state is rebuilt from scratch.
                 self.nodes[node.index()].reset();
                 self.space_digest[node.index()] = 0;
+                recovered.push(*node);
             }
             if let Some(trace) = &mut self.trace {
                 trace.record(TraceEvent {
@@ -309,6 +295,15 @@ impl SimNetwork {
                 });
             }
         }
+        recovered
+    }
+
+    /// The tick of the injector's next scheduled change, if one is still
+    /// pending at a finite tick.
+    pub(crate) fn next_fault_change(&self) -> Option<f64> {
+        self.injector
+            .as_ref()
+            .and_then(PlannedInjector::next_change)
     }
 
     /// The injector's verdict on one message sent at `now` (the caller's
@@ -418,6 +413,28 @@ impl SimNetwork {
         self.nodes[from]
             .crt_for(to)
             .expect("overlay neighbors are mutual")
+    }
+
+    /// The `NodeInfo` report node `from` owes its overlay neighbor `to`:
+    /// [`SimNetwork::node_info`], or `None` when `to` already holds exactly
+    /// that record from `from`. The stored record *is* the last message the
+    /// link delivered, so a link is due until its latest report arrives.
+    pub(crate) fn node_info_due(&self, from: usize, to: NodeId) -> Option<Vec<NodeId>> {
+        let info = self.node_info(from, to);
+        let held = self.nodes[to.index()].aggr_node_for(NodeId::new(from));
+        (held != Some(info.as_slice())).then_some(info)
+    }
+
+    /// The CRT row node `from` owes its overlay neighbor `to`:
+    /// [`SimNetwork::crt_row`], or `None` when `to` already holds that row
+    /// from `from`. An absent row reads as zeros, as in
+    /// [`SimNetwork::export_gossip`].
+    pub(crate) fn crt_row_due(&self, from: usize, to: NodeId) -> Option<Vec<usize>> {
+        let row = self.crt_row(from, to);
+        let receiver = &self.nodes[to.index()];
+        let sender = NodeId::new(from);
+        let held = (0..row.len()).all(|c| receiver.crt_entry(sender, c) == row[c]);
+        (!held).then_some(row)
     }
 
     /// The one space-change gate (Algorithm 3, line 8): re-hashes node
@@ -726,7 +743,8 @@ impl SimNetwork {
     ///
     /// A send is skipped when the payload equals the receiver's stored
     /// record, which *is* the last message that edge delivered (an absent
-    /// CRT row reads as zeros, as in [`SimNetwork::export_gossip`]). A host
+    /// CRT row reads as zeros, as in [`SimNetwork::export_gossip`]); the
+    /// event engine's timers follow the same rule. A host
     /// therefore falls silent only when nothing it would send differs from
     /// what its neighbors hold, which is the fixpoint condition itself:
     /// the unique fixpoint a cold restart of the same membership computes
@@ -765,11 +783,11 @@ impl SimNetwork {
         for &m in info_dirty {
             let sender = &self.nodes[m];
             for &x in sender.neighbors() {
-                let info = self.node_info(m, x);
-                if self.nodes[x.index()].aggr_node_for(sender.id()) == Some(info.as_slice()) {
-                    suppressed += 1;
-                } else {
-                    deliveries.push((x.index(), sender.id(), Message::NodeInfo { nodes: info }));
+                match self.node_info_due(m, x) {
+                    Some(info) => {
+                        deliveries.push((x.index(), sender.id(), Message::NodeInfo { nodes: info }))
+                    }
+                    None => suppressed += 1,
                 }
             }
         }
@@ -795,13 +813,10 @@ impl SimNetwork {
         for &m in &crt_senders {
             let sender = &self.nodes[m];
             for &x in sender.neighbors() {
-                let row = self.crt_row(m, x);
-                let receiver = &self.nodes[x.index()];
-                if (0..row.len()).all(|c| receiver.crt_entry(sender.id(), c) == row[c]) {
-                    suppressed += 1;
-                    continue;
+                match self.crt_row_due(m, x) {
+                    Some(row) => deliveries.push((x.index(), sender.id(), Message::crt_row(&row))),
+                    None => suppressed += 1,
                 }
-                deliveries.push((x.index(), sender.id(), Message::crt_row(&row)));
             }
         }
         bcc_obs::add!("simnet.focused.crt_sent", deliveries.len() as u64);

@@ -16,11 +16,19 @@
 //! same protocol state as the synchronous one — a property the tests and
 //! the `simnet` integration suite verify via [`SimNetwork::digest`].
 //!
+//! A timer sends a neighbor only what is *due*, the reports that differ
+//! from the records it holds (the rule [`SimNetwork::reconverge_focused`]
+//! follows too), and lapses when nothing is; deliveries and recoveries
+//! re-arm the timers they affect. So the queue drains exactly at the
+//! fixpoint, and [`AsyncNetwork::run_to_quiescence`] reports its time.
+//!
 //! The same [`FaultPlan`] that drives [`crate::SimNetwork`] plugs in here
 //! via [`AsyncNetwork::inject_faults`], with ticks interpreted as simulated
 //! seconds: crashed nodes stop firing timers (and recover by cold restart),
 //! partitions and link faults disturb messages in flight, and everything
 //! lands in the network's optional [`crate::Trace`] at whole-second rounds.
+//! A lost message leaves its link due, so the engine goes quiet only once
+//! every fault has healed.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -48,9 +56,9 @@ pub struct AsyncConfig {
     pub latency: (f64, f64),
     /// Fractional jitter applied to each timer interval (`0.1` = ±10 %).
     pub timer_jitter: f64,
-    /// Probability that a message is silently dropped in flight. Periodic
-    /// gossip makes the protocol self-stabilizing: any loss rate `< 1`
-    /// still converges to the same fixpoint, just later.
+    /// Probability that a message is silently dropped in flight. A lost
+    /// message leaves its link due, so any loss rate `< 1` still converges
+    /// to the same fixpoint, just later.
     pub loss: f64,
     /// RNG seed for phases, jitter, latencies and losses.
     pub seed: u64,
@@ -100,7 +108,7 @@ impl AsyncConfig {
 
 #[derive(Debug, Clone)]
 enum EventKind {
-    /// A node's gossip timer fires: emit NodeInfo + CrtRow to all neighbors.
+    /// A node's gossip timer fires: emit every due NodeInfo and CrtRow.
     Timer(NodeId),
     /// A message arrives.
     Deliver {
@@ -144,9 +152,12 @@ pub struct AsyncNetwork {
     config: AsyncConfig,
     rng: StdRng,
     queue: BinaryHeap<Reverse<Event>>,
+    /// Whether each node has a timer in the queue.
+    armed: Vec<bool>,
     now: f64,
     seq: u64,
     delivered: u64,
+    last_delivery: f64,
     lost: u64,
 }
 
@@ -176,14 +187,17 @@ impl AsyncNetwork {
         config: AsyncConfig,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
+        let net = SimNetwork::new(anchor, predicted, config.protocol.clone());
         let mut asynch = AsyncNetwork {
-            net: SimNetwork::new(anchor, predicted, config.protocol.clone()),
+            armed: vec![true; net.len()],
+            net,
             rng: StdRng::seed_from_u64(config.seed),
             config,
             queue: BinaryHeap::new(),
             now: 0.0,
             seq: 0,
             delivered: 0,
+            last_delivery: 0.0,
             lost: 0,
         };
         for i in 0..asynch.net.len() {
@@ -191,6 +205,20 @@ impl AsyncNetwork {
             asynch.push_event(phase, EventKind::Timer(NodeId::new(i)));
         }
         Ok(asynch)
+    }
+
+    /// Schedules `id`'s next timer one jittered period from now, unless
+    /// one is already queued.
+    fn arm(&mut self, id: NodeId) {
+        if std::mem::replace(&mut self.armed[id.index()], true) {
+            return;
+        }
+        let jitter = 1.0
+            + self
+                .rng
+                .gen_range(-self.config.timer_jitter..=self.config.timer_jitter);
+        let next = self.now + self.config.gossip_period * jitter;
+        self.push_event(next, EventKind::Timer(id));
     }
 
     fn push_event(&mut self, time: f64, kind: EventKind) {
@@ -240,49 +268,64 @@ impl AsyncNetwork {
 
     /// Runs the simulation until simulated time `until`. The clock never
     /// runs backwards: an `until` before [`AsyncNetwork::now`] (or NaN) is
-    /// a no-op.
+    /// a no-op. An infinite `until` returns once the engine is quiet, with
+    /// the clock at its last event; under a fault that never heals it
+    /// never returns.
     pub fn run_until(&mut self, until: f64) {
-        if until.is_nan() || until < self.now {
-            return;
+        if self.run_to_quiescence(until).is_some() && until.is_finite() {
+            self.now = until;
         }
-        while let Some(Reverse(head)) = self.queue.peek() {
-            if head.time > until {
-                break;
+    }
+
+    /// Runs until nothing is queued and no fault change is scheduled, up
+    /// to `max_time`. Returns the simulated time of the last delivery —
+    /// exactly when the fixpoint arrived — or `None` when the engine is
+    /// still busy at `max_time` (the clock then reads `max_time`), and
+    /// `None` at once, without moving the clock, for a NaN or past
+    /// `max_time`.
+    pub fn run_to_quiescence(&mut self, max_time: f64) -> Option<f64> {
+        if max_time.is_nan() || max_time < self.now {
+            return None;
+        }
+        while self.step(max_time) {}
+        if self.queue.is_empty() && self.net.next_fault_change().is_none() {
+            return Some(self.last_delivery);
+        }
+        self.now = max_time;
+        None
+    }
+
+    /// Handles the earlier of the queue head and the injector's next
+    /// scheduled change, if it falls at or before `until`; returns whether
+    /// there was one.
+    fn step(&mut self, until: f64) -> bool {
+        let head = self.queue.peek().map(|Reverse(e)| e.time);
+        let at = match (head, self.net.next_fault_change()) {
+            (Some(h), Some(c)) => h.min(c),
+            (Some(t), None) | (None, Some(t)) => t,
+            (None, None) => return false,
+        };
+        if at > until {
+            return false;
+        }
+        // A plan injected late may hold changes already past.
+        self.now = self.now.max(at);
+        // A recovered node restarts blank: it and its neighbors have
+        // reports to exchange.
+        for node in self.net.apply_fault_transitions(self.now) {
+            self.arm(node);
+            for to in self.net.nodes()[node.index()].neighbors().to_vec() {
+                self.arm(to);
             }
+        }
+        if head == Some(at) {
             let Reverse(event) = self.queue.pop().expect("peeked");
-            self.now = event.time;
-            self.net.apply_fault_transitions(self.now);
             match event.kind {
                 EventKind::Timer(id) => self.fire_timer(id),
                 EventKind::Deliver { to, from, payload } => self.deliver(to, from, payload),
             }
         }
-        self.now = until;
-        self.net.apply_fault_transitions(self.now);
-    }
-
-    /// Runs in windows of `window` simulated seconds until the protocol
-    /// state stops changing (checked at window boundaries), up to
-    /// `max_time`. Returns the convergence time, or `None` at the cap —
-    /// and `None` at once, without running, for a `window` that is not
-    /// positive and finite: a zero, negative or NaN window observes
-    /// nothing, and an infinite one never ends.
-    pub fn run_to_convergence(&mut self, window: f64, max_time: f64) -> Option<f64> {
-        if !(window > 0.0 && window.is_finite()) {
-            return None;
-        }
-        let mut last = self.net.digest();
-        let mut t = self.now;
-        while t < max_time {
-            t += window;
-            self.run_until(t);
-            let d = self.net.digest();
-            if d == last {
-                return Some(self.now);
-            }
-            last = d;
-        }
-        None
+        true
     }
 
     /// Records one message event at the current whole simulated second.
@@ -292,23 +335,27 @@ impl AsyncNetwork {
     }
 
     fn fire_timer(&mut self, id: NodeId) {
-        // A crashed node is silent but keeps its (quiet) timer ticking, so
-        // gossip resumes by itself after a recovery.
-        if !self.net.is_down(id) {
-            let neighbors = self.net.nodes()[id.index()].neighbors().to_vec();
-            for to in neighbors {
-                let info = self.net.node_info(id.index(), to);
-                let row = self.net.crt_row(id.index(), to);
+        self.armed[id.index()] = false;
+        // A crashed node is silent and its timer lapses; a recovery
+        // re-arms it.
+        if self.net.is_down(id) {
+            return;
+        }
+        let mut due = false;
+        for to in self.net.nodes()[id.index()].neighbors().to_vec() {
+            if let Some(info) = self.net.node_info_due(id.index(), to) {
                 self.emit(id, to, Message::NodeInfo { nodes: info });
+                due = true;
+            }
+            if let Some(row) = self.net.crt_row_due(id.index(), to) {
                 self.emit(id, to, Message::crt_row(&row));
+                due = true;
             }
         }
-        let jitter = 1.0
-            + self
-                .rng
-                .gen_range(-self.config.timer_jitter..=self.config.timer_jitter);
-        let next = self.now + self.config.gossip_period * jitter;
-        self.push_event(next, EventKind::Timer(id));
+        // A link stays due until its report arrives: try again next period.
+        if due {
+            self.arm(id);
+        }
     }
 
     /// Sends one message through the (possibly faulty) wire: background
@@ -351,6 +398,7 @@ impl AsyncNetwork {
             return;
         }
         self.delivered += 1;
+        self.last_delivery = self.now;
         let node_info = matches!(payload, Message::NodeInfo { .. });
         self.net
             .apply_message(self.now as usize, to.index(), from, payload);
@@ -359,6 +407,10 @@ impl AsyncNetwork {
         if node_info {
             self.net.refresh_own_max(to.index());
         }
+        // The receiver may have news; a late copy may have overwritten a
+        // newer one, so the sender checks its link again.
+        self.arm(to);
+        self.arm(from);
     }
 }
 
@@ -396,7 +448,7 @@ mod tests {
     #[test]
     fn async_converges_to_synchronous_fixpoint() {
         let (mut a, s) = build_async(8, 1);
-        let t = a.run_to_convergence(2.0, 500.0).expect("async converges");
+        let t = a.run_to_quiescence(500.0).expect("async converges");
         assert!(t > 0.0);
         assert_eq!(
             a.network().digest(),
@@ -409,15 +461,15 @@ mod tests {
     fn fixpoint_is_seed_independent() {
         let (mut a1, _) = build_async(10, 11);
         let (mut a2, _) = build_async(10, 2222);
-        a1.run_to_convergence(2.0, 500.0).unwrap();
-        a2.run_to_convergence(2.0, 500.0).unwrap();
+        a1.run_to_quiescence(500.0).unwrap();
+        a2.run_to_quiescence(500.0).unwrap();
         assert_eq!(a1.network().digest(), a2.network().digest());
     }
 
     #[test]
     fn queries_work_after_async_convergence() {
         let (mut a, _) = build_async(6, 3);
-        a.run_to_convergence(2.0, 500.0).unwrap();
+        a.run_to_quiescence(500.0).unwrap();
         let out = a.network().query(n(0), 2, 50.0).unwrap();
         assert!(out.found());
         let out = a.network().query(n(0), 4, 50.0).unwrap();
@@ -431,9 +483,11 @@ mod tests {
         a.run_until(3.0);
         assert!(a.now() == 3.0);
         assert!(a.delivered() > 0);
+        let quiet = a.run_to_quiescence(100.0).expect("the line goes quiet");
+        assert!(quiet <= a.now());
         let before = a.delivered();
-        a.run_until(6.0);
-        assert!(a.delivered() > before, "gossip keeps flowing");
+        a.run_until(a.now() + 100.0);
+        assert_eq!(a.delivered(), before, "nothing is sent after the fixpoint");
     }
 
     #[test]
@@ -448,17 +502,6 @@ mod tests {
         assert_eq!(a.delivered(), delivered);
         a.run_until(12.0);
         assert_eq!(a.now(), 12.0);
-    }
-
-    #[test]
-    fn a_window_that_is_not_positive_and_finite_observes_nothing() {
-        let (mut a, _) = build_async(6, 3);
-        for window in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert_eq!(a.run_to_convergence(window, 500.0), None, "{window}");
-            assert_eq!(a.now(), 0.0, "{window} must not move the clock");
-            assert_eq!(a.delivered(), 0);
-        }
-        assert!(a.run_to_convergence(2.0, 500.0).is_some());
     }
 
     #[test]
@@ -621,9 +664,28 @@ mod tests {
     }
 
     #[test]
+    fn reordered_copies_leave_no_stale_record() {
+        // Every report sent in the first half second is held up ~10 s, so
+        // it lands after the line went quiet and overwrites a newer record.
+        // The delivery re-arms its sender, which finds the link due again.
+        for seed in 0..8 {
+            let (mut a, s) = build_async(8, seed);
+            let mut plan = FaultPlan::new(seed);
+            for i in 0..7 {
+                for (from, to) in [(n(i), n(i + 1)), (n(i + 1), n(i))] {
+                    plan = plan.latency_spike(0.0, from, to, (10.0, 11.0), Some(0.5));
+                }
+            }
+            a.inject_faults(&plan);
+            assert!(a.run_to_quiescence(500.0).is_some(), "seed {seed}");
+            assert_eq!(a.network().digest(), s.digest(), "seed {seed}");
+        }
+    }
+
+    #[test]
     fn resilient_query_avoids_crashed_nodes() {
         let (mut a, _) = build_async(8, 41);
-        a.run_to_convergence(2.0, 500.0).unwrap();
+        a.run_to_quiescence(500.0).unwrap();
         // Crash an interior node *after* convergence: CRT state is stale.
         a.inject_faults(&FaultPlan::new(41).crash(a.now(), n(3)));
         a.run_until(a.now() + 1e-9);

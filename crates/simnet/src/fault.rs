@@ -5,7 +5,7 @@
 //! spikes and global loss windows — expressed in abstract *ticks*: gossip
 //! rounds under the cycle engine ([`crate::SimNetwork`]) and simulated
 //! seconds under the event engine ([`crate::AsyncNetwork`]). Both engines
-//! consume the plan through the same [`FaultInjector`] trait, so one plan
+//! consume the plan through the same [`PlannedInjector`], so one plan
 //! reproduces the same failure scenario on either substrate, bit-for-bit
 //! given the same seed.
 //!
@@ -262,7 +262,7 @@ impl FaultPlan {
     }
 }
 
-/// A node lifecycle change reported by [`FaultInjector::advance`], which
+/// A node lifecycle change reported by [`PlannedInjector::advance`], which
 /// engines turn into trace events and state resets.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultTransition {
@@ -308,44 +308,6 @@ impl MessageFate {
     }
 }
 
-impl Default for MessageFate {
-    fn default() -> Self {
-        MessageFate::deliver()
-    }
-}
-
-/// The hook both engines consult while simulating: who is down, and what
-/// happens to each message.
-///
-/// `advance` must be called with non-decreasing `now` values; engines call
-/// it once per round (cycle engine) or once per event (event engine)
-/// before doing any work at that time.
-///
-/// `Send + Sync` so a network holding an injector can still be queried
-/// from parallel workers (queries take `&self`; only the engines' round
-/// loops ever call the `&mut self` hooks).
-pub trait FaultInjector: std::fmt::Debug + Send + Sync {
-    /// Advances fault state to tick `now`, returning every lifecycle
-    /// transition that activated in the interval since the previous call.
-    fn advance(&mut self, now: f64) -> Vec<FaultTransition>;
-
-    /// Whether `node` is currently crashed.
-    fn is_down(&self, node: NodeId) -> bool;
-
-    /// Decides the fate of one message sent `from → to` at tick `now`.
-    /// Stateful: probabilistic faults consume the injector's RNG.
-    fn message_fate(&mut self, from: NodeId, to: NodeId, now: f64) -> MessageFate;
-
-    /// Clones into a boxed trait object (keeps engines `Clone`).
-    fn box_clone(&self) -> Box<dyn FaultInjector>;
-}
-
-impl Clone for Box<dyn FaultInjector> {
-    fn clone(&self) -> Self {
-        self.box_clone()
-    }
-}
-
 /// A timeline entry expanded from the plan.
 #[derive(Debug, Clone, PartialEq)]
 enum Change {
@@ -373,11 +335,16 @@ impl LinkRule {
     }
 }
 
-/// The [`FaultInjector`] produced by [`FaultPlan::injector`].
+/// The injector produced by [`FaultPlan::injector`]: the hook both
+/// engines consult while simulating — who is down, and what happens to
+/// each message.
 ///
 /// Internally the plan is expanded into a time-sorted timeline of state
 /// changes (a crash-recovery becomes a down change plus a later up
-/// change); `advance` walks a cursor over it.
+/// change); [`PlannedInjector::advance`] walks a cursor over it. It must
+/// be called with non-decreasing `now` values; engines call it once per
+/// round (cycle engine) or once per event (event engine) before doing any
+/// work at that time.
 #[derive(Debug, Clone)]
 pub struct PlannedInjector {
     rng: StdRng,
@@ -499,20 +466,26 @@ impl PlannedInjector {
         }
     }
 
-    /// Hosts currently crashed.
-    pub fn down_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.down.iter().copied()
-    }
-
     fn partitioned(&self, from: NodeId, to: NodeId) -> bool {
         self.partitions
             .iter()
             .any(|(_, group)| group.contains(&from) != group.contains(&to))
     }
-}
 
-impl FaultInjector for PlannedInjector {
-    fn advance(&mut self, now: f64) -> Vec<FaultTransition> {
+    /// The tick of the next change [`PlannedInjector::advance`] has yet to
+    /// apply, or `None` once none is left at a finite tick. The event
+    /// engine wakes at this tick, so a scheduled recovery happens even when
+    /// no gossip is in flight; a change at an infinite tick never comes.
+    pub fn next_change(&self) -> Option<f64> {
+        self.timeline[self.cursor..]
+            .iter()
+            .map(|&(at, _)| at)
+            .find(|at| at.is_finite())
+    }
+
+    /// Advances fault state to tick `now`, returning every lifecycle
+    /// transition that activated in the interval since the previous call.
+    pub fn advance(&mut self, now: f64) -> Vec<FaultTransition> {
         let mut out = Vec::new();
         while self.cursor < self.timeline.len() && self.timeline[self.cursor].0 <= now {
             let (_, change) = &self.timeline[self.cursor];
@@ -547,11 +520,14 @@ impl FaultInjector for PlannedInjector {
         out
     }
 
-    fn is_down(&self, node: NodeId) -> bool {
+    /// Whether `node` is currently crashed.
+    pub fn is_down(&self, node: NodeId) -> bool {
         self.down.contains(&node)
     }
 
-    fn message_fate(&mut self, from: NodeId, to: NodeId, _now: f64) -> MessageFate {
+    /// Decides the fate of one message sent `from → to` at tick `now`.
+    /// Stateful: probabilistic faults consume the injector's RNG.
+    pub fn message_fate(&mut self, from: NodeId, to: NodeId, _now: f64) -> MessageFate {
         if self.down.contains(&from) || self.down.contains(&to) {
             return MessageFate::dropped();
         }
@@ -579,10 +555,6 @@ impl FaultInjector for PlannedInjector {
             }
         }
         fate
-    }
-
-    fn box_clone(&self) -> Box<dyn FaultInjector> {
-        Box::new(self.clone())
     }
 }
 
@@ -733,11 +705,15 @@ mod tests {
     }
 
     #[test]
-    fn boxed_injector_clones() {
-        let plan = FaultPlan::new(1).crash(1.0, n(0));
-        let boxed: Box<dyn FaultInjector> = Box::new(plan.injector());
-        let mut copy = boxed.clone();
-        copy.advance(2.0);
-        assert!(copy.is_down(n(0)));
+    fn next_change_is_the_next_finite_tick() {
+        let plan = FaultPlan::new(1)
+            .crash_recover(5.0, n(2), 10.0)
+            .crash(f64::INFINITY, n(3));
+        let mut inj = plan.injector();
+        assert_eq!(inj.next_change(), Some(5.0));
+        inj.advance(5.0);
+        assert_eq!(inj.next_change(), Some(15.0));
+        inj.advance(15.0);
+        assert_eq!(inj.next_change(), None, "an infinite tick never comes");
     }
 }

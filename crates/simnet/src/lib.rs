@@ -10,17 +10,22 @@
 //! Messages are serialized through [`Message`] so traffic is charged its
 //! real wire size.
 //!
-//! There is one protocol state and two clocks. [`AsyncNetwork`] holds a
-//! [`SimNetwork`] and reschedules its message builders, delivery path and
-//! space-change gate on jittered per-node timers and random link
-//! latencies; it keeps only the event queue, the clock and its draws.
-//! Digests, queries, the trace and crash status are read through
-//! [`AsyncNetwork::network`], so the two schedules are compared on the
-//! same state.
+//! There is one protocol state, one send rule and two clocks.
+//! [`AsyncNetwork`] holds a [`SimNetwork`] and reschedules its message
+//! builders, delivery path and space-change gate on jittered per-node
+//! timers and random link latencies; it keeps only the event queue, the
+//! clock and its draws. Digests, queries, the trace and crash status are
+//! read through [`AsyncNetwork::network`], so the two schedules are
+//! compared on the same state. The churn path's focused repair and the
+//! event engine's timers send a neighbor a report only when it differs
+//! from the record that neighbor holds (the dynamic aggregations of
+//! Algorithms 2 and 3), so the timers fall quiet at the fixpoint and
+//! [`AsyncNetwork::run_to_quiescence`] returns the exact time of the last
+//! delivery.
 //!
 //! For robustness studies, a seedable [`FaultPlan`] schedules crashes,
 //! recoveries, partitions and link disturbances; both clocks consume it
-//! through the [`FaultInjector`] trait, and
+//! through its [`PlannedInjector`], and
 //! [`SimNetwork::query_resilient`] retries and reroutes around dead
 //! hosts.
 //!
@@ -107,9 +112,7 @@ pub use churn::{fw_label_dist, ChurnError, ChurnOp, DynamicSystem, OverlayStats,
 pub use config::{ConfigError, SystemConfig};
 pub use engine::{NodeGossipState, OverlayDelta, SimNetwork, TrafficStats};
 pub use event::{AsyncConfig, AsyncNetwork};
-pub use fault::{
-    FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultTransition, MessageFate, PlannedInjector,
-};
+pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultTransition, MessageFate, PlannedInjector};
 pub use persist::{
     run_recovery_schedule, FaultyStorage, JournalRecord, MemStorage, PersistError,
     RecoveryArtifact, RecoveryConfig, RecoveryOutcome, RecoveryReport, SnapshotStore, Storage,

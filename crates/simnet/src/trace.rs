@@ -62,31 +62,21 @@ pub struct TraceEvent {
 
 /// A bounded message trace; when full, the oldest events are evicted.
 ///
-/// Two eviction modes share the same API:
-///
-/// - [`Trace::new`] — shift mode (the default everywhere): `events()` is
-///   always oldest-first, but each eviction shifts the buffer (`O(capacity)`
-///   per overflowing record). Fine for bounded runs.
-/// - [`Trace::ring`] — ring mode: `O(1)` eviction by overwriting the oldest
-///   slot in place, the right choice for long soaks (chaos schedules,
-///   million-round runs) where the trace would otherwise dominate the run
-///   time. Once wrapped, the raw `events()` slice is rotated; use
-///   [`Trace::iter`] for oldest-first order.
+/// `events()` is always oldest-first; each eviction shifts the buffer
+/// (`O(capacity)` per overflowing record), which bounded runs can afford.
+/// The whole-run counters ([`Trace::evicted`], [`Trace::dropped_messages`],
+/// [`Trace::injected_faults`]) survive eviction.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     events: Vec<TraceEvent>,
     capacity: usize,
-    ring: bool,
-    /// Ring mode: index of the oldest retained event once the buffer
-    /// wrapped. Always 0 in shift mode.
-    head: usize,
     evicted: u64,
     dropped_messages: u64,
     injected_faults: u64,
 }
 
 impl Trace {
-    /// Creates a trace holding at most `capacity` events (shift mode).
+    /// Creates a trace holding at most `capacity` events.
     ///
     /// # Panics
     ///
@@ -96,30 +86,10 @@ impl Trace {
         Trace {
             events: Vec::with_capacity(capacity.min(1024)),
             capacity,
-            ring: false,
-            head: 0,
             evicted: 0,
             dropped_messages: 0,
             injected_faults: 0,
         }
-    }
-
-    /// Creates a trace holding at most `capacity` events with `O(1)`
-    /// ring-buffer eviction (keep-last-N; [`Trace::evicted`] counts what
-    /// was overwritten).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn ring(capacity: usize) -> Self {
-        let mut t = Trace::new(capacity);
-        t.ring = true;
-        t
-    }
-
-    /// Whether this trace evicts via the `O(1)` ring buffer.
-    pub fn is_ring(&self) -> bool {
-        self.ring
     }
 
     /// Records one event.
@@ -133,30 +103,15 @@ impl Trace {
             _ => {}
         }
         if self.events.len() == self.capacity {
-            if self.ring {
-                self.events[self.head] = event;
-                self.head = (self.head + 1) % self.capacity;
-                self.evicted += 1;
-                return;
-            }
             self.events.remove(0);
             self.evicted += 1;
         }
         self.events.push(event);
     }
 
-    /// Events currently retained. Oldest first in shift mode; in ring mode
-    /// the slice is rotated once the buffer has wrapped — use
-    /// [`Trace::iter`] when order matters.
+    /// Events currently retained, oldest first.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// Retained events oldest-first, regardless of mode.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events[self.head..]
-            .iter()
-            .chain(self.events[..self.head].iter())
     }
 
     /// Number of retained events.
@@ -208,7 +163,7 @@ impl Trace {
         if self.evicted > 0 || skip > 0 {
             let _ = writeln!(out, "... ({} earlier events)", self.evicted + skip as u64);
         }
-        for e in self.iter().skip(skip) {
+        for e in &self.events[skip..] {
             let kind = match e.kind {
                 TraceKind::NodeInfo => "NODE",
                 TraceKind::CrtRow => "CRT ",
@@ -275,11 +230,12 @@ mod tests {
         }
         assert_eq!(t.len(), 3);
         assert_eq!(t.evicted(), 2);
-        assert_eq!(t.events()[0].round, 2);
+        let rounds: Vec<usize> = t.events().iter().map(|e| e.round).collect();
+        assert_eq!(rounds, vec![2, 3, 4], "the last three, oldest first");
     }
 
     #[test]
-    fn dropped_messages_survive_eviction() {
+    fn counters_survive_eviction() {
         let mut t = Trace::new(2);
         for r in 0..4 {
             t.record(TraceEvent {
@@ -287,11 +243,15 @@ mod tests {
                 ..ev(r, 0, 1)
             });
         }
-        t.record(ev(4, 0, 1));
-        // Every Dropped event has been evicted from the buffer by now, but
-        // the loss counter keeps the whole-run total.
+        t.record(fault(4, 1, TraceKind::Crash));
+        t.record(ev(5, 0, 1));
+        t.record(ev(6, 0, 1));
+        // Every Dropped and Crash event has been evicted from the buffer by
+        // now, but the whole-run counters keep their totals.
         assert_eq!(t.dropped_messages(), 4);
-        assert_eq!(t.evicted(), 3);
+        assert_eq!(t.injected_faults(), 1);
+        assert_eq!(t.evicted(), 5);
+        assert_eq!(t.len(), 2);
     }
 
     #[test]
@@ -340,47 +300,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        Trace::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_ring_capacity_rejected() {
-        Trace::ring(0);
-    }
-
-    #[test]
-    fn ring_keeps_last_n_with_dropped_count() {
-        let mut t = Trace::ring(3);
-        assert!(t.is_ring());
-        for r in 0..7 {
-            t.record(ev(r, 0, 1));
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.evicted(), 4);
-        let rounds: Vec<usize> = t.iter().map(|e| e.round).collect();
-        assert_eq!(rounds, vec![4, 5, 6]);
-    }
-
-    #[test]
-    fn ring_iter_matches_shift_mode_before_wrap() {
-        let mut ring = Trace::ring(5);
-        let mut shift = Trace::new(5);
-        for r in 0..4 {
-            ring.record(ev(r, 0, 1));
-            shift.record(ev(r, 0, 1));
-        }
-        let a: Vec<&TraceEvent> = ring.iter().collect();
-        let b: Vec<&TraceEvent> = shift.iter().collect();
-        assert_eq!(a, b);
-        assert_eq!(ring.evicted(), 0);
-    }
-
-    #[test]
-    fn ring_render_is_oldest_first_after_wrap() {
-        let mut t = Trace::ring(3);
+    fn render_is_oldest_first_after_eviction() {
+        let mut t = Trace::new(3);
         for r in 0..5 {
             t.record(ev(r, 0, 1));
         }
@@ -392,17 +313,8 @@ mod tests {
     }
 
     #[test]
-    fn ring_counters_survive_overwrite() {
-        let mut t = Trace::ring(2);
-        for r in 0..4 {
-            t.record(TraceEvent {
-                kind: TraceKind::Dropped,
-                ..ev(r, 0, 1)
-            });
-        }
-        t.record(fault(4, 1, TraceKind::Crash));
-        assert_eq!(t.dropped_messages(), 4);
-        assert_eq!(t.injected_faults(), 1);
-        assert_eq!(t.len(), 2);
+    #[should_panic(expected = "capacity must be positive")]
+    fn zero_capacity_rejected() {
+        Trace::new(0);
     }
 }

@@ -1,10 +1,12 @@
 //! The gossip protocol's fixpoint is schedule-independent: the cycle-driven
 //! and event-driven engines must reach bit-identical protocol state, and
-//! every query must answer identically, on realistic datasets.
+//! every query must answer identically, on realistic datasets. The event
+//! engine sends only what a neighbor does not hold, so it goes quiet at
+//! that fixpoint, and stays busy while a fault keeps a link due.
 
 use bandwidth_clusters::prelude::*;
 use bcc_datasets::{generate, SynthConfig};
-use bcc_simnet::{AsyncConfig, AsyncNetwork, SimNetwork};
+use bcc_simnet::{AsyncConfig, AsyncNetwork, FaultPlan, SimNetwork};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -28,9 +30,7 @@ fn async_and_sync_engines_reach_the_same_fixpoint() {
     let mut async_cfg = AsyncConfig::new(proto);
     async_cfg.seed = 1234;
     let mut asynch = AsyncNetwork::new(fw.anchor(), fw.predicted_matrix(), async_cfg);
-    asynch
-        .run_to_convergence(3.0, 2_000.0)
-        .expect("async converges");
+    asynch.run_to_quiescence(2_000.0).expect("async converges");
 
     assert_eq!(
         sync.digest(),
@@ -51,6 +51,71 @@ fn async_and_sync_engines_reach_the_same_fixpoint() {
 }
 
 #[test]
+fn the_event_engine_goes_quiet_at_the_fixpoint() {
+    let (fw, proto) = stack(48, 5);
+    let mut sync = SimNetwork::new(fw.anchor(), fw.predicted_matrix(), proto.clone());
+    sync.run_to_convergence(300).expect("sync converges");
+
+    let mut cfg = AsyncConfig::new(proto);
+    cfg.seed = 1234;
+    let mut asynch = AsyncNetwork::new(fw.anchor(), fw.predicted_matrix(), cfg);
+    // A bounded run first: an engine that never goes quiet fails here
+    // instead of hanging in the unbounded run below.
+    let quiet_at = asynch
+        .clone()
+        .run_to_quiescence(2_000.0)
+        .expect("the queue drains");
+
+    asynch.run_until(f64::INFINITY);
+    assert!(
+        asynch.now().is_finite(),
+        "the clock stops at the last event"
+    );
+    assert!(asynch.now() >= quiet_at);
+    assert_eq!(
+        asynch.network().digest(),
+        sync.digest(),
+        "fixpoint depends on the schedule"
+    );
+
+    // At loss 0 nothing is sent after the fixpoint.
+    let (delivered, lost) = (asynch.delivered(), asynch.lost());
+    asynch.run_until(asynch.now() + 100.0);
+    assert_eq!(
+        asynch.delivered(),
+        delivered,
+        "a message after the fixpoint"
+    );
+    assert_eq!(asynch.lost(), lost);
+}
+
+#[test]
+fn a_crash_that_never_recovers_keeps_the_engine_busy() {
+    // Reports toward the dead host are lost, so their links stay due and
+    // the engine never goes quiet.
+    let (fw, proto) = stack(12, 5);
+    let mut net = AsyncNetwork::new(fw.anchor(), fw.predicted_matrix(), AsyncConfig::new(proto));
+    net.inject_faults(&FaultPlan::new(5).crash(0.0, NodeId::new(1)));
+    assert_eq!(net.run_to_quiescence(200.0), None);
+    assert_eq!(net.now(), 200.0);
+    assert!(net.lost() > 0);
+}
+
+#[test]
+fn a_nan_or_past_horizon_observes_nothing() {
+    let (fw, proto) = stack(12, 5);
+    let mut net = AsyncNetwork::new(fw.anchor(), fw.predicted_matrix(), AsyncConfig::new(proto));
+    net.run_until(1.0);
+    let delivered = net.delivered();
+    for max_time in [f64::NAN, 0.5, -1.0, f64::NEG_INFINITY] {
+        assert_eq!(net.run_to_quiescence(max_time), None, "{max_time}");
+        assert_eq!(net.now(), 1.0, "{max_time} must not move the clock");
+        assert_eq!(net.delivered(), delivered);
+    }
+    assert!(net.run_to_quiescence(2_000.0).is_some());
+}
+
+#[test]
 fn async_fixpoint_is_independent_of_latency_distribution() {
     let (fw, proto) = stack(30, 6);
     let run = |latency: (f64, f64), seed: u64| {
@@ -58,7 +123,7 @@ fn async_fixpoint_is_independent_of_latency_distribution() {
         cfg.latency = latency;
         cfg.seed = seed;
         let mut net = AsyncNetwork::new(fw.anchor(), fw.predicted_matrix(), cfg);
-        net.run_to_convergence(3.0, 5_000.0).expect("converges");
+        net.run_to_quiescence(5_000.0).expect("converges");
         net.network().digest()
     };
     let fast_links = run((0.001, 0.005), 1);
@@ -89,9 +154,7 @@ fn placeholder_ids_hold_the_same_state_on_both_engines() {
     let mut cfg = AsyncConfig::new(proto);
     cfg.seed = 8;
     let mut asynch = AsyncNetwork::new(fw.anchor(), predicted, cfg);
-    asynch
-        .run_to_convergence(3.0, 2_000.0)
-        .expect("async converges");
+    asynch.run_to_quiescence(2_000.0).expect("async converges");
 
     assert_eq!(sync.nodes()[7].own_max(), [1, 1, 1, 1]);
     for id in [6, 7] {

@@ -12,7 +12,10 @@
 //! path build a predicted-distance matrix beside the one member store, nor
 //! the event engine keep protocol state beside the `SimNetwork` it
 //! schedules: the space-change gate that recomputes a node's local maxima
-//! has one body, in `crates/simnet/src/engine.rs`.
+//! has one body, in `crates/simnet/src/engine.rs`. So does the send rule
+//! that the focused repair and the event engine's timers follow (a report
+//! goes out only when it differs from the record its receiver holds), and
+//! the fault schedule has one injector type, with no trait beside it.
 
 use std::path::{Path, PathBuf};
 
@@ -25,6 +28,19 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
             out.push(path);
         }
     }
+}
+
+/// Every `.rs` file under `crates/*/src`, sorted.
+fn crate_sources(root: &Path) -> Vec<PathBuf> {
+    let mut sources = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates directory") {
+        let src = entry.expect("readable entry").path().join("src");
+        if src.is_dir() {
+            rust_sources(&src, &mut sources);
+        }
+    }
+    sources.sort();
+    sources
 }
 
 /// `text` without its `#[cfg(test)]` items.
@@ -58,14 +74,7 @@ fn without_items(text: &str, marker: &str) -> String {
 #[test]
 fn each_shared_decision_is_defined_in_one_file() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut sources = Vec::new();
-    for entry in std::fs::read_dir(root.join("crates")).expect("crates directory") {
-        let src = entry.expect("readable entry").path().join("src");
-        if src.is_dir() {
-            rust_sources(&src, &mut sources);
-        }
-    }
-    sources.sort();
+    let sources = crate_sources(root);
     assert!(
         sources.len() > 100,
         "{} files: wrong directory?",
@@ -176,5 +185,84 @@ fn each_shared_decision_is_defined_in_one_file() {
     for (found, (needle, _, owner)) in holders.iter().zip(owners) {
         let expected: Vec<String> = owner.iter().map(|o| o.to_string()).collect();
         assert_eq!(found, &expected, "files holding {needle:?}");
+    }
+}
+
+#[test]
+fn the_send_decision_is_made_in_the_engine() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sources = crate_sources(root);
+    let engine = "crates/simnet/src/engine.rs";
+    let mut due_bodies = Vec::new();
+    let mut injector_traits = Vec::new();
+    for path in &sources {
+        let raw = std::fs::read_to_string(path).expect("readable source");
+        let relative = path.strip_prefix(root).expect("under the manifest dir");
+        let relative = relative.to_string_lossy().replace('\\', "/");
+        if library_text(&raw).contains("FaultInjector") {
+            injector_traits.push(relative.clone());
+        }
+        let library = library_text(&raw.replace('_', "").to_lowercase());
+        for needle in ["fn nodeinfodue(", "fn crtrowdue("] {
+            for _ in library.matches(needle) {
+                due_bodies.push(format!("{relative}: {needle}"));
+            }
+        }
+    }
+    assert_eq!(
+        due_bodies,
+        [
+            format!("{engine}: fn nodeinfodue("),
+            format!("{engine}: fn crtrowdue("),
+        ],
+        "send-rule bodies"
+    );
+    assert!(
+        injector_traits.is_empty(),
+        "library sources naming FaultInjector: {injector_traits:?}"
+    );
+
+    let read = |file: &str| {
+        let text = std::fs::read_to_string(root.join(file)).expect("readable source");
+        library_text(&text.replace('_', "").to_lowercase())
+    };
+    // The event engine asks the engine what is due and never compares a
+    // payload with a held record itself.
+    let event = read("crates/simnet/src/event.rs");
+    for needle in ["aggrnodefor", "crtentry"] {
+        assert!(
+            !event.contains(needle),
+            "crates/simnet/src/event.rs names {needle}"
+        );
+    }
+    for needle in [".nodeinfodue(", ".crtrowdue("] {
+        assert!(
+            event.contains(needle),
+            "crates/simnet/src/event.rs never calls {needle}"
+        );
+    }
+    // In the engine, the two send-rule bodies hold the only comparison;
+    // the export and the digest read records without deciding a send.
+    let mut rest = read(engine);
+    for item in [
+        "fn nodeinfodue",
+        "fn crtrowdue",
+        "fn exportgossip",
+        "fn digest",
+    ] {
+        rest = without_items(&rest, item);
+    }
+    for needle in [".aggrnodefor(", ".crtentry("] {
+        assert!(
+            !rest.contains(needle),
+            "{engine} reads {needle} outside the send rule"
+        );
+    }
+    for needle in [".nodeinfodue(", ".crtrowdue("] {
+        assert_eq!(
+            rest.matches(needle).count(),
+            1,
+            "the focused round calls {needle} once"
+        );
     }
 }
