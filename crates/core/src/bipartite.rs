@@ -62,16 +62,6 @@ impl BipartiteGraph {
         self.adj[l].push(r);
     }
 
-    /// Number of left vertices.
-    pub fn left_len(&self) -> usize {
-        self.left
-    }
-
-    /// Number of right vertices.
-    pub fn right_len(&self) -> usize {
-        self.right
-    }
-
     /// Size of a maximum matching (Hopcroft–Karp).
     pub fn max_matching(&self) -> usize {
         self.hopcroft_karp().0

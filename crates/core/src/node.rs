@@ -15,6 +15,7 @@
 //! performs no I/O. The round engine in `bcc-simnet` moves the messages, and
 //! [`crate::process_query`] walks the overlay using the CRTs.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use bcc_metric::{DistanceMatrix, NodeId};
@@ -109,8 +110,12 @@ pub struct ClusterNode {
     neighbors: Vec<NodeId>,
     /// aggrNode[v]: closest nodes reachable via neighbor v.
     aggr_node: BTreeMap<NodeId, Vec<NodeId>>,
+    /// V_x = {x} ∪ ⋃_v aggrNode[v], sorted and deduped.
+    space: Vec<NodeId>,
     /// aggrCRT[x][l]: the max cluster size buildable from the local space.
     own_max: Vec<usize>,
+    /// The space `own_max` was computed on; `None` once invalidated.
+    own_max_space: Option<Vec<NodeId>>,
     /// aggrCRT[v][l] for each neighbor v.
     aggr_crt: BTreeMap<NodeId, Vec<usize>>,
     class_count: usize,
@@ -123,7 +128,9 @@ impl ClusterNode {
             id,
             neighbors,
             aggr_node: BTreeMap::new(),
+            space: vec![id],
             own_max: vec![0; class_count],
+            own_max_space: None,
             aggr_crt: BTreeMap::new(),
             class_count,
         }
@@ -148,21 +155,28 @@ impl ClusterNode {
         self.aggr_node.clear();
         self.aggr_crt.clear();
         self.own_max = vec![0; self.class_count];
+        self.rebuild_space();
+        self.invalidate_own_max();
     }
 
     /// Replaces the overlay neighbor list (an anchor-tree edit adjacent to
     /// this host) and drops the aggregated records of any direction that no
     /// longer exists — stale `aggrNode[v]`/`aggrCRT[v]` entries for a
     /// departed neighbor would otherwise keep polluting
-    /// [`ClusterNode::clustering_space`] and the CRT folds forever.
+    /// [`ClusterNode::space`] and the CRT folds forever.
     ///
     /// Records for neighbors that remain are kept as-is: they stay valid
     /// gossip state and focused reconvergence refreshes them only where the
     /// senders' reports actually changed.
     pub fn set_neighbors(&mut self, neighbors: Vec<NodeId>) {
+        let records = self.aggr_node.len();
         self.aggr_node.retain(|v, _| neighbors.contains(v));
         self.aggr_crt.retain(|v, _| neighbors.contains(v));
         self.neighbors = neighbors;
+        if self.aggr_node.len() != records {
+            self.rebuild_space();
+        }
+        self.invalidate_own_max();
     }
 
     /// Algorithm 2, sender side: the `propNode` message for neighbor `to` —
@@ -222,6 +236,7 @@ impl ClusterNode {
     }
 
     /// Algorithm 2, receiver side: stores `propNode` received from `from`.
+    /// A record equal to the one held changes nothing.
     ///
     /// # Errors
     ///
@@ -237,19 +252,46 @@ impl ClusterNode {
                 neighbor: from.index(),
             });
         }
-        self.aggr_node.insert(from, info);
+        if self.aggr_node.get(&from) != Some(&info) {
+            self.aggr_node.insert(from, info);
+            self.rebuild_space();
+        }
         Ok(())
     }
 
-    /// The node's clustering space `V_x = {x} ∪ ⋃_v aggrNode[v]`, sorted.
-    pub fn clustering_space(&self) -> Vec<NodeId> {
-        let mut space: Vec<NodeId> = vec![self.id];
+    /// Recollects `V_x` from the stored records.
+    fn rebuild_space(&mut self) {
+        self.space.clear();
+        self.space.push(self.id);
         for nodes in self.aggr_node.values() {
-            space.extend(nodes.iter().copied());
+            self.space.extend_from_slice(nodes);
         }
-        space.sort_unstable();
-        space.dedup();
-        space
+        self.space.sort_unstable();
+        self.space.dedup();
+    }
+
+    /// The node's clustering space `V_x = {x} ∪ ⋃_v aggrNode[v]`, sorted.
+    pub fn space(&self) -> &[NodeId] {
+        &self.space
+    }
+
+    /// An owned copy of [`ClusterNode::space`].
+    pub fn clustering_space(&self) -> Vec<NodeId> {
+        self.space.clone()
+    }
+
+    /// Whether `aggrCRT[x]` must be recomputed (Algorithm 3, line 8): the
+    /// space differs from the one [`ClusterNode::recompute_own_max`] last
+    /// ran on, or a reset, a neighbor edit or an invalidation came since.
+    /// A new node is stale.
+    pub fn own_max_stale(&self) -> bool {
+        self.own_max_space.as_ref() != Some(&self.space)
+    }
+
+    /// Marks `aggrCRT[x]` stale whatever the space: a distance between
+    /// hosts of the space changed, which no record shows.
+    pub fn invalidate_own_max(&mut self) {
+        self.own_max_space = None;
     }
 
     /// The part of the clustering space `alive` admits, sorted — the
@@ -259,12 +301,12 @@ impl ClusterNode {
         &self,
         min_len: usize,
         mut alive: impl FnMut(NodeId) -> bool,
-    ) -> Option<Vec<NodeId>> {
-        let space: Vec<NodeId> = self
-            .clustering_space()
-            .into_iter()
-            .filter(|&u| alive(u))
-            .collect();
+    ) -> Option<Cow<'_, [NodeId]>> {
+        let space: Cow<'_, [NodeId]> = if self.space.iter().all(|&u| alive(u)) {
+            Cow::Borrowed(&self.space)
+        } else {
+            self.space.iter().copied().filter(|&u| alive(u)).collect()
+        };
         (space.len() >= min_len).then_some(space)
     }
 
@@ -281,11 +323,12 @@ impl ClusterNode {
     /// materialises its matrix.
     pub fn recompute_own_max(&mut self, classes: &BandwidthClasses, mut dist: impl Distances) {
         let _span = bcc_obs::span!("core.recompute_own_max");
-        let keys = bind(&self.clustering_space(), &mut dist);
+        let keys = bind(&self.space, &mut dist);
         let local = DistanceMatrix::from_fn(keys.len(), |i, j| dist.dist(keys[i], keys[j]));
         bcc_obs::observe!("core.own_max.space_len", local.len() as u64);
         let index = ClusterIndex::from_metric(&local);
         self.own_max = max_cluster_sizes_indexed(&local, &index, classes.distances());
+        self.own_max_space = Some(self.space.clone());
     }
 
     /// `aggrCRT[x][l]` — the maximum cluster size this node can build
@@ -297,7 +340,8 @@ impl ClusterNode {
     /// Restores `aggrCRT[x]` from a checkpoint without recomputing it —
     /// the warm-restart path, which must reproduce the exporting node's
     /// state bit-for-bit (and skip the local cluster searches
-    /// [`ClusterNode::recompute_own_max`] would run).
+    /// [`ClusterNode::recompute_own_max`] would run), as if computed on the
+    /// current space.
     ///
     /// # Errors
     ///
@@ -306,6 +350,7 @@ impl ClusterNode {
     pub fn restore_own_max(&mut self, own_max: Vec<usize>) -> Result<(), ClusterError> {
         self.check_width(&own_max)?;
         self.own_max = own_max;
+        self.own_max_space = Some(self.space.clone());
         Ok(())
     }
 

@@ -657,11 +657,6 @@ impl ClusterService {
         total
     }
 
-    /// Drops every cached answer (counters survive).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
     /// Publishes the service's and cache's counters into the
     /// process-global `bcc-obs` registry (as `service.stats.*` and
     /// `service.cache.stats.*` gauges), complementing the incremental

@@ -107,15 +107,6 @@ impl CoordCache {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
-    }
-
     pub fn stats(&self) -> CoordCacheStats {
         self.stats
     }

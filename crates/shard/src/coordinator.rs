@@ -667,16 +667,6 @@ impl Coordinator {
         &self.shards[shard]
     }
 
-    /// Mutable access to one shard (shard-direct traffic; membership must
-    /// still go through the coordinator).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard` is out of range.
-    pub fn shard_mut(&mut self, shard: usize) -> &mut ShardInstance {
-        &mut self.shards[shard]
-    }
-
     /// The plan the universe is partitioned by.
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
@@ -736,16 +726,6 @@ impl Coordinator {
     /// Coordinator-cache counters.
     pub fn cache_stats(&self) -> CoordCacheStats {
         self.cache.stats()
-    }
-
-    /// Entries currently cached.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Drops every cached cross-shard answer (counters survive).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
     }
 
     /// Publishes per-shard gauges (`shard.<id>.queries`,

@@ -52,14 +52,6 @@ impl ShardInstance {
         &self.service
     }
 
-    /// Mutable access to the shard's service, for shard-direct traffic
-    /// (`submit`/`tick`/`drain`). Membership changes must go through the
-    /// coordinator's churn wrappers instead, so the global labels and the
-    /// region index stay in lockstep.
-    pub fn service_mut(&mut self) -> &mut ClusterService {
-        &mut self.service
-    }
-
     /// The region index: this shard's active members under the global
     /// label metric, slot order ascending by id.
     pub fn region(&self) -> &ClusterIndex {

@@ -843,10 +843,23 @@ fn check_oracles(sys: &DynamicSystem, step: usize, cache: &mut ColdCache) -> Res
                 classes.len()
             )));
         }
-        // Local maxima must equal a fresh recomputation over the node's
-        // clustering space — the check that catches frozen/corrupted
-        // aggrCRT[x] state no matter how the digest masks it.
-        let space = node.clustering_space();
+        // The kept clustering space must be V_x = {x} ∪ ⋃_v aggrNode[v],
+        // rebuilt here from the records.
+        let mut space = vec![host];
+        for &v in node.neighbors() {
+            space.extend_from_slice(node.aggr_node_for(v).unwrap_or_default());
+        }
+        space.sort_unstable();
+        space.dedup();
+        if node.space() != space.as_slice() {
+            return Err(consistency(format!(
+                "host {host} keeps the space {:?}, its records give {space:?}",
+                node.space()
+            )));
+        }
+        // Local maxima must equal a fresh recomputation over that space —
+        // the check that catches frozen/corrupted aggrCRT[x] state no
+        // matter how the digest masks it.
         let local = DistanceMatrix::from_fn(space.len(), |i, j| dist(space[i], space[j]));
         for (class_idx, &l) in classes.distances().iter().enumerate() {
             let fresh = max_cluster_size(&local, l);

@@ -18,9 +18,7 @@
 //! latency spikes defer deliveries to later rounds. Every injected fault is
 //! recorded in the [`Trace`] when tracing is enabled.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
-use std::hash::{Hash, Hasher};
 
 use bcc_core::{
     process_query, process_query_resilient, Budgeted, ClusterNode, Meter, ProtocolConfig,
@@ -100,7 +98,6 @@ pub struct SimNetwork {
     config: ProtocolConfig,
     rounds_run: usize,
     traffic: TrafficStats,
-    space_digest: Vec<u64>,
     trace: Option<Trace>,
     injector: Option<PlannedInjector>,
     pending: Vec<PendingDelivery>,
@@ -157,7 +154,6 @@ impl SimNetwork {
             config,
             rounds_run: 0,
             traffic: TrafficStats::default(),
-            space_digest: vec![0; universe],
             trace: None,
             injector: None,
             pending: Vec::new(),
@@ -281,7 +277,6 @@ impl SimNetwork {
             if let FaultTransition::Recovered(node) = &t {
                 // Cold restart: gossip state is rebuilt from scratch.
                 self.nodes[node.index()].reset();
-                self.space_digest[node.index()] = 0;
                 recovered.push(*node);
             }
             if let Some(trace) = &mut self.trace {
@@ -437,18 +432,15 @@ impl SimNetwork {
         (!held).then_some(row)
     }
 
-    /// The one space-change gate (Algorithm 3, line 8): re-hashes node
-    /// `i`'s clustering space and, only when the hash moved, recomputes
-    /// the node's local maxima. Returns whether the maxima changed.
-    ///
-    /// A zeroed digest (after a reset, a neighbor edit or a distance-row
-    /// change) forces one recomputation.
+    /// The one space-change gate (Algorithm 3, line 8): recomputes node
+    /// `i`'s local maxima only when the node reports them stale — its
+    /// clustering space moved, or a reset, a neighbor edit or a
+    /// distance-row change invalidated them. Returns whether the maxima
+    /// changed.
     pub(crate) fn refresh_own_max(&mut self, i: usize) -> bool {
-        let d = space_hash(&self.nodes[i]);
-        if d == self.space_digest[i] {
+        if !self.nodes[i].own_max_stale() {
             return false;
         }
-        self.space_digest[i] = d;
         let before = self.nodes[i].own_max().to_vec();
         self.nodes[i].recompute_own_max(&self.config.classes, &self.predicted);
         self.nodes[i].own_max() != before.as_slice()
@@ -664,9 +656,8 @@ impl SimNetwork {
     ///   re-embedded host sort by that host's new distance row);
     /// - every host in `scan` whose clustering space intersects the reset
     ///   set — a changed distance row silently invalidates its local
-    ///   maxima, which the space-hash gate alone cannot see, so those
-    ///   hosts get their change-detection digest zeroed to force one
-    ///   recomputation.
+    ///   maxima, which no record shows, so those hosts are marked stale
+    ///   ([`ClusterNode::invalidate_own_max`]) to force one recomputation.
     ///
     /// Every other host's reports, local maxima and CRT rows are
     /// bit-identical to the pre-churn fixpoint (untouched label distances
@@ -689,12 +680,10 @@ impl SimNetwork {
         let mut seeds: BTreeSet<usize> = BTreeSet::new();
         for (id, list) in &delta.neighbors {
             self.nodes[id.index()].set_neighbors(list.clone());
-            self.space_digest[id.index()] = 0;
             seeds.insert(id.index());
         }
         for &id in &delta.reset {
             self.nodes[id.index()].reset();
-            self.space_digest[id.index()] = 0;
             seeds.insert(id.index());
         }
         // Neighbors of reset hosts (collected after the neighbor edits, so
@@ -705,17 +694,14 @@ impl SimNetwork {
         }
         seeds.extend(reset_neighbors);
 
-        let disturbed: BTreeSet<NodeId> = delta.reset.iter().copied().collect();
         for &i in scan {
-            if seeds.contains(&i.index()) && self.space_digest[i.index()] == 0 {
-                continue;
-            }
-            if self.nodes[i.index()]
-                .clustering_space()
+            let node = &mut self.nodes[i.index()];
+            if delta
+                .reset
                 .iter()
-                .any(|u| disturbed.contains(u))
+                .any(|u| node.space().binary_search(u).is_ok())
             {
-                self.space_digest[i.index()] = 0;
+                node.invalidate_own_max();
                 seeds.insert(i.index());
             }
         }
@@ -733,9 +719,9 @@ impl SimNetwork {
     ///
     /// - `info_dirty`: hosts whose `aggrNode` inputs changed (a stored
     ///   close-node record, the neighbor list, a distance row). They
-    ///   rebuild their `NodeInfo` reports and have their clustering space
-    ///   re-hashed; a receiver whose stored record changed joins the next
-    ///   round's `info_dirty`.
+    ///   rebuild their `NodeInfo` reports and have their local maxima
+    ///   checked for staleness; a receiver whose stored record changed
+    ///   joins the next round's `info_dirty`.
     /// - `crt_dirty`: hosts whose CRT inputs changed (a stored `aggrCRT`
     ///   row, the neighbor list). They, and every host whose local maxima
     ///   moved this round, rebuild their `CrtRow`s; a receiver whose stored
@@ -862,9 +848,9 @@ impl SimNetwork {
     /// Restores gossip state captured by [`SimNetwork::export_gossip`] into
     /// this network, which must have been built over the same overlay (same
     /// anchor tree, same id space). Local maxima are installed verbatim —
-    /// no cluster searches run — and the per-node change-detection digests
-    /// are refreshed so the next round does not mistake the restored spaces
-    /// for fresh information.
+    /// no cluster searches run — and count as computed on the restored
+    /// spaces, so the next round does not mistake them for fresh
+    /// information.
     ///
     /// # Errors
     ///
@@ -892,7 +878,6 @@ impl SimNetwork {
             }
             node.restore_own_max(st.own_max)
                 .map_err(|e| format!("node {i}: {e}"))?;
-            self.space_digest[i] = space_hash(&self.nodes[i]);
         }
         Ok(())
     }
@@ -900,10 +885,12 @@ impl SimNetwork {
     /// Hash of all protocol state (spaces + CRTs), used for convergence
     /// detection and determinism tests.
     pub fn digest(&self) -> u64 {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
         bcc_obs::inc!("simnet.digest.computes");
         let mut h = DefaultHasher::new();
         for node in &self.nodes {
-            node.clustering_space().hash(&mut h);
+            node.space().hash(&mut h);
             node.own_max().hash(&mut h);
             for &v in node.neighbors() {
                 for c in 0..self.config.classes.len() {
@@ -913,13 +900,6 @@ impl SimNetwork {
         }
         h.finish()
     }
-}
-
-/// Hash of `node`'s clustering space: what the space-change gate compares.
-fn space_hash(node: &ClusterNode) -> u64 {
-    let mut h = DefaultHasher::new();
-    node.clustering_space().hash(&mut h);
-    h.finish()
 }
 
 #[cfg(test)]

@@ -148,7 +148,9 @@ impl FaultPlan {
         &self.events
     }
 
-    /// Adds an arbitrary fault event.
+    /// Adds an arbitrary fault event. A change whose tick is NaN never
+    /// comes, like one at an infinite tick; a NaN or negative duration
+    /// counts as zero.
     pub fn push(mut self, at: f64, kind: FaultKind) -> Self {
         self.events.push(FaultEvent { at, kind });
         self
@@ -445,16 +447,17 @@ impl PlannedInjector {
         // being stable would give the same order today, but an explicit
         // composite key keeps replays deterministic regardless of sort
         // internals (and survives a future switch to an unstable sort).
+        // A NaN tick becomes +∞, a change that never comes, and −0.0
+        // becomes 0.0 (`+ 0.0`), so the total order ties them as `<=` does.
         let mut keyed: Vec<(f64, usize, Change)> = timeline
             .into_iter()
             .enumerate()
-            .map(|(idx, (at, change))| (at, idx, change))
+            .map(|(idx, (at, change))| {
+                let at = if at.is_nan() { f64::INFINITY } else { at + 0.0 };
+                (at, idx, change)
+            })
             .collect();
-        keyed.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("fault times are finite")
-                .then(a.1.cmp(&b.1))
-        });
+        keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let timeline: Vec<(f64, Change)> = keyed.into_iter().map(|(at, _, c)| (at, c)).collect();
         PlannedInjector {
             rng: StdRng::seed_from_u64(plan.seed()),
@@ -715,5 +718,19 @@ mod tests {
         assert_eq!(inj.next_change(), Some(15.0));
         inj.advance(15.0);
         assert_eq!(inj.next_change(), None, "an infinite tick never comes");
+    }
+
+    #[test]
+    fn a_nan_tick_never_comes() {
+        let mut inj = FaultPlan::new(1)
+            .crash(f64::NAN, n(1))
+            .crash(1.0, n(2))
+            .injector();
+        assert_eq!(inj.next_change(), Some(1.0));
+        assert_eq!(inj.advance(1.0), vec![FaultTransition::Crashed(n(2))]);
+        assert!(inj.is_down(n(2)));
+        assert_eq!(inj.next_change(), None, "a NaN tick never comes");
+        assert!(inj.advance(f64::MAX).is_empty());
+        assert!(!inj.is_down(n(1)));
     }
 }

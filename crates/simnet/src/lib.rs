@@ -14,7 +14,9 @@
 //! [`AsyncNetwork`] holds a [`SimNetwork`] and reschedules its message
 //! builders, delivery path and space-change gate on jittered per-node
 //! timers and random link latencies; it keeps only the event queue, the
-//! clock and its draws. Digests, queries, the trace and crash status are
+//! clock and its draws. The gate keeps no state of its own: each
+//! [`bcc_core::ClusterNode`] keeps its clustering space and reports when
+//! its local maxima are stale for it. Digests, queries, the trace and crash status are
 //! read through [`AsyncNetwork::network`], so the two schedules are
 //! compared on the same state. The churn path's focused repair and the
 //! event engine's timers send a neighbor a report only when it differs

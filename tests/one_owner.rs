@@ -16,6 +16,9 @@
 //! that the focused repair and the event engine's timers follow (a report
 //! goes out only when it differs from the record its receiver holds), and
 //! the fault schedule has one injector type, with no trait beside it.
+//! The node owns its clustering space: the gate asks the node whether its
+//! maxima are stale, the engine hashes nothing outside its digest, and no
+//! library code copies the space out through `clustering_space`.
 
 use std::path::{Path, PathBuf};
 
@@ -111,6 +114,9 @@ fn each_shared_decision_is_defined_in_one_file() {
     // Library files that read a `LazyRows` store's rows outside the two
     // gated bodies.
     let mut row_loops = Vec::new();
+    // Library calls of `ClusterNode::clustering_space`, which copies the
+    // kept space out: product code borrows `space()`.
+    let mut space_copies = Vec::new();
     let mut holders = vec![Vec::new(); owners.len()];
     for path in &sources {
         let text = std::fs::read_to_string(path).expect("readable source");
@@ -128,6 +134,9 @@ fn each_shared_decision_is_defined_in_one_file() {
         }
         for _ in library.matches(".recomputeownmax(") {
             own_max_calls.push(relative.clone());
+        }
+        if library.contains(".clusteringspace(") {
+            space_copies.push(relative.clone());
         }
         if library.contains("lazyrows") {
             let rest = without_items(&library, "fn sweeprows");
@@ -172,6 +181,22 @@ fn each_shared_decision_is_defined_in_one_file() {
         3,
         "crates/simnet/src/event.rs holds a predicted matrix of its own"
     );
+    // The cycle engine hashes only in its digest: the gate keeps no space
+    // hash beside the node's own staleness flag.
+    let engine =
+        std::fs::read_to_string(root.join("crates/simnet/src/engine.rs")).expect("readable source");
+    let engine = library_text(&engine.replace('_', "").to_lowercase());
+    let outside_digest = without_items(&engine, "fn digest");
+    for needle in ["defaulthasher", "fn spacehash", "spacedigest"] {
+        assert!(
+            !outside_digest.contains(needle),
+            "crates/simnet/src/engine.rs names {needle} outside fn digest"
+        );
+    }
+    assert!(
+        engine.contains(".ownmaxstale()"),
+        "the space-change gate asks the node whether its maxima are stale"
+    );
     assert_eq!(walks, ["crates/core/src/query.rs"], "resilient walk bodies");
     assert_eq!(
         own_max_calls,
@@ -181,6 +206,10 @@ fn each_shared_decision_is_defined_in_one_file() {
     assert!(
         row_loops.is_empty(),
         "row-store pair loops outside sweep_rows / max_size_rows: {row_loops:?}"
+    );
+    assert!(
+        space_copies.is_empty(),
+        "library calls of clustering_space: {space_copies:?}"
     );
     for (found, (needle, _, owner)) in holders.iter().zip(owners) {
         let expected: Vec<String> = owner.iter().map(|o| o.to_string()).collect();
