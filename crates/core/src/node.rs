@@ -236,7 +236,8 @@ impl ClusterNode {
     }
 
     /// Algorithm 2, receiver side: stores `propNode` received from `from`.
-    /// A record equal to the one held changes nothing.
+    /// A record equal to the one held changes nothing. Returns whether the
+    /// record changed.
     ///
     /// # Errors
     ///
@@ -246,17 +247,18 @@ impl ClusterNode {
         &mut self,
         from: NodeId,
         info: Vec<NodeId>,
-    ) -> Result<(), ClusterError> {
+    ) -> Result<bool, ClusterError> {
         if !self.neighbors.contains(&from) {
             return Err(ClusterError::UnknownNeighbor {
                 neighbor: from.index(),
             });
         }
-        if self.aggr_node.get(&from) != Some(&info) {
+        let changed = self.aggr_node.get(&from) != Some(&info);
+        if changed {
             self.aggr_node.insert(from, info);
             self.rebuild_space();
         }
-        Ok(())
+        Ok(changed)
     }
 
     /// Recollects `V_x` from the stored records.
@@ -380,21 +382,27 @@ impl ClusterNode {
     }
 
     /// Algorithm 3, receiver side: stores the `propCRT` row from `from`.
+    /// Returns whether the row differs from the one held (an absent row
+    /// reads as zeros, as in [`ClusterNode::crt_entry`]).
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::UnknownNeighbor`] if `from` is not a
     /// neighbor, and [`ClusterError::ClassCountMismatch`] if the row
     /// length does not match the class count.
-    pub fn receive_crt(&mut self, from: NodeId, row: Vec<usize>) -> Result<(), ClusterError> {
+    pub fn receive_crt(&mut self, from: NodeId, row: Vec<usize>) -> Result<bool, ClusterError> {
         if !self.neighbors.contains(&from) {
             return Err(ClusterError::UnknownNeighbor {
                 neighbor: from.index(),
             });
         }
         self.check_width(&row)?;
+        let changed = row
+            .iter()
+            .enumerate()
+            .any(|(c, &s)| self.crt_entry(from, c) != s);
         self.aggr_crt.insert(from, row);
-        Ok(())
+        Ok(changed)
     }
 
     /// A routing-table row must hold one entry per bandwidth class.
@@ -732,6 +740,18 @@ mod tests {
         assert_eq!(x.crt_for(n(0)).unwrap(), vec![3, 4]);
         // Row for n2 excludes n2: max(own=0, n0, n3).
         assert_eq!(x.crt_for(n(2)).unwrap(), vec![5, 3]);
+    }
+
+    #[test]
+    fn receiving_reports_whether_the_record_changed() {
+        let mut x = ClusterNode::new(n(1), vec![n(0), n(2)], 2);
+        assert_eq!(x.receive_node_info(n(0), vec![n(0)]), Ok(true));
+        assert_eq!(x.receive_node_info(n(0), vec![n(0)]), Ok(false));
+        assert_eq!(x.receive_node_info(n(0), vec![n(0), n(3)]), Ok(true));
+        // An absent CRT row reads as zeros.
+        assert_eq!(x.receive_crt(n(2), vec![0, 0]), Ok(false));
+        assert_eq!(x.receive_crt(n(2), vec![2, 0]), Ok(true));
+        assert_eq!(x.receive_crt(n(2), vec![2, 0]), Ok(false));
     }
 
     #[test]

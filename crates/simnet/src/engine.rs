@@ -2,15 +2,17 @@
 //!
 //! Each round has two phases, mirroring the paper's background mechanisms:
 //!
-//! 1. **Close-node aggregation** (Algorithm 2): every overlay edge carries a
-//!    `NodeInfo` message in both directions.
+//! 1. **Close-node aggregation** (Algorithm 2): every live node sends each
+//!    overlay neighbor its `NodeInfo` report.
 //! 2. **CRT aggregation** (Algorithm 3): every node recomputes its local
 //!    maximum cluster sizes (only when its clustering space changed), then
-//!    every edge carries a `CrtRow` message in both directions.
+//!    sends each neighbor its `CrtRow`.
 //!
-//! Rounds repeat until a fixpoint: information needs at most one overlay
-//! diameter of rounds to flood, and the CRTs one more. The engine tracks
-//! message and byte counts so the evaluation can report communication costs.
+//! A report goes out only when it differs from the record its receiver
+//! holds, so a round that changes nothing sends nothing. Rounds repeat
+//! until such a round: information needs at most one overlay diameter of
+//! rounds to flood, and the CRTs one more. The engine tracks message and
+//! byte counts so the evaluation can report communication costs.
 //!
 //! A [`FaultPlan`] (see [`crate::fault`]) can be plugged in with
 //! [`SimNetwork::inject_faults`]: crashed nodes fall silent (state frozen,
@@ -313,7 +315,9 @@ impl SimNetwork {
     /// Sends one message through the (possibly faulty) wire: accounts
     /// traffic, consults the injector for drops/duplicates/delays, and
     /// either applies it immediately or defers it to a later round.
-    fn send(&mut self, to: usize, from: NodeId, msg: Message) {
+    /// Returns whether a copy landed now and changed what the receiver
+    /// held.
+    fn send(&mut self, to: usize, from: NodeId, msg: Message) -> bool {
         let round = self.rounds_run;
         self.traffic.messages += 1;
         self.traffic.bytes += msg.wire_len() as u64;
@@ -321,13 +325,14 @@ impl SimNetwork {
         if fate.is_dropped() {
             self.traffic.dropped += 1;
             self.record(round, to, from, &msg, TraceKind::Dropped);
-            return;
+            return false;
         }
         let delay_rounds = if fate.extra_delay > 0.0 {
             fate.extra_delay.ceil() as usize
         } else {
             0
         };
+        let mut landed = false;
         for copy in 0..fate.copies {
             if copy > 0 {
                 self.traffic.messages += 1;
@@ -335,7 +340,7 @@ impl SimNetwork {
                 self.record(round, to, from, &msg, TraceKind::Duplicated);
             }
             if delay_rounds == 0 {
-                self.apply_message(round, to, from, msg.clone());
+                landed |= self.apply_message(round, to, from, msg.clone());
             } else {
                 self.record(round, to, from, &msg, TraceKind::Delayed);
                 self.pending.push(PendingDelivery {
@@ -346,27 +351,31 @@ impl SimNetwork {
                 });
             }
         }
+        landed
     }
 
-    /// Decodes and applies one message to its receiver, recording it at
-    /// trace round `round`.
-    pub(crate) fn apply_message(&mut self, round: usize, to: usize, from: NodeId, msg: Message) {
-        let decoded = Message::decode(msg.encode()).expect("self-produced message decodes");
-        match decoded {
-            Message::NodeInfo { nodes } => {
-                self.record(round, to, from, &msg, TraceKind::NodeInfo);
-                self.nodes[to]
-                    .receive_node_info(from, nodes)
-                    .expect("valid neighbor");
-            }
+    /// Applies one message to its receiver, recording it at trace round
+    /// `round`. Returns whether the receiver's record changed.
+    pub(crate) fn apply_message(
+        &mut self,
+        round: usize,
+        to: usize,
+        from: NodeId,
+        msg: Message,
+    ) -> bool {
+        let kind = match msg {
+            Message::NodeInfo { .. } => TraceKind::NodeInfo,
+            Message::CrtRow { .. } => TraceKind::CrtRow,
+        };
+        self.record(round, to, from, &msg, kind);
+        let receiver = &mut self.nodes[to];
+        let changed = match msg {
+            Message::NodeInfo { nodes } => receiver.receive_node_info(from, nodes),
             Message::CrtRow { sizes } => {
-                self.record(round, to, from, &msg, TraceKind::CrtRow);
-                let row = sizes.into_iter().map(|s| s as usize).collect();
-                self.nodes[to]
-                    .receive_crt(from, row)
-                    .expect("valid neighbor");
+                receiver.receive_crt(from, sizes.into_iter().map(|s| s as usize).collect())
             }
-        }
+        };
+        changed.expect("valid neighbor")
     }
 
     /// Records one message event at trace round `round`, if tracing is on.
@@ -396,7 +405,7 @@ impl SimNetwork {
 
     /// Algorithm 2's `NodeInfo` report from node `from` to its overlay
     /// neighbor `to`.
-    pub(crate) fn node_info(&self, from: usize, to: NodeId) -> Vec<NodeId> {
+    fn node_info(&self, from: usize, to: NodeId) -> Vec<NodeId> {
         self.nodes[from]
             .node_info_for(to, self.config.n_cut, &self.predicted)
             .expect("overlay neighbors are mutual")
@@ -404,7 +413,7 @@ impl SimNetwork {
 
     /// Algorithm 3's CRT row from node `from` to its overlay neighbor `to`
     /// (sent as [`Message::crt_row`]).
-    pub(crate) fn crt_row(&self, from: usize, to: NodeId) -> Vec<usize> {
+    fn crt_row(&self, from: usize, to: NodeId) -> Vec<usize> {
         self.nodes[from]
             .crt_for(to)
             .expect("overlay neighbors are mutual")
@@ -446,103 +455,50 @@ impl SimNetwork {
         self.nodes[i].own_max() != before.as_slice()
     }
 
-    /// Runs one gossip round. Returns `true` if any node's state changed or
+    /// Runs one gossip round: applies the fault transitions scheduled up
+    /// to it, lands the deliveries a latency spike deferred to it (a late
+    /// message may find its receiver dead by now and drops like any
+    /// other), then runs the round body with every live node as a sender.
+    ///
+    /// Returns `true` if the round changed anything — a delivered report
+    /// that differed from the record held, or local maxima that moved — or
     /// deliveries are still in flight (i.e. the protocol has not yet
-    /// converged).
+    /// converged). A round at the fixpoint sends nothing.
     pub fn run_round(&mut self) -> bool {
-        let digest_before = self.digest();
-        self.run_round_from(digest_before).0
-    }
-
-    /// [`SimNetwork::run_round`] for a caller that already holds the
-    /// digest of the current state; also returns the post-round digest, so
-    /// back-to-back rounds hash each state once.
-    fn run_round_from(&mut self, digest_before: u64) -> (bool, u64) {
-        let n = self.nodes.len();
-
-        // Fault lifecycle scheduled up to this round, then any deliveries
-        // a latency spike deferred to it. Late messages may find their
-        // receiver dead by now — those drop like any other.
         let round = self.rounds_run;
         self.apply_fault_transitions(round as f64);
-        let mut due: Vec<PendingDelivery> = Vec::new();
-        self.pending.retain(|p| {
-            if p.due_round <= round {
-                due.push(p.clone());
-                false
-            } else {
-                true
-            }
-        });
+        let (due, later) = std::mem::take(&mut self.pending)
+            .into_iter()
+            .partition(|p| p.due_round <= round);
+        self.pending = later;
+        let mut landed = false;
         for p in due {
             if self.is_down(NodeId::new(p.to)) {
                 self.traffic.dropped += 1;
                 self.record(round, p.to, p.from, &p.msg, TraceKind::Dropped);
             } else {
-                self.apply_message(round, p.to, p.from, p.msg);
+                landed |= self.apply_message(round, p.to, p.from, p.msg);
             }
         }
-
-        // Phase 1: NodeInfo along every directed overlay edge. Messages are
-        // produced from the pre-round state (synchronous rounds), encoded to
-        // bytes for accounting, then delivered. Crashed nodes are silent.
-        let mut deliveries: Vec<(usize, NodeId, Message)> = Vec::new();
-        for m in 0..n {
-            let sender = &self.nodes[m];
-            if self.is_down(sender.id()) {
-                continue;
-            }
-            for &x in sender.neighbors() {
-                let info = self.node_info(m, x);
-                deliveries.push((x.index(), sender.id(), Message::NodeInfo { nodes: info }));
-            }
-        }
-        for (to, from, msg) in deliveries {
-            self.send(to, from, msg);
-        }
-
-        // Phase 2: recompute local maxima (only where the space changed),
-        // then CrtRow along every directed edge.
-        for i in 0..n {
-            if !self.is_down(NodeId::new(i)) {
-                self.refresh_own_max(i);
-            }
-        }
-        let mut deliveries: Vec<(usize, NodeId, Message)> = Vec::new();
-        for m in 0..n {
-            let sender = &self.nodes[m];
-            if self.is_down(sender.id()) {
-                continue;
-            }
-            for &x in sender.neighbors() {
-                let row = self.crt_row(m, x);
-                deliveries.push((x.index(), sender.id(), Message::crt_row(&row)));
-            }
-        }
-        for (to, from, msg) in deliveries {
-            self.send(to, from, msg);
-        }
-
-        self.rounds_run += 1;
-        let digest_after = self.digest();
-        let changed = digest_after != digest_before || !self.pending.is_empty();
-        (changed, digest_after)
+        let live: BTreeSet<usize> = (0..self.nodes.len())
+            .filter(|&i| !self.is_down(NodeId::new(i)))
+            .collect();
+        let (info, crt, moved) = self.run_gossip_round(&live, &live);
+        landed || moved || !info.is_empty() || !crt.is_empty() || !self.pending.is_empty()
     }
 
     /// Runs rounds until a fixpoint, up to `max_rounds`.
     ///
-    /// Returns the number of rounds executed, or `None` if the state was
-    /// still changing at the cap (which indicates a bug or a pathological
-    /// overlay — gossip on a tree converges within `2 × diameter + 2`
-    /// rounds; with active faults it may legitimately never settle).
+    /// Returns the number of rounds executed, the last of which changed
+    /// nothing, or `None` if the state was still changing at the cap
+    /// (which indicates a bug or a pathological overlay — gossip on a tree
+    /// converges within `2 × diameter + 2` rounds; with active faults it
+    /// may legitimately never settle).
     pub fn run_to_convergence(&mut self, max_rounds: usize) -> Option<usize> {
         let _span = bcc_obs::span!("simnet.run_to_convergence");
         let start = self.rounds_run;
-        let mut digest = self.digest();
         for _ in 0..max_rounds {
-            let (changed, digest_after) = self.run_round_from(digest);
-            digest = digest_after;
-            if !changed {
+            if !self.run_round() {
                 let rounds = self.rounds_run - start;
                 bcc_obs::observe!("simnet.convergence_rounds", rounds as u64);
                 return Some(rounds);
@@ -712,10 +668,9 @@ impl SimNetwork {
     /// has anything left to say, up to `max_rounds`. Returns the number of
     /// rounds executed, or `None` at the cap.
     ///
-    /// Each round mirrors [`SimNetwork::run_round`]'s phases, but a host
-    /// only speaks about what changed for it, and only to a neighbor that
-    /// does not already hold what it would say. Two dirty sets, both
-    /// seeded with `seeds`, carry that:
+    /// Each round is [`SimNetwork::run_round`]'s body, but only the hosts
+    /// whose inputs changed speak. Two dirty sets, both seeded with
+    /// `seeds`, carry that:
     ///
     /// - `info_dirty`: hosts whose `aggrNode` inputs changed (a stored
     ///   close-node record, the neighbor list, a distance row). They
@@ -729,8 +684,8 @@ impl SimNetwork {
     ///
     /// A send is skipped when the payload equals the receiver's stored
     /// record, which *is* the last message that edge delivered (an absent
-    /// CRT row reads as zeros, as in [`SimNetwork::export_gossip`]); the
-    /// event engine's timers follow the same rule. A host
+    /// CRT row reads as zeros, as in [`SimNetwork::export_gossip`]); full
+    /// rounds and the event engine's timers follow the same rule. A host
     /// therefore falls silent only when nothing it would send differs from
     /// what its neighbors hold, which is the fixpoint condition itself:
     /// the unique fixpoint a cold restart of the same membership computes
@@ -747,24 +702,25 @@ impl SimNetwork {
             if self.rounds_run - start >= max_rounds {
                 return None;
             }
-            (info_dirty, crt_dirty) = self.run_focused_round(&info_dirty, &crt_dirty);
+            (info_dirty, crt_dirty, _) = self.run_gossip_round(&info_dirty, &crt_dirty);
         }
         let rounds = self.rounds_run - start;
         bcc_obs::observe!("simnet.focused_rounds", rounds as u64);
         Some(rounds)
     }
 
-    /// One focused round: returns the next round's `(info_dirty,
-    /// crt_dirty)`.
-    fn run_focused_round(
+    /// The one round body, over live senders: returns the next round's
+    /// `(info_dirty, crt_dirty)` — the receivers whose stored records a
+    /// landed message changed — and whether any host's local maxima moved.
+    fn run_gossip_round(
         &mut self,
         info_dirty: &BTreeSet<usize>,
         crt_dirty: &BTreeSet<usize>,
-    ) -> (BTreeSet<usize>, BTreeSet<usize>) {
+    ) -> (BTreeSet<usize>, BTreeSet<usize>, bool) {
         let mut suppressed = 0u64;
 
         // Phase 1: NodeInfo from every info-dirty sender, produced from
-        // the pre-round state (synchronous rounds, like `run_round`).
+        // the pre-round state (synchronous rounds).
         let mut deliveries: Vec<(usize, NodeId, Message)> = Vec::new();
         for &m in info_dirty {
             let sender = &self.nodes[m];
@@ -777,20 +733,23 @@ impl SimNetwork {
                 }
             }
         }
-        bcc_obs::add!("simnet.focused.node_info_sent", deliveries.len() as u64);
+        bcc_obs::add!("simnet.gossip.node_info_sent", deliveries.len() as u64);
         let mut next_info: BTreeSet<usize> = BTreeSet::new();
         for (to, from, msg) in deliveries {
-            self.send(to, from, msg);
-            next_info.insert(to);
+            if self.send(to, from, msg) {
+                next_info.insert(to);
+            }
         }
 
         // Phase 2: recompute local maxima where the clustering space
         // changed — info-dirty senders and every receiver phase 1 just
         // updated. A host whose maxima moved speaks in phase 3.
         let mut crt_senders = crt_dirty.clone();
+        let mut moved = false;
         for &i in info_dirty.union(&next_info) {
             if self.refresh_own_max(i) {
                 crt_senders.insert(i);
+                moved = true;
             }
         }
 
@@ -805,16 +764,17 @@ impl SimNetwork {
                 }
             }
         }
-        bcc_obs::add!("simnet.focused.crt_sent", deliveries.len() as u64);
-        bcc_obs::add!("simnet.focused.suppressed", suppressed);
+        bcc_obs::add!("simnet.gossip.crt_sent", deliveries.len() as u64);
+        bcc_obs::add!("simnet.gossip.suppressed", suppressed);
         let mut next_crt: BTreeSet<usize> = BTreeSet::new();
         for (to, from, msg) in deliveries {
-            self.send(to, from, msg);
-            next_crt.insert(to);
+            if self.send(to, from, msg) {
+                next_crt.insert(to);
+            }
         }
 
         self.rounds_run += 1;
-        (next_info, next_crt)
+        (next_info, next_crt, moved)
     }
 
     /// Exports every node's aggregated gossip state as plain data, in node
@@ -882,8 +842,10 @@ impl SimNetwork {
         Ok(())
     }
 
-    /// Hash of all protocol state (spaces + CRTs), used for convergence
-    /// detection and determinism tests.
+    /// Hash of all protocol state (spaces + CRTs): the freshness stamp of
+    /// a served overlay and the oracle of the determinism and
+    /// live-equals-cold tests. Rounds never take it; a round reports
+    /// convergence from what it did.
     pub fn digest(&self) -> u64 {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
@@ -1172,6 +1134,98 @@ mod tests {
         assert_eq!(net.reconverge_focused(&everyone, 100), Some(1));
         assert_eq!(net.traffic().messages, messages, "every send suppressed");
         assert_eq!(net.digest(), digest);
+    }
+
+    #[test]
+    fn full_round_on_a_converged_overlay_sends_nothing() {
+        let mut net = build(8, 3, vec![25.0, 50.0]);
+        net.run_to_convergence(100).unwrap();
+        let digest = net.digest();
+        let traffic = net.traffic();
+        // Every live host is a sender, and each finds that every neighbor
+        // already holds exactly what it would say.
+        assert!(!net.run_round(), "a round at the fixpoint changes nothing");
+        assert_eq!(net.traffic(), traffic, "every send suppressed");
+        assert_eq!(net.digest(), digest);
+    }
+
+    #[test]
+    fn a_round_that_only_moves_local_maxima_is_a_change() {
+        let mut net = build(8, 3, vec![25.0, 50.0]);
+        net.run_to_convergence(100).unwrap();
+        let digest = net.digest();
+        let traffic = net.traffic();
+        // Host 3's maxima are wrong and stale; its neighbors still hold
+        // the rows the right maxima give.
+        let node = &mut net.nodes_mut()[3];
+        node.restore_own_max(vec![0, 0]).unwrap();
+        node.invalidate_own_max();
+        assert_ne!(net.digest(), digest);
+        assert!(net.run_round(), "the recompute moved the maxima");
+        assert_eq!(net.traffic(), traffic, "no neighbor lacked a row");
+        assert_eq!(net.digest(), digest);
+        assert!(!net.run_round());
+    }
+
+    #[test]
+    fn a_round_with_a_delivery_in_flight_is_not_converged() {
+        let mut net = build(8, 3, vec![25.0, 50.0]);
+        net.run_to_convergence(100).unwrap();
+        let fixpoint = net.digest();
+        // One held CRT row is wrong, and the link that would mend it is
+        // three rounds slow from now on.
+        let from = n(3);
+        let to = net.nodes()[3].neighbors()[0];
+        net.inject_faults(&FaultPlan::new(8).latency_spike(0.0, from, to, (3.0, 3.0), None));
+        net.nodes_mut()[to.index()]
+            .receive_crt(from, vec![0, 0])
+            .unwrap();
+        let messages = net.traffic().messages;
+        // The round's one message is in flight: nothing landed and no
+        // maxima moved, yet the round is not the fixpoint.
+        assert!(net.run_round(), "a delivery is still pending");
+        assert_eq!(net.traffic().messages, messages + 1);
+        assert_ne!(net.digest(), fixpoint);
+        net.run_to_convergence(100).expect("the late row lands");
+        assert_eq!(net.digest(), fixpoint);
+    }
+
+    #[test]
+    fn a_late_stale_report_is_overwritten_by_a_fresh_one() {
+        let mut reference = build(8, 3, vec![25.0, 50.0]);
+        reference.run_to_convergence(100).unwrap();
+
+        // A host with two directions reports more about itself on round 1
+        // than on round 0. Both reports on one of its links arrive three
+        // rounds late, after the spike healed and a fresh report landed.
+        let mut net = build(8, 3, vec![25.0, 50.0]);
+        let from = (0..8)
+            .map(n)
+            .find(|&u| net.nodes()[u.index()].neighbors().len() >= 2)
+            .expect("a line overlay has an interior host");
+        let to = net.nodes()[from.index()].neighbors()[0];
+        net.enable_tracing(1 << 14);
+        net.inject_faults(&FaultPlan::new(7).latency_spike(0.0, from, to, (3.0, 3.0), Some(2.0)));
+        net.run_to_convergence(100)
+            .expect("converges once the spike heals");
+        assert_eq!(net.digest(), reference.digest(), "the fault-free fixpoint");
+
+        // On `from -> to`, a report shorter than the one before it (the
+        // stale copy landing) is followed in the same round by the fresh
+        // report again.
+        let reports: Vec<(usize, usize)> = net
+            .trace()
+            .unwrap()
+            .events()
+            .iter()
+            .filter(|e| e.kind == TraceKind::NodeInfo && e.from == from && e.to == to)
+            .map(|e| (e.round, e.entries))
+            .collect();
+        let resent = reports.windows(3).any(|w| {
+            let [(_, fresh), (late, stale), (again, resent)] = [w[0], w[1], w[2]];
+            stale < fresh && again == late && resent == fresh
+        });
+        assert!(resent, "no stale landing re-sent in {reports:?}");
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! the `simnet` integration suite verify via [`SimNetwork::digest`].
 //!
 //! A timer sends a neighbor only what is *due*, the reports that differ
-//! from the records it holds (the rule [`SimNetwork::reconverge_focused`]
-//! follows too), and lapses when nothing is; deliveries and recoveries
-//! re-arm the timers they affect. So the queue drains exactly at the
-//! fixpoint, and [`AsyncNetwork::run_to_quiescence`] reports its time.
+//! from the records it holds (the rule [`SimNetwork::run_round`] and
+//! [`SimNetwork::reconverge_focused`] follow too), and lapses when nothing
+//! is; deliveries and recoveries re-arm the timers they affect. So the
+//! queue drains exactly at the fixpoint, and
+//! [`AsyncNetwork::run_to_quiescence`] reports its time.
 //!
 //! The same [`FaultPlan`] that drives [`crate::SimNetwork`] plugs in here
 //! via [`AsyncNetwork::inject_faults`], with ticks interpreted as simulated

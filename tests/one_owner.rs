@@ -13,9 +13,12 @@
 //! the event engine keep protocol state beside the `SimNetwork` it
 //! schedules: the space-change gate that recomputes a node's local maxima
 //! has one body, in `crates/simnet/src/engine.rs`. So does the send rule
-//! that the focused repair and the event engine's timers follow (a report
-//! goes out only when it differs from the record its receiver holds), and
-//! the fault schedule has one injector type, with no trait beside it.
+//! that every round and the event engine's timers follow (a report goes
+//! out only when it differs from the record its receiver holds), and so
+//! does the round: full rounds and the focused repair run one body, and
+//! convergence is read off what a round did, never off a digest taken
+//! before and after it. The fault schedule has one injector type, with no
+//! trait beside it.
 //! The node owns its clustering space: the gate asks the node whether its
 //! maxima are stale, the engine hashes nothing outside its digest, and no
 //! library code copies the space out through `clustering_space`.
@@ -291,7 +294,32 @@ fn the_send_decision_is_made_in_the_engine() {
         assert_eq!(
             rest.matches(needle).count(),
             1,
-            "the focused round calls {needle} once"
+            "the round body calls {needle} once"
+        );
+    }
+    // One round body: no second one beside it, and the two report
+    // builders are reached only through the send rule.
+    assert!(
+        !rest.contains("fn runroundfrom"),
+        "{engine} keeps a second round body"
+    );
+    for file in [engine, "crates/simnet/src/event.rs"] {
+        let mut rest = read(file);
+        for item in ["fn nodeinfodue", "fn crtrowdue"] {
+            rest = without_items(&rest, item);
+        }
+        for needle in [".nodeinfo(", ".crtrow("] {
+            assert!(
+                !rest.contains(needle),
+                "{file} calls {needle} outside the send rule"
+            );
+        }
+        // Convergence is what a round did: neither engine hashes the
+        // network to find it.
+        let rest = without_items(&rest, "fn digest");
+        assert!(
+            !rest.contains(".digest()"),
+            "{file} takes a digest outside fn digest"
         );
     }
 }
