@@ -593,7 +593,9 @@ pub fn find_cluster_indexed<M: FiniteMetric>(
 /// [`crate::ClusterNode::recompute_own_max`]. Rows whose `l`-ball cannot
 /// beat the running best are skipped, each row's `l`-prefix is walked
 /// descending by distance until its own ball bound gives out, pairs are
-/// pruned through both endpoint bounds, and survivors are counted exactly.
+/// pruned through both endpoint bounds, and survivors are counted exactly
+/// as the intersection of their two balls. The count reads the index
+/// alone; `metric` is the space it was built over.
 ///
 /// Equals the pair-sweep result on any symmetric metric: every pruned pair
 /// provably satisfies `|S*_pq| ≤ best` at prune time, and surviving pairs
@@ -607,7 +609,8 @@ pub fn max_cluster_size_indexed<M: FiniteMetric>(
     index: &ClusterIndex,
     l: f64,
 ) -> usize {
-    max_cluster_sizes_indexed(metric, index, &[l])[0]
+    assert_eq!(metric.len(), index.len(), "index does not cover the metric");
+    max_cluster_sizes_indexed(index, &[l])[0]
 }
 
 /// [`crate::max_cluster_size`] for every constraint in `ls` at once (any
@@ -624,23 +627,14 @@ pub fn max_cluster_size_indexed<M: FiniteMetric>(
 ///   no larger than the floor, so a class scans in each sorted row only
 ///   the band `l_prev < d(p,q) ≤ l`, and only its `q > p` half: the pair
 ///   belongs to the lower slot's row.
-/// - **Ball walk.** `S*_pq = B(p, d) ∩ B(q, d)` with `d = d(p,q)`, so the
-///   count walks the sorted-row prefix of the endpoint with the smaller
-///   ball and tests the other endpoint's distance:
-///   `min(|B(p,d)|, |B(q,d)|)` probes instead of `2m`.
-///
-/// # Panics
-///
-/// Panics when `index.len() != metric.len()`.
-pub(crate) fn max_cluster_sizes_indexed<M: FiniteMetric>(
-    metric: &M,
-    index: &ClusterIndex,
-    ls: &[f64],
-) -> Vec<usize> {
+/// - **Ball intersection.** `S*_pq = B(p, d) ∩ B(q, d)` with
+///   `d = d(p,q)`, and both balls are sorted-row prefixes, so the count
+///   marks one prefix's ids and counts the marked ids of the other. The
+///   kernel reads the index alone: no distance outside the rows.
+pub(crate) fn max_cluster_sizes_indexed(index: &ClusterIndex, ls: &[f64]) -> Vec<usize> {
     let _span = bcc_obs::span!("core.max_cluster_size_indexed");
     bcc_obs::inc!("core.index.probes");
-    assert_eq!(metric.len(), index.len(), "index does not cover the metric");
-    let n = metric.len();
+    let n = index.len();
     if n == 0 {
         return vec![0; ls.len()];
     }
@@ -649,11 +643,12 @@ pub(crate) fn max_cluster_sizes_indexed<M: FiniteMetric>(
     let mut sizes = vec![0; ls.len()];
     let mut best = 1usize;
     let mut l_prev = f64::NEG_INFINITY;
+    let mut marks = BallMarks::new(index.universe());
     for c in order {
         let l = ls[c];
         if l > l_prev {
             for p in 0..n {
-                best = scan_row_band(metric, index, p, l_prev, l, best);
+                best = scan_row_band(&mut marks, index, p, l_prev, l, best);
             }
             l_prev = l;
         }
@@ -662,12 +657,43 @@ pub(crate) fn max_cluster_sizes_indexed<M: FiniteMetric>(
     sizes
 }
 
+/// Stamped membership marks over an index's id universe: a ball is
+/// marked with a fresh stamp, so no pair clears the last pair's marks.
+struct BallMarks {
+    stamp: u32,
+    marks: Vec<u32>,
+}
+
+impl BallMarks {
+    fn new(universe: usize) -> Self {
+        BallMarks {
+            stamp: 0,
+            marks: vec![0; universe],
+        }
+    }
+
+    /// `|a ∩ b|` for two lists of distinct ids.
+    fn common(&mut self, a: &[u32], b: &[u32]) -> usize {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.marks.fill(0);
+            self.stamp = 1;
+        }
+        for &x in a {
+            self.marks[x as usize] = self.stamp;
+        }
+        b.iter()
+            .filter(|&&x| self.marks[x as usize] == self.stamp)
+            .count()
+    }
+}
+
 /// Scans the band `lo < d(p,q) ≤ hi` of row `p` descending by distance,
 /// tightening `best` with exact counts of the pairs `q > p`. Both endpoint
 /// ball bounds are applied before counting, and the walk stops as soon as
 /// the row's own bound can no longer beat `best`.
-fn scan_row_band<M: FiniteMetric>(
-    metric: &M,
+fn scan_row_band(
+    marks: &mut BallMarks,
     index: &ClusterIndex,
     p: usize,
     lo: f64,
@@ -697,19 +723,13 @@ fn scan_row_band<M: FiniteMetric>(
         if ub_q <= best {
             continue;
         }
-        // Walk the smaller ball, probe the other endpoint.
-        let (ball, other) = if ub_p <= ub_q {
-            (&ids[..ub_p], q)
+        // Mark the larger ball, count over the smaller.
+        let (ball_p, ball_q) = (&ids[..ub_p], &index.row(q).1[..ub_q]);
+        let count = if ub_p <= ub_q {
+            marks.common(ball_q, ball_p)
         } else {
-            (&index.row(q).1[..ub_q], p)
+            marks.common(ball_p, ball_q)
         };
-        let count = ball
-            .iter()
-            .filter(|&&x| {
-                let x = index.slot(x).expect("row entries are index members");
-                metric.distance(other, x) <= dpq
-            })
-            .count();
         best = best.max(count);
     }
     best
@@ -1061,7 +1081,7 @@ mod tests {
             let ls: Vec<f64> = picks.iter().map(|&i| LS[i]).collect();
             let idx = ClusterIndex::from_metric(&d);
             let oracle: Vec<usize> = ls.iter().map(|&l| max_cluster_size(&d, l)).collect();
-            prop_assert_eq!(max_cluster_sizes_indexed(&d, &idx, &ls), oracle, "ls {:?}", ls);
+            prop_assert_eq!(max_cluster_sizes_indexed(&idx, &ls), oracle, "ls {:?}", ls);
         }
     }
 

@@ -18,7 +18,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use bcc_metric::{DistanceMatrix, NodeId};
+use bcc_metric::NodeId;
 
 use crate::classes::BandwidthClasses;
 use crate::error::ClusterError;
@@ -103,6 +103,35 @@ fn bind<D: Distances>(space: &[NodeId], dist: &mut D) -> Vec<D::Key> {
     space.iter().map(|&u| dist.key(u)).collect()
 }
 
+/// Spaces of at least this many hosts keep their sorted rows between
+/// recomputes (DESIGN §17, "Which spaces keep their rows"): below it the
+/// memory kept outweighs the time a delta saves, and below about 50 hosts
+/// a delta costs more than a build.
+const KEPT_ROWS_MIN_SPACE: usize = 200;
+
+/// The sorted rows of the space `aggrCRT[x]` was last computed on, kept
+/// for a big space so the next recompute applies the space's delta
+/// ([`ClusterIndex::apply_churn`]) instead of sorting every row again.
+#[derive(Debug, Clone)]
+struct KeptRows {
+    /// Keyed by host id, so slots are positions in that sorted space.
+    index: ClusterIndex,
+    /// Members whose distance rows changed since the rows were sorted:
+    /// the next update re-sorts them wherever they still are.
+    relabelled: Vec<u32>,
+}
+
+/// `read(a, b)` with the lower row id first, `0` on the diagonal: the
+/// pairs a dense fill of the sorted space reads. Ids and positions of a
+/// sorted space order alike, so both kinds of rows read the same values.
+fn lower_first(a: u32, b: u32, mut read: impl FnMut(u32, u32) -> f64) -> f64 {
+    match a.cmp(&b) {
+        std::cmp::Ordering::Less => read(a, b),
+        std::cmp::Ordering::Equal => 0.0,
+        std::cmp::Ordering::Greater => read(b, a),
+    }
+}
+
 /// Protocol state of one host.
 #[derive(Debug, Clone)]
 pub struct ClusterNode {
@@ -116,6 +145,8 @@ pub struct ClusterNode {
     own_max: Vec<usize>,
     /// The space `own_max` was computed on; `None` once invalidated.
     own_max_space: Option<Vec<NodeId>>,
+    /// That space's sorted rows, when it is big enough to keep them.
+    kept: Option<KeptRows>,
     /// aggrCRT[v][l] for each neighbor v.
     aggr_crt: BTreeMap<NodeId, Vec<usize>>,
     class_count: usize,
@@ -131,6 +162,7 @@ impl ClusterNode {
             space: vec![id],
             own_max: vec![0; class_count],
             own_max_space: None,
+            kept: None,
             aggr_crt: BTreeMap::new(),
             class_count,
         }
@@ -149,14 +181,16 @@ impl ClusterNode {
     /// Clears all aggregated protocol state (a cold restart after a crash).
     ///
     /// The id and overlay neighbor set survive — they come from the anchor
-    /// tree, not from gossip — but `aggrNode`, `aggrCRT` and the local
-    /// maxima are rebuilt from scratch by subsequent gossip rounds.
+    /// tree, not from gossip — but `aggrNode`, `aggrCRT`, the local maxima
+    /// and any kept rows are rebuilt from scratch by subsequent gossip
+    /// rounds.
     pub fn reset(&mut self) {
         self.aggr_node.clear();
         self.aggr_crt.clear();
         self.own_max = vec![0; self.class_count];
         self.rebuild_space();
-        self.invalidate_own_max();
+        self.own_max_space = None;
+        self.kept = None;
     }
 
     /// Replaces the overlay neighbor list (an anchor-tree edit adjacent to
@@ -176,7 +210,7 @@ impl ClusterNode {
         if self.aggr_node.len() != records {
             self.rebuild_space();
         }
-        self.invalidate_own_max();
+        self.own_max_space = None;
     }
 
     /// Algorithm 2, sender side: the `propNode` message for neighbor `to` —
@@ -284,16 +318,35 @@ impl ClusterNode {
 
     /// Whether `aggrCRT[x]` must be recomputed (Algorithm 3, line 8): the
     /// space differs from the one [`ClusterNode::recompute_own_max`] last
-    /// ran on, or a reset, a neighbor edit or an invalidation came since.
-    /// A new node is stale.
+    /// ran on, or a reset, a neighbor edit or a relabelled host of the
+    /// space came since. A new node is stale.
     pub fn own_max_stale(&self) -> bool {
         self.own_max_space.as_ref() != Some(&self.space)
     }
 
-    /// Marks `aggrCRT[x]` stale whatever the space: a distance between
-    /// hosts of the space changed, which no record shows.
-    pub fn invalidate_own_max(&mut self) {
-        self.own_max_space = None;
+    /// The hosts in `relabelled` got new distance rows (they were
+    /// re-embedded), which no record shows. Marks `aggrCRT[x]` stale when
+    /// one of them is in the space, and returns whether it did.
+    ///
+    /// Kept rows note every one of them they hold, whether or not it is
+    /// still in the space: a host that left, was relabelled and came back
+    /// before the next recompute has a stale row there all the same.
+    pub fn relabel(&mut self, relabelled: &[NodeId]) -> bool {
+        if let Some(kept) = &mut self.kept {
+            kept.relabelled.extend(
+                relabelled
+                    .iter()
+                    .map(|u| u.index() as u32)
+                    .filter(|&u| kept.index.slot(u).is_some()),
+            );
+        }
+        let stale = relabelled
+            .iter()
+            .any(|u| self.space.binary_search(u).is_ok());
+        if stale {
+            self.own_max_space = None;
+        }
+        stale
     }
 
     /// The part of the clustering space `alive` admits, sorted — the
@@ -316,21 +369,95 @@ impl ClusterNode {
     /// running the centralized search over the local clustering space.
     ///
     /// This is the all-class exact-maximum access pattern, so it is where
-    /// a [`ClusterIndex`] pays for itself: one `O(m² log m)` build over the
-    /// space, then one pass of the all-class kernel, which visits the
-    /// classes in ascending `l` and opens each pair of the space at most
-    /// once across all of them. Every value equals the
-    /// [`crate::max_cluster_size`] sweep's. The index build reads every
-    /// entry of the space, so this is the one node-local path that
-    /// materialises its matrix.
+    /// a [`ClusterIndex`] pays for itself: the space's sorted rows, then
+    /// one pass of the all-class kernel, which visits the classes in
+    /// ascending `l` and opens each pair of the space at most once across
+    /// all of them. Every value equals the [`crate::max_cluster_size`]
+    /// sweep's. The rows read `dist`, and the kernel reads only the rows:
+    /// no matrix of the space is built.
+    ///
+    /// A space of at least `KEPT_ROWS_MIN_SPACE` hosts keeps its rows,
+    /// keyed by host id, and the next recompute brings them up to date
+    /// with the space's delta: the hosts that left, and the hosts that
+    /// joined or were [relabelled](ClusterNode::relabel) since. Ties break
+    /// by ascending id, which is ascending position in the sorted space,
+    /// so kept rows order like a fresh build's and `aggrCRT[x]` is the
+    /// same bit for bit.
     pub fn recompute_own_max(&mut self, classes: &BandwidthClasses, mut dist: impl Distances) {
         let _span = bcc_obs::span!("core.recompute_own_max");
-        let keys = bind(&self.space, &mut dist);
-        let local = DistanceMatrix::from_fn(keys.len(), |i, j| dist.dist(keys[i], keys[j]));
-        bcc_obs::observe!("core.own_max.space_len", local.len() as u64);
-        let index = ClusterIndex::from_metric(&local);
-        self.own_max = max_cluster_sizes_indexed(&local, &index, classes.distances());
+        bcc_obs::observe!("core.own_max.space_len", self.space.len() as u64);
+        let index = self.space_rows(&mut dist);
+        self.own_max = max_cluster_sizes_indexed(&index, classes.distances());
         self.own_max_space = Some(self.space.clone());
+        self.kept = (index.len() >= KEPT_ROWS_MIN_SPACE).then_some(KeptRows {
+            index,
+            relabelled: Vec::new(),
+        });
+    }
+
+    /// The sorted rows of the current space: the kept rows brought up to
+    /// date by the space's delta, or a fresh build when none are kept (or
+    /// the delta names an id past the kept universe). Rows that may be
+    /// kept are keyed by host id; a space below the keep rule is keyed by
+    /// position, so its tables are sized to the space.
+    fn space_rows<D: Distances>(&mut self, dist: &mut D) -> ClusterIndex {
+        let mut by_id = |a: u32, b: u32| {
+            lower_first(a, b, |a, b| {
+                let (a, b) = (dist.key(NodeId::from(a)), dist.key(NodeId::from(b)));
+                dist.dist(a, b)
+            })
+        };
+        if let Some(KeptRows {
+            mut index,
+            mut relabelled,
+        }) = self.kept.take()
+        {
+            let in_space = |u: u32| self.space.binary_search(&NodeId::from(u)).is_ok();
+            let removed: Vec<u32> = index
+                .ids()
+                .iter()
+                .copied()
+                .filter(|&u| !in_space(u))
+                .collect();
+            let mut changed: Vec<u32> = self
+                .space
+                .iter()
+                .map(|u| u.index() as u32)
+                .filter(|&u| index.slot(u).is_none())
+                .collect();
+            relabelled.sort_unstable();
+            relabelled.dedup();
+            relabelled.retain(|&u| in_space(u));
+            changed.extend(relabelled);
+            if removed.is_empty() && changed.is_empty() {
+                return index;
+            }
+            if index.apply_churn(&removed, &changed, &mut by_id).is_ok() {
+                return index;
+            }
+        }
+        if self.space.len() >= KEPT_ROWS_MIN_SPACE {
+            let ids: Vec<u32> = self.space.iter().map(|u| u.index() as u32).collect();
+            let universe = ids
+                .last()
+                .map_or(0, |&u| u as usize + 1)
+                .next_power_of_two();
+            return ClusterIndex::build(universe, &ids, by_id);
+        }
+        let keys = bind(&self.space, dist);
+        let positions: Vec<u32> = (0..keys.len() as u32).collect();
+        ClusterIndex::build(keys.len(), &positions, |a, b| {
+            lower_first(a, b, |a, b| dist.dist(keys[a as usize], keys[b as usize]))
+        })
+    }
+
+    /// Audit accessor: the sorted rows this node keeps for the space
+    /// `aggrCRT[x]` was last computed on, keyed by host id — `None` below
+    /// the keep rule, and after a reset or a restore until the next
+    /// recompute. Used by oracles to check the kept rows against a fresh
+    /// [`ClusterIndex::build`].
+    pub fn kept_rows(&self) -> Option<&ClusterIndex> {
+        self.kept.as_ref().map(|kept| &kept.index)
     }
 
     /// `aggrCRT[x][l]` — the maximum cluster size this node can build
@@ -343,7 +470,8 @@ impl ClusterNode {
     /// the warm-restart path, which must reproduce the exporting node's
     /// state bit-for-bit (and skip the local cluster searches
     /// [`ClusterNode::recompute_own_max`] would run), as if computed on the
-    /// current space.
+    /// current space. Kept rows are dropped, so the first recompute after a
+    /// restore builds its rows fresh.
     ///
     /// # Errors
     ///
@@ -353,6 +481,7 @@ impl ClusterNode {
         self.check_width(&own_max)?;
         self.own_max = own_max;
         self.own_max_space = Some(self.space.clone());
+        self.kept = None;
         Ok(())
     }
 

@@ -1,8 +1,9 @@
-//! Logical gates on what a served query builds and evaluates, read off the
-//! process-global `core.index.builds` and `core.rows.*` counters: no
-//! [`bcc_core::ClusterIndex`], and at most half the pairs of the spaces its
-//! node visits open. One test in a binary of its own, so no concurrent test
-//! moves the counters.
+//! Logical gates on what a recompute and a served query build and
+//! evaluate, read off the process-global `core.index.*` and `core.rows.*`
+//! counters: a recompute builds one [`bcc_core::ClusterIndex`], or updates
+//! the rows a big space keeps; a served query builds none, and opens at
+//! most half the pairs of the spaces its node visits. One test in a binary
+//! of its own, so no concurrent test moves the counters.
 
 use bcc_core::{BandwidthClasses, ClusterNode};
 use bcc_metric::{NodeId, RationalTransform};
@@ -10,6 +11,14 @@ use bcc_service::{seeded_service, ClusterQuery, ServiceConfig};
 
 fn index_builds() -> u64 {
     bcc_obs::registry().counter("core.index.builds").get()
+}
+
+/// `(core.index.builds, core.index.incremental_updates)`.
+fn index_work() -> (u64, u64) {
+    let updates = bcc_obs::registry()
+        .counter("core.index.incremental_updates")
+        .get();
+    (index_builds(), updates)
 }
 
 /// `core.rows.{spaces, filled, evals, pairs}`.
@@ -37,7 +46,37 @@ fn index_builds_follow_the_access_pattern() {
             a.index().abs_diff(b.index()) as f64
         });
         assert_eq!(index_builds() - before, 1, "{class_count} classes");
+        // A small space keeps no rows: the next recompute builds again.
+        node.receive_node_info(NodeId::new(1), (2..10).map(NodeId::new).collect())
+            .unwrap();
+        let before = index_work();
+        node.recompute_own_max(&classes, |a: NodeId, b: NodeId| {
+            a.index().abs_diff(b.index()) as f64
+        });
+        assert_eq!(index_work(), (before.0 + 1, before.1), "a small space");
     }
+
+    // A space at or above the keep rule (200 hosts) is built once. After
+    // that, a recompute over a small delta (one host out, one in, one
+    // relabelled) is one incremental update and no build.
+    let classes = BandwidthClasses::linspace(10.0, 80.0, 3, RationalTransform::default());
+    let mut node = ClusterNode::new(NodeId::new(0), vec![NodeId::new(1)], classes.len());
+    let line = |a: NodeId, b: NodeId| (a.index() % 7).abs_diff(b.index() % 7) as f64;
+    node.receive_node_info(NodeId::new(1), (1..220).map(NodeId::new).collect())
+        .unwrap();
+    let before = index_work();
+    node.recompute_own_max(&classes, line);
+    assert_eq!(index_work(), (before.0 + 1, before.1), "first recompute");
+    node.receive_node_info(NodeId::new(1), (2..221).map(NodeId::new).collect())
+        .unwrap();
+    assert!(node.relabel(&[NodeId::new(50)]));
+    let before = index_work();
+    node.recompute_own_max(&classes, line);
+    assert_eq!(
+        index_work(),
+        (before.0, before.1 + 1),
+        "a kept space's delta"
+    );
 
     // One-shot probes: a drained batch of uncached queries on a converged
     // system routes, searches and answers without building anything.

@@ -612,8 +612,10 @@ impl SimNetwork {
     ///   re-embedded host sort by that host's new distance row);
     /// - every host in `scan` whose clustering space intersects the reset
     ///   set — a changed distance row silently invalidates its local
-    ///   maxima, which no record shows, so those hosts are marked stale
-    ///   ([`ClusterNode::invalidate_own_max`]) to force one recomputation.
+    ///   maxima, which no record shows, so every host in `scan` is handed
+    ///   the reset set ([`ClusterNode::relabel`]): those whose space holds
+    ///   one of them are marked stale to force one recomputation, and kept
+    ///   rows note which of their rows to re-sort.
     ///
     /// Every other host's reports, local maxima and CRT rows are
     /// bit-identical to the pre-churn fixpoint (untouched label distances
@@ -651,13 +653,7 @@ impl SimNetwork {
         seeds.extend(reset_neighbors);
 
         for &i in scan {
-            let node = &mut self.nodes[i.index()];
-            if delta
-                .reset
-                .iter()
-                .any(|u| node.space().binary_search(u).is_ok())
-            {
-                node.invalidate_own_max();
+            if self.nodes[i.index()].relabel(&delta.reset) {
                 seeds.insert(i.index());
             }
         }
@@ -1159,7 +1155,7 @@ mod tests {
         // the rows the right maxima give.
         let node = &mut net.nodes_mut()[3];
         node.restore_own_max(vec![0, 0]).unwrap();
-        node.invalidate_own_max();
+        assert!(node.relabel(&[n(3)]), "a node's space holds the node");
         assert_ne!(net.digest(), digest);
         assert!(net.run_round(), "the recompute moved the maxima");
         assert_eq!(net.traffic(), traffic, "no neighbor lacked a row");

@@ -21,7 +21,9 @@
 //! trait beside it.
 //! The node owns its clustering space: the gate asks the node whether its
 //! maxima are stale, the engine hashes nothing outside its digest, and no
-//! library code copies the space out through `clustering_space`.
+//! library code copies the space out through `clustering_space`. The churn
+//! delta hands its relabelled hosts to the nodes, whose kept rows are
+//! updated in one place and never read back to find them.
 
 use std::path::{Path, PathBuf};
 
@@ -206,6 +208,25 @@ fn each_shared_decision_is_defined_in_one_file() {
         ["crates/simnet/src/engine.rs"],
         "space-change gate bodies"
     );
+    // The engine hands every node the hosts a churn op relabelled, and the
+    // node's kept rows take them from there: node.rs updates its rows in
+    // one place and never reads them back, so it cannot find relabelled
+    // hosts by comparing a kept distance with a fresh one.
+    assert_eq!(
+        engine.matches(".relabel(&delta.reset)").count(),
+        1,
+        "the churn delta hands its relabelled hosts to the nodes"
+    );
+    let node =
+        std::fs::read_to_string(root.join("crates/core/src/node.rs")).expect("readable source");
+    let node = library_text(&node.replace('_', "").to_lowercase());
+    assert_eq!(node.matches(".applychurn(").count(), 1, "kept-row updates");
+    for needle in [".row(", ".ball(", ".countwithin(", "invalidateownmax"] {
+        assert!(
+            !node.contains(needle),
+            "crates/core/src/node.rs names {needle}"
+        );
+    }
     assert!(
         row_loops.is_empty(),
         "row-store pair loops outside sweep_rows / max_size_rows: {row_loops:?}"
