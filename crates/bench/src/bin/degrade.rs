@@ -25,8 +25,8 @@
 //!   exact);
 //! - zero stuck-open breakers (every lane re-closes within the bounded
 //!   recovery window once the nemesis ends);
-//! - replay spot checks: captured artifacts re-execute bit-identically
-//!   under 1, 2 and 8 `bcc-par` threads.
+//! - replay spot checks: captured artifacts survive a JSON round trip and
+//!   re-execute bit-identically.
 //!
 //! The JSON report contains only deterministic counters (tier mix,
 //! breaker transitions, shed rates, digest-of-digests) — never wall-clock
@@ -110,9 +110,9 @@ fn sweep_json(s: &Sweep) -> String {
     )
 }
 
-/// Captures `seeds` artifacts and replays each under 1, 2 and 8 threads —
-/// the bit-identity acceptance check for degraded runs.
-fn replay_across_threads(
+/// Captures `seeds` artifacts and replays each once — the bit-identity
+/// acceptance check for degraded runs.
+fn replay_artifacts(
     seeds: u64,
     cfg: &DegradeChaosConfig,
     nemesis: DegradeNemesis,
@@ -128,16 +128,9 @@ fn replay_across_threads(
                 nemesis.as_str()
             ));
         }
-        for threads in [1usize, 2, 8] {
-            bcc_par::set_threads(threads);
-            parsed.replay().map_err(|e| {
-                format!(
-                    "{} seed {seed} under {threads} thread(s): {e}",
-                    nemesis.as_str()
-                )
-            })?;
-        }
-        bcc_par::set_threads(0);
+        parsed
+            .replay()
+            .map_err(|e| format!("{} seed {seed}: {e}", nemesis.as_str()))?;
     }
     Ok(())
 }
@@ -194,11 +187,8 @@ fn run() -> Result<ExitCode, String> {
 
     println!("=== degrade — budgeted serving under slow/stall nemeses ===");
     println!(
-        "threads = {}, smoke = {smoke}, universe = {}, steps = {}, budget = {}",
-        bcc_par::current_threads(),
-        cfg.universe,
-        cfg.steps,
-        cfg.budget,
+        "smoke = {smoke}, universe = {}, steps = {}, budget = {}",
+        cfg.universe, cfg.steps, cfg.budget,
     );
     println!();
 
@@ -230,9 +220,9 @@ fn run() -> Result<ExitCode, String> {
         stall.breaker_shed,
     );
 
-    replay_across_threads(replay_seeds, &cfg, DegradeNemesis::SlowLane)?;
-    replay_across_threads(replay_seeds, &cfg, DegradeNemesis::Stall)?;
-    println!("replayed {replay_seeds} artifact(s) per nemesis bit-identically under 1/2/8 threads");
+    replay_artifacts(replay_seeds, &cfg, DegradeNemesis::SlowLane)?;
+    replay_artifacts(replay_seeds, &cfg, DegradeNemesis::Stall)?;
+    println!("replayed {replay_seeds} artifact(s) per nemesis bit-identically");
     println!("sweep finished in {:.1?}", start.elapsed());
     println!();
 

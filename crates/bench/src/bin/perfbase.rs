@@ -19,16 +19,11 @@
 //!   where the pair sweep is no longer affordable;
 //! - the exact `O(n⁴)` treeness statistics at n = 128.
 //!
-//! The clustering kernels are serial (parallelism lives per lane, per shard
-//! and per run, not inside a kernel), so their rows carry one wall time.
-//! Indexed rows also record `sweep_ms`/`gain` — the pair-sweep time at the
-//! same n and the resulting indexed speedup — and the binary asserts the
-//! indexed result equals the pair-sweep oracle bit-for-bit (at n ≤ 1024).
-//! Only the `bcc-metric` treeness statistics have `_par` twins; they record
-//! a thread-scaling curve ({1,2,4,8} full, {1,2} smoke) and the binary
-//! asserts every curve point equals the serial result. Speedups near 1
-//! across the curve are expected on single-core runners — compare like
-//! with like.
+//! Every kernel is serial (the only parallelism is per run, in the figure
+//! harness), so each row carries one wall time. Indexed rows also record
+//! `sweep_ms`/`gain` — the pair-sweep time at the same n and the resulting
+//! indexed speedup — and the binary asserts the indexed result equals the
+//! pair-sweep oracle bit-for-bit (at n ≤ 1024).
 //!
 //! `--stable` zeroes every wall-time field after the identity checks so
 //! two runs emit byte-identical JSON (the CI determinism gate).
@@ -41,11 +36,8 @@ use bcc_core::{
     find_cluster, find_cluster_indexed, max_cluster_size, max_cluster_size_indexed, ClusterIndex,
 };
 use bcc_datasets::{generate, SynthConfig};
-use bcc_metric::fourpoint::{
-    epsilon_avg_exact, epsilon_avg_exact_par, epsilon_max_exact, epsilon_max_exact_par,
-    satisfies_four_point, satisfies_four_point_par,
-};
-use bcc_metric::gromov::{delta_hyperbolicity_exact, delta_hyperbolicity_exact_par};
+use bcc_metric::fourpoint::{epsilon_avg_exact, epsilon_max_exact, satisfies_four_point};
+use bcc_metric::gromov::delta_hyperbolicity_exact;
 use bcc_metric::{DistanceMatrix, RationalTransform};
 
 const SEED: u64 = 123;
@@ -56,39 +48,18 @@ fn dataset(n: usize) -> DistanceMatrix {
     RationalTransform::default().distance_matrix(&generate(&cfg))
 }
 
-/// One measured kernel: serial wall time, a threads → wall-time curve for
-/// the kernels that have a `_par` twin (empty otherwise), an agreement flag
-/// (bit-identical results across serial, every curve point, and — for
-/// indexed kernels at oracle-affordable n — the pair-sweep oracle), and the
-/// oracle's own wall time when measured.
+/// One measured kernel: serial wall time, an agreement flag (for indexed
+/// kernels at oracle-affordable n, bit-identical to the pair-sweep oracle),
+/// and the oracle's own wall time when measured.
 struct Entry {
     kernel: String,
     n: usize,
     serial_ms: f64,
-    curve: Vec<(usize, f64)>,
     identical: bool,
     sweep_ms: Option<f64>,
 }
 
 impl Entry {
-    /// Best wall time across the thread curve, capped at the serial time.
-    fn parallel_ms(&self) -> f64 {
-        self.curve
-            .iter()
-            .map(|&(_, ms)| ms)
-            .fold(f64::INFINITY, f64::min)
-            .min(self.serial_ms)
-    }
-
-    fn speedup(&self) -> f64 {
-        let p = self.parallel_ms();
-        if p > 0.0 {
-            self.serial_ms / p
-        } else {
-            0.0
-        }
-    }
-
     /// Pair-sweep serial time / indexed serial time, when the sweep ran.
     fn gain(&self) -> Option<f64> {
         let sweep = self.sweep_ms?;
@@ -101,9 +72,6 @@ impl Entry {
 
     fn zero_times(&mut self) {
         self.serial_ms = 0.0;
-        for point in &mut self.curve {
-            point.1 = 0.0;
-        }
         if self.sweep_ms.is_some() {
             self.sweep_ms = Some(0.0);
         }
@@ -141,39 +109,8 @@ fn measure<T: PartialEq>(
         kernel: kernel.to_string(),
         n,
         serial_ms,
-        curve: Vec::new(),
         identical,
         sweep_ms,
-    }
-}
-
-/// Measures `serial` (best-of-`reps`) and its `_par` twin once per pool
-/// width in `threads`, checking every result against the serial one.
-fn measure_curve<T: PartialEq>(
-    kernel: &str,
-    n: usize,
-    reps: usize,
-    threads: &[usize],
-    serial: impl FnMut() -> T,
-    mut parallel: impl FnMut() -> T,
-) -> Entry {
-    let (serial_ms, s) = time(reps, serial);
-    let mut identical = true;
-    let mut curve = Vec::with_capacity(threads.len());
-    for &t in threads {
-        bcc_par::set_threads(t);
-        let (ms, p) = time(1, &mut parallel);
-        identical &= p == s;
-        curve.push((t, ms));
-    }
-    bcc_par::set_threads(0);
-    Entry {
-        kernel: kernel.to_string(),
-        n,
-        serial_ms,
-        curve,
-        identical,
-        sweep_ms: None,
     }
 }
 
@@ -190,30 +127,14 @@ fn to_json(entries: &[Entry], smoke: bool, stable: bool) -> String {
             }
             _ => String::new(),
         };
-        let curve = if e.curve.is_empty() {
-            String::new()
-        } else {
-            let points = e
-                .curve
-                .iter()
-                .map(|&(t, ms)| format!("{{\"threads\": {t}, \"ms\": {ms:.3}}}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                ", \"parallel_ms\": {:.3}, \"speedup\": {:.3}, \"curve\": [{points}]",
-                e.parallel_ms(),
-                e.speedup()
-            )
-        };
         out.push_str(&format!(
             "    {{\"kernel\": \"{}\", \"n\": {}, \"serial_ms\": {:.3}, \
-             \"identical\": {}{}{}}}{}\n",
+             \"identical\": {}{}}}{}\n",
             e.kernel,
             e.n,
             e.serial_ms,
             e.identical,
             sweep,
-            curve,
             if i + 1 < entries.len() { "," } else { "" }
         ));
     }
@@ -246,13 +167,9 @@ fn main() {
     } else {
         (&[128, 256, 512, 1024], 128, 3)
     };
-    let threads: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
 
     println!("=== perfbase — pair-sweep vs indexed clustering kernels ===");
-    println!(
-        "smoke = {smoke}, stable = {stable}, reps = {reps} (best-of), \
-         treeness thread curve = {threads:?}, large = {large}",
-    );
+    println!("smoke = {smoke}, stable = {stable}, reps = {reps} (best-of), large = {large}",);
     println!();
 
     let t = RationalTransform::default();
@@ -297,7 +214,6 @@ fn main() {
             kernel: "index_build".to_string(),
             n,
             serial_ms: build_ms,
-            curve: Vec::new(),
             identical: index.digest() == ClusterIndex::from_metric(&d).digest(),
             sweep_ms: None,
         });
@@ -337,7 +253,6 @@ fn main() {
             kernel: "index_build".to_string(),
             n: large,
             serial_ms: build_ms,
-            curve: Vec::new(),
             identical: true,
             sweep_ms: None,
         });
@@ -369,46 +284,43 @@ fn main() {
         }
     }
 
-    // Exact O(n⁴) treeness statistics. Compare by bit pattern — the whole
-    // point of the deterministic reduction order.
+    // Exact O(n⁴) treeness statistics, one serial scan each.
     let d = dataset(treeness_n);
-    entries.push(measure_curve(
-        "epsilon_avg_exact",
-        treeness_n,
-        reps,
-        threads,
-        || epsilon_avg_exact(&d).to_bits(),
-        || epsilon_avg_exact_par(&d).to_bits(),
-    ));
-    entries.push(measure_curve(
-        "epsilon_max_exact",
-        treeness_n,
-        reps,
-        threads,
-        || epsilon_max_exact(&d).to_bits(),
-        || epsilon_max_exact_par(&d).to_bits(),
-    ));
-    entries.push(measure_curve(
-        "delta_hyperbolicity",
-        treeness_n,
-        reps,
-        threads,
-        || delta_hyperbolicity_exact(&d).to_bits(),
-        || delta_hyperbolicity_exact_par(&d).to_bits(),
-    ));
-    // Huge tolerance: no quartet violates, so the scan cannot early-exit.
-    entries.push(measure_curve(
-        "satisfies_four_point",
-        treeness_n,
-        reps,
-        threads,
-        || satisfies_four_point(&d, 1e9),
-        || satisfies_four_point_par(&d, 1e9),
-    ));
+    entries.extend([
+        measure(
+            "epsilon_avg_exact",
+            treeness_n,
+            reps,
+            || epsilon_avg_exact(&d),
+            None,
+        ),
+        measure(
+            "epsilon_max_exact",
+            treeness_n,
+            reps,
+            || epsilon_max_exact(&d),
+            None,
+        ),
+        measure(
+            "delta_hyperbolicity",
+            treeness_n,
+            reps,
+            || delta_hyperbolicity_exact(&d),
+            None,
+        ),
+        // Huge tolerance: no quartet violates, so the scan cannot early-exit.
+        measure(
+            "satisfies_four_point",
+            treeness_n,
+            reps,
+            || satisfies_four_point(&d, 1e9),
+            None,
+        ),
+    ]);
 
     println!(
-        "{:<28} {:>6} {:>12} {:>12} {:>9} {:>9} {:>10}",
-        "kernel", "n", "serial (ms)", "par (ms)", "speedup", "gain", "identical"
+        "{:<28} {:>6} {:>12} {:>9} {:>10}",
+        "kernel", "n", "serial (ms)", "gain", "identical"
     );
     let mut all_identical = true;
     for e in &entries {
@@ -417,13 +329,8 @@ fn main() {
             .gain()
             .map(|g| format!("{g:>8.2}x"))
             .unwrap_or_else(|| format!("{:>9}", "-"));
-        let par = if e.curve.is_empty() {
-            format!("{:>12} {:>9}", "-", "-")
-        } else {
-            format!("{:>12.3} {:>8.2}x", e.parallel_ms(), e.speedup())
-        };
         println!(
-            "{:<28} {:>6} {:>12.3} {par} {gain} {:>10}",
+            "{:<28} {:>6} {:>12.3} {gain} {:>10}",
             e.kernel, e.n, e.serial_ms, e.identical
         );
     }
@@ -472,6 +379,6 @@ fn main() {
 
     assert!(
         all_identical,
-        "an indexed kernel diverged from the pair sweep, or a `_par` twin from its serial kernel"
+        "an indexed kernel diverged from the pair sweep"
     );
 }

@@ -59,18 +59,11 @@ pub fn quartet_sums<M: FiniteMetric>(
 
 /// The shared quartet kernel: pairing sums from the six pair distances.
 ///
-/// Both the generic [`quartet_sums`] and the cache-tight row kernels of the
-/// `_par` scans funnel through this function, so serial and parallel
-/// statistics are bit-identical by construction.
+/// Both the per-quartet [`quartet_sums`] and the exact scans' row kernel
+/// ([`scan_quartets`]) funnel through this function, so a scan's quartet
+/// values are the per-quartet values bit for bit.
 #[inline]
-pub(crate) fn sums_of(
-    d_wx: f64,
-    d_yz: f64,
-    d_wy: f64,
-    d_xz: f64,
-    d_wz: f64,
-    d_xy: f64,
-) -> QuartetSums {
+fn sums_of(d_wx: f64, d_yz: f64, d_wy: f64, d_xz: f64, d_wz: f64, d_xy: f64) -> QuartetSums {
     // Each candidate: (sum, min of its two pair distances).
     let mut cands = [
         (d_wx + d_yz, d_wx.min(d_yz)),
@@ -110,53 +103,44 @@ pub fn quartet_epsilon<M: FiniteMetric>(metric: &M, w: usize, x: usize, y: usize
     epsilon_of(quartet_sums(metric, w, x, y, z))
 }
 
-/// Checks whether `metric` satisfies 4PC on every quartet within an additive
-/// tolerance `tol` on the gap `s1 − s2`.
+/// Calls `hit` with the pairing sums of every quartet `w < x < y < z` whose
+/// smallest member is `w`, in lexicographic order, and stops at the first
+/// quartet `hit` returns `true` for (returning `true`).
 ///
-/// Runs in `O(n⁴)`; intended for tests and small fixtures.
-pub fn satisfies_four_point<M: FiniteMetric>(metric: &M, tol: f64) -> bool {
-    let n = metric.len();
-    for w in 0..n {
-        for x in (w + 1)..n {
-            for y in (x + 1)..n {
-                for z in (y + 1)..n {
-                    let q = quartet_sums(metric, w, x, y, z);
-                    if q.sums[0] - q.sums[1] > tol {
-                        return false;
-                    }
+/// This is the row kernel every exact scan runs once per outer index `w`:
+/// the three active matrix rows stay resident while the innermost loop
+/// streams three contiguous slices, with no per-element bounds assertion.
+#[inline]
+pub(crate) fn scan_quartets(
+    d: &DistanceMatrix,
+    w: usize,
+    mut hit: impl FnMut(QuartetSums) -> bool,
+) -> bool {
+    let n = d.len();
+    let row_w = &d.row(w)[..n];
+    for x in (w + 1)..n {
+        let row_x = &d.row(x)[..n];
+        let d_wx = row_w[x];
+        for y in (x + 1)..n {
+            let row_y = &d.row(y)[..n];
+            let (d_wy, d_xy) = (row_w[y], row_x[y]);
+            for z in (y + 1)..n {
+                if hit(sums_of(d_wx, row_y[z], d_wy, row_x[z], row_w[z], d_xy)) {
+                    return true;
                 }
             }
         }
     }
-    true
+    false
 }
 
-/// Parallel [`satisfies_four_point`]: the quartet enumeration is blocked on
-/// the outer index and spread over the `bcc-par` pool, with atomic early
-/// exit as soon as any worker finds a violating quartet. Returns exactly
-/// what the serial scan returns.
-pub fn satisfies_four_point_par<M: FiniteMetric>(metric: &M, tol: f64) -> bool {
+/// Checks whether `metric` satisfies 4PC on every quartet within an additive
+/// tolerance `tol` on the gap `s1 − s2`, stopping at the first violation.
+///
+/// Runs in `O(n⁴)`; intended for tests and small fixtures.
+pub fn satisfies_four_point<M: FiniteMetric>(metric: &M, tol: f64) -> bool {
     let d = metric.to_matrix();
-    let n = d.len();
-    bcc_par::par_find_first(n, |w| {
-        let row_w = &d.row(w)[..n];
-        for x in (w + 1)..n {
-            let row_x = &d.row(x)[..n];
-            let d_wx = row_w[x];
-            for y in (x + 1)..n {
-                let row_y = &d.row(y)[..n];
-                let (d_wy, d_xy) = (row_w[y], row_x[y]);
-                for z in (y + 1)..n {
-                    let q = sums_of(d_wx, row_y[z], d_wy, row_x[z], row_w[z], d_xy);
-                    if q.sums[0] - q.sums[1] > tol {
-                        return Some(());
-                    }
-                }
-            }
-        }
-        None
-    })
-    .is_none()
+    !(0..d.len()).any(|w| scan_quartets(&d, w, |q| q.sums[0] - q.sums[1] > tol))
 }
 
 /// Exact average quartet `ε` over all `C(n, 4)` quartets.
@@ -168,88 +152,23 @@ pub fn satisfies_four_point_par<M: FiniteMetric>(metric: &M, tol: f64) -> bool {
 /// Runs in `O(n⁴)` — fine up to a few hundred nodes; use
 /// [`epsilon_avg_sampled`] beyond that.
 pub fn epsilon_avg_exact<M: FiniteMetric>(metric: &M) -> f64 {
-    let n = metric.len();
-    if n < 4 {
-        return 0.0;
-    }
-    // Accumulate one partial sum per outer index and fold them in order:
-    // this fixes the floating-point reduction tree so the parallel variant
-    // (same per-`w` partials, merged in the same order) is bit-identical.
-    let (total, count) = (0..n)
-        .map(|w| epsilon_partial_generic(metric, w))
-        .fold((0.0, 0u64), |(t, c), (pt, pc)| (t + pt, c + pc));
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f64
-    }
-}
-
-/// Sum and count of finite quartet `ε` over quartets whose smallest member
-/// is `w`, via per-element [`FiniteMetric::distance`] access.
-fn epsilon_partial_generic<M: FiniteMetric>(metric: &M, w: usize) -> (f64, u64) {
-    let n = metric.len();
-    let mut total = 0.0;
-    let mut count = 0u64;
-    for x in (w + 1)..n {
-        for y in (x + 1)..n {
-            for z in (y + 1)..n {
-                let e = quartet_epsilon(metric, w, x, y, z);
-                if e.is_finite() {
-                    total += e;
-                    count += 1;
-                }
-            }
-        }
-    }
-    (total, count)
-}
-
-/// Sum and count of finite quartet `ε` over quartets whose smallest member
-/// is `w`, as a cache-tight row kernel: the three active rows stay resident
-/// while the innermost loop streams three contiguous slices, with no
-/// per-element bounds assertion. Numerically identical to
-/// [`epsilon_partial_generic`] (same values, same order, shared
-/// [`sums_of`]/[`epsilon_of`] kernel).
-fn epsilon_partial_rows(d: &DistanceMatrix, w: usize) -> (f64, u64) {
-    let n = d.len();
-    let row_w = &d.row(w)[..n];
-    let mut total = 0.0;
-    let mut count = 0u64;
-    for x in (w + 1)..n {
-        let row_x = &d.row(x)[..n];
-        let d_wx = row_w[x];
-        for y in (x + 1)..n {
-            let row_y = &d.row(y)[..n];
-            let (d_wy, d_xy) = (row_w[y], row_x[y]);
-            for z in (y + 1)..n {
-                let e = epsilon_of(sums_of(d_wx, row_y[z], d_wy, row_x[z], row_w[z], d_xy));
-                if e.is_finite() {
-                    total += e;
-                    count += 1;
-                }
-            }
-        }
-    }
-    (total, count)
-}
-
-/// Parallel [`epsilon_avg_exact`]: materializes the metric once, spreads the
-/// outer quartet index over the `bcc-par` pool, and folds the per-index
-/// partial sums in index order. Bit-identical to the serial scan for any
-/// thread count (see `DESIGN.md`, "Deterministic parallel kernels").
-pub fn epsilon_avg_exact_par<M: FiniteMetric>(metric: &M) -> f64 {
-    let n = metric.len();
-    if n < 4 {
-        return 0.0;
-    }
     let d = metric.to_matrix();
-    let (total, count) = bcc_par::par_reduce(
-        n,
-        |w| epsilon_partial_rows(&d, w),
-        (0.0, 0u64),
-        |(t, c), (pt, pc)| (t + pt, c + pc),
-    );
+    // One partial sum per outer index, folded in index order: the
+    // floating-point reduction tree is fixed by `n` alone.
+    let (total, count) = (0..d.len())
+        .map(|w| {
+            let (mut total, mut count) = (0.0, 0u64);
+            scan_quartets(&d, w, |q| {
+                let e = epsilon_of(q);
+                if e.is_finite() {
+                    total += e;
+                    count += 1;
+                }
+                false
+            });
+            (total, count)
+        })
+        .fold((0.0, 0u64), |(t, c), (pt, pc)| (t + pt, c + pc));
     if count == 0 {
         0.0
     } else {
@@ -294,52 +213,18 @@ pub fn epsilon_avg_sampled<M: FiniteMetric, R: Rng>(
 
 /// Exact maximum quartet `ε` (ignoring degenerate infinite quartets).
 pub fn epsilon_max_exact<M: FiniteMetric>(metric: &M) -> f64 {
-    let n = metric.len();
+    let d = metric.to_matrix();
     let mut max = 0.0f64;
-    for w in 0..n {
-        for x in (w + 1)..n {
-            for y in (x + 1)..n {
-                for z in (y + 1)..n {
-                    let e = quartet_epsilon(metric, w, x, y, z);
-                    if e.is_finite() {
-                        max = max.max(e);
-                    }
-                }
+    for w in 0..d.len() {
+        scan_quartets(&d, w, |q| {
+            let e = epsilon_of(q);
+            if e.is_finite() {
+                max = max.max(e);
             }
-        }
+            false
+        });
     }
     max
-}
-
-/// Parallel [`epsilon_max_exact`] on the `bcc-par` pool. `max` is an exact
-/// (order-independent) reduction, so the result equals the serial scan's.
-pub fn epsilon_max_exact_par<M: FiniteMetric>(metric: &M) -> f64 {
-    let d = metric.to_matrix();
-    let n = d.len();
-    bcc_par::par_reduce(
-        n,
-        |w| {
-            let row_w = &d.row(w)[..n];
-            let mut max = 0.0f64;
-            for x in (w + 1)..n {
-                let row_x = &d.row(x)[..n];
-                let d_wx = row_w[x];
-                for y in (x + 1)..n {
-                    let row_y = &d.row(y)[..n];
-                    let (d_wy, d_xy) = (row_w[y], row_x[y]);
-                    for z in (y + 1)..n {
-                        let e = epsilon_of(sums_of(d_wx, row_y[z], d_wy, row_x[z], row_w[z], d_xy));
-                        if e.is_finite() {
-                            max = max.max(e);
-                        }
-                    }
-                }
-            }
-            max
-        },
-        0.0f64,
-        f64::max,
-    )
 }
 
 /// Transforms an unbounded `ε_avg ∈ [0, ∞)` to the paper's bounded treeness
@@ -497,41 +382,5 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn epsilon_star_rejects_negative() {
         epsilon_star(-0.1);
-    }
-
-    #[test]
-    fn parallel_scans_bit_identical_to_serial() {
-        // A noisy non-tree metric with strictly positive epsilon.
-        let d = DistanceMatrix::from_fn(14, |i, j| 1.0 + ((i * 31 + j * 17) % 13) as f64 / 3.0);
-        for threads in [1, 2, 8] {
-            bcc_par::set_threads(threads);
-            assert_eq!(
-                epsilon_avg_exact(&d).to_bits(),
-                epsilon_avg_exact_par(&d).to_bits(),
-                "threads = {threads}"
-            );
-            assert_eq!(
-                epsilon_max_exact(&d).to_bits(),
-                epsilon_max_exact_par(&d).to_bits(),
-                "threads = {threads}"
-            );
-            assert_eq!(
-                satisfies_four_point(&d, 1e-9),
-                satisfies_four_point_par(&d, 1e-9)
-            );
-        }
-        bcc_par::set_threads(0);
-    }
-
-    #[test]
-    fn parallel_scans_on_tree_metric() {
-        let d = star_metric(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(epsilon_avg_exact_par(&d), 0.0);
-        assert_eq!(epsilon_max_exact_par(&d), 0.0);
-        assert!(satisfies_four_point_par(&d, 1e-12));
-        // Degenerate sizes short-circuit like the serial scans.
-        let tiny = DistanceMatrix::new(3);
-        assert_eq!(epsilon_avg_exact_par(&tiny), 0.0);
-        assert!(satisfies_four_point_par(&tiny, 0.0));
     }
 }

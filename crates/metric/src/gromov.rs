@@ -57,52 +57,15 @@ pub fn max_gromov_product<M: FiniteMetric>(
 /// A tree metric has `δ = 0`. Runs in `O(n⁴)`; use
 /// [`delta_hyperbolicity_sampled`] for large spaces.
 pub fn delta_hyperbolicity_exact<M: FiniteMetric>(metric: &M) -> f64 {
-    let n = metric.len();
+    let d = metric.to_matrix();
     let mut delta = 0.0f64;
-    for w in 0..n {
-        for x in (w + 1)..n {
-            for y in (x + 1)..n {
-                for z in (y + 1)..n {
-                    let q = crate::fourpoint::quartet_sums(metric, w, x, y, z);
-                    delta = delta.max(0.5 * (q.sums[0] - q.sums[1]));
-                }
-            }
-        }
+    for w in 0..d.len() {
+        crate::fourpoint::scan_quartets(&d, w, |q| {
+            delta = delta.max(0.5 * (q.sums[0] - q.sums[1]));
+            false
+        });
     }
     delta
-}
-
-/// Parallel [`delta_hyperbolicity_exact`]: the `O(n⁴)` quartet scan blocked
-/// on the outer index over the `bcc-par` pool, sweeping matrix rows in the
-/// innermost loop. `max` reduces exactly, so the result is bit-identical to
-/// the serial scan for any thread count.
-pub fn delta_hyperbolicity_exact_par<M: FiniteMetric>(metric: &M) -> f64 {
-    let d = metric.to_matrix();
-    let n = d.len();
-    bcc_par::par_reduce(
-        n,
-        |w| {
-            let row_w = &d.row(w)[..n];
-            let mut delta = 0.0f64;
-            for x in (w + 1)..n {
-                let row_x = &d.row(x)[..n];
-                let d_wx = row_w[x];
-                for y in (x + 1)..n {
-                    let row_y = &d.row(y)[..n];
-                    let (d_wy, d_xy) = (row_w[y], row_x[y]);
-                    for z in (y + 1)..n {
-                        let q = crate::fourpoint::sums_of(
-                            d_wx, row_y[z], d_wy, row_x[z], row_w[z], d_xy,
-                        );
-                        delta = delta.max(0.5 * (q.sums[0] - q.sums[1]));
-                    }
-                }
-            }
-            delta
-        },
-        0.0f64,
-        f64::max,
-    )
 }
 
 /// Monte-Carlo lower bound on δ-hyperbolicity from `samples` random quartets.
@@ -216,23 +179,6 @@ mod tests {
         });
         let delta = delta_hyperbolicity_exact(&d);
         assert!((delta - (2f64.sqrt() - 1.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_delta_matches_serial() {
-        let d = DistanceMatrix::from_fn(12, |i, j| 1.0 + ((i * 7 + j * 3) % 5) as f64);
-        for threads in [1, 2, 8] {
-            bcc_par::set_threads(threads);
-            assert_eq!(
-                delta_hyperbolicity_exact(&d).to_bits(),
-                delta_hyperbolicity_exact_par(&d).to_bits(),
-                "threads = {threads}"
-            );
-        }
-        bcc_par::set_threads(0);
-        let w = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let tree = DistanceMatrix::from_fn(5, |i, j| w[i] + w[j]);
-        assert_eq!(delta_hyperbolicity_exact_par(&tree), 0.0);
     }
 
     #[test]

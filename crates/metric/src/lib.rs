@@ -10,9 +10,8 @@
 //!   turns bandwidth (bigger is better) into a distance (smaller is better),
 //!   plus the linear transform used as a strawman in the related-work section.
 //! - [`fourpoint`] — the four-point condition (4PC), the per-quartet `ε`
-//!   treeness measure of Abraham et al., and exact/sampled `ε_avg`. The
-//!   `O(n⁴)` exact scans have `_par` variants on the `bcc-par` pool that are
-//!   bit-identical to their serial counterparts for any thread count.
+//!   treeness measure of Abraham et al., and exact/sampled `ε_avg`. Each
+//!   `O(n⁴)` exact statistic is one serial scan over matrix rows.
 //! - [`gromov`] — Gromov products and δ-hyperbolicity, the primitives behind
 //!   prediction-tree growth.
 //! - [`stats`] — percentiles, empirical CDFs and relative-error summaries used

@@ -287,7 +287,7 @@ pub struct DegradeChaosReport {
     pub cache: CacheStats,
     /// FNV-1a digest over the full ordered response stream (ticket, lane,
     /// tier and outcome of every response) — the replay fingerprint that
-    /// must match across runs and thread counts.
+    /// must match across runs.
     pub digest: u64,
 }
 
@@ -349,8 +349,7 @@ fn pump(service: &mut ClusterService, report: &mut DegradeChaosReport) {
 /// after the nemesis ends the run proves every opened breaker re-closes
 /// within [`RECLOSE_BOUND`] recovery rounds.
 ///
-/// Deterministic: the same `(seed, cfg)` produces the same report — for
-/// any thread count.
+/// Deterministic: the same `(seed, cfg)` produces the same report.
 ///
 /// # Errors
 ///

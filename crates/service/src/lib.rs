@@ -13,9 +13,8 @@
 //! - **Batch scheduling** ([`ClusterService::tick`] /
 //!   [`ClusterService::drain`]): admitted queries are drained in batches,
 //!   identical queries coalesce into one computation, and compatible
-//!   queries group into per-bandwidth-class lanes that run in order, so
-//!   responses are bit-identical for any thread count and always returned
-//!   in submission order.
+//!   queries group into per-bandwidth-class lanes that run in order, and
+//!   responses are always returned in submission order.
 //! - **Churn-aware caching** ([`ResultCache`]): answers are cached per
 //!   `(submit node, k, b-class)` and stamped with the membership epoch
 //!   ([`bcc_simnet::DynamicSystem::epoch`]) and live overlay digest

@@ -1,15 +1,12 @@
 //! Property tests pinning the serving layer's headline guarantee: for any
-//! random workload and any thread count, the cached service and the
-//! uncached baseline return **bit-identical** responses, and repeated runs
-//! are deterministic.
+//! random workload, the cached service and the uncached baseline return
+//! **bit-identical** responses, and repeated runs are deterministic.
 
 use bcc_metric::NodeId;
 use bcc_service::{
     seeded_service, BreakerState, ClusterQuery, ClusterService, ServiceConfig, Tier,
 };
 use proptest::prelude::*;
-
-const THREADS: [usize; 3] = [1, 2, 8];
 
 /// A raw workload item: (submit host index, k, bandwidth).
 type RawQuery = (usize, usize, f64);
@@ -100,29 +97,24 @@ fn assert_same_responses(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Cached == uncached for random workloads, across thread counts.
+    /// Cached == uncached for random workloads.
     #[test]
-    fn cached_matches_uncached_across_thread_counts(
+    fn cached_matches_uncached(
         seed in 0u64..1_000,
         workload in arb_workload(10, 24),
     ) {
-        for threads in THREADS {
-            bcc_par::set_threads(threads);
-            let mut cached = service_with(seed, 10, 6, ServiceConfig::default());
-            let mut baseline =
-                service_with(seed, 10, 6, ServiceConfig::default().uncached());
-            let c = run_workload(&mut cached, &workload);
-            let u = run_workload(&mut baseline, &workload);
-            assert_same_responses(&c, &u);
-            assert_cache_counter_identities(&cached);
-            assert_cache_counter_identities(&baseline);
-            // The disabled baseline must never report misses as if it
-            // were a failing cache.
-            let b = baseline.cache_stats();
-            prop_assert_eq!(b.misses, 0);
-            prop_assert_eq!(b.disabled, b.lookups);
-        }
-        bcc_par::set_threads(0);
+        let mut cached = service_with(seed, 10, 6, ServiceConfig::default());
+        let mut baseline = service_with(seed, 10, 6, ServiceConfig::default().uncached());
+        let c = run_workload(&mut cached, &workload);
+        let u = run_workload(&mut baseline, &workload);
+        assert_same_responses(&c, &u);
+        assert_cache_counter_identities(&cached);
+        assert_cache_counter_identities(&baseline);
+        // The disabled baseline must never report misses as if it were a
+        // failing cache.
+        let b = baseline.cache_stats();
+        prop_assert_eq!(b.misses, 0);
+        prop_assert_eq!(b.disabled, b.lookups);
     }
 
     /// Interleaving churn between workload slices must not break the
@@ -135,7 +127,6 @@ proptest! {
         second in arb_workload(10, 10),
         crash_host in 0usize..6,
     ) {
-        bcc_par::set_threads(2);
         let mut cached = service_with(seed, 10, 6, ServiceConfig::default());
         let mut baseline = service_with(seed, 10, 6, ServiceConfig::default().uncached());
 
@@ -152,7 +143,6 @@ proptest! {
         assert_same_responses(&c2, &u2);
         assert_cache_counter_identities(&cached);
         assert_cache_counter_identities(&baseline);
-        bcc_par::set_threads(0);
     }
 
     /// The same (seed, workload) always produces the same responses —
@@ -162,59 +152,52 @@ proptest! {
         seed in 0u64..1_000,
         workload in arb_workload(8, 16),
     ) {
-        bcc_par::set_threads(8);
         let mut a = service_with(seed, 8, 5, ServiceConfig::default());
         let mut b = service_with(seed, 8, 5, ServiceConfig::default());
         let ra = run_workload(&mut a, &workload);
         let rb = run_workload(&mut b, &workload);
         assert_same_responses(&ra, &rb);
-        bcc_par::set_threads(0);
     }
 
     /// A budget generous enough to never exhaust must be invisible: the
     /// budgeted service returns byte-identical responses to the
-    /// unbudgeted one, all labeled [`Tier::Exact`], for any thread count.
+    /// unbudgeted one, all labeled [`Tier::Exact`].
     #[test]
     fn budgeted_matches_unbudgeted_when_not_exhausted(
         seed in 0u64..1_000,
         workload in arb_workload(10, 20),
     ) {
-        for threads in THREADS {
-            bcc_par::set_threads(threads);
-            let mut unbudgeted = service_with(seed, 10, 6, ServiceConfig::default());
-            let mut budgeted = service_with(
-                seed,
-                10,
-                6,
-                ServiceConfig {
-                    work_budget: Some(u64::MAX / 2),
-                    ..ServiceConfig::default()
-                },
-            );
-            let u = run_workload(&mut unbudgeted, &workload);
-            let b = run_workload(&mut budgeted, &workload);
-            prop_assert_eq!(u.len(), b.len());
-            for (u, b) in u.iter().zip(&b) {
-                match (u, b) {
-                    (Ok(u), Ok(b)) => {
-                        prop_assert_eq!(u.ticket, b.ticket);
-                        prop_assert_eq!(u.outcome.clone(), b.outcome.clone());
-                        prop_assert_eq!(u.cached, b.cached);
-                        prop_assert_eq!(u.tier, Tier::Exact);
-                        prop_assert_eq!(b.tier, Tier::Exact);
-                    }
-                    (Err(u), Err(b)) => prop_assert_eq!(u, b),
-                    (u, b) => panic!("verdicts diverged: {u:?} vs {b:?}"),
+        let mut unbudgeted = service_with(seed, 10, 6, ServiceConfig::default());
+        let mut budgeted = service_with(
+            seed,
+            10,
+            6,
+            ServiceConfig {
+                work_budget: Some(u64::MAX / 2),
+                ..ServiceConfig::default()
+            },
+        );
+        let u = run_workload(&mut unbudgeted, &workload);
+        let b = run_workload(&mut budgeted, &workload);
+        prop_assert_eq!(u.len(), b.len());
+        for (u, b) in u.iter().zip(&b) {
+            match (u, b) {
+                (Ok(u), Ok(b)) => {
+                    prop_assert_eq!(u.ticket, b.ticket);
+                    prop_assert_eq!(u.outcome.clone(), b.outcome.clone());
+                    prop_assert_eq!(u.cached, b.cached);
+                    prop_assert_eq!(u.tier, Tier::Exact);
+                    prop_assert_eq!(b.tier, Tier::Exact);
                 }
+                (Err(u), Err(b)) => prop_assert_eq!(u, b),
+                (u, b) => panic!("verdicts diverged: {u:?} vs {b:?}"),
             }
         }
-        bcc_par::set_threads(0);
     }
 
     /// Degraded serving is deterministic: under a starvation budget and an
     /// inflated work cost, two identical runs produce byte-identical
-    /// responses — including tiers and stale-cache labels — for any
-    /// thread count.
+    /// responses — including tiers and stale-cache labels.
     #[test]
     fn degraded_serving_is_deterministic(
         seed in 0u64..1_000,
@@ -226,8 +209,7 @@ proptest! {
             ..ServiceConfig::default()
         };
         let mut runs = Vec::new();
-        for threads in THREADS {
-            bcc_par::set_threads(threads);
+        for _ in 0..2 {
             let mut service = service_with(seed, 8, 6, starved.clone());
             // Warm the cache cheaply, then inflate the work cost so the
             // second slice exhausts and walks the fallback ladder.
@@ -260,14 +242,13 @@ proptest! {
                 }
             }
         }
-        bcc_par::set_threads(0);
     }
 
     /// Every served answer — executed, coalesced or a cache hit — equals a
     /// fresh [`bcc_simnet::DynamicSystem::query_resilient`] on the
     /// service's own system at response time, including across a
-    /// mid-workload crash, for any thread count. Each slice runs twice so
-    /// the second pass is served from the cache.
+    /// mid-workload crash. Each slice runs twice so the second pass is
+    /// served from the cache.
     #[test]
     fn served_matches_fresh_recompute(
         seed in 0u64..1_000,
@@ -275,34 +256,30 @@ proptest! {
         second in arb_workload(10, 12),
         crash_host in 0usize..6,
     ) {
-        for threads in THREADS {
-            bcc_par::set_threads(threads);
-            let mut service = service_with(seed, 10, 6, ServiceConfig::default());
-            let retry = service.config().retry;
-            for (slice, crash_after) in [(&first, true), (&second, false)] {
-                let mut answered_first = false;
-                let mut hit_second = false;
-                for pass in 0..2 {
-                    for resp in run_workload(&mut service, slice).into_iter().flatten() {
-                        let q = resp.query;
-                        let fresh = service
-                            .system()
-                            .query_resilient(q.submit_node, q.k, q.bandwidth, &retry);
-                        prop_assert_eq!(&resp.outcome, &fresh, "pass {} {:?}", pass, q);
-                        if resp.outcome.is_ok() {
-                            answered_first |= pass == 0;
-                            hit_second |= pass == 1 && resp.cached;
-                        }
+        let mut service = service_with(seed, 10, 6, ServiceConfig::default());
+        let retry = service.config().retry;
+        for (slice, crash_after) in [(&first, true), (&second, false)] {
+            let mut answered_first = false;
+            let mut hit_second = false;
+            for pass in 0..2 {
+                for resp in run_workload(&mut service, slice).into_iter().flatten() {
+                    let q = resp.query;
+                    let fresh = service
+                        .system()
+                        .query_resilient(q.submit_node, q.k, q.bandwidth, &retry);
+                    prop_assert_eq!(&resp.outcome, &fresh, "pass {} {:?}", pass, q);
+                    if resp.outcome.is_ok() {
+                        answered_first |= pass == 0;
+                        hit_second |= pass == 1 && resp.cached;
                     }
                 }
-                prop_assert_eq!(answered_first, hit_second, "a repeated answer is a cache hit");
-                if crash_after {
-                    // Ok or a typed refusal; either way the epoch story holds.
-                    let _ = service.crash(NodeId::new(crash_host));
-                }
+            }
+            prop_assert_eq!(answered_first, hit_second, "a repeated answer is a cache hit");
+            if crash_after {
+                // Ok or a typed refusal; either way the epoch story holds.
+                let _ = service.crash(NodeId::new(crash_host));
             }
         }
-        bcc_par::set_threads(0);
     }
 
     /// Admission through an open breaker is impossible: every successful
@@ -317,7 +294,6 @@ proptest! {
         // submission.
         workload in proptest::collection::vec((0usize..6, 2usize..5, 5.0f64..24.0), 8..=40),
     ) {
-        bcc_par::set_threads(2);
         // A zero budget exhausts every execution at the first node visit,
         // so the lane trips as fast as the breaker config allows.
         let mut service = service_with(
@@ -368,6 +344,5 @@ proptest! {
         }
         prop_assert_eq!(service.stats().breaker_shed, sheds);
         assert_cache_counter_identities(&service);
-        bcc_par::set_threads(0);
     }
 }

@@ -41,12 +41,10 @@
 //! fall (and with them the partner rows a dead row would have opened).
 //!
 //! Scatter runs on the caller's thread, one shard after another: a query's
-//! prune tests and member scans are microseconds of work, less than a
-//! `bcc-par` call spends creating and joining its workers. Nothing in a
-//! coordinator query touches the pool, so responses cannot depend on the
-//! thread count — the shard proptests still pin all of S ∈ {1,2,4} ×
-//! threads ∈ {1,2,8} against the unsharded instance, because the shard
-//! services underneath do use it.
+//! prune tests and member scans are microseconds of work, less than
+//! creating and joining worker threads would cost. Nothing under a
+//! coordinator query spawns a thread; the shard proptests pin every
+//! S ∈ {1,2,4} against the unsharded instance.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

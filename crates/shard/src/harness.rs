@@ -176,8 +176,7 @@ pub struct ShardChaosReport {
     /// claiming to be cached, or an epoch drift.
     pub divergences: u64,
     /// FNV-1a digest over the ordered baseline query/answer stream — the
-    /// replay fingerprint; identical for every thread count by
-    /// construction (the stream never touches the scatter pool).
+    /// replay fingerprint.
     pub digest: u64,
 }
 
@@ -255,8 +254,7 @@ fn run_query(
 /// partition windows take shards offline on a fixed cadence, and a
 /// repeated workload cross-checks every answer after every event.
 ///
-/// Deterministic: the same `(seed, cfg)` produces the same report — for
-/// any `bcc-par` thread count.
+/// Deterministic: the same `(seed, cfg)` produces the same report.
 pub fn shard_chaos(seed: u64, cfg: &ShardChaosConfig) -> ShardChaosReport {
     let schedule = generate_shard_schedule(seed, cfg.universe, cfg.steps);
     let mut baseline = seeded_baseline(seed, cfg.universe);

@@ -10,8 +10,8 @@
 //! owning shard — scatter–gathering cross-shard candidates only when the
 //! query's bandwidth ball straddles a region boundary.
 //!
-//! The headline property is **bit-identity**: for every churn schedule,
-//! shard count and thread count, [`Coordinator::cluster_near`] returns
+//! The headline property is **bit-identity**: for every churn schedule
+//! and shard count, [`Coordinator::cluster_near`] returns
 //! exactly the answer the unsharded
 //! [`DynamicSystem::cluster_near`](bcc_simnet::DynamicSystem::cluster_near)
 //! returns — same bytes, same error values, no stale reads. The

@@ -1,17 +1,14 @@
 //! Property tests pinning the sharded coordinator's headline guarantee:
 //! for any churn schedule and any query workload, [`Coordinator`] answers
-//! are **bit-identical** to the unsharded [`DynamicSystem`] — at every
-//! shard count in {1, 2, 4} and every `bcc-par` thread count in
-//! {1, 2, 8} — and every error comes back with exactly the baseline's
-//! error value.
+//! are **bit-identical** to the unsharded [`DynamicSystem`] at every
+//! shard count in {1, 2, 4}, and every error comes back with exactly the
+//! baseline's error value.
 
 use bcc_metric::NodeId;
 use bcc_shard::harness::{seeded_baseline, seeded_coordinator, SHARD_COUNTS};
 use bcc_shard::{CoordOutcome, Coordinator};
 use bcc_simnet::DynamicSystem;
 use proptest::prelude::*;
-
-const THREADS: [usize; 3] = [1, 2, 8];
 
 /// A raw churn op: (op selector, universe host).
 type RawOp = (u8, usize);
@@ -92,52 +89,47 @@ fn assert_workload_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The tentpole invariant: arbitrary churn keeps every shard count and
-    /// every thread count bit-identical to the unsharded system. The
-    /// workload runs twice per churn round — the second pass serves from
-    /// the coordinator cache, so cached answers are pinned too.
+    /// The tentpole invariant: arbitrary churn keeps every shard count
+    /// bit-identical to the unsharded system. The workload runs twice per
+    /// churn round — the second pass serves from the coordinator cache, so
+    /// cached answers are pinned too.
     #[test]
-    fn sharded_matches_unsharded_across_shard_and_thread_counts(
+    fn sharded_matches_unsharded_across_shard_counts(
         seed in 0u64..1_000,
         schedule in arb_schedule(10, 16),
         workload in arb_workload(10, 8),
     ) {
-        for threads in THREADS {
-            bcc_par::set_threads(threads);
-            let mut baseline = seeded_baseline(seed, 10);
-            let mut coords: Vec<Coordinator> = SHARD_COUNTS
-                .iter()
-                .map(|&s| seeded_coordinator(seed, 10, s))
-                .collect();
-            for h in 0..10 {
-                let want = baseline.join(NodeId::new(h));
-                for coord in coords.iter_mut() {
-                    prop_assert_eq!(&coord.join(NodeId::new(h)), &want);
-                }
-            }
-            for &op in &schedule {
-                let want = apply_baseline(&mut baseline, op);
-                for coord in coords.iter_mut() {
-                    prop_assert_eq!(&apply_coord(coord, op), &want, "op {:?}", op);
-                    prop_assert_eq!(coord.epoch(), baseline.epoch(), "op {:?}", op);
-                }
-                assert_workload_identical(&baseline, &mut coords, &workload);
-                assert_workload_identical(&baseline, &mut coords, &workload);
+        let mut baseline = seeded_baseline(seed, 10);
+        let mut coords: Vec<Coordinator> = SHARD_COUNTS
+            .iter()
+            .map(|&s| seeded_coordinator(seed, 10, s))
+            .collect();
+        for h in 0..10 {
+            let want = baseline.join(NodeId::new(h));
+            for coord in coords.iter_mut() {
+                prop_assert_eq!(&coord.join(NodeId::new(h)), &want);
             }
         }
-        bcc_par::set_threads(0);
+        for &op in &schedule {
+            let want = apply_baseline(&mut baseline, op);
+            for coord in coords.iter_mut() {
+                prop_assert_eq!(&apply_coord(coord, op), &want, "op {:?}", op);
+                prop_assert_eq!(coord.epoch(), baseline.epoch(), "op {:?}", op);
+            }
+            assert_workload_identical(&baseline, &mut coords, &workload);
+            assert_workload_identical(&baseline, &mut coords, &workload);
+        }
     }
 
     /// Repeated runs of the same inputs produce identical responses —
-    /// stats, routing metadata and all — independent of thread count.
+    /// stats, routing metadata and all.
     #[test]
     fn coordinator_runs_are_deterministic(
         seed in 0u64..1_000,
         schedule in arb_schedule(8, 12),
         workload in arb_workload(8, 6),
     ) {
-        let run = |threads: usize| {
-            bcc_par::set_threads(threads);
+        let run = || {
             let mut coord = seeded_coordinator(seed, 8, 4);
             for h in 0..8 {
                 drop(coord.join(NodeId::new(h)));
@@ -152,10 +144,6 @@ proptest! {
             log.push(format!("{:?} {:?}", coord.stats(), coord.cache_stats()));
             log
         };
-        let reference = run(1);
-        for threads in [2, 8] {
-            prop_assert_eq!(&run(threads), &reference, "threads {}", threads);
-        }
-        bcc_par::set_threads(0);
+        prop_assert_eq!(run(), run());
     }
 }

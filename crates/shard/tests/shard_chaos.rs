@@ -1,5 +1,5 @@
 //! Integration sweep of the sharded chaos harness: multiple seeds, every
-//! oracle, plus thread-count independence of the full report.
+//! oracle, plus a repeated run reproducing the full report.
 
 use bcc_shard::harness::{shard_chaos, ShardArtifact, ShardChaosConfig};
 use bcc_simnet::ChaosError;
@@ -19,25 +19,17 @@ fn chaos_sweep_is_stale_free_and_baseline_identical() {
 }
 
 #[test]
-fn chaos_report_is_thread_count_independent() {
+fn chaos_report_is_deterministic() {
     let cfg = ShardChaosConfig {
         universe: 10,
         steps: 16,
         queries_per_step: 3,
     };
-    let run = |threads: usize| {
-        bcc_par::set_threads(threads);
-        shard_chaos(11, &cfg)
-    };
-    let reference = run(1);
-    for threads in [2, 8] {
-        assert_eq!(
-            run(threads),
-            reference,
-            "threads {threads}: report diverged"
-        );
-    }
-    bcc_par::set_threads(0);
+    assert_eq!(
+        shard_chaos(11, &cfg),
+        shard_chaos(11, &cfg),
+        "report diverged"
+    );
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Byte-stable binary primitives for snapshots and journals.
+//! Byte-stable binary primitives for wire messages, snapshots and journals.
 //!
 //! Everything is little-endian; floats travel as IEEE-754 bit patterns
 //! (`f64::to_bits`), so encoding is bit-stable across platforms and a
@@ -7,7 +7,7 @@
 
 use bcc_core::{FNV_OFFSET, FNV_PRIME};
 
-use super::error::PersistError;
+use crate::persist::PersistError;
 
 /// FNV-1a over `bcc_core`'s constants (one hash discipline for the whole
 /// stack), but processed a 64-bit word at a time (little-endian,
@@ -131,6 +131,11 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn f64(&mut self) -> Result<f64, PersistError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Bytes not yet read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     /// Bulk [`Reader::u32`]: one bounds check for `n` elements — the

@@ -95,6 +95,7 @@
 
 pub mod chaos;
 mod churn;
+mod codec;
 mod config;
 mod engine;
 mod event;

@@ -13,9 +13,9 @@
 
 use bcc_metric::NodeId;
 
-use super::codec::fnv64;
 use super::error::PersistError;
 use crate::churn::ChurnOp;
+use crate::codec::fnv64;
 
 /// Body bytes per frame: op (1) + host (4) + epoch (8).
 const BODY_LEN: usize = 13;

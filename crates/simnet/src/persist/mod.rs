@@ -28,7 +28,6 @@
 //!
 //! [`DynamicSystem`]: crate::DynamicSystem
 
-mod codec;
 mod error;
 mod journal;
 mod recovery;

@@ -27,9 +27,9 @@ use bcc_embed::{
 };
 use bcc_metric::{BandwidthMatrix, NodeId};
 
-use super::codec::{read_section, write_section, Reader, Writer};
 use super::error::PersistError;
 use crate::churn::{DynamicSystem, RestoredParts};
+use crate::codec::{read_section, write_section, Reader, Writer};
 use crate::config::SystemConfig;
 use crate::engine::NodeGossipState;
 

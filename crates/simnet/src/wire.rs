@@ -2,10 +2,13 @@
 //!
 //! The simulator charges each gossip exchange its real serialized size, so
 //! the evaluation can report message-volume costs (the quantity the paper's
-//! `n_cut` knob bounds) rather than abstract message counts.
+//! `n_cut` knob bounds) rather than abstract message counts. Frames use the
+//! crate's one little-endian [`Writer`]/[`Reader`], the same primitives as
+//! snapshots and the journal.
 
 use bcc_metric::NodeId;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+
+use crate::codec::{Reader, Writer};
 
 /// A protocol message traveling along one overlay edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,6 +27,8 @@ pub enum Message {
 
 const TAG_NODE_INFO: u8 = 1;
 const TAG_CRT_ROW: u8 = 2;
+/// Tag byte plus `u32` entry count.
+const HEADER_LEN: usize = 5;
 
 impl Message {
     /// The `CrtRow` carrying `row`. Cluster sizes are bounded by the host
@@ -37,52 +42,52 @@ impl Message {
     }
 
     /// Serializes the message (1-byte tag, u32 length, u32 entries).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
         match self {
             Message::NodeInfo { nodes } => {
-                buf.put_u8(TAG_NODE_INFO);
-                buf.put_u32(u32::try_from(nodes.len()).expect("message fits u32"));
+                w.u8(TAG_NODE_INFO);
+                w.u32(u32::try_from(nodes.len()).expect("message fits u32"));
                 for n in nodes {
-                    buf.put_u32(u32::try_from(n.index()).expect("host id fits u32"));
+                    w.u32(u32::try_from(n.index()).expect("host id fits u32"));
                 }
             }
             Message::CrtRow { sizes } => {
-                buf.put_u8(TAG_CRT_ROW);
-                buf.put_u32(u32::try_from(sizes.len()).expect("message fits u32"));
-                for &s in sizes {
-                    buf.put_u32(s);
-                }
+                w.u8(TAG_CRT_ROW);
+                w.u32(u32::try_from(sizes.len()).expect("message fits u32"));
+                w.u32_slice(sizes);
             }
         }
-        buf.freeze()
+        w.finish()
     }
 
-    /// Decodes a message produced by [`Message::encode`].
+    /// Decodes a message produced by [`Message::encode`]; bytes after the
+    /// frame are ignored.
     ///
-    /// Returns `None` on truncated or unrecognized input.
-    pub fn decode(mut bytes: Bytes) -> Option<Message> {
-        if bytes.remaining() < 5 {
+    /// Returns `None` on truncated or unrecognized input, before allocating
+    /// anything: the header and the declared length are checked against
+    /// the bytes present first, so no read below can fail.
+    pub fn decode(bytes: &[u8]) -> Option<Message> {
+        if bytes.len() < HEADER_LEN {
             return None;
         }
-        let tag = bytes.get_u8();
-        let len = bytes.get_u32() as usize;
-        if bytes.remaining() < len * 4 {
+        let mut r = Reader::new(bytes, "wire");
+        let tag = r.u8().ok()?;
+        let len = r.u32().ok()? as usize;
+        if r.remaining() / 4 < len || !matches!(tag, TAG_NODE_INFO | TAG_CRT_ROW) {
             return None;
         }
-        match tag {
-            TAG_NODE_INFO => {
-                let nodes = (0..len)
-                    .map(|_| NodeId::new(bytes.get_u32() as usize))
-                    .collect();
-                Some(Message::NodeInfo { nodes })
+        let entries = r.u32_vec(len).ok()?;
+        Some(if tag == TAG_NODE_INFO {
+            Message::NodeInfo {
+                nodes: entries
+                    .into_iter()
+                    .map(|i| NodeId::new(i as usize))
+                    .collect(),
             }
-            TAG_CRT_ROW => {
-                let sizes = (0..len).map(|_| bytes.get_u32()).collect();
-                Some(Message::CrtRow { sizes })
-            }
-            _ => None,
-        }
+        } else {
+            Message::CrtRow { sizes: entries }
+        })
     }
 
     /// Serialized size in bytes.
@@ -109,7 +114,7 @@ mod tests {
         };
         let b = m.encode();
         assert_eq!(b.len(), m.wire_len());
-        assert_eq!(Message::decode(b), Some(m));
+        assert_eq!(Message::decode(&b), Some(m));
     }
 
     #[test]
@@ -117,14 +122,22 @@ mod tests {
         let m = Message::CrtRow {
             sizes: vec![1, 0, 42, 9000],
         };
-        assert_eq!(Message::decode(m.encode()), Some(m));
+        assert_eq!(Message::decode(&m.encode()), Some(m));
+    }
+
+    #[test]
+    fn frames_are_little_endian() {
+        let m = Message::CrtRow {
+            sizes: vec![0x0102_0304],
+        };
+        assert_eq!(m.encode(), [TAG_CRT_ROW, 1, 0, 0, 0, 4, 3, 2, 1]);
     }
 
     #[test]
     fn empty_payloads() {
         let m = Message::NodeInfo { nodes: vec![] };
         assert_eq!(m.wire_len(), 5);
-        assert_eq!(Message::decode(m.encode()), Some(m));
+        assert_eq!(Message::decode(&m.encode()), Some(m));
     }
 
     #[test]
@@ -133,15 +146,12 @@ mod tests {
             sizes: vec![1, 2, 3],
         };
         let b = m.encode();
-        assert_eq!(Message::decode(b.slice(0..b.len() - 1)), None);
-        assert_eq!(Message::decode(Bytes::new()), None);
+        assert_eq!(Message::decode(&b[..b.len() - 1]), None);
+        assert_eq!(Message::decode(&[]), None);
     }
 
     #[test]
     fn unknown_tag_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(99);
-        buf.put_u32(0);
-        assert_eq!(Message::decode(buf.freeze()), None);
+        assert_eq!(Message::decode(&[99, 0, 0, 0, 0]), None);
     }
 }

