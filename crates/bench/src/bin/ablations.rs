@@ -231,7 +231,7 @@ fn ablate_vivaldi_dim(bw: &bcc_metric::BandwidthMatrix) {
 }
 
 fn ablate_route_policy(bw: &bcc_metric::BandwidthMatrix, queries: usize) {
-    use bcc_core::{process_query, RoutePolicy};
+    use bcc_core::{process_query, RetryPolicy, RoutePolicy, Unmetered};
     let t = RationalTransform::default();
     let n = bw.len();
     let classes = BandwidthClasses::linspace(10.0, 80.0, 10, t);
@@ -253,7 +253,20 @@ fn ablate_route_policy(bw: &bcc_metric::BandwidthMatrix, queries: usize) {
             let b = rng.gen_range(15.0..=70.0);
             let start = NodeId::new(rng.gen_range(0..n));
             let nodes = system.network().expect("bootstrapped").nodes();
-            let out = process_query(nodes, start, k, b, &classes, dist, policy).expect("valid");
+            let out = process_query(
+                nodes,
+                start,
+                k,
+                b,
+                &classes,
+                dist,
+                policy,
+                &RetryPolicy::default(),
+                |_| true,
+                &mut Unmetered,
+            )
+            .expect("valid")
+            .into_value();
             hops += out.hops;
             if out.found() {
                 found += 1;

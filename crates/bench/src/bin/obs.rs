@@ -65,7 +65,7 @@ fn main() {
     bcc_obs::enable_span_ring(256);
 
     println!("=== obs — observability byte-stability smoke ===");
-    println!("threads = {}, seed = {SEED}", bcc_par::current_threads());
+    println!("seed = {SEED}");
 
     let first = instrumented_pass();
     let (events, evicted) = bcc_obs::span_events();

@@ -1,4 +1,4 @@
-//! Regenerates the robustness extension: query success, retries and
+//! Regenerates the robustness extension: query success and
 //! re-convergence under injected message loss and host crashes.
 //!
 //! ```sh

@@ -109,10 +109,7 @@ fn main() {
     }
 
     println!("=== serve — batched, churn-aware cluster-query serving ===");
-    println!(
-        "threads = {}, smoke = {smoke}, universe = {universe}, joined = {joined}",
-        bcc_par::current_threads()
-    );
+    println!("smoke = {smoke}, universe = {universe}, joined = {joined}");
     println!();
 
     // Throughput: identical workload, identical system, cache off vs on.
@@ -203,14 +200,13 @@ fn main() {
     println!();
 
     let json = format!(
-        "{{\n  \"bench\": \"service\",\n  \"seed\": {SEED},\n  \"threads\": {},\n  \
+        "{{\n  \"bench\": \"service\",\n  \"seed\": {SEED},\n  \
          \"smoke\": {smoke},\n  \"workload\": {{\"queries\": {}, \"distinct\": {pool}, \
          \"repeats\": {repeats}, \"uncached_ms\": {uncached_ms:.3}, \"cached_ms\": {cached_ms:.3}, \
          \"speedup\": {speedup:.3}, \"hit_rate\": {hit_rate:.4}, \"identical\": {identical}}},\n  \
          \"chaos\": {{\"seeds\": {chaos_seeds}, \"steps\": {chaos_steps}, \
          \"responses\": {chaos_responses}, \"cached\": {chaos_cached}, \
          \"stale_hits\": {stale_hits}}}\n}}\n",
-        bcc_par::current_threads(),
         queries.len(),
     );
     if json_path == "-" {

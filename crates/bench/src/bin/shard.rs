@@ -292,8 +292,7 @@ fn run() -> Result<ExitCode, String> {
 
     println!("=== shard — scatter–gather coordination over anchor-tree regions ===");
     println!(
-        "threads = {}, smoke = {smoke}, chaos universe = {}, scaling universe = {universe}",
-        bcc_par::current_threads(),
+        "smoke = {smoke}, chaos universe = {}, scaling universe = {universe}",
         chaos_cfg.universe,
     );
     println!();

@@ -9,39 +9,8 @@
 //! NP-complete general-graph `k`-Clique.
 
 use bcc_metric::FiniteMetric;
-use serde::{Deserialize, Serialize};
 
-use crate::error::ClusterError;
 use crate::rows::LazyRows;
-
-/// A clustering query in the distance domain: find `k` nodes with pairwise
-/// distance at most `l`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Query {
-    /// Cluster size constraint (`k ≥ 2`).
-    pub k: usize,
-    /// Diameter constraint in the distance domain (`l = C / b`).
-    pub l: f64,
-}
-
-impl Query {
-    /// Creates a validated query.
-    ///
-    /// # Errors
-    ///
-    /// - [`ClusterError::InvalidSizeConstraint`] when `k < 2`.
-    /// - [`ClusterError::InvalidDiameterConstraint`] when `l` is not
-    ///   positive and finite.
-    pub fn new(k: usize, l: f64) -> Result<Self, ClusterError> {
-        if k < 2 {
-            return Err(ClusterError::InvalidSizeConstraint { k });
-        }
-        if !l.is_finite() || l <= 0.0 {
-            return Err(ClusterError::InvalidDiameterConstraint { l });
-        }
-        Ok(Query { k, l })
-    }
-}
 
 /// Order in which Algorithm 1 scans node pairs.
 ///
@@ -956,23 +925,6 @@ mod tests {
 
     fn line(pos: &[f64]) -> DistanceMatrix {
         DistanceMatrix::from_fn(pos.len(), |i, j| (pos[i] - pos[j]).abs())
-    }
-
-    #[test]
-    fn query_validation() {
-        assert!(Query::new(2, 1.0).is_ok());
-        assert!(matches!(
-            Query::new(1, 1.0),
-            Err(ClusterError::InvalidSizeConstraint { .. })
-        ));
-        assert!(matches!(
-            Query::new(3, 0.0),
-            Err(ClusterError::InvalidDiameterConstraint { .. })
-        ));
-        assert!(matches!(
-            Query::new(3, f64::NAN),
-            Err(ClusterError::InvalidDiameterConstraint { .. })
-        ));
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //!   (`bcc-service`), per shard (`bcc-shard`) and per run (`bcc-eval`);
 //! - [`ClusterNode`] — per-host protocol state implementing Algorithm 2
 //!   (close-node aggregation) and Algorithm 3 (cluster routing tables);
-//! - [`process_query`] — Algorithm 4, decentralized query routing;
+//! - [`process_query`] — Algorithm 4, decentralized query routing: one
+//!   walk around crashed hosts, under a hop budget ([`RetryPolicy`]) and a
+//!   [`Meter`];
 //! - [`BandwidthClasses`] — the quantized constraint classes CRTs are keyed
 //!   by;
 //! - [`find_cluster_euclidean`] — the paper's comparison model: exact
@@ -67,7 +69,7 @@ pub use euclidean::{find_cluster_euclidean, max_cluster_size_euclidean};
 pub use find_cluster::{
     diameter, exists_cluster_brute_force, find_cluster, find_cluster_among, find_cluster_budgeted,
     find_cluster_ordered, max_cluster_size, max_cluster_size_binary_search,
-    max_cluster_size_budgeted, min_diameter_cluster, Budgeted, Meter, PairOrder, Query, Unmetered,
+    max_cluster_size_budgeted, min_diameter_cluster, Budgeted, Meter, PairOrder, Unmetered,
     WorkMeter, BUDGET_BLOCK,
 };
 pub use index::{
@@ -75,6 +77,4 @@ pub use index::{
     FNV_OFFSET, FNV_PRIME,
 };
 pub use node::{ClusterNode, Distances, ProtocolConfig, RoutePolicy};
-pub use query::{
-    process_query, process_query_resilient, Degradation, QueryOutcome, QueryRequest, RetryPolicy,
-};
+pub use query::{process_query, Degradation, QueryOutcome, QueryRequest, RetryPolicy};

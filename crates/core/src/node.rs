@@ -567,8 +567,9 @@ impl ClusterNode {
 
     /// Algorithm 4, local half: answers `(k, class_idx)` from the part of
     /// the local clustering space `alive` admits, if `aggrCRT[x][l]` admits
-    /// it. The plain walk passes `|_| true`; [`crate::process_query_resilient`]
-    /// runs the same search under its meter with its liveness oracle.
+    /// it. [`crate::process_query`] runs the same search under its meter
+    /// with its liveness oracle; a caller with no fault detector passes
+    /// `|_| true`.
     ///
     /// The clustering space may contain crashed hosts (close-node records
     /// are only as fresh as the last gossip round), so a cluster assembled

@@ -80,12 +80,10 @@ impl QueryRequest {
 pub struct QueryOutcome {
     /// The cluster found, if any (host ids).
     pub cluster: Option<Vec<NodeId>>,
-    /// Number of forwarding hops (0 when the entry node answered). Under
-    /// [`process_query_resilient`] this is the total across all attempts.
+    /// Number of forwarding hops (0 when the entry node answered).
     pub hops: usize,
-    /// Every node that processed the query, in order (entry node first).
-    /// Under [`process_query_resilient`] retries append to the same path,
-    /// so the entry node reappears at each attempt boundary.
+    /// Every node the walk reached, in order (entry node first). On a tree
+    /// overlay no host appears twice.
     pub path: Vec<NodeId>,
     /// How degraded the answer is after failures along the way. All-default
     /// (`Degradation::default()`) for a clean, fault-free run.
@@ -98,21 +96,19 @@ impl QueryOutcome {
         self.cluster.is_some()
     }
 
-    /// `true` when the query ran without retries, dead neighbors or stale
-    /// routing state.
+    /// `true` when the query ran without dead neighbors or stale routing
+    /// state.
     pub fn clean(&self) -> bool {
         self.degradation == Degradation::default()
     }
 }
 
-/// Failure-recovery accounting attached to every [`QueryOutcome`]: instead
-/// of failing hard when the overlay is degraded, a resilient query reports
-/// *how* degraded its answer is.
+/// Failure accounting attached to every [`QueryOutcome`]: instead of
+/// failing hard when the overlay is degraded, the walk reports *how*
+/// degraded its answer is.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Degradation {
-    /// Attempts issued after the first (0 = the first walk succeeded).
-    pub retries: usize,
-    /// Dead hosts encountered — and rerouted around — across all attempts.
+    /// Dead hosts encountered — and rerouted around — along the walk.
     pub dead_encountered: usize,
     /// `true` when the walk followed aggregated state that proved stale:
     /// a CRT promise pointing at a dead host, or a locally-aggregated
@@ -123,61 +119,63 @@ pub struct Degradation {
     pub partial: Option<Vec<NodeId>>,
 }
 
-/// Retry/timeout/backoff budget for [`process_query_resilient`].
+/// The hop budget of [`process_query`].
 ///
-/// The simulator has no wall clock, so the timeout analogue is a *hop
-/// budget*: an attempt that exceeds it is abandoned (as a real deployment
-/// would abandon a query whose forwarding chain went quiet) and reissued
-/// from the entry node with a budget grown by `backoff`. Dead hosts
-/// discovered in one attempt stay blacklisted in the next, so retries
-/// explore different paths.
+/// The simulator has no wall clock, so the timeout analogue is a count of
+/// forwarding hops: the walk stops when it reaches its `hop_budget`-th hop,
+/// as a real deployment would abandon a query whose forwarding chain went
+/// quiet. It is never reissued: see [`process_query`] for why a second
+/// attempt could only replay the first.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
-    /// Additional attempts after the first.
-    pub max_retries: usize,
-    /// Hop budget of the first attempt.
-    pub initial_hop_budget: usize,
-    /// Budget multiplier applied on every retry (≥ 1.0).
-    pub backoff: f64,
+    /// The walk stops at this hop, so beyond the entry node it visits only
+    /// nodes fewer than `hop_budget` hops from it.
+    pub hop_budget: usize,
 }
 
 impl Default for RetryPolicy {
+    /// 256 hops. On a tree overlay a walk is a simple path, so the budget
+    /// binds only on an overlay of more than 256 hosts.
     fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            initial_hop_budget: 32,
-            backoff: 2.0,
-        }
+        RetryPolicy { hop_budget: 256 }
     }
 }
 
-impl RetryPolicy {
-    /// Hop budget of the 0-based `attempt`:
-    /// `initial_hop_budget · backoff^attempt`, saturating at `usize::MAX`.
-    ///
-    /// The product is computed in one shot instead of by repeated
-    /// multiplication, and every overflow path — a non-finite product, a
-    /// product beyond `usize::MAX`, an attempt count beyond `i32::MAX` —
-    /// clamps to `usize::MAX` rather than wrapping, so arbitrarily large
-    /// retry counts can only ever *widen* the budget.
-    pub fn budget_for_attempt(&self, attempt: usize) -> usize {
-        let base = self.initial_hop_budget.max(1) as f64;
-        let factor = self.backoff.max(1.0);
-        let exp = i32::try_from(attempt).unwrap_or(i32::MAX);
-        let scaled = base * factor.powi(exp);
-        if !scaled.is_finite() || scaled >= usize::MAX as f64 {
-            usize::MAX
-        } else {
-            scaled as usize
-        }
-    }
-}
-
-/// Routes the query `(k, bandwidth)` starting at `start`, forwarding by
-/// `policy`.
+/// Algorithm 4: routes the query `(k, bandwidth)` starting at `start`,
+/// forwarding by `policy`, around crashed hosts and charged to a [`Meter`].
 ///
 /// `nodes` maps dense host ids to protocol state; `dist` is the predicted
-/// distance oracle every node consults (labels / prediction tree).
+/// distance oracle every node consults (labels / prediction tree); `alive`
+/// is the caller's liveness oracle (in the simulators: the fault
+/// injector's crash set; in a deployment: failure detection). The walk:
+///
+/// 1. answers from the *live* part of each clustering space — stale
+///    close-node records never put crashed hosts into an answer;
+/// 2. probes the chosen next hop before forwarding; a dead next hop is
+///    skipped and the node picks another eligible direction;
+/// 3. never goes back to the node it came from, so on the tree overlay it
+///    is a simple path;
+/// 4. stops at an answer, at a dead end, at its `retry.hop_budget`-th hop,
+///    or once it has made more hops than there are nodes (the net for a
+///    graph that is not a tree);
+/// 5. never fails hard: without an answer it still reports the best live
+///    partial cluster seen, plus staleness accounting, in
+///    [`QueryOutcome::degradation`].
+///
+/// The walk makes one attempt. A dead host skipped at node `x` is a
+/// neighbor of `x`, and on a tree it is a neighbor of no other node on the
+/// path, since that would close a cycle. So a second attempt from the entry
+/// node would take the same route to the same dead end.
+///
+/// Every node visit and every local cluster search along the walk charges
+/// `meter`, and the moment it runs dry the walk stops and reports
+/// [`Budgeted::Exhausted`] carrying the degraded outcome assembled so far
+/// (partial cluster, path, staleness). Work is charged in pairs examined
+/// by the node-local kernels — a deterministic quantity — so where the
+/// walk is cut depends only on the overlay state and the budget, never on
+/// wall-clock or thread count. Under [`Unmetered`](crate::Unmetered) the
+/// walk always returns [`Budgeted::Done`], and under a meter that does not
+/// run dry it returns the same outcome.
 ///
 /// # Errors
 ///
@@ -187,89 +185,9 @@ impl RetryPolicy {
 /// - [`ClusterError::NoMatchingClass`] when `bandwidth` exceeds every
 ///   configured class.
 /// - [`ClusterError::UnknownNeighbor`] when `start` is out of range.
-pub fn process_query(
-    nodes: &[ClusterNode],
-    start: NodeId,
-    k: usize,
-    bandwidth: f64,
-    classes: &BandwidthClasses,
-    mut dist: impl Distances,
-    policy: RoutePolicy,
-) -> Result<QueryOutcome, ClusterError> {
-    let class_idx = QueryRequest::new(start, k, bandwidth).validate(classes, nodes.len())?;
-
-    let mut current = start;
-    let mut previous: Option<NodeId> = None;
-    let mut path = vec![start];
-    let mut hops = 0;
-
-    let cluster = loop {
-        let node = &nodes[current.index()];
-        debug_assert_eq!(node.id(), current, "nodes must be indexed by id");
-        if let Some(cluster) =
-            node.answer_locally_filtered(k, class_idx, classes, Lend(&mut dist), |_| true)
-        {
-            break Some(cluster);
-        }
-        let Some(next) = node.route(k, class_idx, previous, &[], policy) else {
-            break None;
-        };
-        previous = Some(current);
-        current = next;
-        hops += 1;
-        path.push(current);
-        // Safety net: on a tree overlay the no-backtrack walk is a simple
-        // path, so it can never exceed the node count.
-        if hops > nodes.len() {
-            break None;
-        }
-    };
-    Ok(QueryOutcome {
-        cluster,
-        hops,
-        path,
-        degradation: Degradation::default(),
-    })
-}
-
-/// [`process_query`] hardened against crashed hosts and charged to a
-/// [`Meter`]: Algorithm 4 with retry, hop-budget timeouts and rerouting
-/// around dead anchor-tree neighbors.
-///
-/// `alive` is the caller's liveness oracle (in the simulators: the fault
-/// injector's crash set; in a deployment: failure detection). The walk:
-///
-/// 1. answers from the *live* part of each clustering space — stale
-///    close-node records never put crashed hosts into an answer;
-/// 2. probes the chosen next hop before forwarding; a dead next hop is
-///    blacklisted and the node picks another eligible direction;
-/// 3. abandons an attempt that exhausts its hop budget (the timeout
-///    analogue) and reissues from the entry node with the budget scaled by
-///    `retry.backoff`, keeping the blacklist — so retries route differently;
-/// 4. never fails hard: when the budget is spent it still reports the best
-///    live partial cluster seen, plus retry/staleness accounting, in
-///    [`QueryOutcome::degradation`].
-///
-/// Every node visit and every local cluster search along the walk charges
-/// `meter`, and the moment it runs dry the walk stops and reports
-/// [`Budgeted::Exhausted`] carrying the degraded outcome assembled so far
-/// (partial cluster, path, retry accounting). Work is charged in pairs
-/// examined by the node-local kernels — a deterministic quantity — so
-/// where the walk is cut depends only on the overlay state and the budget,
-/// never on wall-clock or thread count. Under
-/// [`Unmetered`](crate::Unmetered) the walk always returns
-/// [`Budgeted::Done`], and under a meter that does not run dry it returns
-/// the same outcome.
-///
-/// With a fault-free overlay (`alive` always true) the outcome is identical
-/// to [`process_query`] except for hop-budget truncation.
-///
-/// # Errors
-///
-/// The validation errors of [`process_query`], plus
-/// [`ClusterError::NodeUnavailable`] when the entry node itself is dead.
+/// - [`ClusterError::NodeUnavailable`] when the entry node itself is dead.
 #[allow(clippy::too_many_arguments)]
-pub fn process_query_resilient(
+pub fn process_query(
     nodes: &[ClusterNode],
     start: NodeId,
     k: usize,
@@ -290,8 +208,10 @@ pub fn process_query_resilient(
 
     let mut deg = Degradation::default();
     let mut blacklist: Vec<NodeId> = Vec::new();
-    let mut total_hops = 0;
-    let mut full_path = Vec::new();
+    let mut current = start;
+    let mut previous: Option<NodeId> = None;
+    let mut hops = 0;
+    let mut path = vec![start];
 
     // Folds a node-level partial into the degradation record, keeping the
     // largest live cluster seen anywhere along the walk.
@@ -304,110 +224,81 @@ pub fn process_query_resilient(
     }
 
     // `true` when the meter ran dry; a found cluster returns from inside.
-    let exhausted = 'search: {
-        for attempt in 0..=retry.max_retries {
-            if attempt > 0 {
-                deg.retries += 1;
+    let exhausted = loop {
+        // Every node visit pre-charges one unit (the CRT consultation), so
+        // a walk is interruptible at node boundaries even when the local
+        // scans are too small to cross a kernel block boundary. Under a
+        // saturating work cost this refuses immediately — the budgeted
+        // analogue of a deadline that has already expired.
+        if !meter.charge(1) {
+            break true;
+        }
+        let node = &nodes[current.index()];
+        debug_assert_eq!(node.id(), current, "nodes must be indexed by id");
+        match node.answer_locally_filtered_budgeted(
+            k,
+            class_idx,
+            classes,
+            Lend(&mut dist),
+            &mut alive,
+            meter,
+        ) {
+            Budgeted::Done(Some(cluster)) => {
+                deg.partial = None;
+                return Ok(Budgeted::Done(QueryOutcome {
+                    cluster: Some(cluster),
+                    hops,
+                    path,
+                    degradation: deg,
+                }));
             }
-            let hop_budget = retry.budget_for_attempt(attempt);
-            let mut current = start;
-            let mut previous: Option<NodeId> = None;
-            let mut hops_this_attempt = 0;
-            let mut progress = false; // learned a new dead host this attempt
-            full_path.push(start);
-
-            'walk: loop {
-                // Every node visit pre-charges one unit (the CRT
-                // consultation), so a walk is interruptible at node
-                // boundaries even when the local scans are too small to
-                // cross a kernel block boundary. Under a saturating work
-                // cost this refuses immediately — the budgeted analogue of
-                // a deadline that has already expired.
-                if !meter.charge(1) {
-                    break 'search true;
-                }
-                let node = &nodes[current.index()];
-                debug_assert_eq!(node.id(), current, "nodes must be indexed by id");
-                match node.answer_locally_filtered_budgeted(
-                    k,
-                    class_idx,
-                    classes,
-                    Lend(&mut dist),
-                    &mut alive,
-                    meter,
-                ) {
-                    Budgeted::Done(Some(cluster)) => {
-                        deg.partial = None;
-                        return Ok(Budgeted::Done(QueryOutcome {
-                            cluster: Some(cluster),
-                            hops: total_hops,
-                            path: full_path,
-                            degradation: deg,
-                        }));
-                    }
-                    Budgeted::Done(None) => {}
-                    Budgeted::Exhausted { best_partial, .. } => {
-                        keep_partial(&mut deg, best_partial);
-                        break 'search true;
-                    }
-                }
-                // The CRT gate promised k here but the live space cannot
-                // deliver it: remember the best live cluster as a fallback.
-                if k <= node.own_max()[class_idx] {
-                    deg.stale_state = true;
-                    match node.best_partial_budgeted(
-                        class_idx,
-                        classes,
-                        Lend(&mut dist),
-                        &mut alive,
-                        meter,
-                    ) {
-                        Budgeted::Done(p) => keep_partial(&mut deg, p),
-                        Budgeted::Exhausted { best_partial, .. } => {
-                            keep_partial(&mut deg, best_partial);
-                            break 'search true;
-                        }
-                    }
-                }
-                // Pick a live next hop, blacklisting dead ones as discovered
-                // (the reroute-around-dead-neighbors step).
-                loop {
-                    match node.route(k, class_idx, previous, &blacklist, policy) {
-                        Some(next) if !alive(next) => {
-                            blacklist.push(next);
-                            deg.dead_encountered += 1;
-                            deg.stale_state = true;
-                            progress = true;
-                        }
-                        Some(next) => {
-                            previous = Some(current);
-                            current = next;
-                            total_hops += 1;
-                            hops_this_attempt += 1;
-                            full_path.push(current);
-                            if hops_this_attempt >= hop_budget || total_hops > 2 * nodes.len() {
-                                break 'walk; // timeout: abandon this attempt
-                            }
-                            continue 'walk;
-                        }
-                        None => break 'walk, // dead end: nothing eligible
-                    }
-                }
-            }
-
-            // A clean dead end with no new liveness knowledge would replay
-            // the exact same walk: further retries are pointless.
-            if !progress && hops_this_attempt < hop_budget {
-                break;
+            Budgeted::Done(None) => {}
+            Budgeted::Exhausted { best_partial, .. } => {
+                keep_partial(&mut deg, best_partial);
+                break true;
             }
         }
-        false
+        // The CRT gate promised k here but the live space cannot deliver
+        // it: remember the best live cluster as a fallback.
+        if k <= node.own_max()[class_idx] {
+            deg.stale_state = true;
+            match node.best_partial_budgeted(class_idx, classes, Lend(&mut dist), &mut alive, meter)
+            {
+                Budgeted::Done(p) => keep_partial(&mut deg, p),
+                Budgeted::Exhausted { best_partial, .. } => {
+                    keep_partial(&mut deg, best_partial);
+                    break true;
+                }
+            }
+        }
+        // Pick a live next hop, skipping dead ones as discovered (the
+        // reroute-around-dead-neighbors step).
+        let next = loop {
+            match node.route(k, class_idx, previous, &blacklist, policy) {
+                Some(next) if !alive(next) => {
+                    blacklist.push(next);
+                    deg.dead_encountered += 1;
+                    deg.stale_state = true;
+                }
+                next => break next,
+            }
+        };
+        let Some(next) = next else {
+            break false; // dead end: nothing eligible
+        };
+        previous = Some(current);
+        current = next;
+        hops += 1;
+        path.push(current);
+        if hops >= retry.hop_budget || hops > nodes.len() {
+            break false;
+        }
     };
 
     let outcome = QueryOutcome {
         cluster: None,
-        hops: total_hops,
-        path: full_path,
+        hops,
+        path,
         degradation: deg,
     };
     Ok(if exhausted {
@@ -439,26 +330,19 @@ mod tests {
         (a.index() as f64 - b.index() as f64).abs()
     }
 
-    /// The plain walk, first fit, over the line metric.
+    /// The walk, first fit, unmetered and with everyone alive, over the
+    /// line metric.
     fn query(
         nodes: &[ClusterNode],
         start: NodeId,
         k: usize,
         b: f64,
     ) -> Result<QueryOutcome, ClusterError> {
-        process_query(
-            nodes,
-            start,
-            k,
-            b,
-            &classes(),
-            line_dist,
-            RoutePolicy::FirstFit,
-        )
+        query_with(nodes, start, k, b, &RetryPolicy::default(), |_| true)
     }
 
-    /// The resilient walk, first fit and unmetered, over the line metric.
-    fn resilient(
+    /// The walk, first fit and unmetered, over the line metric.
+    fn query_with(
         nodes: &[ClusterNode],
         start: NodeId,
         k: usize,
@@ -468,7 +352,7 @@ mod tests {
     ) -> Result<QueryOutcome, ClusterError> {
         let cls = classes();
         let policy = RoutePolicy::FirstFit;
-        process_query_resilient(
+        process_query(
             nodes,
             start,
             k,
@@ -578,10 +462,6 @@ mod tests {
                 query(&nodes, n(0), 2, bad),
                 Err(ClusterError::InvalidBandwidthConstraint { .. })
             ));
-            assert!(matches!(
-                resilient(&nodes, n(0), 2, bad, &RetryPolicy::default(), |_| true),
-                Err(ClusterError::InvalidBandwidthConstraint { .. })
-            ));
         }
     }
 
@@ -647,28 +527,41 @@ mod tests {
             RoutePolicy::BestFit,
             RoutePolicy::TightestFit,
         ] {
-            let out = process_query(&nodes, n(0), 2, 50.0, &classes(), line_dist, policy).unwrap();
+            let out = process_query(
+                &nodes,
+                n(0),
+                2,
+                50.0,
+                &classes(),
+                line_dist,
+                policy,
+                &RetryPolicy::default(),
+                |_| true,
+                &mut Unmetered,
+            )
+            .unwrap()
+            .into_value();
             assert!(out.found(), "policy {policy:?}");
         }
     }
 
     #[test]
-    fn resilient_matches_plain_query_without_faults() {
+    fn fault_free_walk_is_clean() {
+        // Every start reaches node 3's pair along the path toward it.
         let nodes = path_overlay();
         for start in 0..4 {
-            let plain = query(&nodes, n(start), 2, 50.0).unwrap();
-            let res =
-                resilient(&nodes, n(start), 2, 50.0, &RetryPolicy::default(), |_| true).unwrap();
-            assert_eq!(res.cluster, plain.cluster, "start n{start}");
-            assert_eq!(res.hops, plain.hops);
-            assert!(res.clean());
+            let out = query(&nodes, n(start), 2, 50.0).unwrap();
+            assert_eq!(out.cluster, Some(vec![n(2), n(3)]), "start n{start}");
+            assert_eq!(out.hops, 3 - start);
+            assert_eq!(out.path, (start..4).map(n).collect::<Vec<_>>());
+            assert!(out.clean());
         }
     }
 
     #[test]
-    fn resilient_rejects_dead_entry_node() {
+    fn rejects_dead_entry_node() {
         let nodes = path_overlay();
-        let err = resilient(&nodes, n(0), 2, 50.0, &RetryPolicy::default(), |u| {
+        let err = query_with(&nodes, n(0), 2, 50.0, &RetryPolicy::default(), |u| {
             u != n(0)
         })
         .unwrap_err();
@@ -676,7 +569,7 @@ mod tests {
     }
 
     #[test]
-    fn resilient_routes_around_dead_fork() {
+    fn routes_around_dead_fork() {
         // Star: entry 0 — center 1 — forks 2 (dead) and 3 (alive). Both
         // forks promise a 2-cluster; FirstFit prefers 2, so the walk must
         // detect the dead hop, blacklist it, and take 3 instead.
@@ -697,7 +590,7 @@ mod tests {
         nodes[1].receive_crt(n(3), vec![2]).unwrap();
         nodes[0].receive_crt(n(1), vec![2]).unwrap();
 
-        let out = resilient(&nodes, n(0), 2, 50.0, &RetryPolicy::default(), |u| {
+        let out = query_with(&nodes, n(0), 2, 50.0, &RetryPolicy::default(), |u| {
             u != n(2)
         })
         .unwrap();
@@ -710,12 +603,12 @@ mod tests {
     }
 
     #[test]
-    fn resilient_never_returns_dead_members() {
+    fn never_returns_dead_members() {
         // Node 3 aggregates {2, 3}; with host 2 dead the full pair is
         // unbuildable, and the outcome degrades to a partial-free miss
         // (singletons are not clusters).
         let nodes = path_overlay();
-        let out = resilient(&nodes, n(3), 2, 50.0, &RetryPolicy::default(), |u| {
+        let out = query_with(&nodes, n(3), 2, 50.0, &RetryPolicy::default(), |u| {
             u != n(2)
         })
         .unwrap();
@@ -728,7 +621,7 @@ mod tests {
     }
 
     #[test]
-    fn resilient_reports_partial_results() {
+    fn reports_partial_results() {
         // Node 0's space holds {0..3}: with everyone alive it can build a
         // 3-cluster (l = 2 admits three consecutive line hosts). With host
         // 2 dead only pairs survive — reported as a partial.
@@ -743,7 +636,7 @@ mod tests {
         for node in &mut nodes {
             node.recompute_own_max(&cls, line_dist);
         }
-        let out = resilient(&nodes, n(0), 3, 50.0, &RetryPolicy::default(), |u| {
+        let out = query_with(&nodes, n(0), 3, 50.0, &RetryPolicy::default(), |u| {
             u != n(2)
         })
         .unwrap();
@@ -755,93 +648,33 @@ mod tests {
     }
 
     #[test]
-    fn hop_budget_truncates_and_backoff_extends() {
+    fn hop_budget_bounds_the_walk() {
+        // Node 3, the only node that can answer, is 3 hops from node 0:
+        // budget 3 stops the walk as it reaches node 3, budget 4 visits it.
         let nodes = path_overlay();
-        // Budget 1 with no retries cannot reach node 3 from node 0.
-        let starved = resilient(
-            &nodes,
-            n(0),
-            2,
-            50.0,
-            &RetryPolicy {
-                max_retries: 0,
-                initial_hop_budget: 1,
-                backoff: 1.0,
-            },
-            |_| true,
-        )
-        .unwrap();
+        let budgeted = |hop_budget| {
+            query_with(&nodes, n(0), 2, 50.0, &RetryPolicy { hop_budget }, |_| true).unwrap()
+        };
+        let starved = budgeted(3);
         assert!(!starved.found());
-        // Backoff 2× per retry: budgets 1, 2, 4 — the third attempt
-        // reaches node 3 (3 hops away).
-        let retried = resilient(
-            &nodes,
-            n(0),
-            2,
-            50.0,
-            &RetryPolicy {
-                max_retries: 3,
-                initial_hop_budget: 1,
-                backoff: 2.0,
-            },
-            |_| true,
-        )
-        .unwrap();
-        assert!(retried.found(), "backoff must eventually reach the answer");
-        assert!(retried.degradation.retries >= 2);
+        assert_eq!(starved.hops, 3);
+        assert_eq!(starved.path, vec![n(0), n(1), n(2), n(3)]);
+        assert!(starved.clean());
+        let reached = budgeted(4);
+        assert!(reached.found(), "node 3 is within budget 4");
+        assert_eq!(reached.hops, 3);
     }
 
     #[test]
-    fn backoff_saturates_at_overflow_boundary() {
-        // Doubling from 2^40 crosses usize::MAX near attempt 23; the budget
-        // must clamp there and stay clamped, never wrap.
-        let p = RetryPolicy {
-            max_retries: 600,
-            initial_hop_budget: 1 << 40,
-            backoff: 2.0,
-        };
-        let mut prev = 0usize;
-        for attempt in 0..=p.max_retries {
-            let b = p.budget_for_attempt(attempt);
-            assert!(b >= prev, "budget shrank at attempt {attempt}");
-            prev = b;
-        }
-        assert_eq!(p.budget_for_attempt(600), usize::MAX);
-        // A single extreme backoff step saturates immediately.
-        let extreme = RetryPolicy {
-            max_retries: 3,
-            initial_hop_budget: 7,
-            backoff: f64::MAX,
-        };
-        assert_eq!(extreme.budget_for_attempt(0), 7);
-        assert_eq!(extreme.budget_for_attempt(1), usize::MAX);
-        assert_eq!(extreme.budget_for_attempt(2), usize::MAX);
-        // Sub-1.0 backoff is clamped to 1.0 — budgets never shrink.
-        let shrinking = RetryPolicy {
-            max_retries: 2,
-            initial_hop_budget: 9,
-            backoff: 0.25,
-        };
-        assert_eq!(shrinking.budget_for_attempt(2), 9);
-        // The default policy keeps its exact 32, 64, 128, ... ladder.
-        let default = RetryPolicy::default();
-        assert_eq!(default.budget_for_attempt(0), 32);
-        assert_eq!(default.budget_for_attempt(1), 64);
-        assert_eq!(default.budget_for_attempt(2), 128);
-    }
-
-    #[test]
-    fn huge_retry_policy_completes_without_overflow() {
+    fn huge_hop_budget_completes_without_overflow() {
         let nodes = path_overlay();
-        let out = resilient(
+        let out = query_with(
             &nodes,
             n(0),
             2,
             50.0,
             &RetryPolicy {
-                max_retries: 1000,
-                initial_hop_budget: usize::MAX / 2,
-                backoff: f64::MAX,
+                hop_budget: usize::MAX,
             },
             |_| true,
         )
@@ -849,8 +682,8 @@ mod tests {
         assert!(out.found());
     }
 
-    /// The resilient walk from `start` over the line metric under `meter`,
-    /// everyone alive.
+    /// The walk from `start` over the line metric under `meter`, everyone
+    /// alive.
     fn walk(
         nodes: &[ClusterNode],
         start: NodeId,
@@ -859,7 +692,7 @@ mod tests {
     ) -> Result<Budgeted<QueryOutcome>, ClusterError> {
         let (cls, retry) = (classes(), RetryPolicy::default());
         let policy = RoutePolicy::FirstFit;
-        process_query_resilient(
+        process_query(
             nodes,
             start,
             k,

@@ -9,7 +9,7 @@
 //! - [`fig5`] — the effect of treeness: WPR vs `f_b`, raw and normalized
 //!   by `(·)^{f_a*}` with `α = 3.2`.
 //! - [`fig6`] — scalability: mean routing hops vs system size.
-//! - [`robustness`] — extension: query success, retries and re-convergence
+//! - [`robustness`] — extension: query success and re-convergence
 //!   under injected message loss and host crashes.
 //!
 //! Shared machinery: [`metrics`] (WPR/RR accumulators, bucketing),

@@ -10,8 +10,8 @@
 //! restricted to surviving hosts. Reported per cell:
 //!
 //! - **success rate** — satisfiable queries answered with a valid cluster,
-//! - **mean retries / dead hops** — the degradation the retry machinery
-//!   absorbed ([`bcc_core::Degradation`]),
+//! - **mean dead hops** — the degradation the walk absorbed
+//!   ([`bcc_core::Degradation`]),
 //! - **re-convergence rounds** — gossip rounds until the survivors'
 //!   protocol state settles again after the crash wave,
 //! - **observed loss** — dropped / sent messages, as a sanity check that
@@ -56,7 +56,7 @@ pub struct RobustnessConfig {
     pub n_cut: usize,
     /// Number of bandwidth classes.
     pub class_count: usize,
-    /// Retry/backoff policy for the failure-aware queries.
+    /// Hop budget of the failure-aware queries.
     pub retry: RetryPolicy,
     /// Base RNG seed.
     pub seed: u64,
@@ -115,8 +115,6 @@ pub struct RobustnessCell {
     pub satisfiable: u64,
     /// Satisfiable queries answered with a valid live cluster.
     pub succeeded: u64,
-    /// Mean retry attempts per query.
-    pub mean_retries: Option<f64>,
     /// Mean dead next-hops encountered per query.
     pub mean_dead_encountered: Option<f64>,
     /// Fraction of queries that observed stale CRT state.
@@ -157,7 +155,6 @@ pub struct RobustnessResult {
 struct CellAccum {
     success: RrAccumulator,
     all_queries: u64,
-    retries: MeanAccumulator,
     dead: MeanAccumulator,
     stale: RrAccumulator,
     reconv: MeanAccumulator,
@@ -187,7 +184,6 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> RobustnessResult {
         let acc = &mut m[task / cfg.trials];
         acc.success.merge(stats.success);
         acc.all_queries += stats.all_queries;
-        acc.retries.merge(stats.retries);
         acc.dead.merge(stats.dead);
         acc.stale.merge(stats.stale);
         acc.reconv.merge(stats.reconv);
@@ -203,7 +199,6 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> RobustnessResult {
                 queries: acc.all_queries,
                 satisfiable: acc.success.queries(),
                 succeeded: acc.success.found(),
-                mean_retries: acc.retries.mean(),
                 mean_dead_encountered: acc.dead.mean(),
                 stale_rate: acc.stale.rate(),
                 mean_reconvergence_rounds: acc.reconv.mean(),
@@ -222,7 +217,6 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> RobustnessResult {
 struct TrialStats {
     success: RrAccumulator,
     all_queries: u64,
-    retries: MeanAccumulator,
     dead: MeanAccumulator,
     stale: RrAccumulator,
     reconv: MeanAccumulator,
@@ -256,7 +250,6 @@ fn run_trial(cfg: &RobustnessConfig, loss: f64, crash_frac: f64, seed: u64) -> T
     let mut stats = TrialStats {
         success: RrAccumulator::new(),
         all_queries: 0,
-        retries: MeanAccumulator::new(),
         dead: MeanAccumulator::new(),
         stale: RrAccumulator::new(),
         reconv: MeanAccumulator::new(),
@@ -287,7 +280,6 @@ fn run_trial(cfg: &RobustnessConfig, loss: f64, crash_frac: f64, seed: u64) -> T
             .expect("live start and valid query")
             .into_value();
         stats.all_queries += 1;
-        stats.retries.record(out.degradation.retries as f64);
         stats.dead.record(out.degradation.dead_encountered as f64);
         stats.stale.record(out.degradation.stale_state);
         if satisfiable {
@@ -328,9 +320,8 @@ impl RobustnessResult {
             .collect()
     }
 
-    /// Renders the figure-style tables: success rate, retries and
-    /// re-convergence cost, each vs loss rate with one curve per crash
-    /// fraction.
+    /// Renders the figure-style tables: success rate and re-convergence
+    /// cost, each vs loss rate with one curve per crash fraction.
     pub fn tables(&self) -> Vec<Table> {
         vec![
             Table::new(
@@ -341,12 +332,6 @@ impl RobustnessResult {
                 "loss rate",
                 self.loss_rates.clone(),
                 self.series_over_loss(|c| c.success_rate()),
-            ),
-            Table::new(
-                "Robustness — mean retries per query vs loss",
-                "loss rate",
-                self.loss_rates.clone(),
-                self.series_over_loss(|c| c.mean_retries),
             ),
             Table::new(
                 "Robustness — re-convergence rounds after crash wave vs loss",
@@ -387,7 +372,7 @@ impl RobustnessResult {
             out.push_str(&format!(
                 "    {{\"loss\": {}, \"crash_frac\": {}, \"queries\": {}, \
                  \"satisfiable\": {}, \"succeeded\": {}, \"success_rate\": {}, \
-                 \"mean_retries\": {}, \"mean_dead_encountered\": {}, \
+                 \"mean_dead_encountered\": {}, \
                  \"stale_rate\": {}, \"mean_reconvergence_rounds\": {}, \
                  \"observed_loss\": {}}}{}\n",
                 c.loss,
@@ -396,7 +381,6 @@ impl RobustnessResult {
                 c.satisfiable,
                 c.succeeded,
                 num(c.success_rate()),
-                num(c.mean_retries),
                 num(c.mean_dead_encountered),
                 num(c.stale_rate),
                 num(c.mean_reconvergence_rounds),
@@ -423,7 +407,7 @@ mod tests {
         assert_eq!(clean.crash_frac, 0.0);
         assert!(clean.satisfiable > 0, "some queries must be satisfiable");
         assert_eq!(clean.success_rate(), Some(1.0));
-        assert_eq!(clean.mean_retries, Some(0.0));
+        assert_eq!(clean.mean_dead_encountered, Some(0.0));
         // The lossy cell actually observed loss near the injected rate.
         let lossy = r.cell(0, 1);
         let obs = lossy.observed_loss.unwrap();
@@ -444,7 +428,7 @@ mod tests {
     fn renders_tables_and_json() {
         let r = run_robustness(&RobustnessConfig::fast());
         let tables = r.tables();
-        assert_eq!(tables.len(), 3);
+        assert_eq!(tables.len(), 2);
         assert!(tables[0].render().contains("CRASH=10%"));
         let json = r.to_json();
         assert!(json.contains("\"experiment\": \"robustness\""));

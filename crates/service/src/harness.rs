@@ -292,10 +292,17 @@ pub struct DegradeChaosReport {
 }
 
 /// Folds one response into the run digest.
+///
+/// The line is the one the recorded corpus and `BENCH_degrade.json` were
+/// fingerprinted with. Its outcome rendering still carries the retry
+/// count the walk once reported; the walk makes one attempt, so the count
+/// reads 0.
 fn digest_response(h: u64, r: &crate::service::ServiceResponse) -> u64 {
+    let outcome =
+        format!("{:?}", r.outcome).replace("Degradation { ", "Degradation { retries: 0, ");
     let line = format!(
-        "{}|{}|{}|{:?}|{:?}\n",
-        r.ticket, r.class_idx, r.cached, r.tier, r.outcome
+        "{}|{}|{}|{:?}|{outcome}\n",
+        r.ticket, r.class_idx, r.cached, r.tier
     );
     fnv1a(h, line.as_bytes())
 }

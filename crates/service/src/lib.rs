@@ -47,7 +47,6 @@
 
 mod batch;
 mod breaker;
-mod budget;
 mod cache;
 mod degrade;
 mod error;
@@ -56,7 +55,6 @@ mod service;
 
 pub use batch::{plan, BatchJob, BatchLane};
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
-pub use budget::{effective_budget, Budgeted, WorkMeter, BUDGET_BLOCK};
 pub use cache::{CacheKey, CacheStats, ResultCache};
 pub use degrade::Tier;
 pub use error::ServiceError;

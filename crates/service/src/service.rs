@@ -11,7 +11,6 @@ use bcc_simnet::{
 
 use crate::batch::{self, BatchJob};
 use crate::breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
-use crate::budget::effective_budget;
 use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::degrade::Tier;
 use crate::error::ServiceError;
@@ -438,7 +437,7 @@ impl ClusterService {
                 let rep = batch[jobs[j].positions[0]].1;
                 debug_assert_eq!(rep.submit_node, key.start);
                 let _query = bcc_obs::span!("service.query");
-                let result = match effective_budget(rep.budget, default_budget) {
+                let result = match rep.budget.or(default_budget) {
                     None => system
                         .query_resilient(rep.submit_node, rep.k, rep.bandwidth, retry)
                         .map(Budgeted::Done),

@@ -35,9 +35,22 @@ fn run_workload(
     service: &mut ClusterService,
     workload: &[RawQuery],
 ) -> Vec<Result<bcc_service::ServiceResponse, bcc_service::ServiceError>> {
+    run_with_budget(service, workload, None)
+}
+
+/// [`run_workload`] with every query carrying the per-query `budget`.
+fn run_with_budget(
+    service: &mut ClusterService,
+    workload: &[RawQuery],
+    budget: Option<u64>,
+) -> Vec<Result<bcc_service::ServiceResponse, bcc_service::ServiceError>> {
     let mut out = Vec::with_capacity(workload.len());
     for &(start, k, b) in workload {
-        match service.submit(ClusterQuery::new(NodeId::new(start), k, b)) {
+        let query = ClusterQuery {
+            budget,
+            ..ClusterQuery::new(NodeId::new(start), k, b)
+        };
+        match service.submit(query) {
             Ok(_) => {}
             Err(e) => out.push(Err(e)),
         }
@@ -161,7 +174,10 @@ proptest! {
 
     /// A budget generous enough to never exhaust must be invisible: the
     /// budgeted service returns byte-identical responses to the
-    /// unbudgeted one, all labeled [`Tier::Exact`].
+    /// unbudgeted one, all labeled [`Tier::Exact`]. So does a service
+    /// whose config default of zero would starve every query, when each
+    /// query carries that generous budget itself: the per-query budget
+    /// wins.
     #[test]
     fn budgeted_matches_unbudgeted_when_not_exhausted(
         seed in 0u64..1_000,
@@ -177,20 +193,32 @@ proptest! {
                 ..ServiceConfig::default()
             },
         );
+        let mut overridden = service_with(
+            seed,
+            10,
+            6,
+            ServiceConfig {
+                work_budget: Some(0),
+                ..ServiceConfig::default()
+            },
+        );
         let u = run_workload(&mut unbudgeted, &workload);
         let b = run_workload(&mut budgeted, &workload);
-        prop_assert_eq!(u.len(), b.len());
-        for (u, b) in u.iter().zip(&b) {
-            match (u, b) {
-                (Ok(u), Ok(b)) => {
-                    prop_assert_eq!(u.ticket, b.ticket);
-                    prop_assert_eq!(u.outcome.clone(), b.outcome.clone());
-                    prop_assert_eq!(u.cached, b.cached);
-                    prop_assert_eq!(u.tier, Tier::Exact);
-                    prop_assert_eq!(b.tier, Tier::Exact);
+        let o = run_with_budget(&mut overridden, &workload, Some(u64::MAX / 2));
+        for b in [&b, &o] {
+            prop_assert_eq!(u.len(), b.len());
+            for (u, b) in u.iter().zip(b) {
+                match (u, b) {
+                    (Ok(u), Ok(b)) => {
+                        prop_assert_eq!(u.ticket, b.ticket);
+                        prop_assert_eq!(u.outcome.clone(), b.outcome.clone());
+                        prop_assert_eq!(u.cached, b.cached);
+                        prop_assert_eq!(u.tier, Tier::Exact);
+                        prop_assert_eq!(b.tier, Tier::Exact);
+                    }
+                    (Err(u), Err(b)) => prop_assert_eq!(u, b),
+                    (u, b) => panic!("verdicts diverged: {u:?} vs {b:?}"),
                 }
-                (Err(u), Err(b)) => prop_assert_eq!(u, b),
-                (u, b) => panic!("verdicts diverged: {u:?} vs {b:?}"),
             }
         }
     }

@@ -638,7 +638,7 @@ impl DynamicSystem {
     ///
     /// [`ClusterError::NodeUnavailable`] when submitted at a crashed host,
     /// [`ClusterError::UnknownNeighbor`] when no host has joined yet, plus
-    /// the usual validation errors of [`bcc_core::process_query`].
+    /// the validation errors of [`bcc_core::process_query`].
     pub fn query(
         &self,
         start: NodeId,
@@ -648,8 +648,8 @@ impl DynamicSystem {
         self.overlay_at(start)?.query(start, k, bandwidth)
     }
 
-    /// Failure-aware query with retry/backoff and degradation reporting
-    /// (see [`bcc_core::process_query_resilient`]).
+    /// [`DynamicSystem::query`] under `retry`'s hop budget
+    /// (see [`bcc_core::process_query`]).
     ///
     /// # Errors
     ///

@@ -23,8 +23,8 @@
 use std::collections::BTreeSet;
 
 use bcc_core::{
-    process_query, process_query_resilient, Budgeted, ClusterNode, Meter, ProtocolConfig,
-    QueryOutcome, RetryPolicy, RoutePolicy,
+    process_query, Budgeted, ClusterNode, Meter, ProtocolConfig, QueryOutcome, RetryPolicy,
+    RoutePolicy, Unmetered,
 };
 use bcc_embed::AnchorTree;
 use bcc_metric::{DistanceMatrix, NodeId};
@@ -508,40 +508,33 @@ impl SimNetwork {
     }
 
     /// Submits a query `(k, bandwidth)` at `start` and routes it through the
-    /// overlay (Algorithm 4), first fit.
+    /// overlay (Algorithm 4), first fit, under the default hop budget and
+    /// around the hosts the fault injector reports down: it is
+    /// [`SimNetwork::query_resilient`] with [`RetryPolicy::default`],
+    /// unmetered.
     ///
     /// # Errors
     ///
-    /// Propagates the validation errors of
-    /// [`bcc_core::process_query`].
+    /// See [`bcc_core::process_query`].
     pub fn query(
         &self,
         start: NodeId,
         k: usize,
         bandwidth: f64,
     ) -> Result<QueryOutcome, bcc_core::ClusterError> {
-        process_query(
-            &self.nodes,
-            start,
-            k,
-            bandwidth,
-            &self.config.classes,
-            &self.predicted,
-            RoutePolicy::FirstFit,
-        )
+        self.query_resilient(start, k, bandwidth, &RetryPolicy::default(), &mut Unmetered)
+            .map(Budgeted::into_value)
     }
 
-    /// Failure-aware query charged to `meter`: Algorithm 4 with
-    /// retry/backoff and rerouting around nodes the fault injector reports
-    /// dead (see [`bcc_core::process_query_resilient`]). Without an
-    /// injector this behaves like [`SimNetwork::query`] plus hop budgeting.
-    /// Under [`bcc_core::Unmetered`] it always returns [`Budgeted::Done`];
-    /// under a [`bcc_core::WorkMeter`] it degrades to
-    /// [`Budgeted::Exhausted`] when the budget runs dry.
+    /// Algorithm 4 ([`bcc_core::process_query`]), first fit, under `retry`'s
+    /// hop budget, charged to `meter`, rerouting around nodes the fault
+    /// injector reports dead. Under [`bcc_core::Unmetered`] it always
+    /// returns [`Budgeted::Done`]; under a [`bcc_core::WorkMeter`] it
+    /// degrades to [`Budgeted::Exhausted`] when the budget runs dry.
     ///
     /// # Errors
     ///
-    /// See [`bcc_core::process_query_resilient`].
+    /// See [`bcc_core::process_query`].
     pub fn query_resilient(
         &self,
         start: NodeId,
@@ -550,7 +543,7 @@ impl SimNetwork {
         retry: &RetryPolicy,
         meter: &mut impl Meter,
     ) -> Result<Budgeted<QueryOutcome>, bcc_core::ClusterError> {
-        process_query_resilient(
+        process_query(
             &self.nodes,
             start,
             k,
@@ -1288,8 +1281,8 @@ mod tests {
     #[test]
     fn resilient_query_routes_around_crashed_interior_node() {
         // Converge first, then crash an interior host without letting the
-        // overlay re-gossip: CRT state is now stale. The plain query walks
-        // into the dead node; the resilient one reroutes or degrades.
+        // overlay re-gossip: CRT state is now stale. The walk reroutes
+        // around the dead node or degrades.
         let mut net = build(8, 3, vec![25.0, 50.0]);
         net.run_to_convergence(100).unwrap();
         let dead = n(3);

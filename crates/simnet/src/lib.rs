@@ -28,8 +28,7 @@
 //! For robustness studies, a seedable [`FaultPlan`] schedules crashes,
 //! recoveries, partitions and link disturbances; both clocks consume it
 //! through its [`PlannedInjector`], and
-//! [`SimNetwork::query_resilient`] retries and reroutes around dead
-//! hosts.
+//! every query reroutes around dead hosts in one walk.
 //!
 //! # Example
 //!

@@ -65,8 +65,8 @@ fn main() -> Result<(), ClusterError> {
     match &out.cluster {
         Some(c) => println!(
             "query (k=4, b=60) from {start}: found {c:?} in {} hops, \
-             {} retries, {} dead hosts encountered",
-            out.hops, out.degradation.retries, out.degradation.dead_encountered
+             {} dead hosts encountered",
+            out.hops, out.degradation.dead_encountered
         ),
         None => println!(
             "query (k=4, b=60) from {start}: no cluster (partial: {:?})",

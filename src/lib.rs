@@ -55,7 +55,7 @@ pub use bcc_vivaldi as vivaldi;
 pub mod prelude {
     pub use bcc_core::{
         find_cluster, max_cluster_size, process_query, BandwidthClasses, ClusterError, ClusterNode,
-        ProtocolConfig, Query, QueryOutcome, RetryPolicy,
+        ProtocolConfig, QueryOutcome, RetryPolicy,
     };
     pub use bcc_embed::{FrameworkConfig, PredictionFramework};
     pub use bcc_metric::{

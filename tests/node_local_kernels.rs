@@ -6,9 +6,7 @@
 //! visit) must be a real cluster of live hosts. The walk behind those
 //! answers is one body whichever meter it is charged to.
 
-use bandwidth_clusters::core::{
-    process_query_resilient, Budgeted, Meter, RoutePolicy, Unmetered, WorkMeter,
-};
+use bandwidth_clusters::core::{process_query, Budgeted, Meter, RoutePolicy, Unmetered, WorkMeter};
 use bandwidth_clusters::prelude::*;
 use bandwidth_clusters::simnet::{fw_label_dist, ChurnOp};
 use bcc_datasets::{generate, SynthConfig};
@@ -147,7 +145,7 @@ fn gossip_fixpoint_and_served_answers_hold_under_churn() {
     );
 }
 
-/// The resilient walk over `system`'s overlay under `meter`, `alive`
+/// The walk over `system`'s overlay under `meter`, `alive`
 /// standing in for the fault detector.
 fn walk(
     system: &DynamicSystem,
@@ -160,7 +158,7 @@ fn walk(
     let nodes = system.network().unwrap().nodes();
     let classes = &system.config().protocol.classes;
     let (policy, retry) = (RoutePolicy::FirstFit, RetryPolicy::default());
-    process_query_resilient(
+    process_query(
         nodes, start, k, b, classes, dist, policy, &retry, alive, meter,
     )
     .unwrap()

@@ -1,10 +1,11 @@
 //! One owner per decision: the byte-wise FNV-1a, the artifact reader, the
 //! seeded chaos universe, the bound on a replay record's universe and the
-//! resilient query walk each have one definition under `crates/*/src`.
+//! query walk each have one definition under `crates/*/src`.
 //! A second copy (the state the chaos harnesses grew from: six `fnv1a`s,
 //! two `json_field` scanners, three universe builders; the walk's
-//! budgeted and unbudgeted twins) fails here, by file, before it can drift
-//! from the first. So does a meter that cannot run dry standing in for
+//! budgeted and unbudgeted twins, its plain and resilient twins) fails
+//! here, by file, before it can drift from the first. The walk makes one
+//! attempt: no retry loop, no per-attempt budget. So does a meter that cannot run dry standing in for
 //! `Unmetered`, and a loop over the pairs of a `LazyRows` store outside the one gated sweep
 //! (`sweep_rows`) and the one gated maximum (`max_size_rows`): the merge
 //! kernel has no body of its own. Nor may the overlay engine or the churn
@@ -110,8 +111,7 @@ fn each_shared_decision_is_defined_in_one_file() {
         // A search with no budget runs under `Unmetered`.
         ("unlimited()", "crates/", None),
     ];
-    // The one resilient walk is the one library caller of
-    // `RetryPolicy::budget_for_attempt`.
+    // Algorithm 4 has one body, `process_query`.
     let mut walks = Vec::new();
     // Library calls of `ClusterNode::recompute_own_max`, by file.
     let mut own_max_calls = Vec::new();
@@ -133,7 +133,7 @@ fn each_shared_decision_is_defined_in_one_file() {
             }
         }
         let library = library_text(&text);
-        for _ in library.matches(".budgetforattempt(") {
+        for _ in library.matches("fn processquery(") {
             walks.push(relative.clone());
         }
         for _ in library.matches(".recomputeownmax(") {
@@ -201,7 +201,31 @@ fn each_shared_decision_is_defined_in_one_file() {
         engine.contains(".ownmaxstale()"),
         "the space-change gate asks the node whether its maxima are stale"
     );
-    assert_eq!(walks, ["crates/core/src/query.rs"], "resilient walk bodies");
+    assert_eq!(walks, ["crates/core/src/query.rs"], "query walk bodies");
+    // Nothing under `crates/` names the retrying twin or its per-attempt
+    // budget, and the walk's code holds no attempt loop: a retry on a tree
+    // overlay could only replay the first attempt.
+    let mut everything = Vec::new();
+    rust_sources(&root.join("crates"), &mut everything);
+    for path in &everything {
+        let text = std::fs::read_to_string(path).expect("readable source");
+        let text = text.replace('_', "").to_lowercase();
+        for needle in ["fn processqueryresilient", "budgetforattempt"] {
+            assert!(!text.contains(needle), "{} names {needle}", path.display());
+        }
+    }
+    let query =
+        std::fs::read_to_string(root.join("crates/core/src/query.rs")).expect("readable source");
+    let code: String = library_text(&query.to_lowercase())
+        .lines()
+        .filter(|line| !line.trim_start().starts_with("//"))
+        .collect();
+    for needle in ["attempt", "retries", "backoff"] {
+        assert!(
+            !code.contains(needle),
+            "crates/core/src/query.rs: the walk's code names {needle}"
+        );
+    }
     assert_eq!(
         own_max_calls,
         ["crates/simnet/src/engine.rs"],
