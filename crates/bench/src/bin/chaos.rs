@@ -1,14 +1,15 @@
 //! Deterministic chaos runner: schedule exploration, shrinking and replay
-//! for the decentralized clustering stack (see `bcc_simnet::chaos`).
+//! for the decentralized clustering stack (see `bcc_simnet::chaos`), every
+//! tier riding the run as a column (`bcc_shard::harness::differential`).
 //!
 //! ```sh
 //! # Explore 1000 seeds (the default), stop at the first violation:
 //! cargo run --release -p bcc-bench --bin chaos
 //!
-//! # CI smoke sweep (~200 schedules):
+//! # CI smoke sweep (200 schedules):
 //! cargo run --release -p bcc-bench --bin chaos -- --smoke
 //!
-//! # One seed, verbosely:
+//! # One seed:
 //! cargo run --release -p bcc-bench --bin chaos -- --seed 42
 //!
 //! # Re-execute a failure artifact bit-identically:
@@ -18,16 +19,20 @@
 //! cargo run --release -p bcc-bench --bin chaos -- --seed 7 --save tests/chaos_corpus/seed7.json
 //! ```
 //!
-//! On a violation the schedule is shrunk to a minimal failing prefix and
-//! written as `chaos-failure-<seed>.json` (override the directory with
-//! `--out <dir>`); the process exits with status 1. `--nemesis <name>`
-//! enables a deliberate state-corruption hook (e.g. `crt-stale`) to prove
-//! the oracles catch broken builds.
+//! The sweep prints every column's counts. On a violation the schedule is
+//! shrunk to a minimal failing prefix and written as
+//! `chaos-failure-<seed>.json` (override the directory with `--out <dir>`);
+//! the process exits with status 1. `--nemesis <name>` enables a deliberate
+//! state-corruption hook (e.g. `crt-stale`) to prove the oracles catch
+//! broken builds; it and `--save` run the simnet reference alone, so a pin
+//! under `tests/chaos_corpus/` is a simnet artifact (`bcc-bench shard
+//! --seed <seed> --save <file>` records the `differential/` ones).
 
 use std::process::ExitCode;
 
 use bcc_bench::BenchArgs;
-use bcc_simnet::chaos::{capture, ChaosConfig, ReplayArtifact};
+use bcc_shard::harness::DifferentialArtifact;
+use bcc_simnet::chaos::{capture, ChaosConfig, ReplayArtifact, ReplayRecord};
 
 struct Args {
     seeds: u64,
@@ -69,52 +74,60 @@ fn parse_args() -> Result<Args, String> {
 
 fn replay_file(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let artifact = ReplayArtifact::from_json(&text)?;
-    println!(
-        "replaying {path}: seed {}, universe {}, {} events{}",
-        artifact.seed,
-        artifact.universe,
-        artifact.schedule.len(),
-        match &artifact.nemesis {
-            Some(n) => format!(", nemesis {n}"),
-            None => String::new(),
+    let (violation, final_digest) =
+        if ReplayRecord::from_json(&text, None)?.opt_str("kind")? == Some("differential") {
+            let report = DifferentialArtifact::from_json(&text)?.replay()?;
+            (report.violation, report.final_digest)
+        } else {
+            let artifact = ReplayArtifact::from_json(&text)?;
+            artifact.replay()?;
+            (artifact.violation, artifact.final_digest)
+        };
+    match violation {
+        Some(v) => println!("{path} reproduced bit-identically: {v}"),
+        None => {
+            println!("{path} reproduced bit-identically: passed, final digest {final_digest:?}")
         }
-    );
-    artifact.replay()?;
-    match &artifact.violation {
-        Some(v) => println!("reproduced bit-identically: {v}"),
-        None => println!(
-            "reproduced bit-identically: passed, final digest {:?}",
-            artifact.final_digest
-        ),
     }
     Ok(())
 }
 
-fn run_seed(seed: u64, args: &Args) -> Result<bool, String> {
+/// Runs one seed — the simnet reference alone under `--nemesis` or for
+/// `--save`, else through every tier, adding its counters to `totals` —
+/// and writes its shrunk replay artifact if it failed.
+fn run_seed(seed: u64, args: &Args, totals: &mut Vec<(String, u64)>) -> Result<bool, String> {
     let cfg = ChaosConfig {
         universe: args.universe,
         steps: args.steps,
     };
-    let artifact = capture(seed, &cfg, args.nemesis.as_deref())?;
+    let (json, violation) = if args.nemesis.is_some() || args.save.is_some() {
+        let artifact = capture(seed, &cfg, args.nemesis.as_deref())?;
+        (artifact.to_json(), artifact.violation)
+    } else {
+        let (artifact, report) = DifferentialArtifact::capture(seed, &cfg);
+        let counters = report.counters();
+        totals.resize(counters.len(), (String::new(), 0));
+        for (total, (name, count)) in totals.iter_mut().zip(counters) {
+            *total = (name, total.1 + count);
+        }
+        if report.passed() && report.probes == 0 {
+            return Err(format!("seed {seed}: no rejected-op probe ran"));
+        }
+        (artifact.to_json(), report.violation)
+    };
     if let Some(path) = &args.save {
-        std::fs::write(path, artifact.to_json()).map_err(|e| format!("write {path}: {e}"))?;
+        std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
         println!("saved seed {seed} artifact to {path}");
     }
-    match &artifact.violation {
-        None => Ok(true),
-        Some(v) => {
-            let path = format!("{}/chaos-failure-{seed}.json", args.out);
-            std::fs::write(&path, artifact.to_json()).map_err(|e| format!("write {path}: {e}"))?;
-            eprintln!("seed {seed} VIOLATION: {v}");
-            eprintln!(
-                "shrunk to {} events; replay artifact written to {path}",
-                artifact.schedule.len()
-            );
-            eprintln!("re-execute with: bcc-bench chaos --replay {path}");
-            Ok(false)
-        }
-    }
+    let Some(v) = violation else {
+        return Ok(true);
+    };
+    let path = format!("{}/chaos-failure-{seed}.json", args.out);
+    std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
+    eprintln!("seed {seed} VIOLATION: {v}");
+    eprintln!("shrunk; replay artifact written to {path}");
+    eprintln!("re-execute with: bcc-bench chaos --replay {path}");
+    Ok(false)
 }
 
 fn run() -> Result<ExitCode, String> {
@@ -129,22 +142,41 @@ fn run() -> Result<ExitCode, String> {
         None => (0..args.seeds).collect(),
     };
     println!(
-        "chaos: {} schedule(s), universe {}, {} steps each{}",
+        "chaos: {} schedule(s), universe {}, {} steps each, {}",
         seeds.len(),
         args.universe,
         args.steps,
-        match &args.nemesis {
-            Some(n) => format!(", nemesis {n}"),
-            None => String::new(),
+        match (&args.nemesis, &args.save) {
+            (None, None) => "through every tier",
+            _ => "the simnet reference alone",
         }
     );
+    let mut totals = Vec::new();
     for (done, &seed) in seeds.iter().enumerate() {
-        if !run_seed(seed, &args)? {
+        if !run_seed(seed, &args, &mut totals)? {
             return Ok(ExitCode::FAILURE);
         }
         if (done + 1) % 100 == 0 {
             println!("  {} / {} seeds clean", done + 1, seeds.len());
         }
+    }
+    // Every column's totals; the stale, divergence, failure counters are
+    // the oracles and read 0.
+    for (name, total) in &totals {
+        let mean = *total as f64 / seeds.len() as f64;
+        println!("  {name:<24} {total:>8}  ({mean:.1} per seed)");
+    }
+    let total = |name: &str| totals.iter().find(|(n, _)| n == name).map_or(1, |t| t.1);
+    if [
+        "coordinator_degraded",
+        "coordinator_cache_hits",
+        "coordinator_pruned",
+        "service_cache_hits",
+    ]
+    .iter()
+    .any(|&name| total(name) == 0)
+    {
+        return Err("the sweep never exercised the whole serving surface".to_string());
     }
     println!(
         "all {} schedule(s) passed every oracle in {:.1?}",

@@ -1,38 +1,34 @@
-//! `shard` — scatter–gather coordinator validation and scaling study of
-//! the `bcc-shard` sharded serving layer, checked in as
-//! `BENCH_shard.json`.
+//! `shard` — scaling study of the `bcc-shard` sharded serving layer,
+//! checked in as `BENCH_shard.json`.
 //!
 //! ```sh
-//! # Full sweep: 200 chaos seeds + the shard-count scaling study:
+//! # Full study:
 //! cargo run --release -p bcc-bench --bin shard
 //!
-//! # CI smoke sweep (byte-stable BENCH_shard.json):
+//! # CI smoke study (byte-stable BENCH_shard.json):
 //! cargo run --release -p bcc-bench --bin shard -- --smoke
 //!
-//! # One seed, saving its replay artifact:
+//! # One seed of the differential chaos run, saving its replay artifact:
 //! cargo run --release -p bcc-bench --bin shard -- --seed 3 \
-//!     --save tests/chaos_corpus/shard/chaos-seed3.json
+//!     --save tests/chaos_corpus/differential/seed3.json
 //! ```
 //!
-//! Two measurements:
+//! A hierarchical block universe (fast inside a group, medium across
+//! sibling groups, slow across super-groups: an exact anchor-tree
+//! hierarchy, so contiguous shard plans align with subtrees at every shard
+//! count) serves an identical churn + query stream at S ∈ {1, 2, 4}. Costs
+//! are *logical* (label-distance evaluations), so the study is exactly
+//! reproducible: coordinator overhead on a shard-local query is the prune
+//! certificates it pays on top of the unsharded kernel work, at most
+//! `S − 1` evaluations (one per other shard); the merge kernel evaluates
+//! what it reads, at most half the pairs of its candidate sets; and churn
+//! must stay region-local (a churn op touches the owning shard's region
+//! and only rarely any other).
 //!
-//! - **Chaos sweep** — [`bcc_shard::harness::shard_chaos`] over many
-//!   seeds: churn schedules with deterministic shard-partition windows
-//!   drive an unsharded baseline and coordinators at shard counts
-//!   {1, 2, 4} in lockstep. The binary exits non-zero on any stale cached
-//!   serve or any answer that diverges from the unsharded baseline.
-//! - **Scaling study** — a hierarchical block universe (fast inside a
-//!   group, medium across sibling groups, slow across super-groups: an
-//!   exact anchor-tree hierarchy, so contiguous shard plans align with
-//!   subtrees at every shard count) serves an identical churn + query
-//!   stream at S ∈ {1, 2, 4}. Costs are *logical* (label-distance
-//!   evaluations), so the study is exactly reproducible: coordinator
-//!   overhead on a shard-local query is the prune certificates it pays on
-//!   top of the unsharded kernel work, at most `S − 1` evaluations (one
-//!   per other shard); the merge kernel evaluates what it reads, at most
-//!   half the pairs of its candidate sets; and churn must stay
-//!   region-local (a churn op touches the owning shard's region and only
-//!   rarely any other).
+//! That sharded answers equal unsharded ones under chaos — cached or not,
+//! errors and epochs included, through partition windows — is checked by
+//! the coordinator columns of the differential run
+//! ([`bcc_shard::harness::differential`], swept by `bcc-bench chaos`).
 //!
 //! The JSON report contains only deterministic counters — never
 //! wall-clock — so two runs at the same arguments produce byte-identical
@@ -44,52 +40,63 @@ use bcc_bench::BenchArgs;
 use bcc_core::{fnv1a, FNV_OFFSET};
 use bcc_metric::{BandwidthMatrix, NodeId};
 use bcc_service::ServiceConfig;
-use bcc_shard::harness::{
-    generate_shard_schedule, shard_chaos, ShardArtifact, ShardChaosConfig, SHARD_COUNTS,
-};
+use bcc_shard::harness::{DifferentialArtifact, SHARD_COUNTS};
 use bcc_shard::{CoordOutcome, Coordinator, ShardPlan};
-use bcc_simnet::chaos::chaos_classes;
-use bcc_simnet::SystemConfig;
+use bcc_simnet::chaos::{chaos_classes, render_region, ChaosConfig};
+use bcc_simnet::{ChurnOp, SystemConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const SEED: u64 = 2011;
 
-/// Aggregated chaos-sweep counters.
-#[derive(Default)]
-struct Sweep {
-    seeds: u64,
-    queries: u64,
-    exact: u64,
-    degraded: u64,
-    cache_hits: u64,
-    pruned: u64,
-    stale_hits: u64,
-    divergences: u64,
-    digest: u64,
-}
-
-fn sweep(seeds: u64, cfg: &ShardChaosConfig) -> Sweep {
-    let mut s = Sweep {
-        digest: FNV_OFFSET,
-        ..Sweep::default()
-    };
-    for seed in 0..seeds {
-        let r = shard_chaos(seed, cfg);
-        s.seeds += 1;
-        s.queries += r.queries;
-        s.exact += r.exact;
-        s.degraded += r.degraded;
-        s.cache_hits += r.cache_hits;
-        s.pruned += r.pruned;
-        s.stale_hits += r.stale_hits;
-        s.divergences += r.divergences;
-        s.digest = fnv1a(s.digest, &r.digest.to_le_bytes());
-        if (seed + 1) % 50 == 0 {
-            println!("  chaos {} / {seeds} seeds", seed + 1);
-        }
+/// Expands a seed into `steps` churn events, `(op, universe host)` pairs,
+/// over `universe` hosts. The generator tracks membership so most events
+/// are applicable, but keeps a deliberate slice of invalid ones (double
+/// joins, absent recovers), which the study skips.
+fn generate_shard_schedule(seed: u64, universe: usize, steps: usize) -> Vec<(ChurnOp, usize)> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5AAD_5EED);
+    let mut active: Vec<usize> = (0..universe).collect();
+    let mut crashed: Vec<usize> = Vec::new();
+    let mut schedule = Vec::with_capacity(steps);
+    for _ in 0..steps {
+        let roll = rng.gen_range(0..100);
+        let event = if roll < 30 || active.len() <= 3 {
+            // Join: usually a departed host, sometimes a deliberately
+            // invalid double join.
+            let host = if rng.gen_range(0..4) == 0 || active.len() == universe {
+                rng.gen_range(0..universe)
+            } else {
+                let mut h = rng.gen_range(0..universe);
+                while active.contains(&h) {
+                    h = (h + 1) % universe;
+                }
+                h
+            };
+            if !active.contains(&host) {
+                active.push(host);
+                crashed.retain(|&c| c != host);
+            }
+            (ChurnOp::Join, host)
+        } else if roll < 55 {
+            let host = active[rng.gen_range(0..active.len())];
+            active.retain(|&a| a != host);
+            (ChurnOp::Leave, host)
+        } else if roll < 80 {
+            let host = active[rng.gen_range(0..active.len())];
+            active.retain(|&a| a != host);
+            crashed.push(host);
+            (ChurnOp::Crash, host)
+        } else if let Some(&host) = crashed.last() {
+            crashed.pop();
+            active.push(host);
+            (ChurnOp::Recover, host)
+        } else {
+            // Nothing to recover: an absent-host recover.
+            (ChurnOp::Recover, rng.gen_range(0..universe))
+        };
+        schedule.push(event);
     }
-    s
+    schedule
 }
 
 // ---------------------------------------------------------------------------
@@ -173,7 +180,7 @@ fn scaling_run(universe: usize, shards: usize, churn_steps: usize, queries: usiz
     for (op, host) in schedule {
         let before: Vec<u64> = coord.shards().iter().map(|s| s.region().digest()).collect();
         if coord.apply(op, NodeId::new(host)).is_err() {
-            continue; // benign skip, same as the harness
+            continue; // benign skip
         }
         out.churn_ops += 1;
         out.region_touches += coord
@@ -202,11 +209,9 @@ fn scaling_run(universe: usize, shards: usize, churn_steps: usize, queries: usiz
         let m = resp.candidates as u64;
         out.candidate_pairs += m * m.saturating_sub(1) / 2;
         let line = format!(
-            "{}|{}|{}|{:?}\n",
+            "{}|{k}|{b}|{}\n",
             start.index(),
-            k,
-            b,
-            resp.outcome.cluster()
+            render_region(&Ok(resp.outcome.cluster().cloned()))
         );
         out.answers_digest = fnv1a(out.answers_digest, line.as_bytes());
         if let CoordOutcome::Degraded { .. } = resp.outcome {
@@ -258,24 +263,19 @@ fn run() -> Result<ExitCode, String> {
         .unwrap_or("BENCH_shard.json")
         .to_string();
 
-    let chaos_cfg = ShardChaosConfig::default();
-
-    // Single-seed mode: run (and optionally save) one replay artifact.
+    // Single-seed mode: one seed of the differential chaos run, and
+    // optionally its replay artifact.
     if let Some(seed) = args.parsed::<u64>("--seed")? {
-        let (artifact, report) = ShardArtifact::capture(seed, &chaos_cfg)?;
-        println!(
-            "seed {seed}: {} queries, {} exact, {} degraded, {} cache hits, \
-             {} pruned, digest {:016x}",
-            report.queries,
-            report.exact,
-            report.degraded,
-            report.cache_hits,
-            report.pruned,
-            report.digest,
-        );
+        let (artifact, report) = DifferentialArtifact::capture(seed, &ChaosConfig::default());
+        for (name, count) in report.counters() {
+            println!("  {name:<24} {count:>6}");
+        }
+        if let Some(v) = report.violation {
+            return Err(format!("seed {seed}: {v}"));
+        }
         if let Some(path) = args.value("--save") {
             std::fs::write(path, artifact.to_json()).map_err(|e| format!("write {path}: {e}"))?;
-            println!("saved shard artifact to {path}");
+            println!("saved differential artifact to {path}");
         }
         return Ok(ExitCode::SUCCESS);
     }
@@ -284,34 +284,13 @@ fn run() -> Result<ExitCode, String> {
     // contributes wall-clock to anything this binary writes.
     bcc_obs::set_logical_time(1_000);
 
-    let (chaos_seeds, universe, churn_steps, queries) = if smoke {
-        (16u64, 40, 24, 48)
-    } else {
-        (200u64, 64, 48, 128)
-    };
+    let (universe, churn_steps, queries) = if smoke { (40, 24, 48) } else { (64, 48, 128) };
 
     println!("=== shard — scatter–gather coordination over anchor-tree regions ===");
-    println!(
-        "smoke = {smoke}, chaos universe = {}, scaling universe = {universe}",
-        chaos_cfg.universe,
-    );
+    println!("smoke = {smoke}, scaling universe = {universe}");
     println!();
 
     let start = std::time::Instant::now();
-    let s = sweep(chaos_seeds, &chaos_cfg);
-    println!(
-        "chaos: {} seeds, {} queries ({} exact / {} degraded over shard counts \
-         {{1,2,4}}), {} cache hits, {} pruned, {} stale, {} divergences",
-        s.seeds,
-        s.queries,
-        s.exact,
-        s.degraded,
-        s.cache_hits,
-        s.pruned,
-        s.stale_hits,
-        s.divergences,
-    );
-
     // Scaling study over the identical stream per shard count.
     let runs: Vec<Scaling> = SHARD_COUNTS
         .iter()
@@ -385,27 +364,13 @@ fn run() -> Result<ExitCode, String> {
             r.region_touches,
         ));
     }
-    println!("sweep finished in {:.1?}", start.elapsed());
+    println!("study finished in {:.1?}", start.elapsed());
     println!();
 
     let json = format!(
-        "{{\n  \"bench\": \"shard\",\n  \"smoke\": {smoke},\n  \"chaos\": \
-         {{\"seeds\": {}, \"universe\": {}, \"steps\": {}, \"queries\": {}, \
-         \"exact\": {}, \"degraded\": {}, \"cache_hits\": {}, \"pruned\": {}, \
-         \"stale_hits\": {}, \"divergences\": {}, \"digest\": \"{:016x}\"}},\n  \
+        "{{\n  \"bench\": \"shard\",\n  \"smoke\": {smoke},\n  \
          \"scaling\": {{\"universe\": {universe}, \"churn_steps\": {churn_steps}, \
          \"shard_counts\": [\n    {}\n  ]}}\n}}\n",
-        s.seeds,
-        chaos_cfg.universe,
-        chaos_cfg.steps,
-        s.queries,
-        s.exact,
-        s.degraded,
-        s.cache_hits,
-        s.pruned,
-        s.stale_hits,
-        s.divergences,
-        s.digest,
         scaling_json.join(",\n    "),
     );
     if json_path == "-" {
@@ -414,27 +379,7 @@ fn run() -> Result<ExitCode, String> {
         std::fs::write(&json_path, &json).map_err(|e| format!("write {json_path}: {e}"))?;
         println!("wrote {json_path}");
     }
-
-    if s.stale_hits != 0 {
-        return Err(format!("{} stale cached serve(s)", s.stale_hits));
-    }
-    if s.divergences != 0 {
-        return Err(format!(
-            "{} answer(s) diverged from the unsharded baseline",
-            s.divergences
-        ));
-    }
-    if s.degraded == 0 || s.cache_hits == 0 || s.pruned == 0 {
-        return Err(format!(
-            "chaos sweep never exercised the full coordination surface: \
-             degraded {}, cache_hits {}, pruned {}",
-            s.degraded, s.cache_hits, s.pruned
-        ));
-    }
-    println!(
-        "all shard oracles held across {} chaos seeds; worst shard-local overhead {:.2}%",
-        s.seeds, worst_overhead
-    );
+    println!("worst shard-local overhead {worst_overhead:.2}%");
     Ok(ExitCode::SUCCESS)
 }
 

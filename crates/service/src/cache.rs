@@ -7,9 +7,9 @@
 //! must present the *current* epoch and digest; any mismatch — a join, a
 //! leave, a crash, a recovery, or a fault window that disturbed gossip
 //! state without changing membership — invalidates the entry on the spot.
-//! Stale answers are therefore never served by construction; the serving
-//! layer additionally audits this with a recompute-and-compare oracle (see
-//! [`crate::ServiceStats::stale_hits`]).
+//! Stale answers are therefore never served by construction; the
+//! differential chaos run (`bcc_shard::harness::differential`) checks
+//! every served exact answer against an independent reference system.
 //!
 //! Presenting the current stamp is O(1): the system memoises the digest
 //! and forgets it on every write path to the overlay, so validation never

@@ -1,22 +1,20 @@
-//! Chaos harness for the serving layer: drives a [`ClusterService`]
-//! through a seeded churn-and-fault schedule while a repeated query
-//! workload hammers the cache, auditing **every** cached answer against a
-//! fresh recomputation.
+//! The serving layer's degradation chaos run: a work-cost nemesis against
+//! a budgeted [`ClusterService`] while the simnet chaos schedules
+//! ([`generate_schedule`]) churn it and open fault windows through
+//! [`ClusterService::with_system_mut`], and a repeated workload hammers
+//! the cache.
 //!
-//! This is the serving-layer extension of the simnet chaos harness
-//! (`bcc_simnet::chaos`): the same deterministic schedules
-//! ([`generate_schedule`]), applied through the service's churn wrappers
-//! and [`ClusterService::with_system_mut`] fault windows, plus one extra
-//! oracle the simnet harness cannot express — **no stale answer is ever
-//! served from the cache**. The audit runs with
-//! [`ServiceConfig::verify_cached`] on, so a single stale serve anywhere
-//! in the run shows up in [`ServeChaosReport::stale_hits`].
+//! The service's *exact* answers are checked in the differential chaos run
+//! (`bcc_shard::harness::differential`), a column of the simnet run that
+//! compares every one with an independent reference system. This run has
+//! a loop of its own because its nemesis and its breaker re-close oracle
+//! are the service's alone.
 
 use bcc_core::{fnv1a, FNV_OFFSET};
 use bcc_metric::NodeId;
 use bcc_simnet::chaos::{
-    chaos_classes, plan_seed, resolve_nemesis, run_fault_window, universe_bandwidth, ReplayRecord,
-    CLASS_BOUNDS,
+    chaos_classes, plan_seed, render_answer, resolve_nemesis, run_fault_window, universe_bandwidth,
+    ReplayRecord, CLASS_BOUNDS, WORKLOAD_KS,
 };
 use bcc_simnet::{
     generate_schedule, ChaosConfig, ChaosError, ChaosEvent, DynamicSystem, SystemConfig,
@@ -33,52 +31,6 @@ use crate::service::{ClusterQuery, ClusterService, ServiceConfig, ServiceStats};
 /// (`bcc_simnet::chaos::universe_bandwidth`); the pinned `degrade/` corpus
 /// digests hang off it.
 const UNIVERSE_SALT: u64 = 0x5E7E_CAB5;
-
-/// Cluster sizes the repeated workload cycles through.
-const WORKLOAD_KS: [usize; 3] = [2, 3, 4];
-
-/// Tunables for [`serve_chaos`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeChaosConfig {
-    /// Hosts in the measurement universe.
-    pub universe: usize,
-    /// Random schedule events after the initial joins.
-    pub steps: usize,
-    /// Repeated-workload queries submitted (and drained) after every
-    /// schedule event — the traffic that turns the cache over.
-    pub queries_per_step: usize,
-}
-
-impl Default for ServeChaosConfig {
-    fn default() -> Self {
-        ServeChaosConfig {
-            universe: 8,
-            steps: 24,
-            queries_per_step: 6,
-        }
-    }
-}
-
-/// What one [`serve_chaos`] run did and proved.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeChaosReport {
-    /// Schedule events applied (all of them; fault-window and churn events
-    /// whose target is in the wrong state skip benignly, like the simnet
-    /// harness).
-    pub events: usize,
-    /// Responses returned by the service over the whole run.
-    pub responses: u64,
-    /// Responses served from the churn-aware cache — every one of them
-    /// audited bit-for-bit against a fresh recomputation.
-    pub cached: u64,
-    /// Audited cache hits that disagreed with the recomputation. The
-    /// harness's headline oracle: **must be 0**.
-    pub stale_hits: u64,
-    /// Aggregate service counters at the end of the run.
-    pub service: ServiceStats,
-    /// Cache counters at the end of the run.
-    pub cache: CacheStats,
-}
 
 /// Builds a service over a fresh seeded universe with the given knobs
 /// (callers beyond the harness: benches and examples).
@@ -123,7 +75,7 @@ fn apply_event(
 /// is deliberately repetitive — a small pool of `(start, k, class)`
 /// combinations — so the cache is constantly re-hit right after churn and
 /// fault events, which is exactly where a stale serve would hide.
-fn submit_workload(service: &mut ClusterService, rng: &mut StdRng, count: usize) {
+pub fn submit_workload(service: &mut ClusterService, rng: &mut StdRng, count: usize) {
     let live: Vec<NodeId> = service.system().active().collect();
     if live.is_empty() {
         return;
@@ -134,51 +86,6 @@ fn submit_workload(service: &mut ClusterService, rng: &mut StdRng, count: usize)
         let bandwidth = CLASS_BOUNDS[rng.gen_range(0..CLASS_BOUNDS.len())] - 1.0;
         let _ = service.submit(ClusterQuery::new(start, k, bandwidth));
     }
-}
-
-/// Runs the full serving chaos harness for one seed: generate the seed's
-/// schedule, apply every event through the service, hammer the cache with
-/// a repeated workload between events, and audit every cached answer.
-///
-/// Deterministic: the same `(seed, cfg)` always produces the same report.
-///
-/// # Errors
-///
-/// [`ChaosError::HealConvergence`] when the overlay fails to re-converge
-/// after a fault window heals.
-pub fn serve_chaos(seed: u64, cfg: &ServeChaosConfig) -> Result<ServeChaosReport, ChaosError> {
-    let chaos_cfg = ChaosConfig {
-        universe: cfg.universe,
-        steps: cfg.steps,
-    };
-    let schedule = generate_schedule(seed, &chaos_cfg);
-    let mut service = seeded_service(
-        seed,
-        cfg.universe,
-        ServiceConfig {
-            verify_cached: true,
-            ..ServiceConfig::default()
-        },
-    );
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x0B5E_55ED);
-    let mut report = ServeChaosReport::default();
-
-    for (step, event) in schedule.iter().enumerate() {
-        apply_event(&mut service, event, plan_seed(seed, step))?;
-        submit_workload(&mut service, &mut rng, cfg.queries_per_step);
-        for response in service.drain() {
-            report.responses += 1;
-            if response.cached {
-                report.cached += 1;
-            }
-        }
-        report.events += 1;
-    }
-
-    report.service = service.stats();
-    report.cache = service.cache_stats();
-    report.stale_hits = report.service.stale_hits;
-    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -291,18 +198,16 @@ pub struct DegradeChaosReport {
     pub digest: u64,
 }
 
-/// Folds one response into the run digest.
-///
-/// The line is the one the recorded corpus and `BENCH_degrade.json` were
-/// fingerprinted with. Its outcome rendering still carries the retry
-/// count the walk once reported; the walk makes one attempt, so the count
-/// reads 0.
+/// Folds one response into the run digest: its ticket, lane, cache flag,
+/// tier and answer ([`render_answer`]).
 fn digest_response(h: u64, r: &crate::service::ServiceResponse) -> u64 {
-    let outcome =
-        format!("{:?}", r.outcome).replace("Degradation { ", "Degradation { retries: 0, ");
     let line = format!(
-        "{}|{}|{}|{:?}|{outcome}\n",
-        r.ticket, r.class_idx, r.cached, r.tier
+        "{}|{}|{}|{}|{}\n",
+        r.ticket,
+        r.class_idx,
+        r.cached,
+        r.tier,
+        render_answer(&r.outcome)
     );
     fnv1a(h, line.as_bytes())
 }
@@ -514,35 +419,6 @@ impl DegradeArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn serve_chaos_is_deterministic_and_stale_free() {
-        let cfg = ServeChaosConfig {
-            universe: 8,
-            steps: 12,
-            queries_per_step: 4,
-        };
-        let a = serve_chaos(7, &cfg).unwrap();
-        let b = serve_chaos(7, &cfg).unwrap();
-        assert_eq!(a, b, "same seed must reproduce the same report");
-        assert!(a.responses > 0, "workload must actually serve queries");
-        assert_eq!(a.stale_hits, 0, "no audited cache hit may be stale");
-    }
-
-    #[test]
-    fn workload_actually_hits_the_cache() {
-        let cfg = ServeChaosConfig {
-            universe: 6,
-            steps: 10,
-            queries_per_step: 8,
-        };
-        let report = serve_chaos(3, &cfg).unwrap();
-        assert!(
-            report.cached > 0,
-            "repeated workload should produce cache hits, got {report:?}"
-        );
-        assert_eq!(report.stale_hits, 0);
-    }
 
     fn small_degrade_cfg(nemesis: DegradeNemesis) -> DegradeChaosConfig {
         DegradeChaosConfig {

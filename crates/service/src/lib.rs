@@ -23,8 +23,8 @@
 //!   batch pays for the stamp once per churn op, not once per batch. Any
 //!   churn or fault disturbance changes the stamp and the
 //!   entry is invalidated on its next lookup — a stale answer is never
-//!   served, and the [`serve_chaos`] harness audits exactly that claim by
-//!   recomputing every cached answer under churn-heavy chaos schedules.
+//!   served: the differential chaos run (`bcc_shard::harness`) compares
+//!   every answer with an independent reference system.
 //!
 //! - **Graceful degradation** ([`Tier`], [`CircuitBreaker`]): queries may
 //!   carry a *work budget* in deterministic work units (pairs examined,
@@ -39,9 +39,9 @@
 //!
 //! Determinism is load-bearing throughout: cached and uncached serving
 //! produce bit-identical responses (see `tests/proptest_service.rs`), the
-//! chaos harness reports are reproducible from their seed, and degraded
-//! runs replay byte-identically because budgets are counted in work, not
-//! time.
+//! degradation chaos run ([`degrade_chaos`]) is reproducible from its
+//! seed, and degraded runs replay byte-identically because budgets are
+//! counted in work, not time.
 
 #![warn(missing_docs)]
 
@@ -59,7 +59,7 @@ pub use cache::{CacheKey, CacheStats, ResultCache};
 pub use degrade::Tier;
 pub use error::ServiceError;
 pub use harness::{
-    degrade_chaos, seeded_service, serve_chaos, DegradeArtifact, DegradeChaosConfig,
-    DegradeChaosReport, DegradeNemesis, ServeChaosConfig, ServeChaosReport, RECLOSE_BOUND,
+    degrade_chaos, seeded_service, submit_workload, DegradeArtifact, DegradeChaosConfig,
+    DegradeChaosReport, DegradeNemesis, RECLOSE_BOUND,
 };
 pub use service::{ClusterQuery, ClusterService, ServiceConfig, ServiceResponse, ServiceStats};

@@ -67,12 +67,6 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Retry/backoff policy for every executed query.
     pub retry: RetryPolicy,
-    /// When set, every cache hit is audited: the answer is recomputed
-    /// fresh and compared bit-for-bit. A mismatch counts as a stale hit
-    /// ([`ServiceStats::stale_hits`]) and the fresh answer is served. Off
-    /// by default (it defeats the point of caching); benches and chaos
-    /// harnesses turn it on to prove the invalidation story.
-    pub verify_cached: bool,
     /// Default work budget for queries that carry none. `None` (the
     /// default) keeps execution unbudgeted and the service behavior
     /// byte-identical to the pre-degradation layer.
@@ -88,7 +82,6 @@ impl Default for ServiceConfig {
             batch_max: 64,
             cache_capacity: 4096,
             retry: RetryPolicy::default(),
-            verify_cached: false,
             work_budget: None,
             breaker: BreakerConfig::default(),
         }
@@ -155,11 +148,6 @@ pub struct ServiceStats {
     pub executed: u64,
     /// Queries answered by riding an identical in-batch computation.
     pub coalesced: u64,
-    /// Cache hits whose audited recompute disagreed with the stored
-    /// answer. **Must stay 0**: the epoch+digest stamp makes a stale serve
-    /// impossible by construction, and this counter (populated only under
-    /// [`ServiceConfig::verify_cached`]) is the proof.
-    pub stale_hits: u64,
     /// Responses served from the second-chance stale tier
     /// ([`Tier::StaleCache`]) after budget exhaustion.
     pub degraded_stale: u64,
@@ -187,7 +175,6 @@ impl ServiceStats {
             ("batches", self.batches),
             ("executed", self.executed),
             ("coalesced", self.coalesced),
-            ("stale_hits", self.stale_hits),
             ("degraded_stale", self.degraded_stale),
             ("degraded_partial", self.degraded_partial),
             ("breaker_shed", self.breaker_shed),
@@ -497,7 +484,7 @@ impl ClusterService {
             .into_iter()
             .zip(outcomes)
             .map(|((ticket, query, class_idx), slot)| {
-                let (mut outcome, cached, tier) = slot.expect("every position answered");
+                let (outcome, cached, tier) = slot.expect("every position answered");
                 match tier {
                     Tier::Exact => {}
                     Tier::StaleCache { .. } => {
@@ -507,21 +494,6 @@ impl ClusterService {
                     Tier::Partial { .. } => {
                         self.stats.degraded_partial += 1;
                         bcc_obs::inc!("service.degraded_partial");
-                    }
-                }
-                // The audit only applies to answers claiming exactness: a
-                // labeled stale serve is expected to differ from a fresh
-                // recompute.
-                if cached && tier == Tier::Exact && self.config.verify_cached {
-                    let fresh = self.system.query_resilient(
-                        query.submit_node,
-                        query.k,
-                        query.bandwidth,
-                        &self.config.retry,
-                    );
-                    if fresh != outcome {
-                        self.stats.stale_hits += 1;
-                        outcome = fresh;
                     }
                 }
                 ServiceResponse {

@@ -393,7 +393,7 @@ impl Coordinator {
     }
 
     /// [`Coordinator::cluster_near`] bypassing the coordinator cache —
-    /// the audit path chaos oracles recompute cached answers through.
+    /// the uncached cost the shard scaling study measures.
     ///
     /// # Errors
     ///
@@ -817,5 +817,37 @@ mod tests {
         }
         assert_eq!(coord.stats().queries, 0);
         assert!(coord.cluster_near(NodeId::new(0), 2, 25.0).is_ok());
+    }
+
+    /// A cached entry stands only while every contributor's stamp stands,
+    /// both halves of it: a shard whose epoch moved invalidates the entry
+    /// even where its region digest did not, and the other way round.
+    #[test]
+    fn either_half_of_a_moved_stamp_invalidates_an_entry() {
+        let caps = [100.0f64, 100.0, 80.0, 80.0, 30.0, 30.0, 10.0, 10.0];
+        let classes = BandwidthClasses::new(vec![25.0, 75.0], RationalTransform::default());
+        let hosts: Vec<NodeId> = (0..caps.len()).map(NodeId::new).collect();
+        let coord = Coordinator::bootstrap(
+            BandwidthMatrix::from_fn(caps.len(), |i, j| caps[i].min(caps[j])),
+            SystemConfig::new(classes),
+            ShardPlan::contiguous(caps.len(), 2),
+            ServiceConfig::default(),
+            &hosts,
+        )
+        .unwrap();
+        let (epoch, digest) = coord.shards[0].stamp();
+        let other = coord.shards[1].stamp();
+        let valid = |stamp| {
+            let entry = CoordEntry {
+                answer: None,
+                contributors: vec![(0, stamp), (1, other)],
+                consulted: 2,
+                candidates: 0,
+            };
+            coord.entry_valid(&entry, 0, 1.0).0
+        };
+        assert!(valid((epoch, digest)));
+        assert!(!valid((epoch + 1, digest)), "epoch moved");
+        assert!(!valid((epoch, digest ^ 1)), "region digest moved");
     }
 }

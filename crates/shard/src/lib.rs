@@ -17,7 +17,9 @@
 //! returns — same bytes, same error values, no stale reads. The
 //! mechanism (global label metric + membership-pure candidate sets +
 //! canonical serial merge) is documented on [`Coordinator`]; the shard
-//! proptests and the sharded chaos tier pin it.
+//! proptests and the coordinator columns of [`harness::differential`], the
+//! chaos run through every tier (it lives here, the one crate that sees
+//! them all), pin it.
 //!
 //! # Quick start
 //!

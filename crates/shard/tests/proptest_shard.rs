@@ -5,9 +5,11 @@
 //! baseline's error value.
 
 use bcc_metric::NodeId;
-use bcc_shard::harness::{seeded_baseline, seeded_coordinator, SHARD_COUNTS};
-use bcc_shard::{CoordOutcome, Coordinator};
-use bcc_simnet::DynamicSystem;
+use bcc_service::ServiceConfig;
+use bcc_shard::harness::{seeded_coordinator, SHARD_COUNTS};
+use bcc_shard::{CoordOutcome, Coordinator, ShardPlan};
+use bcc_simnet::chaos::{chaos_classes, seeded_universe};
+use bcc_simnet::{DynamicSystem, SystemConfig};
 use proptest::prelude::*;
 
 /// A raw churn op: (op selector, universe host).
@@ -99,10 +101,19 @@ proptest! {
         schedule in arb_schedule(10, 16),
         workload in arb_workload(10, 8),
     ) {
-        let mut baseline = seeded_baseline(seed, 10);
+        let config = SystemConfig::new(chaos_classes());
+        let mut baseline = DynamicSystem::new(seeded_universe(seed, 10), config.clone());
         let mut coords: Vec<Coordinator> = SHARD_COUNTS
             .iter()
-            .map(|&s| seeded_coordinator(seed, 10, s))
+            .map(|&s| {
+                Coordinator::new(
+                    seeded_universe(seed, 10),
+                    config.clone(),
+                    ShardPlan::contiguous(10, s),
+                    ServiceConfig::default(),
+                )
+                .expect("valid sharded deployment")
+            })
             .collect();
         for h in 0..10 {
             let want = baseline.join(NodeId::new(h));

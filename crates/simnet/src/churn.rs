@@ -1767,7 +1767,7 @@ mod tests {
 
         // A bogus CRT row written straight into a node's store
         // (`nodes_mut`).
-        crate::chaos::nemesis_hook("crt-stale").unwrap()(&mut s, 0);
+        crate::chaos::resolve_nemesis(Some("crt-stale")).unwrap()(&mut s, 0);
         let corrupted = s.live_digest();
         assert_ne!(corrupted, fixpoint, "the corruption must show");
         assert_eq!(corrupted, fresh_digest(&s));
@@ -1795,7 +1795,7 @@ mod tests {
             s.join(n(i)).unwrap();
         }
         let fixpoint = s.live_digest();
-        crate::chaos::nemesis_hook("crt-stale").unwrap()(&mut s, 0);
+        crate::chaos::resolve_nemesis(Some("crt-stale")).unwrap()(&mut s, 0);
         assert_ne!(s.live_digest(), fixpoint);
         s.rebuild().unwrap();
         assert_eq!(s.live_digest(), fresh_digest(&s));

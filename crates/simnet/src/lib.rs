@@ -106,9 +106,9 @@ mod trace;
 mod wire;
 
 pub use chaos::{
-    capture, generate_schedule, nemesis_hook, run_schedule, run_schedule_with,
-    run_schedule_with_stats, shrink_schedule, ChaosConfig, ChaosError, ChaosEvent, ChaosOutcome,
-    OracleStats, ReplayArtifact, Violation,
+    capture, generate_schedule, resolve_nemesis, run_schedule, run_schedule_with_stats,
+    shrink_schedule, ChaosConfig, ChaosError, ChaosEvent, ChaosOutcome, ChaosStep, OracleStats,
+    ReplayArtifact, Violation,
 };
 pub use churn::{fw_label_dist, ChurnError, ChurnOp, DynamicSystem, OverlayStats, RebuildCost};
 pub use config::{ConfigError, SystemConfig};
@@ -116,7 +116,7 @@ pub use engine::{NodeGossipState, OverlayDelta, SimNetwork, TrafficStats};
 pub use event::{AsyncConfig, AsyncNetwork};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultTransition, MessageFate, PlannedInjector};
 pub use persist::{
-    run_recovery_schedule, FaultyStorage, JournalRecord, MemStorage, PersistError,
+    run_recovery_schedule, FaultyStorage, JournalRecord, KillRestart, MemStorage, PersistError,
     RecoveryArtifact, RecoveryConfig, RecoveryOutcome, RecoveryReport, SnapshotStore, Storage,
     StorageFaultPlan, SystemSnapshot,
 };

@@ -38,7 +38,9 @@ mod store;
 pub use crate::churn::ChurnOp;
 pub use error::PersistError;
 pub use journal::JournalRecord;
-pub use recovery::{run_recovery_schedule, RecoveryArtifact, RecoveryConfig, RecoveryOutcome};
+pub use recovery::{
+    run_recovery_schedule, KillRestart, RecoveryArtifact, RecoveryConfig, RecoveryOutcome,
+};
 pub use snapshot::{SystemSnapshot, SNAPSHOT_VERSION};
 pub use storage::{FaultyStorage, MemStorage, Storage, StorageFaultPlan};
 pub use store::{RecoveryReport, SnapshotStore};

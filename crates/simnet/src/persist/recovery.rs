@@ -1,16 +1,17 @@
 //! Kill-restart chaos tier: crash the process, recover from storage,
 //! keep running the schedule.
 //!
-//! [`run_recovery_schedule`] executes an ordinary chaos schedule while a
-//! recovery nemesis snapshots periodically, journals every churn event,
-//! and — on a fixed cadence — *kills* the live [`DynamicSystem`] and
-//! replaces it with one recovered from the (optionally fault-injecting)
-//! storage. The recovery oracles require the recovered system to be
-//! bit-identical to the one that was killed: same epoch, same live
-//! overlay digest, same cold-restart fixpoint, same index stamp, and
-//! zero from-scratch index builds. The per-step chaos oracles then keep
-//! running against the recovered system, so any post-restart drift is
-//! caught on the very next step.
+//! [`KillRestart`], a column of the chaos run ([`run_schedule_with_stats`]),
+//! journals every churn event, snapshots periodically, and — on a fixed
+//! cadence — *kills* the [`DynamicSystem`] and replaces it with one
+//! recovered from the (optionally fault-injecting) storage;
+//! [`run_recovery_schedule`] is the run with that column. The recovery
+//! oracles require the recovered system to be bit-identical to the one
+//! that was killed: same epoch, same live overlay digest, same
+//! cold-restart fixpoint, same index stamp, and zero from-scratch index
+//! builds. The per-step chaos oracles then keep running against the
+//! recovered system, so any post-restart drift is caught on the very
+//! next step.
 //!
 //! Runs are fully deterministic (seeded schedules, seeded storage
 //! faults), so a [`RecoveryArtifact`] pins a run's counters and final
@@ -21,11 +22,13 @@
 use super::error::PersistError;
 use super::storage::{FaultyStorage, StorageFaultPlan};
 use super::store::SnapshotStore;
+use bcc_metric::{BandwidthMatrix, NodeId};
+
 use crate::chaos::{
-    chaos_classes, generate_schedule, run_schedule_with_stats, universe_bandwidth, ChaosConfig,
-    ChaosError, ChaosOutcome, OracleStats, ReplayRecord, UNIVERSE_SALT,
+    chaos_classes, generate_schedule, run_schedule_with_stats, seeded_universe, ChaosConfig,
+    ChaosError, ChaosOutcome, ChaosStep, OracleStats, ReplayRecord,
 };
-use crate::churn::DynamicSystem;
+use crate::churn::{ChurnOp, DynamicSystem};
 use crate::config::SystemConfig;
 
 /// Cadences and fault plan for the kill-restart tier.
@@ -52,7 +55,7 @@ impl Default for RecoveryConfig {
 
 /// Everything one kill-restart run produced: the underlying chaos
 /// outcome, the oracle-work counters, and the recovery bookkeeping.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RecoveryOutcome {
     /// Outcome of the schedule itself (per-step chaos oracles).
     pub outcome: ChaosOutcome,
@@ -96,7 +99,133 @@ impl RecoveryOutcome {
     }
 }
 
-/// Runs `seed`'s chaos schedule under the kill-restart nemesis.
+/// The kill-restart column: journals, snapshots, kills and recovers the
+/// reference system of a chaos run, and checks that every recovered
+/// system equals the one that was killed.
+///
+/// Attach [`step`](KillRestart::step) as (part of) the hook of
+/// [`run_schedule_with_stats`].
+#[derive(Debug)]
+pub struct KillRestart {
+    bandwidth: BandwidthMatrix,
+    sys_cfg: SystemConfig,
+    rcfg: RecoveryConfig,
+    store: SnapshotStore<FaultyStorage>,
+    out: RecoveryOutcome,
+}
+
+impl KillRestart {
+    /// The column for the run of `seed` over `universe` hosts, at the
+    /// cadences and over the storage faults of `rcfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either cadence in `rcfg` is zero.
+    pub fn new(seed: u64, universe: usize, rcfg: &RecoveryConfig) -> Self {
+        assert!(
+            rcfg.snapshot_every > 0 && rcfg.kill_every > 0,
+            "recovery cadences must be positive"
+        );
+        // Always run through the fault-injecting storage; a plan with zero
+        // probabilities never corrupts, so the clean tier is the same code.
+        let plan = rcfg
+            .storage_faults
+            .unwrap_or_else(|| StorageFaultPlan::new(seed));
+        KillRestart {
+            bandwidth: seeded_universe(seed, universe),
+            sys_cfg: SystemConfig::new(chaos_classes()),
+            rcfg: *rcfg,
+            store: SnapshotStore::new(FaultyStorage::new(plan)),
+            out: RecoveryOutcome::default(),
+        }
+    }
+
+    /// The bookkeeping so far (`outcome` and `oracle_stats` stay default).
+    pub fn outcome(&self) -> &RecoveryOutcome {
+        &self.out
+    }
+
+    /// Journals an op applied to the system outside the schedule, with the
+    /// system's epoch after it: the next recovery replays it too.
+    pub fn log(&mut self, op: ChurnOp, host: NodeId, epoch: u64) {
+        self.store.log(op, host, epoch);
+    }
+
+    /// After one applied step: journal its churn event, snapshot and kill on
+    /// cadence, and replace `sys` with the system recovered from storage.
+    pub fn step(&mut self, sys: &mut DynamicSystem, step: &ChaosStep<'_>) {
+        let (out, index) = (&mut self.out, step.index);
+        if out.persist_error.is_some() {
+            return; // a failed recovery already ended the experiment
+        }
+        if let Some((op, host)) = step.event.as_churn() {
+            // Journal the op even when the live system skipped it
+            // benignly (e.g. a double join): replay skips it the same
+            // way, and the recorded post-op epoch pins that equivalence.
+            self.store.log(op, host, sys.epoch());
+        }
+        if index.is_multiple_of(self.rcfg.snapshot_every) {
+            self.store.snapshot(sys);
+            out.snapshots += 1;
+        }
+        if index % self.rcfg.kill_every != self.rcfg.kill_every - 1 {
+            return;
+        }
+        out.kills += 1;
+        let pre_epoch = sys.epoch();
+        let pre_digest = sys.live_digest();
+        let pre_stamp = sys.index_stamp();
+        let (recovered, report) = match self.store.recover(&self.bandwidth, &self.sys_cfg) {
+            Ok(recovered) => recovered,
+            Err(e) => {
+                out.failures
+                    .push(format!("step {index}: recovery failed: {e}"));
+                out.persist_error = Some(e);
+                return;
+            }
+        };
+        out.replayed_ops += report.replayed_ops as u64;
+        if !report.skipped_generations.is_empty() {
+            out.fallback_recoveries += 1;
+            out.corruption_detected += report.skipped_generations.len() as u64;
+        }
+        let mut fail = |detail: String| out.failures.push(format!("step {index}: {detail}"));
+        if recovered.epoch() != pre_epoch {
+            fail(format!(
+                "recovered epoch {} != pre-kill epoch {pre_epoch}",
+                recovered.epoch()
+            ));
+        }
+        if recovered.live_digest() != pre_digest {
+            fail(format!(
+                "recovered digest {:?} != pre-kill digest {pre_digest:?}",
+                recovered.live_digest()
+            ));
+        }
+        match recovered.cold_restart_digest() {
+            Ok(cold) if cold == pre_digest => {}
+            Ok(cold) => fail(format!(
+                "cold-restart digest {cold:?} != pre-kill digest {pre_digest:?}"
+            )),
+            Err(e) => fail(format!("cold-restart reference failed: {e}")),
+        }
+        if recovered.index_stamp() != pre_stamp {
+            fail(format!(
+                "recovered index stamp {:?} != pre-kill stamp {pre_stamp:?}",
+                recovered.index_stamp()
+            ));
+        }
+        let full_builds = recovered.cluster_index().stats().full_builds;
+        if full_builds != 0 {
+            fail(format!(
+                "warm recovery took {full_builds} from-scratch index build(s)"
+            ));
+        }
+        *sys = recovered;
+    }
+}
+
+/// Runs `seed`'s chaos schedule with the [`KillRestart`] column attached.
 ///
 /// # Panics
 ///
@@ -106,122 +235,25 @@ pub fn run_recovery_schedule(
     cfg: &ChaosConfig,
     rcfg: &RecoveryConfig,
 ) -> RecoveryOutcome {
-    assert!(
-        rcfg.snapshot_every > 0 && rcfg.kill_every > 0,
-        "recovery cadences must be positive"
-    );
     let schedule = generate_schedule(seed, cfg);
-    let bandwidth = universe_bandwidth(seed, UNIVERSE_SALT, cfg.universe);
-    let sys_cfg = SystemConfig::new(chaos_classes());
-    // Always run through the fault-injecting storage; a plan with zero
-    // probabilities never corrupts, so the clean tier is the same code.
-    let plan = rcfg
-        .storage_faults
-        .unwrap_or_else(|| StorageFaultPlan::new(seed));
-    let mut store = SnapshotStore::new(FaultyStorage::new(plan));
-
-    let mut snapshots = 0u64;
-    let mut kills = 0u64;
-    let mut fallback_recoveries = 0u64;
-    let mut corruption_detected = 0u64;
-    let mut replayed_ops = 0u64;
-    let mut failures: Vec<String> = Vec::new();
-    let mut persist_error: Option<PersistError> = None;
-
-    let nemesis = |sys: &mut DynamicSystem, step: usize| {
-        if persist_error.is_some() {
-            return; // a failed recovery already ended the experiment
-        }
-        if let Some((op, host)) = schedule[step].as_churn() {
-            // Journal the op even when the live system skipped it
-            // benignly (e.g. a double join): replay skips it the same
-            // way, and the recorded post-op epoch pins that equivalence.
-            store.log(op, host, sys.epoch());
-        }
-        if step.is_multiple_of(rcfg.snapshot_every) {
-            store.snapshot(sys);
-            snapshots += 1;
-        }
-        if step % rcfg.kill_every == rcfg.kill_every - 1 {
-            kills += 1;
-            let pre_epoch = sys.epoch();
-            let pre_digest = sys.live_digest();
-            let pre_stamp = sys.index_stamp();
-            match store.recover(&bandwidth, &sys_cfg) {
-                Ok((recovered, report)) => {
-                    replayed_ops += report.replayed_ops as u64;
-                    if !report.skipped_generations.is_empty() {
-                        fallback_recoveries += 1;
-                        corruption_detected += report.skipped_generations.len() as u64;
-                    }
-                    let mut fail = |detail: String| {
-                        failures.push(format!("step {step}: {detail}"));
-                    };
-                    if recovered.epoch() != pre_epoch {
-                        fail(format!(
-                            "recovered epoch {} != pre-kill epoch {pre_epoch}",
-                            recovered.epoch()
-                        ));
-                    }
-                    if recovered.live_digest() != pre_digest {
-                        fail(format!(
-                            "recovered digest {:?} != pre-kill digest {pre_digest:?}",
-                            recovered.live_digest()
-                        ));
-                    }
-                    match recovered.cold_restart_digest() {
-                        Ok(cold) if cold == pre_digest => {}
-                        Ok(cold) => fail(format!(
-                            "cold-restart digest {cold:?} != pre-kill digest {pre_digest:?}"
-                        )),
-                        Err(e) => fail(format!("cold-restart reference failed: {e}")),
-                    }
-                    if recovered.index_stamp() != pre_stamp {
-                        fail(format!(
-                            "recovered index stamp {:?} != pre-kill stamp {pre_stamp:?}",
-                            recovered.index_stamp()
-                        ));
-                    }
-                    let full_builds = recovered.cluster_index().stats().full_builds;
-                    if full_builds != 0 {
-                        fail(format!(
-                            "warm recovery took {full_builds} from-scratch index build(s)"
-                        ));
-                    }
-                    *sys = recovered;
-                }
-                Err(e) => {
-                    failures.push(format!("step {step}: recovery failed: {e}"));
-                    persist_error = Some(e);
-                }
-            }
-        }
-    };
-    let (outcome, oracle_stats) = run_schedule_with_stats(seed, cfg, &schedule, nemesis);
-    let corrupted_writes = store.storage().injected();
+    let mut column = KillRestart::new(seed, cfg.universe, rcfg);
+    let (outcome, oracle_stats) =
+        run_schedule_with_stats(seed, cfg, &schedule, |sys, step| column.step(sys, step));
+    let mut out = column.out;
+    out.outcome = outcome;
+    out.oracle_stats = oracle_stats;
+    out.corrupted_writes = column.store.storage().injected();
 
     // Satellite oracle: the cold-reference memo must actually be
     // memoizing — misses are bounded by the schedule's churn steps.
     let churn_steps = schedule.iter().filter(|e| e.as_churn().is_some()).count() as u64;
     if oracle_stats.cold_misses > churn_steps + 1 {
-        failures.push(format!(
+        out.failures.push(format!(
             "cold-reference memo missed {} times for {churn_steps} churn steps",
             oracle_stats.cold_misses
         ));
     }
-
-    RecoveryOutcome {
-        outcome,
-        oracle_stats,
-        snapshots,
-        kills,
-        fallback_recoveries,
-        corruption_detected,
-        corrupted_writes,
-        replayed_ops,
-        failures,
-        persist_error,
-    }
+    out
 }
 
 /// A pinned, re-runnable record of one kill-restart run, as one

@@ -624,13 +624,13 @@ fn decode_gossip(bytes: &[u8]) -> Result<Vec<NodeGossipState>, PersistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{chaos_classes, universe_bandwidth, UNIVERSE_SALT};
+    use crate::chaos::{chaos_classes, seeded_universe};
 
     fn live_system(
         universe: usize,
         hosts: usize,
     ) -> (DynamicSystem, BandwidthMatrix, SystemConfig) {
-        let bandwidth = universe_bandwidth(42, UNIVERSE_SALT, universe);
+        let bandwidth = seeded_universe(42, universe);
         let config = SystemConfig::new(chaos_classes());
         let hosts: Vec<NodeId> = (0..hosts).map(NodeId::new).collect();
         let sys = DynamicSystem::bootstrap(bandwidth.clone(), config.clone(), &hosts).unwrap();
@@ -682,7 +682,7 @@ mod tests {
 
     #[test]
     fn empty_system_round_trips() {
-        let bandwidth = universe_bandwidth(1, UNIVERSE_SALT, 4);
+        let bandwidth = seeded_universe(1, 4);
         let config = SystemConfig::new(chaos_classes());
         let sys = DynamicSystem::new(bandwidth.clone(), config.clone());
         let snap = SystemSnapshot::capture(&sys);
@@ -743,7 +743,7 @@ mod tests {
         let (sys, bandwidth, config) = live_system(8, 5);
         let snap = SystemSnapshot::capture(&sys);
 
-        let small = universe_bandwidth(42, UNIVERSE_SALT, 6);
+        let small = seeded_universe(42, 6);
         assert!(matches!(
             snap.clone().restore(&small, &config).unwrap_err(),
             PersistError::Malformed { .. }

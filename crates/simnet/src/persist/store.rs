@@ -210,11 +210,11 @@ fn replay_op(sys: &mut DynamicSystem, rec: &JournalRecord) -> Result<(), Persist
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{chaos_classes, universe_bandwidth, UNIVERSE_SALT};
+    use crate::chaos::{chaos_classes, seeded_universe};
     use crate::persist::storage::MemStorage;
 
     fn setup(universe: usize, hosts: usize) -> (DynamicSystem, BandwidthMatrix, SystemConfig) {
-        let bandwidth = universe_bandwidth(11, UNIVERSE_SALT, universe);
+        let bandwidth = seeded_universe(11, universe);
         let config = SystemConfig::new(chaos_classes());
         let hosts: Vec<NodeId> = (0..hosts).map(NodeId::new).collect();
         let sys = DynamicSystem::bootstrap(bandwidth.clone(), config.clone(), &hosts).unwrap();

@@ -5,11 +5,13 @@
 //! file that asks for a universe of zero or of billions of hosts is
 //! refused before anything is sized from it.
 //!
-//! The `degrade/` and `shard/` artifact types live above this crate
-//! (`bcc-service`, `bcc-shard`); each is a [`ReplayRecord`] of its kind,
-//! loads through exactly the call driven here, and sizes its replay from
-//! [`ReplayRecord::universe`] (`tests/one_owner.rs` keeps it the only read
-//! of that field; their own chaos tests drive their `replay`).
+//! The `degrade/` and `differential/` artifact types live above this
+//! crate (`bcc-service`, `bcc-shard`); each is a [`ReplayRecord`] of its
+//! kind, loads through exactly the call driven here, and sizes its replay
+//! from [`ReplayRecord::universe`] (`tests/one_owner.rs` keeps it the only
+//! read of that field; their own chaos tests drive their `replay`). A
+//! differential record carries its reference's schedule, which it reads
+//! back through [`ReplayArtifact::from_record`].
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -54,11 +56,14 @@ fn corpus() -> &'static [(String, String, Loader, Sizer)] {
                 },
             ),
             (
-                "shard",
-                |t| ReplayRecord::from_json(t, Some("shard")).map(|r| r.to_json()),
+                "differential",
                 |t| {
-                    ReplayRecord::from_json(t, Some("shard"))?
-                        .universe()
+                    let record = ReplayRecord::from_json(t, Some("differential"))?;
+                    ReplayArtifact::from_record(&record)?;
+                    Ok(record.to_json())
+                },
+                |t| {
+                    ReplayArtifact::from_record(&ReplayRecord::from_json(t, Some("differential"))?)
                         .map(drop)
                 },
             ),

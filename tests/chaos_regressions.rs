@@ -16,7 +16,7 @@
 use std::path::Path;
 
 use bcc_service::DegradeArtifact;
-use bcc_shard::harness::ShardArtifact;
+use bcc_shard::harness::DifferentialArtifact;
 use bcc_simnet::chaos::ReplayArtifact;
 use bcc_simnet::{ChaosError, RecoveryArtifact};
 
@@ -84,26 +84,26 @@ fn degrade_corpus_replays_bit_identically() {
     });
 }
 
-/// The `shard/` sub-corpus pins whole sharded-coordinator chaos runs:
-/// each artifact records a seed and schedule shape plus the expected
-/// exact/degraded/cache-hit/pruned counters and the answer-stream digest
-/// accumulated across shard counts {1, 2, 4}. Replay re-executes the run
-/// through `bcc-shard` against the unsharded baseline and must land on
-/// every recorded counter with zero stale hits and zero divergences: the
-/// scatter–gather merge is canonical.
+/// The `differential/` sub-corpus pins whole runs of a simnet schedule
+/// through every tier: each artifact records the seed and the explicit
+/// schedule, the reference's final digest, every column's counters (the
+/// service's, the coordinators' summed over shard counts {1, 2, 4}, the
+/// kill-restart column's, the rejected-op probes') and the digest of the
+/// reference's answer stream. Replay re-runs the schedule and must land on
+/// every recorded field, with every oracle at zero.
 ///
-/// To record a new pin after an intentional change to the sharding
-/// model:
+/// To record a new pin after an intentional change to any tier:
 ///
 /// ```sh
 /// cargo run --release -p bcc-bench --bin shard -- \
-///     --smoke --seed <seed> --save tests/chaos_corpus/shard/<name>.json
+///     --seed <seed> --save tests/chaos_corpus/differential/seed<seed>.json
 /// ```
 #[test]
-fn shard_corpus_replays_bit_identically() {
-    replay_corpus("shard", 2, |text| {
-        let artifact = ShardArtifact::from_json(text)?;
-        artifact.replay()?;
+fn differential_corpus_replays_bit_identically() {
+    replay_corpus("differential", 2, |text| {
+        let artifact = DifferentialArtifact::from_json(text)?;
+        let report = artifact.replay()?;
+        assert_eq!(report.violation, None);
         Ok(artifact.to_json())
     });
 }

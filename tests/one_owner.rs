@@ -26,6 +26,9 @@
 //! updated in one place and never read back to find them.
 //! The thread pool has one user, the figure harness: no other crate names
 //! it, no test sets its thread count, and no statistic keeps a `_par` twin.
+//! Every chaos tier rides the simnet schedule: the library sources hold one
+//! schedule generator, the service no self-audit, and no digest folds
+//! `Debug` text.
 
 use std::path::{Path, PathBuf};
 
@@ -66,19 +69,35 @@ fn without_items(text: &str, marker: &str) -> String {
     while let Some(at) = rest.find(marker) {
         library.push_str(&rest[..at]);
         let item = &rest[at..];
-        let mut depth = 0usize;
-        let end = item.char_indices().find_map(|(i, c)| {
-            match c {
-                '{' => depth += 1,
-                '}' if depth == 1 => return Some(i + 1),
-                '}' => depth = depth.saturating_sub(1),
-                _ => {}
-            }
-            None
-        });
-        rest = end.map_or("", |end| &item[end..]);
+        rest = item_end(item).map_or("", |end| &item[end..]);
     }
     library + rest
+}
+
+/// Every item of `text` that starts at `marker`, each up to the brace that
+/// closes its first `{` (an item nested in another is listed too).
+fn items<'a>(text: &'a str, marker: &str) -> Vec<&'a str> {
+    text.match_indices(marker)
+        .map(|(at, _)| {
+            let item = &text[at..];
+            item_end(item).map_or(item, |end| &item[..end])
+        })
+        .collect()
+}
+
+/// The end of the item `item` starts with: just past the brace that
+/// closes its first `{`.
+fn item_end(item: &str) -> Option<usize> {
+    let mut depth = 0usize;
+    item.char_indices().find_map(|(i, c)| {
+        match c {
+            '{' => depth += 1,
+            '}' if depth == 1 => return Some(i + 1),
+            '}' => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+        None
+    })
 }
 
 #[test]
@@ -210,7 +229,13 @@ fn each_shared_decision_is_defined_in_one_file() {
     for path in &everything {
         let text = std::fs::read_to_string(path).expect("readable source");
         let text = text.replace('_', "").to_lowercase();
-        for needle in ["fn processqueryresilient", "budgetforattempt"] {
+        // Nor the service's self-audit: the differential chaos run checks
+        // cached answers against an independent reference instead.
+        for needle in [
+            "fn processqueryresilient",
+            "budgetforattempt",
+            "verifycached",
+        ] {
             assert!(!text.contains(needle), "{} names {needle}", path.display());
         }
     }
@@ -261,6 +286,48 @@ fn each_shared_decision_is_defined_in_one_file() {
     for (found, (needle, _, owner)) in holders.iter().zip(owners) {
         let expected: Vec<String> = owner.iter().map(|o| o.to_string()).collect();
         assert_eq!(found, &expected, "files holding {needle:?}");
+    }
+    // One schedule generator in the library sources: every tier's chaos
+    // run is a column of the simnet run over `generate_schedule`'s
+    // schedules. (A bench binary may expand a stream of its own.)
+    let mut generators = Vec::new();
+    for path in crate_sources(root) {
+        let relative = path.strip_prefix(root).expect("under the manifest dir");
+        let relative = relative.to_string_lossy().replace('\\', "/");
+        if relative.contains("/bin/") || relative.ends_with("/main.rs") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("readable source");
+        let library = library_text(&text.replace('_', "").to_lowercase());
+        for item in items(&library, "fn generate") {
+            let name = item.split(['(', '<']).next().unwrap_or_default();
+            if name.ends_with("schedule") {
+                generators.push(format!("{relative}: {name}"));
+            }
+        }
+    }
+    assert_eq!(
+        generators,
+        ["crates/simnet/src/chaos.rs: fn generateschedule"],
+        "schedule generators in library sources"
+    );
+    // Every chaos digest folds answers by their one defined rendering
+    // (`chaos::render_answer`): no function that feeds `fnv1a` formats a
+    // value with `Debug`.
+    for file in [
+        "crates/simnet/src/chaos.rs",
+        "crates/simnet/src/persist/recovery.rs",
+        "crates/service/src/harness.rs",
+        "crates/shard/src/harness.rs",
+    ] {
+        let text = std::fs::read_to_string(root.join(file)).expect("readable source");
+        for item in items(&library_text(&text), "fn ") {
+            assert!(
+                !(item.contains("fnv1a(") && item.contains(":?}")),
+                "{file}: a digest folds Debug text in {}",
+                item.lines().next().unwrap_or_default()
+            );
+        }
     }
 }
 
